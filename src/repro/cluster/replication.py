@@ -13,14 +13,26 @@ successor chain and serves the bytes from the first replica that holds them.
 
 Transparent re-dispatch of work from failed members to survivors follows the
 distributed-middleware failure model of arXiv:0908.2958 (see PAPERS.md);
-the deterministic mirror placement keeps recovery reasoning simple.  On
-file-backed clusters replicas re-spill through a
-:class:`~repro.storage.backends.FileContainerBackend` of their own under the
-node's ``replicas/`` subdirectory, bounding RAM -- but the replica plane is
-*reconstructible* state, not durable state: after a crash,
-``recover_storage`` re-mirrors every recovered primary seal, and installing
-a :class:`ReplicaStore` over a surviving directory first clears whatever
-spill files the previous process left there.
+the deterministic mirror placement keeps recovery reasoning simple.
+
+**What moves is the stored section, unchanged.**  A mirror is one
+:meth:`DedupeNode.export_container <repro.node.dedupe_node.DedupeNode.export_container>`
+on the origin and one
+:meth:`~repro.node.dedupe_node.DedupeNode.store_replica` per successor, and
+the :class:`~repro.storage.container.StoredSection` between them is the
+container as the origin stores it: on file-backed clusters the spill file's
+bytes (compressed or not) with the CRC recorded at seal time, which the
+successor checks, writes verbatim as its own spill file under the node's
+``replicas/`` subdirectory and journals -- no decompression, no
+recompression, no payload load on the primary; on memory-backed clusters the
+contiguous section under codec ``"none"``, adopted as a resident clone.  The
+process transport ships the same section over the same two calls (see
+:class:`~repro.transport.cluster.TransportReplication`).
+
+The replica plane is *reconstructible* state, not durable state: after a
+crash, ``recover_storage`` re-mirrors every recovered primary seal, and
+installing a :class:`ReplicaStore` over a surviving directory first clears
+whatever spill files the previous process left there.
 """
 
 from __future__ import annotations
@@ -30,8 +42,12 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tupl
 
 from repro.analysis.runtime import GuardLock, guarded_lock
 from repro.errors import NodeUnavailableError, ValidationError
-from repro.storage.backends import FileContainerBackend
-from repro.storage.container import Container
+from repro.storage.backends import (
+    ContainerBackend,
+    FileContainerBackend,
+    InMemoryBackend,
+)
+from repro.storage.container import Container, StoredSection
 from repro.storage.journal import MANIFEST_NAME
 
 if TYPE_CHECKING:
@@ -105,70 +121,41 @@ def replica_backend_for(node: "DedupeNode") -> Optional[FileContainerBackend]:
     )
 
 
-def clone_sealed_container(container: Container, replica_id: int) -> Container:
-    """Deep-copy a sealed container's chunks into a resident replica.
-
-    The clone re-reads the origin's data section once (through its backend if
-    spilled) and slices it back into per-chunk parts, so the replica is
-    independent of the origin's storage: unlinking the origin's spill file
-    cannot corrupt the replica.
-    """
-    entries = container.metadata_section()
-    payload = container.payload_bytes()
-    parts: List[bytes] = [
-        payload[entry.offset:entry.offset + entry.length] for entry in entries
-    ]
-    return Container.from_recovered(
-        container_id=replica_id,
-        capacity=container.capacity,
-        stream_id=container.stream_id,
-        entries=entries,
-        parts=parts,
-    )
-
-
 class ReplicaStore:
     """The mirrored containers a node holds on behalf of its predecessors.
 
     Keyed by ``(origin_node_id, container_id)``.  On file-backed clusters the
-    replicas spill through their own journaled backend under the node's
-    ``replicas/`` subdirectory (composite ids, see
-    :data:`REPLICA_ID_STRIDE`), so holding replicas does not unbound the
-    node's RAM; on memory-backed clusters they stay resident like everything
-    else.
+    replicas are verbatim copies of their primaries' spill files, kept by a
+    journaled backend of the store's own under the node's ``replicas/``
+    subdirectory (composite ids, see :data:`REPLICA_ID_STRIDE`), so holding
+    replicas does not unbound the node's RAM; on memory-backed clusters
+    (``backend=None``) they stay resident like everything else.
     """
 
     def __init__(self, node_id: int, backend: Optional[FileContainerBackend] = None):
         self.node_id = node_id
         self.backend = backend
+        self._adopter: ContainerBackend = (
+            backend if backend is not None else InMemoryBackend()
+        )
         self._lock: GuardLock = guarded_lock("ReplicaStore._lock")
         self._replicas: Dict[Tuple[int, int], Container] = {}  # guarded-by: _lock
         self.replicated_containers = 0  # guarded-by: _lock
         self.replicated_bytes = 0  # guarded-by: _lock
 
-    def store(self, origin_node_id: int, container: Container) -> None:
-        """Mirror one sealed container from ``origin_node_id``.
-
-        Idempotent per ``(origin, container_id)``: re-mirroring after a
-        recovery overwrites the entry (and its spill file) in place.
-        """
-        replica_id = origin_node_id * REPLICA_ID_STRIDE + container.container_id
-        clone = clone_sealed_container(container, replica_id)
-        self.adopt(origin_node_id, container.container_id, clone)
-
     def adopt(
-        self, origin_node_id: int, container_id: int, clone: Container
+        self, origin_node_id: int, container_id: int, section: StoredSection
     ) -> None:
-        """Install an already-independent replica clone (idempotent).
+        """Mirror one sealed container exported by ``origin_node_id``.
 
-        The in-process path clones through :func:`clone_sealed_container`
-        before adopting; the process transport reconstructs the clone from
-        wire frames (its payload bytes are already private copies) and adopts
-        it directly -- one copy either way.  ``clone.container_id`` must be
-        the composite replica id (see :data:`REPLICA_ID_STRIDE`).
+        The section's bytes are checked against the CRC its origin recorded
+        at seal time (a mismatch raises :class:`~repro.errors.StorageError`
+        and adopts nothing) and then kept as they are.  Idempotent per
+        ``(origin, container_id)``: re-mirroring after a recovery overwrites
+        the entry (and its spill file) in place.
         """
-        if self.backend is not None:
-            self.backend.on_seal(clone)
+        replica_id = origin_node_id * REPLICA_ID_STRIDE + container_id
+        clone = self._adopter.adopt_stored(replica_id, section)
         with self._lock:
             previous = self._replicas.get((origin_node_id, container_id))
             self._replicas[(origin_node_id, container_id)] = clone
@@ -264,14 +251,17 @@ class ReplicationManager:
     # ------------------------------------------------------------------ #
 
     def sync_node(self, node: "DedupeNode") -> int:
-        """Mirror every container sealed on ``node`` since the last sync."""
+        """Mirror every container sealed on ``node`` since the last sync:
+        one export per container, one verbatim adoption per successor."""
         sealed = node.container_store.drain_sealed()
+        successors = [
+            self.cluster.node(successor_id)
+            for successor_id in self.successors(node.node_id)
+        ]
         for container_id in sealed:
-            container = node.container_store.get(container_id)
-            for successor_id in self.successors(node.node_id):
-                store = self.cluster.node(successor_id).replica_store
-                if store is not None:
-                    store.store(node.node_id, container)
+            section = node.export_container(container_id)
+            for successor in successors:
+                successor.store_replica(node.node_id, container_id, section)
         return len(sealed)
 
     def sync(self) -> int:

@@ -45,7 +45,7 @@ from repro.errors import (
 from repro.storage.backends import FileContainerBackend
 
 if TYPE_CHECKING:
-    from repro.storage.container import Container
+    from repro.storage.container import Container, SectionBuffer
 
 KILL_PHASES = ("before-data", "mid-data", "after-data", "torn-journal")
 """Crash points of the seal's data-first/journal-second write ordering."""
@@ -211,7 +211,10 @@ class FaultPlan:
     # ------------------------------------------------------------------ #
 
     def on_spill(
-        self, backend: FileContainerBackend, container: "Container", blob: bytes
+        self,
+        backend: FileContainerBackend,
+        container: "Container",
+        blob: "SectionBuffer",
     ) -> None:
         with self._lock:
             self.spills_seen += 1

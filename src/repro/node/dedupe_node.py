@@ -35,7 +35,12 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.runtime import GuardLock, assert_owned, guarded_lock
 from repro.core.superchunk import SuperChunk
-from repro.errors import ChunkNotFoundError, NodeUnavailableError, RecoveryError
+from repro.errors import (
+    ChunkNotFoundError,
+    NodeUnavailableError,
+    RecoveryError,
+    StorageError,
+)
 from repro.fingerprint.fingerprinter import ChunkRecord
 from repro.fingerprint.handprint import DEFAULT_HANDPRINT_SIZE, Handprint
 from repro.node.stats import NodeStats
@@ -46,7 +51,7 @@ from repro.storage.backends import (
     build_container_backend,
 )
 from repro.storage.chunk_index import DiskChunkIndex
-from repro.storage.container import DEFAULT_CONTAINER_CAPACITY
+from repro.storage.container import DEFAULT_CONTAINER_CAPACITY, StoredSection
 from repro.storage.container_store import ContainerStore
 from repro.storage.fingerprint_cache import (
     DEFAULT_CACHE_CAPACITY_CONTAINERS,
@@ -630,6 +635,29 @@ class DedupeNode:
                 )
             verified.append(payload)
         return verified
+
+    # ------------------------------------------------------------------ #
+    # replication (the one mirroring seam: the in-process manager calls these
+    # directly, the transport worker serves them as RPCs)
+    # ------------------------------------------------------------------ #
+
+    def export_container(self, container_id: int) -> StoredSection:
+        """One of this node's sealed containers in its stored form, ready to
+        mirror: on a file backend the spill file's bytes read raw, never a
+        payload load (see
+        :meth:`~repro.storage.backends.ContainerBackend.export_stored`)."""
+        container = self.container_store.get(container_id)
+        return self.container_backend.export_stored(container)
+
+    def store_replica(
+        self, origin_node_id: int, container_id: int, section: StoredSection
+    ) -> None:
+        """Adopt a predecessor's exported container into this node's replica
+        store (idempotent per ``(origin, container_id)``)."""
+        store = self.replica_store
+        if store is None:
+            raise StorageError(f"node {self.node_id} hosts no replica store")
+        store.adopt(origin_node_id, container_id, section)
 
     # ------------------------------------------------------------------ #
     # crash recovery (the disaster path)

@@ -27,6 +27,17 @@ so :meth:`FileContainerBackend.recover` can reopen a directory after a hard
 kill -- replaying the journal's valid prefix, discarding torn trailing
 records, and deleting orphaned or truncated spill files.
 
+Every backend is also one side of the replication seam:
+:meth:`ContainerBackend.export_stored` hands out a sealed container as a
+:class:`~repro.storage.container.StoredSection` (its data section *as
+stored*, the codec, length and CRC recorded at seal time, and the metadata
+section) and :meth:`ContainerBackend.adopt_stored` installs one under a new
+id.  The file
+backend exports by reading the spill file raw and adopts by writing those
+bytes verbatim and journaling them, so a mirror costs no codec call on either
+side; resident backends exchange the contiguous section under codec
+``"none"``.
+
 Backends are selected by registered name through
 :func:`build_container_backend`, via ``NodeConfig.container_backend`` /
 ``SigmaDedupe(container_backend=..., storage_dir=...)`` or the
@@ -56,8 +67,15 @@ from repro.errors import (
     SimulatedCrashError,
     StorageError,
 )
-from repro.storage.compression import build_codec, resolve_compression
-from repro.storage.container import Container, ContainerMetadataEntry, PayloadSection
+from repro.storage.compression import NullCodec, build_codec, resolve_compression
+from repro.storage.container import (
+    Container,
+    ContainerMetadataEntry,
+    PayloadSection,
+    SectionBuffer,
+    StoredForm,
+    StoredSection,
+)
 from repro.storage.journal import (
     JOURNAL_VERSION,
     MANIFEST_NAME,
@@ -73,7 +91,7 @@ DEFAULT_DECOMPRESSED_CACHE_BYTES = 32 * 1024 * 1024
 (8 default-capacity containers).  Raw spill files need no such cache -- their
 ``mmap`` pages live in the kernel page cache -- but a compressed section costs
 a real decompression to rebuild, and fragmented restores revisit the same
-container across many read windows."""
+container across many read windows.  Seals admit their raw section too."""
 
 
 class SpillFaultHook(Protocol):
@@ -85,10 +103,14 @@ class SpillFaultHook(Protocol):
     """
 
     def on_spill(
-        self, backend: "FileContainerBackend", container: Container, blob: bytes
+        self,
+        backend: "FileContainerBackend",
+        container: Container,
+        blob: SectionBuffer,
     ) -> None:
-        """Called before the spill file write; may write a partial file and
-        raise :class:`~repro.errors.SimulatedCrashError`."""
+        """Called before the spill file write (a seal's, or a replica's
+        verbatim adoption); may write a partial file and raise
+        :class:`~repro.errors.SimulatedCrashError`."""
 
     def journal_tear(
         self, backend: "FileContainerBackend", encoded: bytes
@@ -114,6 +136,46 @@ class ContainerBackend(ABC):
     def on_seal(self, container: Container) -> None:
         """Called by the store right after ``container`` seals (one container
         write has already been accounted); may persist and evict the payload."""
+
+    def export_stored(self, container: Container) -> StoredSection:
+        """A sealed container of this backend in its stored form.
+
+        The resident form: the contiguous data section under codec
+        ``"none"``, with its CRC taken here."""
+        blob = container.payload_bytes()
+        if not isinstance(blob, bytes):
+            blob = blob[:]
+        return StoredSection(
+            capacity=container.capacity,
+            stream_id=container.stream_id,
+            stored=StoredForm(NullCodec.name, len(blob), zlib.crc32(blob)),
+            entries=container.metadata_section(),
+            blob=blob,
+        )
+
+    def adopt_stored(self, container_id: int, section: StoredSection) -> Container:
+        """Install ``section`` as sealed container ``container_id`` and return
+        it; a section whose bytes fail their CRC is refused with a
+        :class:`~repro.errors.StorageError`.
+
+        The resident form: a clone holding per-chunk payload parts (a section
+        stored under a codec is decompressed once -- a memory-backed holder
+        has nowhere to keep it compressed)."""
+        blob = section.verified_blob(f"container {container_id}")
+        codec = build_codec(section.stored.codec)
+        entries = list(section.entries)
+        if codec is not None:
+            blob = codec.decompress(blob, sum(entry.length for entry in entries))
+        return Container.from_recovered(
+            container_id=container_id,
+            capacity=section.capacity,
+            stream_id=section.stream_id,
+            entries=entries,
+            parts=[
+                bytes(blob[entry.offset:entry.offset + entry.length])
+                for entry in entries
+            ],
+        )
 
     def close(self) -> None:
         """Release backend resources (temporary directories, open files)."""
@@ -198,7 +260,11 @@ class FileContainerBackend(ContainerBackend):
         Budget for the decompressed-section LRU used when a codec is active:
         a container is decompressed once and its section cached, so a
         fragmented restore that revisits the container across many read
-        windows pays the codec once, not once per window.
+        windows pays the codec once, not once per window.  The LRU is
+        **write-through**: ``on_seal`` admits the raw section it has just
+        compressed (by reference, within the same budget), so a restore that
+        follows an ingest reads the most recently sealed containers without
+        running the codec at all.
     fsync:
         Force every spill file and journal record to stable storage before
         the seal returns.  Off by default: the write ordering (data file
@@ -253,8 +319,9 @@ class FileContainerBackend(ContainerBackend):
         # displaced entry's mmap is closed eagerly (see the class docstring's
         # concurrency contract), so page slices never pin unlinked files.
         self._last_loaded: Optional[Tuple[int, PayloadSection]] = None  # guarded-by: _io_lock
-        # Decompressed-section LRU (compressed spills only): byte-bounded so
-        # resident decompressed payload never exceeds the configured budget.
+        # Decompressed-section LRU (compressed spills only), filled by seals
+        # and by loads: byte-bounded so resident decompressed payload never
+        # exceeds the configured budget.
         self._decompressed: "OrderedDict[int, bytes]" = OrderedDict()  # guarded-by: _io_lock
         self._decompressed_bytes = 0  # guarded-by: _io_lock
         self._decompressed_capacity = decompressed_cache_bytes
@@ -275,27 +342,39 @@ class FileContainerBackend(ContainerBackend):
         if self._closed:
             raise StorageError("file backend is closed")
         section = container.payload_bytes()
-        raw = section if isinstance(section, bytes) else section[:]
-        blob = raw if self._codec is None else self._codec.compress(raw)
+        blob = section if self._codec is None else self._codec.compress(section)
+        stored = StoredForm(self.compression, len(blob), zlib.crc32(blob))
+        self._persist(container, blob, stored)
+        container.evict_payload(self._load, stored)
+        if self._codec is not None and isinstance(section, bytes):
+            # Write-through: a container is most likely to be restored soon
+            # after it was written, and its raw section is in hand right now.
+            with self._io_lock:
+                self._remember_decompressed(container.container_id, section)
+
+    def _persist(
+        self, container: Container, blob: SectionBuffer, stored: StoredForm
+    ) -> None:
+        """Put one stored data section down: spill file first, journal record
+        second, with the fault hook consulted before each."""
         hook = self._fault_hook
         if hook is not None:
             # May write a partial spill file and raise SimulatedCrashError.
             hook.on_spill(self, container, blob)
         self._write_spill_file(self.spill_path(container.container_id), blob)
-        self._journal_seal(container, blob)
+        self._journal_seal(container, stored)
         self.spilled_containers += 1
-        self.spilled_bytes += len(raw)
-        self.spilled_bytes_stored += len(blob)
-        container.evict_payload(self._load)
+        self.spilled_bytes += container.used
+        self.spilled_bytes_stored += stored.length
 
-    def _write_spill_file(self, path: Path, blob: bytes) -> None:
+    def _write_spill_file(self, path: Path, blob: SectionBuffer) -> None:
         with open(path, "wb") as handle:
             handle.write(blob)
             handle.flush()
             if self.fsync:
                 os.fsync(handle.fileno())
 
-    def _journal_seal(self, container: Container, blob: bytes) -> None:
+    def _journal_seal(self, container: Container, stored: StoredForm) -> None:
         """Append the seal's manifest record (after its data file is down)."""
         record: Dict[str, Any] = {
             "v": JOURNAL_VERSION,
@@ -303,9 +382,9 @@ class FileContainerBackend(ContainerBackend):
             "stream_id": container.stream_id,
             "capacity": container.capacity,
             "used": container.used,
-            "codec": self.compression,
-            "stored_length": len(blob),
-            "stored_crc": zlib.crc32(blob),
+            "codec": stored.codec,
+            "stored_length": stored.length,
+            "stored_crc": stored.crc,
             "chunks": [
                 [entry.fingerprint.hex(), entry.offset, entry.length]
                 for entry in container.metadata_section()
@@ -324,6 +403,65 @@ class FileContainerBackend(ContainerBackend):
                 f"{container.container_id} ({torn}/{len(encoded)} bytes)"
             )
         self.journal.append_raw(encoded, fsync=self.fsync)
+
+    # ------------------------------------------------------------------ #
+    # replication seam (stored sections move verbatim, no codec)
+    # ------------------------------------------------------------------ #
+
+    def export_stored(self, container: Container) -> StoredSection:
+        """The container's spill file, read raw, with the CRC its seal
+        recorded -- not a load: no codec, no ``spill_loads``, no read-fault
+        hook, and the one-slot buffer and decompressed LRU are left alone.
+        Damage to the file since the seal is for the adopter's CRC check to
+        find, so the CRC is never recomputed here."""
+        if self._closed:
+            raise StorageError("file backend is closed")
+        stored = container.stored_form
+        if stored is None:
+            raise StorageError(
+                f"container {container.container_id} was not spilled through "
+                f"a file backend: it has no stored form to export"
+            )
+        path = self.spill_path(container.container_id)
+        try:
+            blob = path.read_bytes()
+        except OSError as exc:
+            raise ContainerNotFoundError(
+                f"spill file for container {container.container_id} is missing "
+                f"or unreadable: {path}"
+            ) from exc
+        return StoredSection(
+            capacity=container.capacity,
+            stream_id=container.stream_id,
+            stored=stored,
+            entries=container.metadata_section(),
+            blob=blob,
+        )
+
+    def adopt_stored(self, container_id: int, section: StoredSection) -> Container:
+        """Write ``section.blob`` verbatim as ``container_id``'s spill file and
+        journal it, exactly as a seal would (same ordering, same fault-hook
+        sites), and return the evicted container that reads it back.
+        Re-adopting an id overwrites file and record in place."""
+        if self._closed:
+            raise StorageError("file backend is closed")
+        if section.stored.codec != self.compression:
+            raise StorageError(
+                f"stored section for container {container_id} uses codec "
+                f"{section.stored.codec!r} but this backend is configured for "
+                f"{self.compression!r}"
+            )
+        blob = section.verified_blob(f"container {container_id}")
+        container = Container.from_recovered(
+            container_id=container_id,
+            capacity=section.capacity,
+            stream_id=section.stream_id,
+            entries=section.entries,
+            loader=self._load,
+            stored=section.stored,
+        )
+        self._persist(container, blob, section.stored)
+        return container
 
     # ------------------------------------------------------------------ #
     # crash recovery
@@ -412,6 +550,9 @@ class FileContainerBackend(ContainerBackend):
                     stream_id=int(record["stream_id"]),
                     entries=entries,
                     loader=self._load,
+                    stored=StoredForm(
+                        self.compression, stored_length, int(record["stored_crc"])
+                    ),
                 )
             )
             stored_total += stored_length

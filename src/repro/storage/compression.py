@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional
 from repro.errors import CompressionError
 
 if TYPE_CHECKING:
-    from repro.storage.container import PayloadSection
+    from repro.storage.container import SectionBuffer
 
 try:  # optional accelerator, never a hard dependency
     import zstandard as _zstandard
@@ -62,10 +62,10 @@ class CompressionCodec:
 
     name: str = "base"
 
-    def compress(self, section: "PayloadSection") -> bytes:
+    def compress(self, section: "SectionBuffer") -> bytes:
         raise NotImplementedError
 
-    def decompress(self, blob: "PayloadSection", expected_size: int) -> bytes:
+    def decompress(self, blob: "SectionBuffer", expected_size: int) -> bytes:
         raise NotImplementedError
 
 
@@ -79,10 +79,10 @@ class NullCodec(CompressionCodec):
 
     name = "none"
 
-    def compress(self, section: "PayloadSection") -> bytes:
+    def compress(self, section: "SectionBuffer") -> bytes:
         return section if type(section) is bytes else bytes(section)
 
-    def decompress(self, blob: "PayloadSection", expected_size: int) -> bytes:
+    def decompress(self, blob: "SectionBuffer", expected_size: int) -> bytes:
         return blob if type(blob) is bytes else bytes(blob)
 
 
@@ -91,10 +91,10 @@ class ZlibCodec(CompressionCodec):
 
     name = "zlib"
 
-    def compress(self, section: "PayloadSection") -> bytes:
-        return zlib.compress(bytes(section) if type(section) is not bytes else section, _ZLIB_LEVEL)
+    def compress(self, section: "SectionBuffer") -> bytes:
+        return zlib.compress(section, _ZLIB_LEVEL)
 
-    def decompress(self, blob: "PayloadSection", expected_size: int) -> bytes:
+    def decompress(self, blob: "SectionBuffer", expected_size: int) -> bytes:
         try:
             return zlib.decompress(blob)
         except zlib.error as exc:
@@ -112,18 +112,22 @@ class ZstdCodec(CompressionCodec):
                 "compression codec 'zstd' requires the optional 'zstandard' "
                 "module, which is not installed (use 'zlib' or 'auto')"
             )
+        # One context each per codec instance, not per call.  A context is
+        # single-threaded; the file backend calls ``compress`` under its
+        # store's seal lock and ``decompress`` under its own I/O lock.
+        self._compressor = _zstandard.ZstdCompressor(level=_ZSTD_LEVEL)
+        self._decompressor = _zstandard.ZstdDecompressor()
 
-    def compress(self, section: "PayloadSection") -> bytes:
-        compressed = _zstandard.ZstdCompressor(level=_ZSTD_LEVEL).compress(
-            bytes(section) if type(section) is not bytes else section
-        )
+    def compress(self, section: "SectionBuffer") -> bytes:
+        compressed: bytes = self._compressor.compress(section)
         return compressed
 
-    def decompress(self, blob: "PayloadSection", expected_size: int) -> bytes:
+    def decompress(self, blob: "SectionBuffer", expected_size: int) -> bytes:
         try:
-            return _zstandard.ZstdDecompressor().decompress(
+            section: bytes = self._decompressor.decompress(
                 blob, max_output_size=expected_size
             )
+            return section
         except _zstandard.ZstdError as exc:
             raise CompressionError(f"zstd spill blob is corrupt: {exc}") from exc
 

@@ -24,6 +24,7 @@ contiguous layout, so the spilled file and the resident view stay coherent.
 from __future__ import annotations
 
 import mmap
+import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Union
 
@@ -40,6 +41,11 @@ or an ``mmap`` over the spill file so restore windows slice pages lazily
 instead of copying the whole file.  Both slice to ``bytes``, which is all the
 read path ever does with one."""
 
+SectionBuffer = Union[bytes, memoryview, mmap.mmap]
+"""Any buffer a data section -- raw or stored -- may arrive in where it is
+only compressed, checksummed or written out: a :data:`PayloadSection`, or a
+wire frame's ``memoryview``."""
+
 
 class ContainerMetadataEntry(NamedTuple):
     """One row of a container's metadata section.
@@ -52,6 +58,47 @@ class ContainerMetadataEntry(NamedTuple):
     fingerprint: bytes
     offset: int
     length: int
+
+
+class StoredForm(NamedTuple):
+    """How a sealed container's data section is stored: the codec it sits
+    under, and the length and CRC-32 of the stored bytes.  It is what a seal's
+    journal record says about the spill file, kept on the evicted container
+    so an export needs neither the journal nor a recomputed CRC."""
+
+    codec: str
+    length: int
+    crc: int
+
+
+class StoredSection(NamedTuple):
+    """A sealed container in its stored form -- the unit of replication.
+
+    ``blob`` is the data section exactly as the origin stores it (the spill
+    file's bytes under ``stored.codec``, or the contiguous section itself
+    under ``"none"``), ``stored`` what the origin recorded about those bytes
+    when it sealed, and ``entries`` the metadata section.  A replica adopts
+    one by checking ``blob`` against ``stored`` and keeping it verbatim:
+    mirroring never runs a codec.
+    """
+
+    capacity: int
+    stream_id: int
+    stored: StoredForm
+    entries: Sequence[ContainerMetadataEntry]
+    blob: Union[bytes, memoryview]
+
+    def verified_blob(self, what: str) -> Union[bytes, memoryview]:
+        """``blob``, or a :class:`~repro.errors.StorageError` naming ``what``
+        if it is no longer the bytes that were sealed."""
+        length, crc = len(self.blob), zlib.crc32(self.blob)
+        if (length, crc) != (self.stored.length, self.stored.crc):
+            raise StorageError(
+                f"stored section of {what} failed its CRC check (sealed as "
+                f"{self.stored.length} bytes, CRC {self.stored.crc:#010x}; "
+                f"found {length} bytes, CRC {crc:#010x}): refusing to adopt it"
+            )
+        return self.blob
 
 
 @dataclass
@@ -78,6 +125,7 @@ class Container:
     _index_of: Dict[bytes, int] = field(default_factory=dict, repr=False)
     _used: int = field(default=0, repr=False)
     _loader: Optional[Callable[["Container"], PayloadSection]] = field(default=None, repr=False)
+    _stored: Optional[StoredForm] = field(default=None, repr=False)
 
     @classmethod
     def from_recovered(
@@ -88,12 +136,14 @@ class Container:
         entries: Sequence[ContainerMetadataEntry],
         loader: Optional[Callable[["Container"], PayloadSection]] = None,
         parts: Optional[List[bytes]] = None,
+        stored: Optional[StoredForm] = None,
     ) -> "Container":
         """Rebuild a sealed container from its metadata section.
 
-        The disaster path (journal replay) passes ``loader`` and gets an
-        evicted container whose payload reloads through the backend; the
-        replication path passes ``parts`` (per-chunk payload slices aligned
+        Journal replay and file-backed replica adoption pass ``loader`` (and
+        the ``stored`` form of the spill file behind it) and get an evicted
+        container whose payload reloads through the backend; memory-backed
+        replica adoption passes ``parts`` (per-chunk payload slices aligned
         with ``entries``) and gets a resident clone.  Exactly one of the two
         must be given.  ``used`` is recomputed from the entry lengths, which
         equals the contiguous-layout total by construction.
@@ -121,6 +171,7 @@ class Container:
         container._used = sum(entry.length for entry in container._metadata)
         container._parts = parts
         container._loader = loader
+        container._stored = stored
         return container
 
     @property
@@ -142,6 +193,12 @@ class Container:
     def payload_resident(self) -> bool:
         """Whether the data section is currently held in RAM."""
         return self._parts is not None
+
+    @property
+    def stored_form(self) -> Optional[StoredForm]:
+        """How the evicted data section sits in its spill file (``None``
+        while the payload is resident)."""
+        return self._stored
 
     def has_room_for(self, length: int) -> bool:
         """Whether a chunk of ``length`` bytes fits in the remaining space."""
@@ -221,7 +278,11 @@ class Container:
         """Mark the container immutable (it is now a candidate for prefetching only)."""
         self.sealed = True
 
-    def evict_payload(self, loader: Callable[["Container"], PayloadSection]) -> None:
+    def evict_payload(
+        self,
+        loader: Callable[["Container"], PayloadSection],
+        stored: Optional[StoredForm] = None,
+    ) -> None:
         """Drop the in-RAM data section, reloading through ``loader`` on reads.
 
         Only sealed (immutable) containers may be evicted; the metadata
@@ -238,6 +299,7 @@ class Container:
                 "payload can be evicted"
             )
         self._loader = loader
+        self._stored = stored
         self._parts = None
 
     def payload_bytes(self) -> PayloadSection:

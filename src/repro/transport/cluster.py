@@ -17,8 +17,8 @@ one unix-socket connection; this module holds the parent side:
   overlap routing of super-chunk *k+1* with the store of *k*.
 * :class:`TransportReplication` -- parent-driven ring mirroring: sealed
   containers are drained from their origin worker, exported once over the
-  wire and pushed to each ring successor; failover reads walk the successor
-  chain with ``replica_read`` RPCs, mirroring
+  wire in their stored form and pushed to each ring successor; failover
+  reads walk the successor chain with ``replica_read`` RPCs, mirroring
   :meth:`~repro.cluster.replication.ReplicationManager.read_chunks_failover`.
 
 Crash detection is structural: a SIGKILLed worker surfaces as a lost
@@ -870,10 +870,20 @@ class TransportReplication:
     """Parent-driven ring mirroring over the transport.
 
     Sealed containers are drained from their origin worker
-    (``drain_sealed``), exported once (``export_container``: fingerprints
-    plus per-chunk payload frames) and pushed to each ring successor
-    (``store_replica``) -- the parent forwards the export frames verbatim, so
-    a container's payload crosses each hop exactly once.
+    (``drain_sealed``), exported once (``export_container``) and pushed to
+    each ring successor (``store_replica``).  The two ops are the RPC form of
+    :meth:`DedupeNode.export_container <repro.node.dedupe_node.DedupeNode.export_container>`
+    and :meth:`~repro.node.dedupe_node.DedupeNode.store_replica` -- the seam
+    the in-process :class:`~repro.cluster.replication.ReplicationManager`
+    calls directly -- and what crosses the wire is one
+    :class:`~repro.storage.container.StoredSection`: a header with capacity,
+    stream id, codec and the CRC recorded at seal time, and four frames
+    (fingerprint blob, fingerprint lengths, chunk lengths, and the data
+    section *as the origin stores it* in a single frame).  On a compressed
+    file backend that frame is the spill file's bytes, so replication traffic
+    shrinks by the compression ratio and neither worker runs the codec.  The
+    parent forwards header and frames verbatim, so a container's stored bytes
+    cross each hop exactly once.
     """
 
     def __init__(self, cluster: TransportCluster, factor: int):
@@ -893,18 +903,20 @@ class TransportReplication:
     # mirroring
     # ------------------------------------------------------------------ #
 
-    def _mirror_container(self, node_id: int, container_id: int) -> None:
+    def _mirror_container(
+        self, node_id: int, container_id: int, targets: Sequence[int]
+    ) -> None:
+        """Export one container from ``node_id`` and push it to ``targets``."""
         proxy = self.cluster._proxy(node_id)
         header, frames = proxy.call("export_container", {"container_id": container_id})
         push = {
             "origin": node_id,
             "container_id": container_id,
-            "capacity": int(header["capacity"]),
-            "stream_id": int(header["stream_id"]),
+            "section": header["section"],
         }
         pending = [
-            self.cluster._proxy(successor_id).send("store_replica", push, frames)
-            for successor_id in self.successors(node_id)
+            self.cluster._proxy(target_id).send("store_replica", push, frames)
+            for target_id in targets
         ]
         for call in pending:
             call.result()
@@ -913,8 +925,9 @@ class TransportReplication:
         """Mirror every container sealed on ``node_id`` since the last sync."""
         header, _frames = self.cluster._proxy(node_id).call("drain_sealed")
         sealed = [int(container_id) for container_id in header.get("sealed", [])]
+        successors = self.successors(node_id)
         for container_id in sealed:
-            self._mirror_container(node_id, container_id)
+            self._mirror_container(node_id, container_id, successors)
         return len(sealed)
 
     def sync(self) -> int:
@@ -925,7 +938,9 @@ class TransportReplication:
 
     def resync_into(self, target_id: int) -> int:
         """Re-push every predecessor container a restarted ``target_id``
-        should shadow (its replica plane was wiped with the old process)."""
+        should shadow (its replica plane was wiped with the old process) --
+        to ``target_id`` alone: the origins' other successors never lost
+        their copies."""
         pushed = 0
         for origin_id in range(self.cluster.num_nodes):
             if origin_id == target_id:
@@ -934,7 +949,7 @@ class TransportReplication:
                 continue
             header, _frames = self.cluster._proxy(origin_id).call("sealed_ids")
             for container_id in header.get("ids", []):
-                self._mirror_container(origin_id, int(container_id))
+                self._mirror_container(origin_id, int(container_id), [target_id])
                 pushed += 1
         return pushed
 

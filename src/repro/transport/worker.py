@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.transport import wire
-from repro.errors import ReproError, TransportError
+from repro.errors import ReproError, TransportError, WireProtocolError
 
 ENV_WORKER_MARKER = "REPRO_TRANSPORT_WORKER"
 """Set in every worker's initial environment (visible in ``/proc/<pid>/environ``)
@@ -274,55 +274,67 @@ class NodeWorker:
     def _op_export_container(
         self, header: Dict[str, Any], frames: List[memoryview]
     ) -> Tuple[Dict[str, Any], List[wire.Buffer]]:
-        container = self.node.container_store.get(int(header["container_id"]))
-        entries = container.metadata_section()
-        # Slice the section directly (not through a memoryview): a file-backed
-        # section is an mmap the backend closes on its next load, so exported
-        # frames must own their bytes.  mmap/bytes slicing both copy.
-        section = container.payload_bytes()
+        # One stored frame, not one frame per chunk: the data section as this
+        # node stores it (compressed or not), plus what it takes to rebuild
+        # the metadata section.  The parent forwards header["section"] and
+        # the frames to each successor's store_replica unchanged.
+        section = self.node.export_container(int(header["container_id"]))
         fp_blob, fp_lengths = wire.pack_bytes_seq(
-            [entry.fingerprint for entry in entries]
+            [entry.fingerprint for entry in section.entries]
         )
-        parts: List[wire.Buffer] = [
-            section[entry.offset:entry.offset + entry.length] for entry in entries
-        ]
+        chunk_lengths = wire.pack_u64_seq([entry.length for entry in section.entries])
         response = {
             "ok": True,
-            "capacity": container.capacity,
-            "stream_id": container.stream_id,
+            "section": {
+                "capacity": section.capacity,
+                "stream_id": section.stream_id,
+                "codec": section.stored.codec,
+                "stored_length": section.stored.length,
+                "stored_crc": section.stored.crc,
+            },
         }
-        return response, [fp_blob, fp_lengths, *parts]
+        return response, [fp_blob, fp_lengths, chunk_lengths, section.blob]
 
     def _op_store_replica(
         self, header: Dict[str, Any], frames: List[memoryview]
     ) -> Tuple[Dict[str, Any], List[wire.Buffer]]:
-        from repro.cluster.replication import REPLICA_ID_STRIDE
-        from repro.storage.container import Container, ContainerMetadataEntry
+        from repro.storage.container import (
+            ContainerMetadataEntry,
+            StoredForm,
+            StoredSection,
+        )
 
-        store = self.node.replica_store
-        if store is None:
-            raise TransportError(f"node {self.node.node_id} hosts no replica store")
-        origin = int(header["origin"])
-        container_id = int(header["container_id"])
         fingerprints = wire.unpack_bytes_seq(frames[0], frames[1])
-        parts = [bytes(frame) for frame in frames[2:]]
+        chunk_lengths = wire.unpack_u64_seq(frames[2])
+        if len(chunk_lengths) != len(fingerprints):
+            raise WireProtocolError(
+                f"replica train carries {len(fingerprints)} fingerprints for "
+                f"{len(chunk_lengths)} chunk lengths"
+            )
         entries: List[ContainerMetadataEntry] = []
         offset = 0
-        for fingerprint, part in zip(fingerprints, parts):
+        for fingerprint, length in zip(fingerprints, chunk_lengths):
             entries.append(
                 ContainerMetadataEntry(
-                    fingerprint=fingerprint, offset=offset, length=len(part)
+                    fingerprint=fingerprint, offset=offset, length=length
                 )
             )
-            offset += len(part)
-        clone = Container.from_recovered(
-            container_id=origin * REPLICA_ID_STRIDE + container_id,
-            capacity=int(header["capacity"]),
-            stream_id=int(header["stream_id"]),
+            offset += length
+        described = header["section"]
+        section = StoredSection(
+            capacity=int(described["capacity"]),
+            stream_id=int(described["stream_id"]),
+            stored=StoredForm(
+                codec=str(described["codec"]),
+                length=int(described["stored_length"]),
+                crc=int(described["stored_crc"]),
+            ),
             entries=entries,
-            parts=parts,
+            blob=frames[3],
         )
-        store.adopt(origin, container_id, clone)
+        self.node.store_replica(
+            int(header["origin"]), int(header["container_id"]), section
+        )
         return {"ok": True}, []
 
     def _op_replica_stats(

@@ -10,17 +10,17 @@ from repro.cluster.replication import (
     REPLICA_SUBDIR,
     FailoverPolicy,
     ReplicaStore,
-    clone_sealed_container,
 )
 from repro.core.framework import SigmaDedupe
-from repro.errors import NodeUnavailableError, ValidationError
+from repro.errors import NodeUnavailableError, StorageError, ValidationError
 from repro.node.dedupe_node import DedupeNode, NodeConfig
 from repro.storage.backends import FileContainerBackend
 from tests.helpers import chunk_records_from_seeds, superchunk_from_seeds
 
 
 def sealed_container(tmp_path, seeds=(1, 2, 3, 4)):
-    """A sealed, spilled container plus its node (caller closes the node)."""
+    """A sealed, spilled container plus its node (caller closes the node);
+    ``node.export_container(container.container_id)`` is its mirror form."""
     node = DedupeNode(
         0,
         config=NodeConfig(
@@ -72,26 +72,26 @@ class TestFailoverPolicy:
             FailoverPolicy(backoff_multiplier=0.0)
 
 
-class TestCloneAndReplicaStore:
-    def test_clone_is_independent_of_origin_storage(self, tmp_path):
+class TestReplicaStore:
+    def test_replica_is_independent_of_origin_storage(self, tmp_path):
         node, container = sealed_container(tmp_path)
-        clone = clone_sealed_container(container, replica_id=4242)
-        assert clone.container_id == 4242
-        assert clone.sealed
+        store = ReplicaStore(node_id=1)
+        store.adopt(0, container.container_id, node.export_container(container.container_id))
         expected = {
             record.fingerprint: record.data
             for record in chunk_records_from_seeds([1, 2, 3, 4])
         }
-        # Destroy the origin's spill plane; the clone must still serve reads.
+        # Destroy the origin's spill plane; the replica must still serve reads.
         node.close()
         for fingerprint, payload in expected.items():
-            assert clone.read_chunk(fingerprint) == payload
+            assert store.read_chunk(0, fingerprint, container.container_id) == payload
 
-    def test_store_is_idempotent_and_counts_once(self, tmp_path):
+    def test_adopt_is_idempotent_and_counts_once(self, tmp_path):
         node, container = sealed_container(tmp_path)
+        section = node.export_container(container.container_id)
         store = ReplicaStore(node_id=1)
-        store.store(0, container)
-        store.store(0, container)
+        store.adopt(0, container.container_id, section)
+        store.adopt(0, container.container_id, section)
         assert store.container_count() == 1
         assert store.snapshot_bytes() == container.used
         assert store.holds(0, container.container_id)
@@ -102,7 +102,7 @@ class TestCloneAndReplicaStore:
         node, container = sealed_container(tmp_path)
         backend = FileContainerBackend(tmp_path / REPLICA_SUBDIR)
         store = ReplicaStore(node_id=1, backend=backend)
-        store.store(0, container)
+        store.adopt(0, container.container_id, node.export_container(container.container_id))
         composite = 0 * REPLICA_ID_STRIDE + container.container_id
         assert backend.spill_path(composite).exists()
         fingerprint = container.fingerprints()[0]
@@ -113,10 +113,22 @@ class TestCloneAndReplicaStore:
         store.close()
         node.close()
 
+    def test_codec_mismatch_is_refused(self, tmp_path):
+        node, container = sealed_container(tmp_path)
+        section = node.export_container(container.container_id)
+        other = "zlib" if section.stored.codec == "none" else "none"
+        backend = FileContainerBackend(tmp_path / REPLICA_SUBDIR, compression=other)
+        store = ReplicaStore(node_id=1, backend=backend)
+        with pytest.raises(StorageError, match="codec"):
+            store.adopt(0, container.container_id, section)
+        assert store.container_count() == 0
+        store.close()
+        node.close()
+
     def test_read_chunks_aligns_misses(self, tmp_path):
         node, container = sealed_container(tmp_path)
         store = ReplicaStore(node_id=1)
-        store.store(0, container)
+        store.adopt(0, container.container_id, node.export_container(container.container_id))
         fingerprint = container.fingerprints()[0]
         results = store.read_chunks(
             0,
@@ -215,9 +227,12 @@ class TestFailoverReads:
         framework.close()
 
     def test_missing_spill_file_fails_over_after_retries(self, tmp_path):
+        # Raw spill files: under a codec the primaries would serve these reads
+        # from their write-through LRU and never miss the deleted files.
         framework = make_framework(
             tmp_path,
             failover_policy=FailoverPolicy(max_retries=1, backoff_base=0.0),
+            container_compression="none",
         )
         session_id, files = backup_corpus(framework)
         # Vaporise one node's primary spill plane (keep its replicas intact).

@@ -200,6 +200,46 @@ class TestReadFaults:
         framework.close()
 
 
+    def test_replicated_ingest_reads_no_primary_spill_file(self, tmp_path):
+        # Mirroring exports the stored section raw: it is not a load, so it
+        # neither counts as one nor consumes a read-fault draw -- every
+        # ``reads_seen`` tick in the cases above is a restore read.
+        framework = make_framework(tmp_path, replication_factor=2)
+        plan = FaultPlan(seed=42, read_error_probability=1.0)
+        plan.install(framework)
+        framework.backup(corpus())
+        assert plan.describe()["reads_seen"] == 0
+        assert framework.cluster.describe()["replicated_containers"] > 0
+        assert all(
+            node.container_backend.spill_loads == 0
+            for node in framework.cluster.nodes
+        )
+        framework.close()
+
+
+class TestReplicaPlaneHooks:
+    def test_verbatim_adoption_fires_the_spill_hooks(self, tmp_path):
+        # Plans leave replica backends alone unless installed on them; one
+        # that is sees each adoption as a spill, at the same two hook sites
+        # as a seal, so a kill-at-spill-K schedule lands where it always did.
+        framework = make_framework(tmp_path, replication_factor=2)
+        plan = FaultPlan(seed=1, kill_at_spill=2, kill_phase="after-data")
+        for node in framework.cluster.nodes:
+            assert plan.install(node.replica_store.backend) == 1
+        with pytest.raises(SimulatedCrashError):
+            framework.backup(corpus())
+        assert plan.describe()["spills_seen"] == 2
+        replica_dirs = [tmp_path / f"node-{n}" / "replicas" for n in range(2)]
+        # after-data: the second replica's file is down, its record is not.
+        assert sum(len(list(d.glob("container-*.cdata"))) for d in replica_dirs) == 2
+        assert sum(
+            len((d / MANIFEST_NAME).read_bytes().splitlines())
+            for d in replica_dirs
+            if (d / MANIFEST_NAME).exists()
+        ) == 1
+        framework.close()
+
+
 class TestNodeDownWindows:
     def test_window_arithmetic(self):
         window = NodeDownWindow(node_id=1, start_op=2, end_op=4)

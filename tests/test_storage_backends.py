@@ -160,7 +160,10 @@ class TestSpillFileCrashes:
 
     def test_crash_surfaces_through_node_restore(self, tmp_path):
         config = NodeConfig(
-            container_capacity=256, container_backend="file", storage_dir=str(tmp_path)
+            container_capacity=256,
+            container_backend="file",
+            storage_dir=str(tmp_path),
+            container_compression="none",
         )
         node = DedupeNode(0, config=config)
         superchunk = superchunk_from_seeds(range(4), length=128)
@@ -317,25 +320,58 @@ class TestCompressedSpill:
         assert isinstance(container.payload_bytes(), mmap.mmap)
         assert store.read_chunk(container_id, chunk.fingerprint) == chunk.data
 
+    def _interleaved_reads(self, store, chunks, ids):
+        # An interleaved read pattern revisits each sealed container many
+        # times.
+        for _ in range(4):
+            for chunk, container_id in zip(chunks, ids):
+                assert store.read_chunk(container_id, chunk.fingerprint) == chunk.data
+
+    def test_sealed_sections_are_admitted_write_through(self, tmp_path):
+        backend = FileContainerBackend(tmp_path, compression="zlib")
+        store = ContainerStore(container_capacity=256, backend=backend)
+        chunks = self._compressible_records()
+        ids = store.store_chunks(chunks)
+        store.flush()
+        # on_seal admitted every raw section it compressed: reads that follow
+        # the ingest touch neither the spill files nor the codec.
+        self._interleaved_reads(store, chunks, ids)
+        assert backend.spill_loads == 0
+
+    def test_write_through_respects_the_byte_budget(self, tmp_path):
+        backend = FileContainerBackend(
+            tmp_path, compression="zlib", decompressed_cache_bytes=256
+        )
+        store = ContainerStore(container_capacity=256, backend=backend)
+        chunks = self._compressible_records()
+        ids = store.store_chunks(chunks)
+        store.flush()
+        assert backend._decompressed_bytes <= 256
+        assert list(backend._decompressed) == [max(ids)]
+
     def test_decompressed_sections_cached_across_windows(self, tmp_path):
         backend = FileContainerBackend(tmp_path, compression="zlib")
         store = ContainerStore(container_capacity=256, backend=backend)
         chunks = self._compressible_records()
         ids = store.store_chunks(chunks)
         store.flush()
-        distinct = sorted(set(ids))
-        # An interleaved read pattern revisits each sealed container many
-        # times; the decompressed-section LRU must keep each container to a
-        # single spill load instead of one per visit.
-        for _ in range(4):
-            for chunk, container_id in zip(chunks, ids):
-                assert store.read_chunk(container_id, chunk.fingerprint) == chunk.data
-        assert backend.spill_loads == len(distinct)
+        backend.close()
+        # A reopened backend starts cold; the decompressed-section LRU must
+        # keep each container to a single spill load instead of one per visit.
+        reopened = FileContainerBackend.recover(tmp_path)
+        cold = ContainerStore(container_capacity=256, backend=reopened)
+        cold.adopt_recovered(reopened.last_recovery)
+        self._interleaved_reads(cold, chunks, ids)
+        assert reopened.spill_loads == len(set(ids))
 
 
 class TestCompressedSpillCrashes:
     def _spilled(self, tmp_path, compression):
-        backend = FileContainerBackend(tmp_path, compression=compression)
+        # A zero budget switches the decompressed-section LRU off (seals
+        # admit into it), so the reads below really go to the spill file.
+        backend = FileContainerBackend(
+            tmp_path, compression=compression, decompressed_cache_bytes=0
+        )
         store = ContainerStore(container_capacity=64, backend=backend)
         chunk = record(deterministic_bytes(40, seed=5))
         container_id = store.store_chunk(chunk)
@@ -380,6 +416,11 @@ class TestCompressedSpillCrashes:
         superchunk = superchunk_from_seeds(range(4), length=128)
         node.backup_superchunk(superchunk)
         node.flush()
+        node.close()
+        # Reopen cold: the node that sealed the containers still holds their
+        # raw sections in its write-through LRU and would never read the files.
+        node = DedupeNode(0, config=config)
+        node.recover_storage()
         for name in os.listdir(node.container_backend.storage_dir):
             (node.container_backend.storage_dir / name).write_bytes(b"garbage")
         with pytest.raises(ContainerNotFoundError):
