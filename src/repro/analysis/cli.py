@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 import repro
-from repro.analysis.common import Checker, Finding
+from repro.analysis.common import Checker, Finding, iter_modules
 from repro.analysis.lock_discipline import LockDisciplineChecker
 from repro.analysis.stats_purity import StatsPurityChecker
 from repro.analysis.streaming import StreamingDisciplineChecker
@@ -71,10 +71,29 @@ def resolve_checkers(names: Sequence[str]) -> List[Checker]:
 
 
 def run_checks(names: Sequence[str], root: Optional[Path] = None) -> List[Finding]:
-    """Run the named checkers (or all) over ``root``; return every finding."""
-    root = root or default_root()
+    """Run the named checkers (or all) over ``root``; return every finding.
+
+    Over the live package tree -- the tree the registry describes -- a
+    registered scope that matches no file or definition raises
+    :class:`~repro.errors.AnalysisError`: a stale name would otherwise drop
+    its code out of the contract without a finding.
+    """
+    live = default_root()
+    root = root or live
+    checkers = resolve_checkers(names)
+    if root.resolve() == live:
+        modules = list(iter_modules(root))
+        stale = [
+            f"{type(checker).name}: {scope}"
+            for checker in checkers
+            for scope in checker.stale_scopes(modules)
+        ]
+        if stale:
+            raise AnalysisError(
+                "registry scopes match nothing in the source tree: " + "; ".join(stale)
+            )
     findings: List[Finding] = []
-    for checker in resolve_checkers(names):
+    for checker in checkers:
         findings.extend(checker.check_tree(root))
     findings.sort(key=lambda finding: (finding.path, finding.line, finding.checker))
     return findings

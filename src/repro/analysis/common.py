@@ -23,7 +23,7 @@ import io
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import AnalysisError
 
@@ -138,3 +138,8 @@ class Checker:
         for module in iter_modules(root):
             findings.extend(self.check_module(module))
         return findings
+
+    def stale_scopes(self, modules: Sequence[SourceModule]) -> List[str]:
+        """Registry entries scoping this checker that match nothing in
+        ``modules`` (none, for a checker the registry does not scope)."""
+        return []

@@ -15,6 +15,9 @@ new guarded class only has to annotate its attributes to join the contract.
 
 Paths are POSIX-relative to the ``repro`` package root.  A scope of ``"*"``
 covers a whole module; otherwise scopes name ``Class.method`` qualnames.
+A path that matches no file, or a qualname that matches no definition, is a
+configuration error (``python -m repro.analysis`` exits 2): a renamed method
+must not silently leave the contract.
 """
 
 from __future__ import annotations
@@ -74,22 +77,26 @@ READ_PATH_SCOPES: Dict[str, Tuple[str, ...]] = {
         "ReplicaStore.read_chunks",
         "ReplicationManager.read_chunks_failover",
     ),
+    # Both node handles: a routing sample or a restore read is stats-free
+    # whichever side of a process boundary serves it.  (The worker-side
+    # handlers delegate straight to the scoped DedupeNode methods below.)
+    "cluster/handle.py": (
+        "LocalNodeHandle.sample_match_count",
+        "LocalNodeHandle.read_chunks",
+        "LocalNodeHandle.replica_read",
+    ),
+    "transport/proxy.py": (
+        "NodeProxy.sample_match_count",
+        "NodeProxy._read",
+        "NodeProxy.read_chunks",
+        "NodeProxy.replica_read",
+    ),
     "node/dedupe_node.py": (
+        "DedupeNode.sample_match_count",
         "DedupeNode._resolve_restore_container",
         "DedupeNode.read_chunk",
         "DedupeNode.read_chunks",
-    ),
-    # The process-transport restore plane: RPC reads and replica failover
-    # reads are restore reads wherever they execute, so the parent-side
-    # methods stay stats-free like their in-process twins.  (The worker-side
-    # handlers delegate straight to the scoped DedupeNode/ReplicaStore
-    # methods above.)
-    "transport/cluster.py": (
-        "TransportCluster.read_chunk",
-        "TransportCluster.read_chunks",
-        "TransportCluster._read_direct",
-        "TransportCluster._failover_read",
-        "TransportReplication.read_chunks_failover",
+        "DedupeNode.replica_read",
     ),
 }
 
@@ -105,6 +112,8 @@ STREAMING_MODULES: FrozenSet[str] = frozenset(
         "core/partitioner.py",
         "parallel/engine.py",
         "parallel/pipeline.py",
+        # Shared-memory lanes move one bounded slab region per record batch.
+        "parallel/shm.py",
         "cluster/client.py",
         "workloads/base.py",
         "workloads/synthetic.py",
@@ -130,7 +139,9 @@ STREAMING_MODULES: FrozenSet[str] = frozenset(
         # whole backup stream.
         "transport/wire.py",
         "transport/worker.py",
+        "transport/proxy.py",
         "transport/cluster.py",
+        "cluster/handle.py",
     }
 )
 

@@ -15,7 +15,7 @@ name (``STATS_MUTATING_CALLS``) is flagged.  A deliberate exception carries a
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.common import Checker, Finding, SourceModule
 from repro.analysis.registry import READ_PATH_SCOPES, STATS_MUTATING_CALLS
@@ -60,6 +60,28 @@ class StatsPurityChecker(Checker):
                     if qualname in wanted:
                         findings.extend(self._check_scope(module, method, scope=qualname))
         return findings
+
+    def stale_scopes(self, modules: Sequence[SourceModule]) -> List[str]:
+        stale: List[str] = []
+        for suffix, names in self.scopes.items():
+            matching = [module for module in modules if module.relpath.endswith(suffix)]
+            if not matching:
+                stale.append(suffix)
+                continue
+            defined = {
+                f"{node.name}.{method.name}"
+                for module in matching
+                for node in ast.walk(module.tree)
+                if isinstance(node, ast.ClassDef)
+                for method in node.body
+                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+            }
+            stale.extend(
+                f"{suffix}::{name}"
+                for name in names
+                if name != "*" and name not in defined
+            )
+        return stale
 
     def _check_scope(self, module: SourceModule, root: ast.AST, scope: str) -> List[Finding]:
         findings: List[Finding] = []

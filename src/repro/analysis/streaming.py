@@ -23,7 +23,7 @@ waivers on the offending line.
 from __future__ import annotations
 
 import ast
-from typing import FrozenSet, List, Optional
+from typing import FrozenSet, List, Optional, Sequence
 
 from repro.analysis.common import Checker, Finding, SourceModule
 from repro.analysis.registry import (
@@ -93,6 +93,13 @@ class StreamingDisciplineChecker(Checker):
                 )
             )
         return findings
+
+    def stale_scopes(self, modules: Sequence[SourceModule]) -> List[str]:
+        return sorted(
+            suffix
+            for suffix in self.modules
+            if not any(module.relpath.endswith(suffix) for module in modules)
+        )
 
     def _violation(self, node: ast.AST) -> Optional[str]:
         if isinstance(node, ast.Call):

@@ -12,29 +12,22 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.cluster.cluster import DedupeCluster
+from repro.cluster.cluster import DedupeCluster, PendingStore
 from repro.cluster.director import Director
 from repro.cluster.recipe import ChunkLocation
 from repro.core.partitioner import FilePayload, PartitionerConfig, StreamPartitioner
 from repro.core.superchunk import SuperChunk
 from repro.fingerprint.fingerprinter import ChunkRecord
 from repro.errors import ValidationError
-from repro.node.dedupe_node import SuperChunkBackupResult
 from repro.parallel.engine import ParallelIngestEngine, resolve_workers
-from repro.routing.base import RoutingDecision
 
 DEFAULT_PIPELINE_DEPTH = 4
-"""How many pipelined super-chunk stores may be in flight at once against a
-transport that supports ``backup_superchunk_send``.  Per-node FIFO dispatch
-keeps any depth byte-identical to serial; 4 is deep enough to keep every
-worker of a small cluster busy without unbounded settle latency."""
-
-if TYPE_CHECKING:
-    from repro.transport.cluster import PendingBackup, TransportCluster
-
-    AnyCluster = Union[DedupeCluster, TransportCluster]
+"""How many super-chunk stores may be in flight (sent, not yet settled) at
+once.  Per-node in-order dispatch keeps any depth byte-identical to serial;
+4 is deep enough to keep every worker of a small cluster busy without
+unbounded settle latency."""
 
 
 @dataclass
@@ -88,17 +81,17 @@ class BackupClient:
         ``"process"`` (shared-memory slab lanes that also escape the GIL for
         the per-chunk Python bookkeeping).
     pipeline_depth:
-        Bounded in-flight window against a transport exposing
-        ``backup_superchunk_send``: up to this many super-chunk stores ride
-        the wire unsettled while later super-chunks are routed.  Per-node
-        FIFO dispatch makes any depth byte-identical to depth 1; only
-        wall-clock changes.  Ignored by eager (in-process) clusters.
+        Bounded in-flight window: up to this many super-chunk stores stay
+        unsettled while later super-chunks are routed.  Per-node in-order
+        dispatch makes any depth byte-identical to depth 1; only wall-clock
+        changes.  An in-process store is complete when it is sent, so the
+        window never holds more than that one.
     """
 
     def __init__(
         self,
         client_id: str,
-        cluster: "AnyCluster",
+        cluster: DedupeCluster,
         director: Director,
         partitioner_config: Optional[PartitionerConfig] = None,
         workers: Optional[int] = None,
@@ -126,15 +119,12 @@ class BackupClient:
         effective = resolve_workers(workers if workers is not None else self.workers)
         if effective <= 1:
             return self.partitioner.partition_files(files, stream_id=stream_id)
-        # Direct lane->wire hand-off: when shared-memory process lanes feed a
-        # process-transport cluster, payloads can stay zero-copy memoryview
-        # slices of the slabs all the way to sendmsg -- the synchronous wire
-        # send guarantees the kernel owns the bytes before any slab region is
-        # reused.  The in-process cluster retains payload references in its
-        # containers, so it must keep bytes copies.
+        # Direct lane->wire hand-off: shared-memory process lanes may hand
+        # payloads over as zero-copy memoryview slices of their slabs, all
+        # the way to sendmsg, unless the cluster's nodes keep the payload
+        # objects they are given (then the lanes must copy out to bytes).
         hand_off = (
-            self.parallel_executor == "process"
-            and getattr(self.cluster, "transport", "inproc") == "process"
+            self.parallel_executor == "process" and not self.cluster.retains_payloads
         )
         engine = ParallelIngestEngine(
             workers=effective,
@@ -170,33 +160,29 @@ class BackupClient:
         session = self.director.open_session(self.client_id, label=session_label)
         report = ClientBackupReport(session_id=session.session_id)
 
-        # Transports that can ship a super-chunk without blocking on its
-        # store expose ``backup_superchunk_send``; against one, the loop runs
-        # a bounded in-flight window of ``pipeline_depth`` stores -- super-
-        # chunks k+1..k+K are routed (their lookup RPCs answered in
-        # connection FIFO order, i.e. after k's store on the same target)
-        # while k's store executes in its worker, and stores bound for
-        # *different* workers genuinely overlap each other.  Results are
-        # byte-identical to the eager path; only wall-clock overlaps.
-        send = getattr(self.cluster, "backup_superchunk_send", None)
+        # The loop runs a bounded in-flight window of ``pipeline_depth``
+        # stores: super-chunks k+1..k+K are routed (their lookups answered by
+        # each node in order, i.e. after k's store on the same target) while
+        # k's store executes, and stores bound for *different* worker
+        # processes genuinely overlap each other.  A store that is already
+        # complete is settled at once, so nothing but wall-clock depends on
+        # the depth.
         window: Deque[
-            Tuple[SuperChunk, List[Tuple[str, List[ChunkRecord]]], "PendingBackup"]
+            Tuple[SuperChunk, List[Tuple[str, List[ChunkRecord]]], PendingStore]
         ] = deque()
 
-        def settle(
-            superchunk: SuperChunk,
-            contributions: List[Tuple[str, List[ChunkRecord]]],
-            decision: RoutingDecision,
-            result: SuperChunkBackupResult,
-        ) -> None:
+        def settle_oldest() -> None:
+            superchunk, contributions, store = window.popleft()
+            result = store.result()
+            target_node = store.decision.target_node
             report.superchunks_routed += 1
             report.logical_bytes += superchunk.logical_size
             report.unique_chunks += result.unique_chunks
             report.duplicate_chunks += result.duplicate_chunks
             # Source dedup: only unique chunk payloads cross the network.
             report.transferred_bytes += result.unique_bytes
-            report.per_node_superchunks[decision.target_node] = (
-                report.per_node_superchunks.get(decision.target_node, 0) + 1
+            report.per_node_superchunks[target_node] = (
+                report.per_node_superchunks.get(target_node, 0) + 1
             )
 
             for path, records in contributions:
@@ -204,16 +190,12 @@ class BackupClient:
                     ChunkLocation(
                         fingerprint=record.fingerprint,
                         length=record.length,
-                        node_id=decision.target_node,
+                        node_id=target_node,
                         container_id=result.chunk_locations.get(record.fingerprint),
                     )
                     for record in records
                 ]
                 self.director.record_file_chunks(session.session_id, path, locations)
-
-        def settle_oldest() -> None:
-            held_superchunk, held_contributions, handle = window.popleft()
-            settle(held_superchunk, held_contributions, handle.decision, handle.result())
 
         def drain_window() -> None:
             while window:
@@ -229,13 +211,17 @@ class BackupClient:
                     self.director.record_file_chunks(session.session_id, path, [])
                 continue
             decision = self.cluster.route_superchunk(superchunk)
-            if send is None:
-                result = self.cluster.backup_superchunk(superchunk, decision)
-                settle(superchunk, contributions, decision, result)
-            else:
-                while len(window) >= self.pipeline_depth:
-                    settle_oldest()
-                window.append((superchunk, contributions, send(superchunk, decision)))
+            while len(window) >= self.pipeline_depth:
+                settle_oldest()
+            window.append(
+                (
+                    superchunk,
+                    contributions,
+                    self.cluster.backup_superchunk_send(superchunk, decision),
+                )
+            )
+            while window and window[0][2].done:
+                settle_oldest()
         drain_window()
 
         report.files_backed_up = session.file_count

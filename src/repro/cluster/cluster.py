@@ -1,37 +1,42 @@
 """The deduplication server cluster.
 
-Holds the :class:`~repro.node.DedupeNode` instances and exposes the
-:class:`~repro.routing.base.ClusterView` interface routing schemes consult.
-It also aggregates the per-node statistics into the cluster-wide metrics the
-evaluation reports (cluster deduplication ratio, storage skew, message
-counts).
+:class:`DedupeCluster` is the one implementation of the cluster logic:
+handprint routing through the :class:`~repro.routing.base.ClusterView`
+interface, the batched super-chunk store, replica failover, recovery and the
+cluster-wide metrics the evaluation reports (cluster deduplication ratio,
+storage skew, message counts).  It reaches every node through a
+:class:`~repro.cluster.handle.NodeHandle` -- in-process handles here, one
+worker process per node in :class:`~repro.transport.cluster.TransportCluster`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Dict, List, Optional, Protocol, Sequence
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple, Type
 
+from repro.cluster.handle import LocalNodeHandle, NodeHandle, NodeRecovery, Pending, ReadRequests
 from repro.cluster.message import MessageCounter, MessageType
-from repro.cluster.replication import FailoverPolicy, ReplicationManager
+from repro.cluster.replication import FailoverPolicy, ReplicationManager, host_node
 from repro.core.superchunk import SuperChunk
 from repro.errors import (
     ContainerNotFoundError,
     InjectedReadError,
     NodeNotFoundError,
     NodeUnavailableError,
-    StorageError,
+    ReproError,
     ValidationError,
 )
 from repro.fingerprint.handprint import DEFAULT_HANDPRINT_SIZE, Handprint
 from repro.node.dedupe_node import DedupeNode, NodeConfig, SuperChunkBackupResult
 from repro.routing.base import ClusterView, RoutingDecision, RoutingScheme
 from repro.routing.sigma import SigmaRouting
-from repro.storage.backends import SpillRecovery
-from repro.utils.stats import count_matched_occurrences, mean, population_stddev
+from repro.utils.stats import mean, population_stddev
 
-RETRYABLE_READ_ERRORS = (ContainerNotFoundError, InjectedReadError)
+RETRYABLE_READ_ERRORS: Tuple[Type[ReproError], ...] = (
+    ContainerNotFoundError,
+    InjectedReadError,
+)
 """Primary-read failures worth a bounded retry before failing over: a
 missing/truncated spill file or an injected transient read fault.  Data
 errors (``ChunkNotFoundError``, ``RestoreIntegrityError``) never retry or
@@ -45,6 +50,49 @@ class ClusterFaultHook(Protocol):
     def node_is_down(self, node_id: int) -> bool:
         """Consulted once per cluster read operation; ticks the plan's
         operation clock and reports whether ``node_id`` is dark."""
+
+
+class PendingStore:
+    """One routed super-chunk on its way into its target node; ``result()``
+    waits for the node's answer, then accounts the intra-node messages and
+    mirrors whatever the store sealed (once)."""
+
+    def __init__(
+        self,
+        cluster: "DedupeCluster",
+        decision: RoutingDecision,
+        call: Pending[SuperChunkBackupResult],
+    ):
+        self.decision = decision
+        self._cluster = cluster
+        self._call = call
+        self._result: Optional[SuperChunkBackupResult] = None
+
+    @property
+    def done(self) -> bool:
+        return self._result is not None
+
+    def result(self) -> SuperChunkBackupResult:
+        if self._result is None:
+            result = self._call.result()
+            self._cluster.messages.record(MessageType.INTRA_NODE, result.total_chunks)
+            replication = self._cluster.replication
+            if replication is not None:
+                replication.sync_node(self.decision.target_node)
+            self._result = result
+        return self._result
+
+
+def _total(describes: Sequence[Dict[str, float]], key: str) -> int:
+    return sum(int(entry[key]) for entry in describes)
+
+
+def _deduplication_ratio(describes: Sequence[Dict[str, float]]) -> float:
+    logical = _total(describes, "logical_bytes")
+    physical = _total(describes, "physical_bytes")
+    if physical == 0:
+        return 1.0 if logical == 0 else float("inf")
+    return logical / physical
 
 
 class DedupeCluster(ClusterView):
@@ -74,8 +122,13 @@ class DedupeCluster(ClusterView):
     """
 
     transport = "inproc"
-    """Node-plane substrate tag; the process-transport twin is
-    :class:`~repro.transport.cluster.TransportCluster` (``"process"``)."""
+    """Where the nodes run (``"process"`` in the transport subclass)."""
+
+    retains_payloads = True
+    """Containers hold the payload objects a store hands them, so ingest lanes
+    must hand over ``bytes``, never views of a buffer they will reuse."""
+
+    retryable_read_errors = RETRYABLE_READ_ERRORS
 
     def __init__(
         self,
@@ -88,10 +141,16 @@ class DedupeCluster(ClusterView):
         replication_factor: int = 1,
         failover_policy: Optional[FailoverPolicy] = None,
     ):
+        # Validated before any node, worker process or directory exists.
         if num_nodes < 1:
             raise ValidationError("a cluster needs at least one node")
         if replication_factor < 1:
             raise ValidationError("replication_factor must be at least 1")
+        if replication_factor > num_nodes:
+            raise ValidationError(
+                f"replication_factor must be between 2 and the cluster size "
+                f"({num_nodes}), got {replication_factor}"
+            )
         overrides = {
             key: value
             for key, value in (
@@ -101,20 +160,23 @@ class DedupeCluster(ClusterView):
             )
             if value is not None
         }
+        config = node_config or NodeConfig()
         if overrides:
-            node_config = replace(node_config or NodeConfig(), **overrides)
-        self._nodes: List[DedupeNode] = [
-            DedupeNode(node_id, config=node_config) for node_id in range(num_nodes)
-        ]
+            config = replace(config, **overrides)
         self.routing_scheme = routing_scheme or SigmaRouting()
         self.messages = MessageCounter()
         self.failover_policy = failover_policy or FailoverPolicy()
+        self._fault_hook: Optional[ClusterFaultHook] = None
+        self._handles: Sequence[NodeHandle] = []
+        self._open_nodes(num_nodes, config, replicate=replication_factor > 1)
         self.replication: Optional[ReplicationManager] = None
         if replication_factor > 1:
-            self.replication = ReplicationManager(
-                self, replication_factor, policy=self.failover_policy
-            )
-        self._fault_hook: Optional[ClusterFaultHook] = None
+            self.replication = ReplicationManager(self, replication_factor)
+
+    def _open_nodes(self, num_nodes: int, config: NodeConfig, replicate: bool) -> None:
+        self._handles = [
+            LocalNodeHandle(host_node(node_id, config, replicate)) for node_id in range(num_nodes)
+        ]
 
     def install_fault_hook(self, hook: Optional[ClusterFaultHook]) -> None:
         """Arm (or with ``None`` disarm) node-down fault windows."""
@@ -126,40 +188,37 @@ class DedupeCluster(ClusterView):
 
     @property
     def num_nodes(self) -> int:
-        return len(self._nodes)
+        return len(self._handles)
+
+    def handle(self, node_id: int) -> NodeHandle:
+        if not 0 <= node_id < len(self._handles):
+            raise NodeNotFoundError(f"node {node_id} not in cluster of {len(self._handles)}")
+        return self._handles[node_id]
+
+    @property
+    def handles(self) -> List[NodeHandle]:
+        return list(self._handles)
 
     def node(self, node_id: int) -> DedupeNode:
-        if not 0 <= node_id < len(self._nodes):
-            raise NodeNotFoundError(f"node {node_id} not in cluster of {len(self._nodes)}")
-        return self._nodes[node_id]
+        node = self.handle(node_id).local_node
+        if node is None:
+            raise NodeNotFoundError(f"node {node_id} runs in a worker process")
+        return node
 
     @property
     def nodes(self) -> List[DedupeNode]:
-        return list(self._nodes)
+        """The nodes hosted in this process (none when they run in workers)."""
+        hosted = [handle.local_node for handle in self._handles]
+        return [node for node in hosted if node is not None]
 
     def node_storage_usage(self, node_id: int) -> int:
-        return self.node(node_id).storage_usage
+        return self.handle(node_id).storage_usage
 
     def resemblance_query(self, node_id: int, handprint: Handprint) -> int:
-        return self.node(node_id).resemblance_query(handprint)
+        return self.handle(node_id).resemblance_query(handprint)
 
     def sample_match_count(self, node_id: int, fingerprints: Sequence[bytes]) -> int:
-        # Routing probes are read-only set intersections: peek-style batch
-        # lookups, so neither cache hit/miss statistics nor LRU recency are
-        # polluted, and a sample costs two dict-view operations instead of a
-        # probe per fingerprint.  Message accounting is unchanged (the caller
-        # records the sample broadcast, as before).
-        node = self.node(node_id)
-        if not isinstance(fingerprints, (list, tuple)):
-            fingerprints = list(fingerprints)
-        distinct = set(fingerprints)
-        matched = node.disk_index.peek_many(distinct)
-        remaining = distinct - matched
-        if remaining:
-            matched |= node.fingerprint_cache.peek_many(remaining)
-        # Samples are normally distinct, but mirror the historical contract:
-        # every occurrence of a matched fingerprint counts.
-        return count_matched_occurrences(fingerprints, distinct, matched)
+        return self.handle(node_id).sample_match_count(fingerprints)
 
     # ------------------------------------------------------------------ #
     # backup path
@@ -171,27 +230,35 @@ class DedupeCluster(ClusterView):
         self.messages.record(MessageType.PRE_ROUTING, decision.pre_routing_lookup_messages)
         return decision
 
-    def backup_superchunk(
+    def backup_superchunk_send(
         self, superchunk: SuperChunk, decision: Optional[RoutingDecision] = None
-    ) -> SuperChunkBackupResult:
-        """Route (if needed) and back up one super-chunk."""
+    ) -> PendingStore:
+        """Route (if needed) one super-chunk and hand it to its target node
+        without waiting on the store: the caller may route the next one
+        meanwhile (a node answers in order, so after this store).  A store
+        that ran before the handle returned -- every in-process one -- is
+        settled, and its seals mirrored, before the next begins."""
         if decision is None:
             decision = self.route_superchunk(superchunk)
         # The batched chunk-fingerprint query to the target node: one lookup
         # request per chunk fingerprint in the super-chunk.
         self.messages.record(MessageType.AFTER_ROUTING, superchunk.chunk_count)
-        target = self.node(decision.target_node)
-        result = target.backup_superchunk(superchunk)
-        self.messages.record(MessageType.INTRA_NODE, result.total_chunks)
-        replication = self.replication
-        if replication is not None:
-            replication.sync_node(target)
-        return result
+        call = self.handle(decision.target_node).backup(superchunk)
+        store = PendingStore(self, decision, call)
+        if call.done:
+            store.result()
+        return store
+
+    def backup_superchunk(
+        self, superchunk: SuperChunk, decision: Optional[RoutingDecision] = None
+    ) -> SuperChunkBackupResult:
+        """Route (if needed) and back up one super-chunk."""
+        return self.backup_superchunk_send(superchunk, decision).result()
 
     def flush(self) -> None:
         """Seal open containers on every node (end of a backup session)."""
-        for node in self._nodes:
-            node.flush()
+        for flushed in [handle.flush() for handle in self._handles]:
+            flushed.result()
         replication = self.replication
         if replication is not None:
             replication.sync()
@@ -202,10 +269,10 @@ class DedupeCluster(ClusterView):
 
     def mark_node_down(self, node_id: int) -> None:
         """Mark one node unavailable; restore reads fail over to replicas."""
-        self.node(node_id).mark_down()
+        self.handle(node_id).mark_down()
 
     def mark_node_up(self, node_id: int) -> None:
-        self.node(node_id).mark_up()
+        self.handle(node_id).mark_up()
 
     def _node_dark(self, node_id: int) -> bool:
         """Whether reads should skip the primary entirely (marked down, or a
@@ -213,13 +280,13 @@ class DedupeCluster(ClusterView):
         hook = self._fault_hook
         if hook is not None and hook.node_is_down(node_id):
             return True
-        return self.node(node_id).is_down
+        return self.handle(node_id).is_down
 
     def recover_storage(
         self,
         handprint_size: int = DEFAULT_HANDPRINT_SIZE,
         verify_data: bool = True,
-    ) -> List[SpillRecovery]:
+    ) -> List[NodeRecovery]:
         """Replay every node's manifest journal and rebuild its indexes.
 
         The whole-cluster disaster path: construct a fresh cluster over the
@@ -229,12 +296,10 @@ class DedupeCluster(ClusterView):
         the seal log and are re-mirrored immediately, restoring the
         replication invariant for recovered data.
         """
-        recoveries = [
-            node.recover_storage(
-                handprint_size=handprint_size, verify_data=verify_data
-            )
-            for node in self._nodes
+        recovering = [
+            handle.recover(handprint_size, verify_data) for handle in self._handles
         ]
+        recoveries = [recovery.result() for recovery in recovering]
         replication = self.replication
         if replication is not None:
             replication.sync()
@@ -242,43 +307,42 @@ class DedupeCluster(ClusterView):
 
     def close(self) -> None:
         """Release every node's backend resources (spill mmaps, temp dirs)."""
-        for node in self._nodes:
-            node.close()
+        for handle in self._handles:
+            handle.close()
 
     # ------------------------------------------------------------------ #
-    # restore path helpers
+    # restore path
     # ------------------------------------------------------------------ #
 
     def read_chunk(self, node_id: int, fingerprint: bytes, container_id: Optional[int] = None) -> bytes:
         """Restore-read one chunk, with transparent retry + replica failover."""
         return self.read_chunks(node_id, [(fingerprint, container_id)])[0]
 
-    def read_chunks(
-        self, node_id: int, requests: "Sequence[tuple[bytes, Optional[int]]]"
-    ) -> List[bytes]:
+    def read_chunks(self, node_id: int, requests: ReadRequests) -> List[bytes]:
         """Bulk restore reads against one node (grouped per container there).
 
         The failover-aware read plane: a dark primary (marked down or inside
         a fault window) is skipped outright; a primary raising a retryable
-        storage error (see :data:`RETRYABLE_READ_ERRORS`) gets
+        storage error (``retryable_read_errors``) gets
         ``failover_policy.max_retries`` retries with exponential backoff; and
         when the primary is out of chances the batch is served from its ring
         replicas (:meth:`ReplicationManager.read_chunks_failover`).  Without
         replication the primary's error propagates unchanged after the
         retries.
         """
-        node = self.node(node_id)
+        handle = self.handle(node_id)
         if self._node_dark(node_id):
             return self._failover_read(node_id, requests, cause=None)
         delays = self.failover_policy.delays()
-        last_error: Optional[StorageError] = None
+        last_error: Optional[ReproError] = None
         for _attempt in range(self.failover_policy.max_retries + 1):
             try:
-                return node.read_chunks(requests)
+                return handle.read_chunks(requests)
             except NodeUnavailableError as exc:
-                # The node went down mid-read: no amount of retrying helps.
+                # The node went down (or its worker died) mid-read: no amount
+                # of retrying helps.
                 return self._failover_read(node_id, requests, cause=exc)
-            except RETRYABLE_READ_ERRORS as exc:
+            except self.retryable_read_errors as exc:
                 last_error = exc
                 delay = next(delays, None)
                 if delay is not None and delay > 0:
@@ -286,10 +350,7 @@ class DedupeCluster(ClusterView):
         return self._failover_read(node_id, requests, cause=last_error)
 
     def _failover_read(
-        self,
-        node_id: int,
-        requests: "Sequence[tuple[bytes, Optional[int]]]",
-        cause: Optional[Exception],
+        self, node_id: int, requests: ReadRequests, cause: Optional[Exception]
     ) -> List[bytes]:
         replication = self.replication
         if replication is None:
@@ -307,26 +368,27 @@ class DedupeCluster(ClusterView):
             raise exc from cause
 
     # ------------------------------------------------------------------ #
-    # cluster-wide statistics
+    # cluster-wide statistics (each reader fetches every node's describe once)
     # ------------------------------------------------------------------ #
+
+    def node_describes(self) -> List[Dict[str, float]]:
+        describing = [handle.describe() for handle in self._handles]
+        return [description.result() for description in describing]
 
     @property
     def logical_bytes(self) -> int:
-        return sum(node.stats.logical_bytes for node in self._nodes)
+        return _total(self.node_describes(), "logical_bytes")
 
     @property
     def physical_bytes(self) -> int:
-        return sum(node.stats.physical_bytes for node in self._nodes)
+        return _total(self.node_describes(), "physical_bytes")
 
     @property
     def cluster_deduplication_ratio(self) -> float:
-        physical = self.physical_bytes
-        if physical == 0:
-            return 1.0 if self.logical_bytes == 0 else float("inf")
-        return self.logical_bytes / physical
+        return _deduplication_ratio(self.node_describes())
 
     def storage_usages(self) -> List[int]:
-        return [node.storage_usage for node in self._nodes]
+        return [int(entry["stored_bytes"]) for entry in self.node_describes()]
 
     def storage_usage_mean(self) -> float:
         return mean(self.storage_usages())
@@ -336,13 +398,14 @@ class DedupeCluster(ClusterView):
 
     def describe(self) -> Dict[str, float]:
         """Cluster-wide summary used by examples and reports."""
-        usages = self.storage_usages()
+        describes = self.node_describes()
+        usages = [int(entry["stored_bytes"]) for entry in describes]
         summary: Dict[str, float] = {
             "num_nodes": self.num_nodes,
             "routing_scheme": self.routing_scheme.name,
-            "logical_bytes": self.logical_bytes,
-            "physical_bytes": self.physical_bytes,
-            "cluster_deduplication_ratio": self.cluster_deduplication_ratio,
+            "logical_bytes": _total(describes, "logical_bytes"),
+            "physical_bytes": _total(describes, "physical_bytes"),
+            "cluster_deduplication_ratio": _deduplication_ratio(describes),
             "storage_mean_bytes": mean(usages),
             "storage_stddev_bytes": population_stddev(usages),
             "pre_routing_messages": self.messages.pre_routing,

@@ -26,8 +26,10 @@ successor checks, writes verbatim as its own spill file under the node's
 ``replicas/`` subdirectory and journals -- no decompression, no
 recompression, no payload load on the primary; on memory-backed clusters the
 contiguous section under codec ``"none"``, adopted as a resident clone.  The
-process transport ships the same section over the same two calls (see
-:class:`~repro.transport.cluster.TransportReplication`).
+manager reaches both calls through the cluster's node handles
+(:mod:`repro.cluster.handle`) and never looks inside what an export
+returned, so over the process transport the origin worker's response
+(header and frames) is forwarded to each successor as it arrived.
 
 The replica plane is *reconstructible* state, not durable state: after a
 crash, ``recover_storage`` re-mirrors every recovered primary seal, and
@@ -41,7 +43,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.runtime import GuardLock, guarded_lock
-from repro.errors import NodeUnavailableError, ValidationError
+from repro.errors import NodeUnavailableError, RpcDroppedError, ValidationError
+from repro.node.dedupe_node import DedupeNode, NodeConfig
 from repro.storage.backends import (
     ContainerBackend,
     FileContainerBackend,
@@ -52,7 +55,6 @@ from repro.storage.journal import MANIFEST_NAME
 
 if TYPE_CHECKING:
     from repro.cluster.cluster import DedupeCluster
-    from repro.node.dedupe_node import DedupeNode
 
 REPLICA_ID_STRIDE = 1 << 40
 """Spill-id stride separating replica namespaces per origin node: a replica
@@ -101,10 +103,7 @@ def replica_backend_for(node: "DedupeNode") -> Optional[FileContainerBackend]:
     re-mirroring (``recover_storage`` re-syncs every recovered seal), so
     spill files a previous process left behind are debris.  They are cleared
     when taking over the directory rather than letting them accumulate across
-    crash/recovery cycles.  Shared by the in-process
-    :class:`ReplicationManager` and the process-transport
-    :class:`~repro.transport.worker.NodeWorker`, which host replica stores on
-    opposite sides of the process boundary but with identical layout.
+    crash/recovery cycles.
     """
     primary = node.container_backend
     if not isinstance(primary, FileContainerBackend):
@@ -208,40 +207,34 @@ class ReplicaStore:
             self.backend.close()
 
 
+UNAVAILABLE_LINK_ERRORS = (NodeUnavailableError, RpcDroppedError)
+"""A replica holder that is down, whose worker is dead, or whose request was
+dropped is just another missing link of the successor chain."""
+
+
+def host_node(node_id: int, config: Optional[NodeConfig], replicate: bool) -> DedupeNode:
+    """Build one node in the calling process (the cluster's, or a transport
+    worker's), tracking seals and hosting a :class:`ReplicaStore` when the
+    cluster mirrors its containers."""
+    node = DedupeNode(node_id, config=config)
+    if replicate:
+        node.container_store.track_seals = True
+        node.replica_store = ReplicaStore(node_id, backend=replica_backend_for(node))
+    return node
+
+
 class ReplicationManager:
     """Mirrors sealed containers to ring successors and serves failover reads."""
 
-    def __init__(
-        self,
-        cluster: "DedupeCluster",
-        factor: int,
-        policy: Optional[FailoverPolicy] = None,
-    ):
-        num_nodes = len(cluster.nodes)
-        if not 2 <= factor <= num_nodes:
-            raise ValidationError(
-                f"replication_factor must be between 2 and the cluster size "
-                f"({num_nodes}), got {factor}"
-            )
+    def __init__(self, cluster: "DedupeCluster", factor: int):
         self.cluster = cluster
         self.factor = factor
-        self.policy = policy or FailoverPolicy()
         self._lock: GuardLock = guarded_lock("ReplicationManager._lock")
         self.failover_reads = 0  # guarded-by: _lock
-        for node in cluster.nodes:
-            node.container_store.track_seals = True
-            if node.replica_store is None:
-                node.replica_store = ReplicaStore(
-                    node.node_id, backend=self._replica_backend(node)
-                )
-
-    @staticmethod
-    def _replica_backend(node: "DedupeNode") -> Optional[FileContainerBackend]:
-        return replica_backend_for(node)
 
     def successors(self, node_id: int) -> List[int]:
         """The ring successors mirroring ``node_id``'s containers."""
-        num_nodes = len(self.cluster.nodes)
+        num_nodes = self.cluster.num_nodes
         return [
             (node_id + offset) % num_nodes for offset in range(1, self.factor)
         ]
@@ -250,23 +243,45 @@ class ReplicationManager:
     # mirroring
     # ------------------------------------------------------------------ #
 
-    def sync_node(self, node: "DedupeNode") -> int:
-        """Mirror every container sealed on ``node`` since the last sync:
-        one export per container, one verbatim adoption per successor."""
-        sealed = node.container_store.drain_sealed()
-        successors = [
-            self.cluster.node(successor_id)
-            for successor_id in self.successors(node.node_id)
+    def _mirror_container(
+        self, node_id: int, container_id: int, targets: Sequence[int]
+    ) -> None:
+        """Export one container from ``node_id`` and push it to ``targets``
+        (every push is sent before any is awaited)."""
+        handle = self.cluster.handle
+        exported = handle(node_id).export_container(container_id)
+        pushes = [
+            handle(target_id).store_replica(node_id, container_id, exported)
+            for target_id in targets
         ]
+        for push in pushes:
+            push.result()
+
+    def sync_node(self, node_id: int) -> int:
+        """Mirror every container sealed on ``node_id`` since the last sync."""
+        sealed = self.cluster.handle(node_id).drain_sealed()
+        successors = self.successors(node_id)
         for container_id in sealed:
-            section = node.export_container(container_id)
-            for successor in successors:
-                successor.store_replica(node.node_id, container_id, section)
+            self._mirror_container(node_id, container_id, successors)
         return len(sealed)
 
     def sync(self) -> int:
         """Mirror pending seals on every node (end-of-session flush)."""
-        return sum(self.sync_node(node) for node in self.cluster.nodes)
+        return sum(self.sync_node(node_id) for node_id in range(self.cluster.num_nodes))
+
+    def resync_into(self, target_id: int) -> int:
+        """Re-push every predecessor container a restarted ``target_id``
+        should shadow (its replica plane was wiped with the old process) --
+        to ``target_id`` alone: the origins' other successors never lost
+        their copies."""
+        pushed = 0
+        for origin_id in range(self.cluster.num_nodes):
+            if origin_id == target_id or target_id not in self.successors(origin_id):
+                continue
+            for container_id in self.cluster.handle(origin_id).sealed_ids():
+                self._mirror_container(origin_id, container_id, [target_id])
+                pushed += 1
+        return pushed
 
     # ------------------------------------------------------------------ #
     # failover reads
@@ -278,7 +293,7 @@ class ReplicationManager:
         """Serve a failed primary's restore batch from its replica chain.
 
         Walks the successors in ring order, asking each surviving replica
-        store for whatever is still unresolved.  Requests must carry a
+        holder for whatever is still unresolved.  Requests must carry a
         container id (recipes written by the backup client always do;
         replicas cannot run the primary's index peeks).  Anything still
         unresolved after the chain raises
@@ -298,15 +313,15 @@ class ReplicationManager:
         for successor_id in self.successors(node_id):
             if not pending:
                 break
-            successor = self.cluster.node(successor_id)
+            successor = self.cluster.handle(successor_id)
             if successor.is_down:
                 continue
-            store = successor.replica_store
-            if store is None:
+            try:
+                payloads = successor.replica_read(
+                    node_id, [resolved[position] for position in pending]
+                )
+            except UNAVAILABLE_LINK_ERRORS:
                 continue
-            payloads = store.read_chunks(
-                node_id, [resolved[position] for position in pending]
-            )
             still_pending: List[int] = []
             for position, payload in zip(pending, payloads):
                 if payload is None:
@@ -331,21 +346,21 @@ class ReplicationManager:
     # ------------------------------------------------------------------ #
 
     def describe(self) -> Dict[str, int]:
-        stores = [
-            node.replica_store
-            for node in self.cluster.nodes
-            if node.replica_store is not None
-        ]
         # Reporting snapshot across foreign stores: each count is taken under
         # its own store's lock; the totals may straddle an in-flight sync.
+        # (A dead worker's replica plane died with it and counts for nothing.)
+        containers = nbytes = 0
+        for handle in self.cluster.handles:
+            try:
+                held, held_bytes = handle.replica_stats()
+            except NodeUnavailableError:
+                continue
+            containers += held
+            nbytes += held_bytes
         with self._lock:
             return {
                 "replication_factor": self.factor,
-                "replicated_containers": sum(
-                    store.container_count() for store in stores
-                ),
-                "replicated_bytes": sum(
-                    store.snapshot_bytes() for store in stores
-                ),
+                "replicated_containers": containers,
+                "replicated_bytes": nbytes,
                 "failover_reads": self.failover_reads,
             }

@@ -22,17 +22,12 @@ all still raises :class:`~repro.errors.ChunkNotFoundError`), and
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.cluster.cluster import DedupeCluster
 from repro.cluster.director import Director
 from repro.cluster.recipe import ChunkLocation, FileRecipe
 from repro.errors import RecipeError, RestoreIntegrityError, ValidationError
-
-if TYPE_CHECKING:
-    from repro.transport.cluster import TransportCluster
-
-    AnyCluster = Union[DedupeCluster, TransportCluster]
 
 DEFAULT_RESTORE_BATCH_CHUNKS = 1024
 """Recipe locations gathered per batched-read window (~4 MB of 4 KB chunks):
@@ -58,7 +53,7 @@ class RestoreManager:
 
     def __init__(
         self,
-        cluster: "AnyCluster",
+        cluster: DedupeCluster,
         director: Director,
         batch_reads: bool = True,
         batch_chunks: int = DEFAULT_RESTORE_BATCH_CHUNKS,

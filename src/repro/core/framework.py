@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from types import TracebackType
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple, Type, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Type
 
 from repro.chunking import build_chunker
 from repro.chunking.base import Chunker
@@ -18,9 +18,9 @@ from repro.chunking.fixed import StaticChunker
 from repro.cluster.client import DEFAULT_PIPELINE_DEPTH, BackupClient, ClientBackupReport
 from repro.cluster.cluster import DedupeCluster
 from repro.cluster.director import Director
+from repro.cluster.handle import NodeRecovery
 from repro.cluster.replication import FailoverPolicy
 from repro.cluster.restore import RestoreManager
-from repro.storage.backends import SpillRecovery
 from repro.core.partitioner import FilePayload, PartitionerConfig
 from repro.core.superchunk import DEFAULT_SUPERCHUNK_SIZE
 from repro.fingerprint.handprint import DEFAULT_HANDPRINT_SIZE
@@ -28,11 +28,6 @@ from repro.node.dedupe_node import NodeConfig
 from repro.routing import ALL_SCHEMES
 from repro.routing.base import RoutingScheme
 from repro.errors import ValidationError
-
-if TYPE_CHECKING:
-    from repro.transport.cluster import TransportCluster
-
-    AnyCluster = Union[DedupeCluster, TransportCluster]
 
 ENV_NODE_TRANSPORT = "REPRO_NODE_TRANSPORT"
 """Environment default for the node-plane transport (``inproc``/``process``)."""
@@ -55,7 +50,7 @@ class BackupReport:
 
     @classmethod
     def from_client_report(
-        cls, report: ClientBackupReport, cluster: "AnyCluster"
+        cls, report: ClientBackupReport, cluster: DedupeCluster
     ) -> "BackupReport":
         return cls(
             session_id=report.session_id,
@@ -116,9 +111,9 @@ class SigmaDedupe:
         ``"thread"`` (default) or ``"process"`` lanes; see
         :class:`~repro.parallel.engine.ParallelIngestEngine`.
     pipeline_depth:
-        Bounded in-flight store window for every backup client against a
-        pipelined transport (see :class:`~repro.cluster.client.BackupClient`);
-        ignored by the in-process cluster.
+        Bounded in-flight store window for every backup client (see
+        :class:`~repro.cluster.client.BackupClient`); it only ever fills
+        against worker processes, an in-process store being complete at once.
     transport:
         Node-plane transport: ``"inproc"`` (default) keeps every node in
         this process; ``"process"`` hosts each node in its own worker
@@ -179,7 +174,7 @@ class SigmaDedupe:
             replication_factor=replication_factor,
             failover_policy=failover_policy,
         )
-        self.cluster: "AnyCluster"
+        self.cluster: DedupeCluster
         if resolved_transport == "process":
             from repro.transport.cluster import TransportCluster
 
@@ -274,9 +269,7 @@ class SigmaDedupe:
     # recovery & lifecycle
     # ------------------------------------------------------------------ #
 
-    def recover_storage(
-        self, verify_data: bool = True
-    ) -> "List[SpillRecovery] | List[Dict[str, int]]":
+    def recover_storage(self, verify_data: bool = True) -> List[NodeRecovery]:
         """Replay every node's manifest journal and rebuild its indexes.
 
         The disaster path after a hard kill: construct a fresh framework

@@ -167,8 +167,10 @@ class FaultPlan:
 
         Duck-dispatches on shape: a framework facade (anything with a
         ``.cluster``) installs on its cluster; a cluster installs the
-        node-down hook on itself and the spill hook on every node's primary
-        file backend; a node installs on its primary backend; a
+        node-down (and RPC drop/delay) hook on itself and the spill hook on
+        the primary file backend of every node it hosts in this process --
+        worker processes' spill planes are out of this plan's reach; a node
+        installs on its primary backend; a
         :class:`~repro.storage.backends.FileContainerBackend` installs
         directly.  Replica backends are deliberately left uninstrumented:
         faults model the primary plane failing, and the failover path must
@@ -184,12 +186,6 @@ class FaultPlan:
             for node in target.nodes:
                 installed += self._install_backend(node.container_backend)
             return installed
-        if hasattr(target, "node_proxies") and hasattr(target, "install_fault_hook"):
-            # A process-transport cluster: the spill plane lives in worker
-            # processes this plan cannot reach, so only the RPC-plane hooks
-            # (node-down windows, drop/delay faults) are armed.
-            target.install_fault_hook(self)
-            return 1
         backend = getattr(target, "container_backend", None)
         if backend is not None:
             return self._install_backend(backend)

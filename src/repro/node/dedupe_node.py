@@ -58,6 +58,7 @@ from repro.storage.fingerprint_cache import (
     ChunkFingerprintCache,
 )
 from repro.storage.similarity_index import SimilarityIndex
+from repro.utils.stats import count_matched_occurrences
 
 if TYPE_CHECKING:
     from repro.cluster.replication import ReplicaStore
@@ -197,6 +198,23 @@ class DedupeNode:
     def storage_usage(self) -> int:
         """Physical bytes stored on this node (capacity-load-balance input)."""
         return self.container_store.stored_bytes
+
+    def sample_match_count(self, fingerprints: Sequence[bytes]) -> int:
+        """How many of ``fingerprints`` this node already stores (the stateful
+        baseline's routing sample), counting every occurrence of a match.
+
+        A read-only set intersection over peek-style batch lookups: neither
+        cache hit/miss statistics nor LRU recency are polluted, and a sample
+        costs two dict-view operations instead of a probe per fingerprint.
+        """
+        if not isinstance(fingerprints, (list, tuple)):
+            fingerprints = list(fingerprints)
+        distinct = set(fingerprints)
+        matched = self.disk_index.peek_many(distinct)  # unguarded-ok: stats-free peek of an insert-only index; a routing sample tolerates racing an in-flight backup
+        remaining = distinct - matched
+        if remaining:
+            matched |= self.fingerprint_cache.peek_many(remaining)  # unguarded-ok: stats-free read-only peek, as above
+        return count_matched_occurrences(fingerprints, distinct, matched)
 
     # ------------------------------------------------------------------ #
     # availability
@@ -658,6 +676,36 @@ class DedupeNode:
         if store is None:
             raise StorageError(f"node {self.node_id} hosts no replica store")
         store.adopt(origin_node_id, container_id, section)
+
+    def sealed_container_ids(self) -> List[int]:
+        """Every sealed container this node owns, in id order (what a
+        restarted successor must be re-sent)."""
+        store = self.container_store
+        return sorted(
+            container_id
+            for container_id in store.container_ids()
+            if store.get(container_id).sealed
+        )
+
+    def replica_read(
+        self, origin_node_id: int, requests: Sequence[Tuple[bytes, int]]
+    ) -> List[Optional[bytes]]:
+        """Failover reads from the replicas this node holds for
+        ``origin_node_id``: payloads aligned with ``(fingerprint,
+        container_id)`` requests, ``None`` where no replica has the chunk.
+        Stats-free like every restore path (replicas never dedupe); the
+        caller skips holders that are marked down."""
+        store = self.replica_store
+        if store is None:
+            return [None] * len(requests)
+        return store.read_chunks(origin_node_id, requests)
+
+    def replica_stats(self) -> Tuple[int, int]:
+        """``(containers, bytes)`` this node mirrors for its predecessors."""
+        store = self.replica_store
+        if store is None:
+            return 0, 0
+        return store.container_count(), store.snapshot_bytes()
 
     # ------------------------------------------------------------------ #
     # crash recovery (the disaster path)

@@ -168,7 +168,9 @@ def _chunk_packed(partitioner: StreamPartitioner, view: memoryview) -> bytes:
     by construction, not by reimplementation.
     """
     try:
-        return pack_record_pairs(list(partitioner.iter_chunk_records(view)))
+        return pack_record_pairs(
+            list(partitioner.iter_chunk_records(view))  # streaming-ok: the records (offsets and fingerprints, no payloads) of the one submitted file in this slot or segment, packed into a single reply
+        )
     finally:
         view.release()
 

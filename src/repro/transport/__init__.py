@@ -1,34 +1,31 @@
 """Pluggable node-plane transports for the dedupe cluster.
 
-The default node plane is in-process (:class:`~repro.cluster.cluster.DedupeCluster`
-holds its :class:`~repro.node.dedupe_node.DedupeNode` objects directly).  This
-package adds a ``process`` transport that hosts each node in its own OS
-process behind a length-prefixed binary RPC protocol:
+The cluster core (:class:`~repro.cluster.cluster.DedupeCluster`) reaches every
+node through a :class:`~repro.cluster.handle.NodeHandle`; by default the
+handles call :class:`~repro.node.dedupe_node.DedupeNode` objects in this
+process.  This package adds the ``process`` transport: each node in its own
+OS process behind a length-prefixed binary RPC protocol, reached through an
+RPC handle:
 
 * :mod:`repro.transport.wire` -- the wire format (JSON header + out-of-band
   zero-copy payload frames, shipped with ``sendmsg`` scatter-gather).
 * :mod:`repro.transport.worker` -- the per-node worker process: one
   :class:`~repro.node.dedupe_node.DedupeNode` served from an asyncio unix
   stream server with strict in-order dispatch.
-* :mod:`repro.transport.cluster` -- the parent-side
-  :class:`~repro.transport.cluster.TransportCluster` adapter implementing the
-  ``DedupeCluster`` surface over the workers, with one-deep request
-  pipelining and replica failover.
+* :mod:`repro.transport.proxy` -- :class:`~repro.transport.proxy.NodeProxy`,
+  the RPC node handle: one pipelined connection to one worker.
+* :mod:`repro.transport.cluster` --
+  :class:`~repro.transport.cluster.TransportCluster`, the ``DedupeCluster``
+  subclass that opens proxies instead of in-process handles and owns the
+  workers' lifecycle.
 
 Select with ``SigmaDedupe(transport="process")`` or
 ``REPRO_NODE_TRANSPORT=process``; results are byte-identical to the
 in-process default (see ``tests/test_transport_properties.py``).
 """
 
-from repro.transport.cluster import (
-    ENV_NODE_TRANSPORT,
-    ENV_START_METHOD,
-    NodeProxy,
-    PendingBackup,
-    PendingCall,
-    TransportCluster,
-    TransportReplication,
-)
+from repro.transport.cluster import ENV_NODE_TRANSPORT, ENV_START_METHOD, TransportCluster
+from repro.transport.proxy import NodeProxy, PendingBackup, PendingCall
 from repro.transport.worker import ENV_WORKER_MARKER, NodeWorker, WorkerSpec, node_worker_main
 
 __all__ = [
@@ -40,7 +37,6 @@ __all__ = [
     "PendingBackup",
     "PendingCall",
     "TransportCluster",
-    "TransportReplication",
     "WorkerSpec",
     "node_worker_main",
 ]

@@ -30,7 +30,7 @@ from __future__ import annotations
 import asyncio
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.transport import wire
 from repro.errors import ReproError, TransportError, WireProtocolError
@@ -59,15 +59,9 @@ def node_worker_main(spec: WorkerSpec) -> None:
 async def _serve(spec: WorkerSpec) -> None:
     # Imports happen in the worker so a ``spawn``-started child pays them
     # here, not at module pickle time.
-    from repro.cluster.replication import ReplicaStore, replica_backend_for
-    from repro.node.dedupe_node import DedupeNode
+    from repro.cluster.replication import host_node
 
-    node = DedupeNode(spec.node_id, config=spec.node_config)
-    if spec.replicate:
-        node.container_store.track_seals = True
-        node.replica_store = ReplicaStore(
-            spec.node_id, backend=replica_backend_for(node)
-        )
+    node = host_node(spec.node_id, spec.node_config, spec.replicate)
     worker = NodeWorker(node)
     try:
         os.unlink(spec.socket_path)
@@ -143,15 +137,6 @@ class NodeWorker:
     ) -> Tuple[Dict[str, Any], List[wire.Buffer]]:
         return {"ok": True, "value": self.node.storage_usage}, []
 
-    def _op_resemblance(
-        self, header: Dict[str, Any], frames: List[memoryview]
-    ) -> Tuple[Dict[str, Any], List[wire.Buffer]]:
-        from repro.fingerprint.handprint import Handprint
-
-        fingerprints = wire.unpack_bytes_seq(frames[0], frames[1])
-        handprint = Handprint(representative_fingerprints=tuple(fingerprints))
-        return {"ok": True, "value": self.node.resemblance_query(handprint)}, []
-
     def _op_probe(
         self, header: Dict[str, Any], frames: List[memoryview]
     ) -> Tuple[Dict[str, Any], List[wire.Buffer]]:
@@ -173,21 +158,7 @@ class NodeWorker:
         self, header: Dict[str, Any], frames: List[memoryview]
     ) -> Tuple[Dict[str, Any], List[wire.Buffer]]:
         fingerprints = wire.unpack_bytes_seq(frames[0], frames[1])
-        value = self._sample_match_count(fingerprints)
-        return {"ok": True, "value": value}, []
-
-    def _sample_match_count(self, fingerprints: Sequence[bytes]) -> int:
-        # Mirrors DedupeCluster.sample_match_count: stats-free peeks, every
-        # occurrence of a matched fingerprint counts.
-        from repro.utils.stats import count_matched_occurrences
-
-        node = self.node
-        distinct = set(fingerprints)
-        matched = node.disk_index.peek_many(distinct)
-        remaining = distinct - matched
-        if remaining:
-            matched |= node.fingerprint_cache.peek_many(remaining)
-        return count_matched_occurrences(list(fingerprints), distinct, matched)
+        return {"ok": True, "value": self.node.sample_match_count(fingerprints)}, []
 
     # -- backup plane -------------------------------------------------- #
 
@@ -245,10 +216,7 @@ class NodeWorker:
         fingerprints = wire.unpack_bytes_seq(frames[0], frames[1])
         container_ids = [int(value) for value in header.get("container_ids", [])]
         origin = int(header["origin"])
-        store = self.node.replica_store
-        if store is None:
-            return {"ok": True, "missing": list(range(len(fingerprints)))}, []
-        found = store.read_chunks(origin, list(zip(fingerprints, container_ids)))
+        found = self.node.replica_read(origin, list(zip(fingerprints, container_ids)))
         missing = [index for index, chunk in enumerate(found) if chunk is None]
         present = [chunk for chunk in found if chunk is not None]
         return {"ok": True, "missing": missing}, present
@@ -263,13 +231,7 @@ class NodeWorker:
     def _op_sealed_ids(
         self, header: Dict[str, Any], frames: List[memoryview]
     ) -> Tuple[Dict[str, Any], List[wire.Buffer]]:
-        store = self.node.container_store
-        sealed = [
-            container_id
-            for container_id in store.container_ids()
-            if store.get(container_id).sealed
-        ]
-        return {"ok": True, "ids": sorted(sealed)}, []
+        return {"ok": True, "ids": self.node.sealed_container_ids()}, []
 
     def _op_export_container(
         self, header: Dict[str, Any], frames: List[memoryview]
@@ -340,17 +302,8 @@ class NodeWorker:
     def _op_replica_stats(
         self, header: Dict[str, Any], frames: List[memoryview]
     ) -> Tuple[Dict[str, Any], List[wire.Buffer]]:
-        store = self.node.replica_store
-        if store is None:
-            return {"ok": True, "containers": 0, "bytes": 0}, []
-        return (
-            {
-                "ok": True,
-                "containers": store.container_count(),
-                "bytes": store.snapshot_bytes(),
-            },
-            [],
-        )
+        containers, nbytes = self.node.replica_stats()
+        return {"ok": True, "containers": containers, "bytes": nbytes}, []
 
     # -- lifecycle ------------------------------------------------------ #
 

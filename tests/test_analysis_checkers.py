@@ -377,6 +377,35 @@ class TestCli:
         assert main(["--check", "no-such-checker"]) == 2
         assert "unknown checker" in capsys.readouterr().err
 
+    def test_exit_two_on_stale_read_path_scope(self, monkeypatch, capsys):
+        # A method renamed out from under the registry must not silently
+        # leave the stats-purity contract.
+        from repro.analysis.registry import READ_PATH_SCOPES
+
+        monkeypatch.setitem(
+            READ_PATH_SCOPES,
+            "cluster/cluster.py",
+            READ_PATH_SCOPES["cluster/cluster.py"] + ("DedupeCluster.renamed_away",),
+        )
+        assert main(["--check", "stats"]) == 2
+        assert "cluster/cluster.py::DedupeCluster.renamed_away" in capsys.readouterr().err
+
+    def test_exit_two_on_stale_streaming_module(self, monkeypatch, capsys):
+        import repro.analysis.streaming as streaming
+
+        monkeypatch.setattr(
+            streaming,
+            "STREAMING_MODULES",
+            streaming.STREAMING_MODULES | {"parallel/deleted_module.py"},
+        )
+        assert main(["--check", "streaming"]) == 2
+        assert "parallel/deleted_module.py" in capsys.readouterr().err
+
+    def test_fixture_roots_are_not_held_to_the_registry(self, tmp_path, capsys):
+        # The registry describes the live package, not whatever --root names.
+        write_fixture(tmp_path, "mod.py", "value = 1\n")
+        assert main(["--check", "all", "--root", str(tmp_path)]) == 0
+
     def test_json_output(self, tmp_path, capsys):
         import json
 

@@ -228,14 +228,10 @@ def run_cluster_session(
             path: data for path, data in framework.restore_session(reports[-1].session_id)
         }
         cluster = framework.cluster
-        if hasattr(cluster, "node_describes"):
-            node_describes = cluster.node_describes()
-        else:
-            node_describes = [node.describe() for node in cluster.nodes]
         return {
             "reports": reports,
             "cluster_describe": framework.describe(),
-            "node_describes": node_describes,
+            "node_describes": cluster.node_describes(),
             "restored": restored,
             "expected": dict(files),
         }

@@ -146,13 +146,13 @@ class TestBackupStream:
         # way to the routed super-chunks (spied at the cluster boundary so the
         # contract holds for serial and parallel ingest alike).
         seen = []
-        original = cluster.backup_superchunk
+        original = cluster.backup_superchunk_send
 
         def spy(superchunk, decision=None):
             seen.append(superchunk.stream_id)
             return original(superchunk, decision)
 
-        cluster.backup_superchunk = spy
+        cluster.backup_superchunk_send = spy
         client.backup_bytes("a.bin", data, stream_id=7)
         client.backup_stream(iter([data]), path="b.bin", stream_id=9)
         assert sorted(set(seen)) == [7, 9]

@@ -13,9 +13,12 @@ Covers the three layers of :mod:`repro.transport`:
   drop/delay injection through :class:`~repro.faults.FaultPlan`.
 """
 
+import glob
+import multiprocessing
 import os
 import signal
 import socket
+import tempfile
 
 import pytest
 
@@ -155,6 +158,27 @@ class TestTransportCluster:
         # The logical dimension stays what the in-process cluster records.
         assert messages.get(MessageType.AFTER_ROUTING) == superchunk.chunk_count
 
+    def test_stats_block_costs_one_exchange_per_node(self, small_cluster):
+        # Every reader of the stats block fetches each worker's describe
+        # once -- one request and one response per node -- and derives
+        # usages and byte totals from that single snapshot.
+        small_cluster.backup_superchunk(superchunk_from_seeds([8, 9], handprint_size=4))
+        small_cluster.flush()
+        messages = small_cluster.messages
+        readers = [
+            small_cluster.describe,
+            small_cluster.node_describes,
+            small_cluster.storage_usages,
+            small_cluster.storage_usage_stddev,
+            lambda: small_cluster.cluster_deduplication_ratio,
+            lambda: small_cluster.logical_bytes,
+            lambda: small_cluster.physical_bytes,
+        ]
+        for reader in readers:
+            before = messages.total_wire_messages
+            reader()
+            assert messages.total_wire_messages - before == 2 * small_cluster.num_nodes
+
     def test_unknown_op_raises_transport_error(self, small_cluster):
         with pytest.raises(TransportError, match="unknown transport op"):
             small_cluster.node_proxies[0].call("no_such_op")
@@ -184,6 +208,29 @@ class TestTransportCluster:
             TransportCluster(num_nodes=2, replication_factor=3)
         with pytest.raises(ValidationError):
             SigmaDedupe(num_nodes=1, transport="carrier-pigeon")
+
+
+@pytest.mark.parametrize("cluster_type", [DedupeCluster, TransportCluster])
+def test_rejected_config_leaves_nothing_behind(tmp_path, cluster_type):
+    """Validation runs before any node, worker or directory exists (the
+    in-process cluster used to build -- and leak -- both file-backed nodes
+    before rejecting the replication factor)."""
+    runtime_dirs = os.path.join(tempfile.gettempdir(), "repro-transport-*")
+    before = set(glob.glob(runtime_dirs))
+    with pytest.raises(ValidationError):
+        cluster_type(
+            num_nodes=2,
+            container_backend="file",
+            storage_dir=str(tmp_path),
+            replication_factor=3,
+        )
+    assert os.listdir(tmp_path) == []
+    assert set(glob.glob(runtime_dirs)) == before
+    assert not [
+        child
+        for child in multiprocessing.active_children()
+        if child.name.startswith("repro-node-worker")
+    ]
 
 
 # ------------------------------------------------------------------ #

@@ -59,14 +59,10 @@ def run_session(sessions, transport, num_nodes, backend):
             dict(framework.restore_session(report.session_id)) for report in reports
         ]
         cluster = framework.cluster
-        if hasattr(cluster, "node_describes"):
-            node_describes = cluster.node_describes()
-        else:
-            node_describes = [node.describe() for node in cluster.nodes]
         return {
             "reports": reports,
             "cluster_describe": framework.describe(),
-            "node_describes": node_describes,
+            "node_describes": cluster.node_describes(),
             "restored": restored,
         }
     finally:
