@@ -152,6 +152,7 @@ BLOCK_STREAM_PRODUCERS: FrozenSet[str] = frozenset(
     {
         "iter_blocks",
         "chunk_stream",
+        "committed_segments",
         "fingerprint_blocks",
         "iter_chunk_records",
         "iter_superchunks",

@@ -15,18 +15,19 @@ uses or evaluates, plus a high-throughput gear-hash chunker:
   chunker with normalized chunking and cut-point skipping, the fastest
   pure-Python content-defined option here.
 * :class:`~repro.chunking.accel.AcceleratedGearChunker` -- the same gear
-  boundaries computed by a vectorised NumPy lag-sum scan; strictly optional
-  (NumPy absent => registry falls back to the pure scan, bit-identically).
+  scan as one compiled C function behind ``ctypes`` (no C compiler on the
+  host => registry falls back to the pure scan, bit-identically).
 
 All chunkers share the :class:`~repro.chunking.base.Chunker` interface
 (including the streaming :meth:`~repro.chunking.base.Chunker.chunk_stream`
 and the allocation-free :meth:`~repro.chunking.base.Chunker.cut_offsets`)
 and yield :class:`~repro.chunking.base.RawChunk` objects.  They are also
 registered by name in :data:`ALL_CHUNKERS` for configuration-driven selection
-via :func:`build_chunker`: ``"gear"`` resolves to the accelerated scan when
-NumPy is importable and to the pure scan otherwise, while ``"gear-accel"``
+via :func:`build_chunker`: ``"gear"`` resolves to the compiled scan when its
+kernel can be built and to the pure scan otherwise, while ``"gear-accel"``
 and ``"gear-pure"`` pin one backend explicitly (``"gear-accel"`` raises
-:class:`~repro.errors.ChunkingError` without NumPy).
+:class:`~repro.errors.ChunkingError` carrying the compiler's error);
+:func:`~repro.chunking.accel.kernel_status` says which one is live and why.
 """
 
 from typing import Callable, Dict
@@ -40,7 +41,7 @@ from repro.chunking.gear import GearChunker
 from repro.chunking.accel import (
     AcceleratedGearChunker,
     best_gear_chunker,
-    numpy_available,
+    kernel_status,
 )
 from repro.errors import ChunkingError
 
@@ -79,7 +80,7 @@ __all__ = [
     "GearChunker",
     "AcceleratedGearChunker",
     "best_gear_chunker",
-    "numpy_available",
+    "kernel_status",
     "ALL_CHUNKERS",
     "build_chunker",
 ]

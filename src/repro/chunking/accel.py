@@ -1,566 +1,200 @@
-"""NumPy-accelerated gear scan (optional backend for :class:`GearChunker`).
+"""Compiled gear scan: :meth:`GearChunker.cut_offsets` as one C function.
 
-The gear recurrence ``fp = ((fp << 1) + GEAR[b]) & (2**64 - 1)`` makes the
-fingerprint at position *n* a lag sum of the last 64 table values::
+The kernel is that sequential loop verbatim (cut-point skip, strict mask to the
+normalization point, loose mask to ``max_size``), so its boundaries are
+byte-identical by construction.  It is built once per (source, platform) with
+the host C compiler into ``$XDG_CACHE_HOME/repro`` (else ``~/.cache/repro``) and
+called through :mod:`ctypes`, which releases the GIL for the whole scan.  The
+library is module state: forked lanes and node workers inherit the mapping,
+and chunkers stay picklable because they hold no handle themselves.
 
-    fp_n = sum_{k=0}^{63} GEAR[b_{n-k}] << k   (mod 2**64)
-
--- every older term carries a shift of 64 or more and vanishes modulo
-2**64.  Two properties of that sum drive the design here:
-
-* It is a first-order linear recurrence with constant coefficient 2, so the
-  fingerprint at every position of a slab can be computed with a logarithmic
-  parallel-prefix of vectorised ``uint64`` shift/adds instead of one Python
-  iteration per byte.
-* Because the mask is always a run of *top* bits, ``fp & mask == 0`` is
-  equivalent to ``fp < 2**(64-bits)`` -- a single vectorised compare.
-
-The scan works at **stride 4** rather than per byte: a 65536-entry pair
-table folds two bytes per lookup (``PAIR[b0|b1<<8] = (GEAR[b0] << 1) +
-GEAR[b1]``), two pair lookups fold a 4-byte group, and four doubling passes
-over the per-group sums (shifts of 4w bits, lags of w groups) produce the
-full-window fingerprint at every position ``4m + 3``.  The three off-grid
-positions of each group are reconstructed exactly from the on-grid value via
-the recurrence itself::
-
-    F_{j+1} = (F_j << 1) + GEAR[b_{j+1}]    (mod 2**64)
-
-reusing the already-gathered pair sums, so the whole stream is scanned with
-roughly a quarter of the memory traffic of the per-byte doubling ladder.
-Mask hits are rare (one per ~1 KiB at the default masks), so the exact
-position and strict/loose classification are resolved only at hit groups.
-
-The chunk walk is **speculative**: chunks are cut from the sparse hit list
-alone (min-size skip, normalization switch and max-size truncation resolved
-in index space, one Python step per chunk), *assuming* no boundary fires
-inside the 63-byte warm-up window that follows each cut-point skip (where
-the scan fingerprint has consumed fewer than 64 bytes since its reset and
-differs from the full-window lag sum).  The warm-up windows of a whole block
-of speculated chunks are then verified in one vectorised 2-D doubling pass;
-a warm-up hit (~0.4 % of chunks at the default masks) commits the prefix,
-cuts at the verified position and restarts speculation from there.  The
-result is byte-identical chunk boundaries to
-:class:`~repro.chunking.gear.GearChunker` at an order of magnitude the
-throughput (see ``benchmarks/bench_chunker_throughput.py``).
-
-NumPy is strictly optional: this module imports without it,
-:func:`numpy_available` reports the outcome, and
-:func:`best_gear_chunker` (the registry entry behind
-``build_chunker("gear")``) silently falls back to the pure-Python scan.
+Without a working compiler nothing breaks: :func:`kernel_status` says why,
+``"gear"`` (:func:`best_gear_chunker`) is the pure-Python scan, and only the
+explicit ``"gear-accel"`` raises ``ChunkingError``.
 """
 
 from __future__ import annotations
 
-import sys
-from bisect import bisect_left
-from typing import Iterator, List, Optional, Tuple
+import ctypes
+import functools
+import hashlib
+import os
+import shlex
+import shutil
+import subprocess
+import sysconfig
+import tempfile
+from typing import Any, Iterator, Optional, Tuple
 
 from repro.chunking.gear import GEAR_TABLE, GearChunker
 from repro.errors import ChunkingError
 
-try:  # NumPy is an optional accelerator, never a hard dependency.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatched import
-    _np = None
+_SOURCE = b"""
+#include <stddef.h>
+#include <stdint.h>
+size_t gear_cuts(const uint8_t *data, size_t length, size_t start,
+                 const uint64_t *table, uint64_t mask_strict, uint64_t mask_loose,
+                 size_t min_size, size_t max_size, size_t normal_point,
+                 size_t *cuts, size_t capacity)
+{
+    size_t count = 0;
+    while (start < length && count < capacity) {
+        size_t remaining = length - start, cut = length;
+        if (remaining > min_size) {
+            size_t end = remaining > max_size ? start + max_size : length;
+            size_t strict_end = start + normal_point < end ? start + normal_point : end;
+            size_t position = start + min_size; /* cut-point skipping */
+            uint64_t fingerprint = 0;
+            for (cut = 0; !cut && position < strict_end;) {
+                fingerprint = (fingerprint << 1) + table[data[position++]];
+                if (!(fingerprint & mask_strict)) cut = position;
+            }
+            while (!cut && position < end) {
+                fingerprint = (fingerprint << 1) + table[data[position++]];
+                if (!(fingerprint & mask_loose)) cut = position;
+            }
+            if (!cut) cut = end;
+        }
+        start = cuts[count++] = cut;
+    }
+    return count;
+}
+"""
 
-#: Bytes of the implicit gear window (64-bit fingerprint, one shift per byte).
-_WINDOW = 64
-
-#: Scan positions after a fingerprint reset whose value is *not* yet the
-#: full-window lag sum (the window is still filling).
-_WARMUP = _WINDOW - 1
-
-#: Payload bytes per vectorised pass of the per-byte fallback scan.
-_SLAB_BYTES = 1 << 15
-
-#: Four-byte groups per stride-4 slab.  The group buffers (uint64) plus the
-#: pair-sum and index scratch arrays must stay cache-resident across the four
-#: doubling passes; 2**14 groups (64 KiB of payload) measured fastest.
-_SLAB_GROUPS = 1 << 14
-
-#: Groups of history prepended to each slab so the first on-grid sum already
-#: sees its whole 64-byte window (16 groups x 4 bytes = 64 bytes).
-_GROUP_OVERLAP = _WINDOW // 4
-
-#: Below this many bytes the per-byte slab scan wins (stride-4 table and
-#: reconstruction setup cost more than they save).
-_STRIDE4_MIN_BYTES = 1 << 10
-
-#: Speculated chunks per warm-up verification pass.  Adaptive: halves after
-#: a mis-speculation, doubles after a clean block, so pathological inputs
-#: that cut inside every warm-up window degrade gracefully.
-_VERIFY_BLOCK_MIN = 8
-_VERIFY_BLOCK_MAX = 256
-
-_GEAR_NP = None
-_PAIR_NP = None
-_WARM_COLS = None
-
-
-def numpy_available() -> bool:
-    """Whether the NumPy-accelerated gear scan can be used in this process."""
-    return _np is not None
+#: Cut offsets fetched per kernel call; bounds the output buffer whatever the
+#: input length and keeps :meth:`AcceleratedGearChunker.cut_offsets` lazy.
+_CUT_BATCH = 1024
+_CutArray = ctypes.c_size_t * _CUT_BATCH
+_GEAR = (ctypes.c_uint64 * 256)(*GEAR_TABLE)
 
 
-def _gear_table_np():
-    """The gear table as a ``uint64`` array (built once, on first use)."""
-    global _GEAR_NP
-    if _GEAR_NP is None:
-        _GEAR_NP = _np.array(GEAR_TABLE, dtype=_np.uint64)
-    return _GEAR_NP
+class _PyBuffer(ctypes.Structure):
+    """``Py_buffer``: lets the scan borrow any contiguous buffer in place, the
+    read-only views (shm lane slabs) ``ctypes.from_buffer`` refuses included."""
+
+    _fields_ = [
+        ("buf", ctypes.c_void_p), ("obj", ctypes.c_void_p),
+        ("len", ctypes.c_ssize_t), ("itemsize", ctypes.c_ssize_t),
+        ("readonly", ctypes.c_int), ("ndim", ctypes.c_int),
+        *((f, ctypes.c_void_p) for f in ("format", "shape", "strides", "suboffsets", "internal")),
+    ]
 
 
-def _pair_table_np():
-    """``PAIR[b0 | b1 << 8] = (GEAR[b0] << 1) + GEAR[b1]`` for every 2-byte
-    little-endian pair value (512 KiB, built once, on first use)."""
-    global _PAIR_NP
-    if _PAIR_NP is None:
-        gear = _gear_table_np()
-        pair_values = _np.arange(1 << 16, dtype=_np.uint32)
-        _PAIR_NP = (gear[pair_values & 0xFF] << _np.uint64(1)) + gear[
-            pair_values >> 8
-        ]
-    return _PAIR_NP
+def _compile(path: str) -> Optional[str]:
+    """Build the kernel at ``path`` with ``$CC``, else the first installed of
+    ``sysconfig``'s ``CC`` and ``cc`` (temp file + ``os.replace``: a racing
+    process only ever sees a whole library); the failure reason, or None."""
+    candidates = (sysconfig.get_config_var("CC"), "cc")
+    installed = (c for c in candidates if c and shutil.which(shlex.split(c)[0]))
+    compiler = os.environ.get("CC") or next(installed, None)
+    if compiler is None:
+        return "no C compiler found ($CC unset, no sysconfig CC or cc on PATH)"
+    handle, scratch = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(path))
+    os.close(handle)
+    command = [*shlex.split(compiler), "-O3", "-shared", "-fPIC", "-x", "c", "-", "-o", scratch]
+    try:
+        done = subprocess.run(command, input=_SOURCE, capture_output=True, timeout=120)
+        if done.returncode:
+            stderr = done.stderr.decode(errors="replace").strip()
+            return f"{compiler} exited with status {done.returncode}: {stderr}"
+        os.replace(scratch, path)
+        return None
+    finally:
+        if os.path.exists(scratch):
+            os.unlink(scratch)
 
 
-def _warm_cols():
-    """Column indices of the warm-up verification matrix (built once)."""
-    global _WARM_COLS
-    if _WARM_COLS is None:
-        _WARM_COLS = _np.arange(_WARMUP, dtype=_np.int64)
-    return _WARM_COLS
+def _bind(path: str) -> Any:
+    kernel = ctypes.CDLL(path).gear_cuts
+    size, word = ctypes.c_size_t, ctypes.c_uint64
+    kernel.restype = size
+    sizes, words = ctypes.POINTER(size), ctypes.POINTER(word)
+    kernel.argtypes = [ctypes.c_void_p, size, size, words, word, word, *[size] * 3, sizes, size]
+    return kernel
+
+
+@functools.lru_cache(maxsize=None)  # per process; forked lanes and workers inherit it
+def _kernel() -> Tuple[Any, str]:
+    """``(kernel function or None, library path or failure reason)``."""
+    try:
+        return _load()
+    except (OSError, subprocess.SubprocessError) as error:  # unrunnable $CC, no temp dir
+        return None, f"kernel build failed: {error}"
+
+
+def _load() -> Tuple[Any, str]:
+    key = hashlib.sha256(_SOURCE + sysconfig.get_platform().encode()).hexdigest()[:16]
+    home = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    cache = os.path.join(home, "repro")
+    try:
+        os.makedirs(cache, mode=0o700, exist_ok=True)
+        owner = os.stat(cache)  # entries are dlopen'ed: only our own, unshared directory
+        cached = owner.st_uid == os.geteuid() and not owner.st_mode & 0o022
+        cached = cached and os.access(cache, os.W_OK | os.X_OK)
+    except OSError:
+        cached = False
+    # No usable cache: build in a private directory removed before returning
+    # (an unlinked library stays mapped), so nothing is left in the temp dir.
+    directory = cache if cached else tempfile.mkdtemp(prefix="repro-kernel-")
+    path = os.path.join(directory, f"gear-{key}.so")
+    try:
+        reason = None if os.path.exists(path) else _compile(path)
+        for rebuild in (True, False):
+            if reason is None:
+                try:
+                    return _bind(path), path
+                except (OSError, AttributeError) as error:
+                    # A truncated or foreign-architecture entry is rebuilt once.
+                    reason = _compile(path) if rebuild else f"cannot load {path}: {error}"
+        return None, reason
+    finally:
+        if not cached:
+            shutil.rmtree(directory, ignore_errors=True)
+
+
+def kernel_status() -> Tuple[bool, str]:
+    """Whether the compiled scan is live here, plus the loaded library's path or
+    why not (no compiler, compiler status + stderr, load error); decided once."""
+    kernel, detail = _kernel()
+    return kernel is not None, detail
 
 
 class AcceleratedGearChunker(GearChunker):
-    """Drop-in :class:`GearChunker` with a vectorised boundary scan and walk.
+    """Drop-in :class:`GearChunker` whose boundary scan runs in compiled code:
+    same parameters, same chunk-size statistics, byte-identical boundaries.
+    Raises :class:`ChunkingError` where the kernel cannot be built or loaded."""
 
-    Same parameters, same realized chunk-size statistics, byte-identical
-    boundaries; requires NumPy (raises :class:`ChunkingError` otherwise, so
-    configuration-driven selection can fall back cleanly).
-    """
-
-    def __init__(self, *args, **kwargs):
-        if _np is None:
-            raise ChunkingError(
-                "AcceleratedGearChunker requires NumPy; install it or use the "
-                "pure-Python 'gear-pure' chunker"
-            )
+    def __init__(self, *args: Any, **kwargs: Any):
         super().__init__(*args, **kwargs)
-        # Top-bit masks make the hit test a threshold compare: the threshold
-        # is the mask's lowest set bit (2**(64-bits)).
-        self._thresh_strict = self._mask_strict & -self._mask_strict
-        self._thresh_loose = self._mask_loose & -self._mask_loose
-
-    # ------------------------------------------------------------------ #
-    # vectorised scan: sorted mask-hit positions + strict classification
-    # ------------------------------------------------------------------ #
-
-    def scan_mask_hits(
-        self, data: "bytes | bytearray | memoryview"
-    ) -> Tuple[int, int]:
-        """Run only the vectorised boundary scan; no chunk walk.
-
-        Returns ``(loose_hits, strict_hits)`` over the whole buffer.  This is
-        the public stage hook the ingest benchmark uses to time the raw mask
-        scan separately from the speculative candidate walk
-        (:meth:`cut_offsets` = scan + walk + warm-up verification).
-        """
-        arr = _np.frombuffer(data, dtype=_np.uint8)
-        positions, strict = self._mask_hits(arr)
-        return int(positions.size), int(strict.sum())
-
-    def _mask_hits(self, arr) -> Tuple["_np.ndarray", "_np.ndarray"]:
-        """``(positions, strict)`` for the full-window fingerprint scan.
-
-        ``positions`` is the sorted array of byte positions whose full-window
-        gear fingerprint hits the *loose* mask; ``strict[i]`` is True where it
-        also hits the strict mask (strict hits are a subset of loose hits --
-        the strict mask carries at least as many top bits).  Only valid for
-        positions that have at least 64 bytes of history; the chunk walk
-        consults the arrays exclusively past each warm-up window, where that
-        holds.
-        """
-        if (
-            arr.shape[0] < _STRIDE4_MIN_BYTES
-            or sys.byteorder != "little"  # pair table assumes LE uint32 views
-        ):
-            return self._mask_hits_bytewise(arr)
-        return self._mask_hits_stride4(arr)
-
-    def _mask_hits_bytewise(self, arr) -> Tuple["_np.ndarray", "_np.ndarray"]:
-        """Per-byte doubling-ladder scan (small inputs / big-endian hosts)."""
-        np = _np
-        gear = _gear_table_np()
-        thresh_strict = np.uint64(self._thresh_strict)
-        thresh_loose = np.uint64(self._thresh_loose)
-        total = int(arr.shape[0])
-        position_parts: List["np.ndarray"] = []
-        strict_parts: List["np.ndarray"] = []
-        capacity = min(_SLAB_BYTES + _WARMUP, total)
-        lag_buffer = np.empty(capacity, dtype=np.uint64)
-        scratch = np.empty(capacity, dtype=np.uint64)
-        for base in range(0, total, _SLAB_BYTES):
-            # Overlap each slab with the previous 63 bytes so every lag sum
-            # in the slab proper sees its whole window.
-            lo = base - _WARMUP if base >= _WARMUP else 0
-            stop = base + _SLAB_BYTES
-            if stop > total:
-                stop = total
-            size = stop - lo
-            lag_sum = lag_buffer[:size]
-            np.take(gear, arr[lo:stop], out=lag_sum)
-            shift = 1
-            while shift < _WINDOW and shift < size:
-                width = np.uint64(shift)
-                np.left_shift(lag_sum[:-shift], width, out=scratch[: size - shift])
-                lag_sum[shift:] += scratch[: size - shift]
-                shift <<= 1
-            lag_sum = lag_sum[base - lo :]
-            local = np.flatnonzero(lag_sum < thresh_loose)
-            position_parts.append(local + base)
-            strict_parts.append(lag_sum[local] < thresh_strict)
-        if not position_parts:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, np.empty(0, dtype=np.bool_)
-        return (
-            np.concatenate(position_parts),
-            np.concatenate(strict_parts),
-        )
-
-    def _mask_hits_stride4(self, arr) -> Tuple["_np.ndarray", "_np.ndarray"]:
-        """Stride-4 grid scan with exact off-grid reconstruction."""
-        np = _np
-        gear = _gear_table_np()
-        pair = _pair_table_np()
-        thresh_strict = np.uint64(self._thresh_strict)
-        thresh_loose = np.uint64(self._thresh_loose)
-        total = int(arr.shape[0])
-        groups = total >> 2
-        grid_view = arr[: groups << 2].view(np.uint32)
-        position_parts: List["np.ndarray"] = []
-        strict_parts: List["np.ndarray"] = []
-        # Preallocated slab buffers (reused across slabs, allocation-free
-        # inner loop).  Each slab loads one group past its end so the
-        # off-grid reconstruction of its last group has the next group's
-        # pair sums in cache.
-        capacity = min(_SLAB_GROUPS + _GROUP_OVERLAP + 1, groups)
-        pair_lo = np.empty(capacity, dtype=np.uint64)
-        pair_hi = np.empty(capacity, dtype=np.uint64)
-        grid = np.empty(capacity, dtype=np.uint64)
-        scratch = np.empty(capacity, dtype=np.uint64)
-        recon_1 = np.empty(capacity, dtype=np.uint64)
-        recon_2 = np.empty(capacity, dtype=np.uint64)
-        recon_3 = np.empty(capacity, dtype=np.uint64)
-        combined = np.empty(capacity, dtype=np.uint64)
-        index_lo = np.empty(capacity, dtype=np.uint32)
-        index_hi = np.empty(capacity, dtype=np.uint32)
-        index_byte = np.empty(capacity, dtype=np.uint32)
-        shift_1 = np.uint64(1)
-        shift_2 = np.uint64(2)
-        shift_16 = np.uint32(16)
-        mask_16 = np.uint32(0xFFFF)
-        mask_8 = np.uint32(0xFF)
-        doubling_shifts = (np.uint64(4), np.uint64(8), np.uint64(16), np.uint64(32))
-        grid_offsets = np.array([3, 4, 5, 6], dtype=np.int64)
-        for base in range(0, groups, _SLAB_GROUPS):
-            lo = base - _GROUP_OVERLAP if base >= _GROUP_OVERLAP else 0
-            stop = base + _SLAB_GROUPS
-            if stop > groups:
-                stop = groups
-            hi = stop + 1 if stop < groups else groups
-            size = hi - lo
-            count = stop - base
-            offset = base - lo
-            slab = grid_view[lo:hi]
-            lo16 = index_lo[:size]
-            hi16 = index_hi[:size]
-            np.bitwise_and(slab, mask_16, out=lo16)
-            np.right_shift(slab, shift_16, out=hi16)
-            sums_lo = pair_lo[:size]
-            sums_hi = pair_hi[:size]
-            np.take(pair, lo16, out=sums_lo, mode="clip")
-            np.take(pair, hi16, out=sums_hi, mode="clip")
-            # Per-group gear sum: GEAR[b0]<<3 + GEAR[b1]<<2 + GEAR[b2]<<1 + GEAR[b3].
-            lag_sum = grid[:size]
-            np.left_shift(sums_lo, shift_2, out=lag_sum)
-            lag_sum += sums_hi
-            # Four doubling passes (lag w groups, shift 4w bits) give the
-            # full 64-byte window fingerprint at every position 4m + 3.
-            width = 1
-            for shift in doubling_shifts:
-                if width >= size:
-                    break
-                np.left_shift(lag_sum[:-width], shift, out=scratch[: size - width])
-                lag_sum[width:] += scratch[: size - width]
-                width <<= 1
-            on_grid = lag_sum[offset : offset + count]
-            # Reconstruct the three off-grid positions of each group from the
-            # on-grid value: F_{j+1} = (F_j << 1) + GEAR[b_{j+1}].  Position
-            # 4m+5 reuses the next group's low pair sum whole; 4m+4 and 4m+6
-            # need one byte-table gather each.  The last group overall has no
-            # next group, so it stays grid-only (handled below).
-            recon = min(count, groups - base - 1)
-            if recon > 0:
-                next_lo16 = lo16[offset + 1 : offset + 1 + recon]
-                next_hi16 = hi16[offset + 1 : offset + 1 + recon]
-                off_2 = recon_2[:recon]
-                np.left_shift(on_grid[:recon], shift_2, out=off_2)
-                off_2 += sums_lo[offset + 1 : offset + 1 + recon]
-                byte_index = index_byte[:recon]
-                np.bitwise_and(next_lo16, mask_8, out=byte_index)
-                off_1 = recon_1[:recon]
-                np.left_shift(on_grid[:recon], shift_1, out=off_1)
-                np.take(gear, byte_index, out=scratch[:recon], mode="clip")
-                off_1 += scratch[:recon]
-                np.bitwise_and(next_hi16, mask_8, out=byte_index)
-                off_3 = recon_3[:recon]
-                np.left_shift(off_2, shift_1, out=off_3)
-                np.take(gear, byte_index, out=scratch[:recon], mode="clip")
-                off_3 += scratch[:recon]
-                low = combined[:recon]
-                np.minimum(on_grid[:recon], off_1, out=low)
-                np.minimum(low, off_2, out=low)
-                np.minimum(low, off_3, out=low)
-                hit_groups = np.flatnonzero(low < thresh_loose)
-                if hit_groups.size:
-                    values = np.empty((hit_groups.size, 4), dtype=np.uint64)
-                    values[:, 0] = on_grid[hit_groups]
-                    values[:, 1] = off_1[hit_groups]
-                    values[:, 2] = off_2[hit_groups]
-                    values[:, 3] = off_3[hit_groups]
-                    group_idx, lane_idx = np.nonzero(values < thresh_loose)
-                    # nonzero is row-major and lanes map to offsets 3..6, so
-                    # the emitted positions stay sorted.
-                    position_parts.append(
-                        (hit_groups[group_idx] + base) * 4 + grid_offsets[lane_idx]
-                    )
-                    strict_parts.append(values[group_idx, lane_idx] < thresh_strict)
-            if recon < count:
-                tail_grid = on_grid[recon:]
-                tail_hits = np.flatnonzero(tail_grid < thresh_loose)
-                if tail_hits.size:
-                    position_parts.append((tail_hits + base + recon) * 4 + 3)
-                    strict_parts.append(tail_grid[tail_hits] < thresh_strict)
-        covered = groups << 2
-        if covered < total:
-            # Up to 3 trailing bytes (and the off-grid positions of the very
-            # last group) fall outside the grid; finish them with one small
-            # per-byte doubling pass.
-            lo = covered - _WARMUP if covered >= _WARMUP else 0
-            tail = arr[lo:total]
-            size = total - lo
-            lag_sum = np.take(gear, tail)
-            shift = 1
-            while shift < _WINDOW and shift < size:
-                width = np.uint64(shift)
-                lag_sum[shift:] += lag_sum[: size - shift] << width
-                shift <<= 1
-            tail_view = lag_sum[covered - lo :]
-            tail_hits = np.flatnonzero(tail_view < thresh_loose)
-            if tail_hits.size:
-                position_parts.append(tail_hits + covered)
-                strict_parts.append(tail_view[tail_hits] < thresh_strict)
-        if not position_parts:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, np.empty(0, dtype=np.bool_)
-        return (
-            np.concatenate(position_parts),
-            np.concatenate(strict_parts),
-        )
-
-    # ------------------------------------------------------------------ #
-    # warm-up verification
-    # ------------------------------------------------------------------ #
-
-    def _first_warmup_hit(
-        self, arr, warm_begins, warm_lens, strict_cols, buffers
-    ) -> Optional[Tuple[int, int]]:
-        """First (row, column) warm-up boundary across a speculated block.
-
-        Each row is one chunk's warm-up window: ``warm_lens[r]`` bytes from
-        ``warm_begins[r]``, the first ``strict_cols[r]`` of which are judged
-        by the strict mask (the rest by the loose mask).  The per-row prefix
-        fingerprints are the reset recurrence, computed for all rows at once
-        with the doubling ladder along the row axis.  Returns None when no
-        window fires -- the speculative cuts stand.
-        """
-        np = _np
-        rows = len(warm_begins)
-        index, window, fingerprints, scratch, base_thresholds = buffers
-        cols = _warm_cols()
-        # Column-major layout -- window *offset* along axis 0, chunk along
-        # axis 1 -- so every slice the doubling ladder touches is contiguous
-        # (a row-major layout would make each pass a strided 63-element
-        # inner loop per chunk, an order of magnitude slower).
-        index = index[:, :rows]
-        np.add(np.array(warm_begins, dtype=np.int64)[None, :], cols[:, None], out=index)
-        window = window[:, :rows]
-        np.take(arr, index, mode="clip", out=window)
-        fingerprints = fingerprints[:, :rows]
-        np.take(_gear_table_np(), window, out=fingerprints)
-        scratch = scratch[:, :rows]
-        shift = 1
-        while shift < _WARMUP:
-            width = np.uint64(shift)
-            np.left_shift(
-                fingerprints[: _WARMUP - shift], width, out=scratch[: _WARMUP - shift]
-            )
-            fingerprints[shift:] += scratch[: _WARMUP - shift]
-            shift <<= 1
-        # Common case: every window is the full 63 bytes and switches masks at
-        # the same offset (the normalization point is a fixed chunk-relative
-        # offset) -- one broadcast threshold column, no validity mask.
-        common_limit = self._normal_point - self.min_size
-        if (
-            min(warm_lens) == _WARMUP
-            and all(limit == common_limit for limit in strict_cols)
-        ):
-            hits = fingerprints < base_thresholds[:, None]
-        else:
-            lens = np.array(warm_lens, dtype=np.int64)
-            strict_limit = np.array(strict_cols, dtype=np.int64)
-            thresholds = np.where(
-                cols[:, None] < strict_limit[None, :],
-                np.uint64(self._thresh_strict),
-                np.uint64(self._thresh_loose),
-            )
-            hits = (fingerprints < thresholds) & (cols[:, None] < lens[None, :])
-        hit_chunks = hits.any(axis=0)
-        if not hit_chunks.any():
-            return None
-        row = int(np.argmax(hit_chunks))
-        return row, int(np.argmax(hits[:, row]))
-
-    # ------------------------------------------------------------------ #
-    # the chunk walk
-    # ------------------------------------------------------------------ #
+        kernel, detail = _kernel()
+        if kernel is None:
+            raise ChunkingError(f"'gear-accel' needs the compiled gear kernel: {detail}")
 
     def cut_offsets(self, data: "bytes | bytearray | memoryview") -> Iterator[int]:
         length = len(data)
-        if length <= self.min_size:
-            if length:
-                yield length
-            return
-        np = _np
-        arr = np.frombuffer(data, dtype=np.uint8)
-        positions_np, strict_np = self._mask_hits(arr)
-        # Python lists beat ndarray scalar indexing by a wide margin in the
-        # per-chunk cursor walk below.
-        hits = positions_np.tolist()
-        num_hits = len(hits)
-        # next_strict[i]: index of the first strict hit at or after hit i
-        # (num_hits when none remains).  Most hits are loose-only, so the
-        # walk jumps straight to each chunk's deciding hit instead of
-        # scanning the loose hits in between one Python iteration at a time.
-        if num_hits:
-            strict_indices = np.flatnonzero(strict_np)
-            ahead = np.searchsorted(strict_indices, np.arange(num_hits))
-            next_strict = np.concatenate(
-                (strict_indices, [num_hits])
-            )[ahead].tolist()
-        else:
-            next_strict = []
-        min_size = self.min_size
-        max_size = self.max_size
-        normal_point = self._normal_point
-        cols = _warm_cols()
-        verify_buffers = (
-            np.empty((_WARMUP, _VERIFY_BLOCK_MAX), dtype=np.int64),
-            np.empty((_WARMUP, _VERIFY_BLOCK_MAX), dtype=arr.dtype),
-            np.empty((_WARMUP, _VERIFY_BLOCK_MAX), dtype=np.uint64),
-            np.empty((_WARMUP, _VERIFY_BLOCK_MAX), dtype=np.uint64),
-            np.where(
-                cols < normal_point - min_size,
-                np.uint64(self._thresh_strict),
-                np.uint64(self._thresh_loose),
-            ),
-        )
-        start = 0
-        cursor = 0
-        block_cap = _VERIFY_BLOCK_MAX
-        while start < length:
-            # Speculate a block of chunks from the hit arrays alone, assuming
-            # no warm-up window fires.  One Python iteration per chunk; the
-            # cursors only ever move forward within a block.
-            spec_cuts: List[int] = []
-            warm_begins: List[int] = []
-            warm_lens: List[int] = []
-            strict_cols: List[int] = []
-            block_start = start
-            block_cursor = cursor
-            while block_start < length and len(spec_cuts) < block_cap:
-                remaining = length - block_start
-                if remaining <= min_size:
-                    spec_cuts.append(length)
-                    warm_begins.append(0)
-                    warm_lens.append(0)
-                    strict_cols.append(0)
-                    block_start = length
-                    break
-                end = block_start + max_size if remaining > max_size else length
-                strict_end = block_start + normal_point
-                if strict_end > end:
-                    strict_end = end
-                warm_begin = block_start + min_size
-                warm_end = warm_begin + _WARMUP
-                if warm_end > end:
-                    warm_end = end
-                block_cursor = bisect_left(hits, warm_end, block_cursor)
-                cut = 0
-                probe = block_cursor
-                if probe < num_hits:
-                    # Before the normalization point only strict hits cut;
-                    # next_strict jumps over the loose hits in between.
-                    strict_probe = next_strict[probe]
-                    if strict_probe < num_hits and hits[strict_probe] < strict_end:
-                        cut = hits[strict_probe] + 1
-                        probe = strict_probe
-                    else:
-                        # Past the normalization point any loose hit cuts.
-                        probe = bisect_left(hits, strict_end, probe)
-                        if probe < num_hits and hits[probe] < end:
-                            cut = hits[probe] + 1
-                if not cut:
-                    cut = end
-                spec_cuts.append(cut)
-                warm_begins.append(warm_begin)
-                warm_lens.append(warm_end - warm_begin)
-                limit = strict_end - warm_begin
-                strict_cols.append(limit if limit > 0 else 0)
-                block_start = cut
-                block_cursor = probe
-            failure = self._first_warmup_hit(
-                arr, warm_begins, warm_lens, strict_cols, verify_buffers
-            )
-            if failure is None:
-                for cut in spec_cuts:
-                    yield cut
-                start = block_start
-                cursor = block_cursor
-                if block_cap < _VERIFY_BLOCK_MAX:
-                    block_cap <<= 1
-            else:
-                row, col = failure
-                for cut in spec_cuts[:row]:
-                    yield cut
-                corrected = warm_begins[row] + col + 1
-                yield corrected
-                start = corrected
-                cursor = bisect_left(hits, corrected)
-                if block_cap > _VERIFY_BLOCK_MIN:
-                    block_cap >>= 1
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return super().__repr__().replace("GearChunker", "AcceleratedGearChunker", 1)
+        kernel, detail = _kernel()  # an unpickled chunker may be first in its process
+        if kernel is None:
+            raise ChunkingError(f"compiled gear kernel unavailable: {detail}")
+        borrowed, api = _PyBuffer(), ctypes.pythonapi  # a PyDLL: raises BufferError itself
+        try:  # flags 0 = PyBUF_SIMPLE: contiguous bytes, read-only is fine
+            api.PyObject_GetBuffer(ctypes.py_object(data), ctypes.byref(borrowed), 0)
+        except BufferError:  # a strided view is the one input that is copied
+            api.PyObject_GetBuffer(ctypes.py_object(bytes(data)), ctypes.byref(borrowed), 0)
+        try:
+            cuts = _CutArray()
+            start = 0
+            while start < length:
+                count = kernel(
+                    borrowed.buf, length, start, _GEAR, self._mask_strict, self._mask_loose,
+                    self.min_size, self.max_size, self._normal_point, cuts, _CUT_BATCH,
+                )
+                yield from cuts[:count]
+                start = cuts[count - 1]
+        finally:  # the export pins ``data`` (and a bytearray's size) for the scan only
+            api.PyBuffer_Release(ctypes.byref(borrowed))
 
 
-def best_gear_chunker(**kwargs) -> GearChunker:
-    """The fastest gear chunker importable here: accelerated, else pure.
-
-    This is what the registry binds to the ``"gear"`` name, so callers that
-    select chunkers by configuration inherit the NumPy speedup automatically
-    and keep working (bit-identically) where NumPy is absent.
-    """
-    if _np is not None:
-        return AcceleratedGearChunker(**kwargs)
-    return GearChunker(**kwargs)
+def best_gear_chunker(**kwargs: Any) -> GearChunker:
+    """The registry's ``"gear"``: the compiled scan where it can be built,
+    the pure-Python scan (bit-identical boundaries) otherwise."""
+    return (AcceleratedGearChunker if kernel_status()[0] else GearChunker)(**kwargs)

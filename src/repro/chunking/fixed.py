@@ -8,7 +8,7 @@ while achieving a very similar deduplication ratio on the studied workloads
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.chunking.base import Chunker, RawChunk
 from repro.errors import ValidationError
@@ -48,21 +48,6 @@ class StaticChunker(Chunker):
         yield from range(self._chunk_size, length, self._chunk_size)
         if length:
             yield length
-
-    def chunk_stream(self, blocks: Iterable[bytes]) -> Iterator[RawChunk]:
-        # Fixed-size boundaries never move, so the generic re-chunking base
-        # implementation would do redundant work; emit directly instead.
-        size = self._chunk_size
-        buffer = bytearray()
-        offset = 0
-        for block in blocks:
-            buffer += block
-            while len(buffer) >= size:
-                yield RawChunk(data=bytes(buffer[:size]), offset=offset)
-                del buffer[:size]
-                offset += size
-        if buffer:
-            yield RawChunk(data=bytes(buffer), offset=offset)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StaticChunker(chunk_size={self._chunk_size})"

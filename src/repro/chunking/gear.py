@@ -215,7 +215,7 @@ class GearChunker(Chunker):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"GearChunker(average_size={self._average_size}, "
+            f"{type(self).__name__}(average_size={self._average_size}, "
             f"min_size={self.min_size}, max_size={self.max_size}, "
             f"normalization={self.normalization})"
         )

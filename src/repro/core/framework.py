@@ -311,6 +311,12 @@ class SigmaDedupe:
     def node_storage_usages(self) -> List[int]:
         return self.cluster.storage_usages()
 
-    def describe(self) -> Dict[str, float]:
-        """Cluster-wide summary (delegates to the cluster)."""
-        return self.cluster.describe()
+    def describe(self) -> Dict[str, float | str]:
+        """Cluster-wide summary, plus ``chunker_backend``: the class of the
+        configured chunker, i.e. which scan ``chunker="gear"`` resolved to
+        (``AcceleratedGearChunker`` or the ~200x slower pure ``GearChunker``;
+        :func:`repro.chunking.accel.kernel_status` gives the reason)."""
+        return {
+            **self.cluster.describe(),
+            "chunker_backend": type(self._partitioner_config.chunker).__name__,
+        }

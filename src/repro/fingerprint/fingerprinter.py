@@ -15,11 +15,6 @@ from repro.chunking.base import RawChunk
 from repro.errors import FingerprintError
 from repro.utils.hashing import digest_bytes, digest_constructor
 
-#: Chunks per bulk record-construction batch on the fused buffer path: large
-#: enough to amortise the per-batch Python overhead, small enough that the
-#: buffered payload copies stay well under one super-chunk.
-_SEGMENT_BATCH = 128
-
 
 class ChunkRecord(NamedTuple):
     """A chunk as seen by the deduplication pipeline after fingerprinting.
@@ -211,22 +206,23 @@ class Fingerprinter:
         """Chunk ``data`` lazily and fingerprint every chunk.
 
         ``data`` may be a whole byte buffer or an iterable of byte blocks (a
-        streaming source).  Nothing is materialised in the block case: the
-        chunker's streaming scan holds at most one maximum-size chunk plus
-        one block, and records are yielded as soon as their chunk is cut, so
-        arbitrarily long streams can be fingerprinted in bounded memory.
-
-        The buffer case is the fused hot path: the chunker is asked only for
-        :meth:`~repro.chunking.base.Chunker.cut_offsets` and each chunk is
-        hashed straight off one shared ``memoryview`` slab, so no
-        intermediate :class:`~repro.chunking.base.RawChunk` payload copies
-        are made (``bytearray``/``memoryview`` inputs are never copied with
-        ``bytes(data)`` either) and the only per-chunk allocation left is the
-        retained payload when ``keep_data`` is true.
+        streaming source); a whole buffer is a stream of one block.  This is
+        the one fused cut->digest loop every ingest takes:
+        :meth:`~repro.chunking.base.Chunker.committed_segments` carries the
+        uncommitted tail from block to block and hands back runs of committed
+        cuts, and :meth:`fingerprint_segments` builds each run's records
+        straight off one shared ``memoryview`` -- no intermediate
+        :class:`~repro.chunking.base.RawChunk`, one copy per byte
+        (``carry + block``) when streaming and none for a whole buffer, and
+        the retained payload as the only per-chunk allocation.  Nothing
+        beyond one block and the carried tail is ever held, so arbitrarily
+        long streams are fingerprinted in bounded memory.  A mutable buffer
+        is read in place, never snapshotted, one record at a time.
         """
         if isinstance(data, (bytes, bytearray, memoryview)):
-            return self._fingerprint_buffer(data, chunker, keep_data=keep_data)
-        return self.fingerprint_chunks(chunker.chunk_stream(data), keep_data=keep_data)
+            data = (data,)
+        for view, start, cuts, base in chunker.committed_segments(data):
+            yield from self.fingerprint_segments(view, cuts, keep_data, start, base)
 
     def fingerprint_segments(
         self,
@@ -234,16 +230,17 @@ class Fingerprinter:
         cuts: "List[int]",
         keep_data: bool = True,
         start: int = 0,
+        base: int = 0,
     ) -> List[ChunkRecord]:
         """Bulk-construct records for consecutive segments of one buffer.
 
         ``cuts`` are ascending end offsets into ``view`` (the chunker's
         ``cut_offsets`` contract), ``start`` the begin offset of the first
-        segment.  Every record is hashed and built off the one shared
-        memoryview in a single tight loop -- positional ``ChunkRecord``
-        construction, one statistics update per batch instead of per chunk --
-        which is what makes the fused buffer path's per-chunk Python cost
-        drop from "several statements" to "one loop iteration".
+        segment, ``base`` the stream offset of ``view[0]`` (added to every
+        record's offset).  Every record is hashed and built off the one
+        shared memoryview in a single tight loop -- positional
+        ``ChunkRecord`` construction, one statistics update per batch
+        instead of per chunk.
         """
         new_digest = digest_constructor(self.algorithm)
         record = ChunkRecord
@@ -253,63 +250,16 @@ class Fingerprinter:
         if keep_data:
             for cut in cuts:
                 piece = view[previous:cut]
-                append(record(new_digest(piece).digest(), cut - previous, previous, bytes(piece)))
+                append(record(new_digest(piece).digest(), cut - previous, base + previous, bytes(piece)))
                 previous = cut
         else:
             for cut in cuts:
                 piece = view[previous:cut]
-                append(record(new_digest(piece).digest(), cut - previous, previous, None))
+                append(record(new_digest(piece).digest(), cut - previous, base + previous, None))
                 previous = cut
         self.bytes_fingerprinted += previous - start
         self.chunks_fingerprinted += len(records)
         return records
-
-    def _fingerprint_buffer(
-        self, data: "bytes | bytearray | memoryview", chunker, keep_data: bool
-    ) -> Iterator[ChunkRecord]:
-        """Fused chunk→fingerprint scan over one in-memory buffer.
-
-        Cut offsets are drained from the chunker in batches and turned into
-        records with :meth:`fingerprint_segments`; the batch size keeps the
-        buffered payload copies bounded well under one super-chunk, so the
-        streaming-memory guarantees of the block path carry over.
-        """
-        view = memoryview(data)
-        if view.ndim != 1 or view.itemsize != 1:  # pragma: no cover - exotic buffers
-            view = view.cast("B")
-        if not view.readonly:
-            # A mutable buffer keeps the strictly lazy per-chunk scan: callers
-            # may mutate not-yet-consumed regions mid-iteration and expect
-            # later records to see the new bytes, which read-ahead batching
-            # would violate.
-            new_digest = digest_constructor(self.algorithm)
-            start = 0
-            for cut in chunker.cut_offsets(view):
-                piece = view[start:cut]
-                self.bytes_fingerprinted += cut - start
-                self.chunks_fingerprinted += 1
-                yield ChunkRecord(
-                    new_digest(piece).digest(),
-                    cut - start,
-                    start,
-                    bytes(piece) if keep_data else None,
-                )
-                start = cut
-            return
-        batch: List[int] = []
-        batch_start = 0
-        for cut in chunker.cut_offsets(view):
-            batch.append(cut)
-            if len(batch) >= _SEGMENT_BATCH:
-                yield from self.fingerprint_segments(
-                    view, batch, keep_data=keep_data, start=batch_start
-                )
-                batch_start = batch[-1]
-                batch = []
-        if batch:
-            yield from self.fingerprint_segments(
-                view, batch, keep_data=keep_data, start=batch_start
-            )
 
     def fingerprint_stream(
         self, data: "bytes | Iterable[bytes]", chunker, keep_data: bool = True

@@ -9,9 +9,9 @@ serial path's exact results:
 * Each lane owns its own :class:`~repro.core.partitioner.StreamPartitioner`
   (chunker + fingerprinter), mirroring the paper's "a deduplication thread for
   each data stream" design (Section 4.3).
-* Lanes are **threads** by default: the NumPy-vectorised gear scan and
-  ``hashlib`` digests release the GIL, so chunk+fingerprint work genuinely
-  overlaps on multi-core hosts.  A **process pool** option covers the
+* Lanes are **threads** by default: the compiled gear scan (``ctypes``) and
+  ``hashlib`` digests release the GIL, so chunk+fingerprint work can
+  overlap on multi-core hosts.  A **process pool** option covers the
   pure-Python chunker fallback, where the GIL would otherwise serialise the
   scan.
 * Work flows through bounded queues, so peak memory is

@@ -1,7 +1,7 @@
 """Shared-memory slab lanes for the process ingest front end.
 
-The thread executor scales only as far as the GIL allows: the NumPy gear scan
-and ``hashlib`` release it, but the per-chunk Python bookkeeping between them
+The thread executor scales only as far as the GIL allows: the compiled gear
+scan and ``hashlib`` release it, but the per-chunk Python bookkeeping between them
 does not, so ``workers=4`` buys barely anything on CPU-bound front ends.  The
 process executor escapes the GIL entirely -- and this module is what makes
 that affordable:

@@ -2,8 +2,7 @@
 
 The normalized effective deduplication ratio (Eq. 7 of the paper) needs the
 standard deviation and mean of per-node physical storage usage.  These helpers
-avoid a numpy dependency inside the core library (numpy is only used in
-benchmarks).
+avoid a numpy dependency inside the core library.
 """
 
 from __future__ import annotations

@@ -3,17 +3,19 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.chunking.accel import AcceleratedGearChunker, numpy_available
+from repro.chunking import build_chunker
+from repro.chunking.accel import AcceleratedGearChunker, kernel_status
 from repro.chunking.cdc import ContentDefinedChunker
 from repro.chunking.fixed import StaticChunker
 from repro.chunking.gear import GearChunker
 from repro.chunking.tttd import TTTDChunker
+from repro.fingerprint.fingerprinter import Fingerprinter
 
 binary_data = st.binary(min_size=0, max_size=20_000)
 
-#: Biased towards low-entropy payloads (repeated short motifs) -- dense gear
-#: hits stress the speculative walk's correction path far harder than uniform
-#: random bytes, where warm-up failures are rare.
+#: Biased towards low-entropy payloads (repeated short motifs): dense gear
+#: hits, cuts right after the min-size skip and runs that reach max_size,
+#: none of which uniform random bytes produce often.
 repetitive_data = st.builds(
     lambda motif, reps, tail: motif * reps + tail,
     motif=st.binary(min_size=1, max_size=64),
@@ -180,54 +182,78 @@ class TestChunkStreamEquivalence:
         assert streamed == data
 
 
-@pytest.mark.skipif(not numpy_available(), reason="requires numpy")
+#: Gear configurations: average size x explicit or default min/max x
+#: normalization level (0 = one mask throughout).
+gear_configurations = st.builds(
+    lambda average, bounds, normalization: dict(
+        average_size=average,
+        normalization=normalization,
+        **(
+            {}
+            if bounds is None
+            else {"min_size": max(1, average // bounds[0]), "max_size": average * bounds[1]}
+        ),
+    ),
+    average=st.sampled_from([64, 128, 512, 1024, 4096]),
+    bounds=st.one_of(
+        st.none(),
+        st.tuples(st.sampled_from([2, 4, 8, 64]), st.sampled_from([2, 4, 8])),
+    ),
+    normalization=st.integers(min_value=0, max_value=3),
+)
+
+#: Data shapes: random, all-zero (every cut is a forced max-size cut),
+#: periodic 1 KiB seeds (what the benchmark's compressible inputs look
+#: like), short motifs, and anything at or under a minimum chunk.
+gear_data = st.one_of(
+    binary_data,
+    repetitive_data,
+    st.integers(min_value=0, max_value=40_000).map(lambda size: b"\x00" * size),
+    st.builds(
+        lambda seed, reps, tail: seed * reps + tail,
+        seed=st.binary(min_size=1024, max_size=1024),
+        reps=st.integers(min_value=1, max_value=24),
+        tail=st.binary(min_size=0, max_size=64),
+    ),
+    st.binary(min_size=0, max_size=64),
+)
+
+#: Every input type cut_offsets accepts: bytes, bytearray, and read-only and
+#: writable memoryviews (the shm lanes scan writable slab views in place).
+buffer_types = st.sampled_from(
+    [bytes, bytearray, memoryview, lambda data: memoryview(bytearray(data))]
+)
+
+
+@pytest.mark.skipif(not kernel_status()[0], reason=kernel_status()[1])
 class TestAcceleratedGearEquivalence:
-    """The vectorised walk must be byte-identical to the pure GearChunker.
+    """The compiled kernel must be byte-identical to the pure GearChunker."""
 
-    Sizes span the ``_STRIDE4_MIN_BYTES`` (1 KB) threshold, so both the
-    bytewise fallback and the stride-4 grid scan are exercised, and the
-    repetitive strategy drives the speculative walk through its warm-up
-    correction path.
-    """
-
-    def _pair(self):
-        kwargs = dict(average_size=512, min_size=64, max_size=2048)
-        return GearChunker(**kwargs), AcceleratedGearChunker(**kwargs)
-
-    @given(data=st.one_of(binary_data, repetitive_data))
-    @settings(max_examples=50, deadline=None)
-    def test_oneshot_boundaries_match_pure(self, data):
-        pure, accel = self._pair()
-        expected = [(c.offset, c.length) for c in pure.chunk(data)]
-        observed = [(c.offset, c.length) for c in accel.chunk(data)]
+    @given(kwargs=gear_configurations, data=gear_data, as_buffer=buffer_types)
+    @settings(max_examples=150, deadline=None)
+    def test_oneshot_boundaries_match_pure(self, kwargs, data, as_buffer):
+        expected = list(GearChunker(**kwargs).cut_offsets(data))
+        observed = list(AcceleratedGearChunker(**kwargs).cut_offsets(as_buffer(data)))
         assert observed == expected
 
     @given(
-        data=st.one_of(binary_data, repetitive_data),
+        kwargs=gear_configurations,
+        data=gear_data,
         cut_points=st.lists(st.integers(min_value=0, max_value=40_000), max_size=8),
     )
-    @settings(max_examples=30, deadline=None)
-    def test_streamed_boundaries_match_pure(self, data, cut_points):
-        pure, accel = self._pair()
+    @settings(max_examples=50, deadline=None)
+    def test_streamed_boundaries_match_pure(self, kwargs, data, cut_points):
         blocks = _split_into_blocks(data, cut_points)
-        expected = [(c.offset, c.data) for c in pure.chunk(data)]
-        observed = [(c.offset, c.data) for c in accel.chunk_stream(blocks)]
+        expected = [(c.offset, c.data) for c in GearChunker(**kwargs).chunk(data)]
+        observed = [
+            (c.offset, c.data) for c in AcceleratedGearChunker(**kwargs).chunk_stream(blocks)
+        ]
         assert observed == expected
 
-    @given(data=st.binary(min_size=900, max_size=1_200))
+    @given(kwargs=gear_configurations, data=gear_data)
     @settings(max_examples=50, deadline=None)
-    def test_sizes_around_stride_threshold(self, data):
-        # 1024 bytes is where the scan switches from the bytewise fallback to
-        # the stride-4 grid; both sides (and the boundary itself) must agree.
-        pure, accel = self._pair()
-        assert [c.length for c in accel.chunk(data)] == [
-            c.length for c in pure.chunk(data)
-        ]
-
-    @given(data=st.one_of(binary_data, repetitive_data))
-    @settings(max_examples=50, deadline=None)
-    def test_cut_offsets_invariants(self, data):
-        _, accel = self._pair()
+    def test_cut_offsets_invariants(self, kwargs, data):
+        accel = AcceleratedGearChunker(**kwargs)
         cuts = list(accel.cut_offsets(data))
         if not data:
             assert cuts == []
@@ -239,6 +265,56 @@ class TestAcceleratedGearEquivalence:
             assert accel.min_size < cut - previous <= accel.max_size
             previous = cut
         assert 0 < cuts[-1] - previous <= accel.max_size
+
+
+class TestFusedBlockStreamEquivalence:
+    """fingerprint_blocks over ANY block split must equal the whole-buffer
+    path record for record: the carried tail, a cut landing exactly on a
+    block edge, empty blocks and blocks longer than max_size included."""
+
+    @staticmethod
+    def _records(data, chunker, keep_data=True):
+        fingerprinter = Fingerprinter("sha1")
+        records = list(fingerprinter.fingerprint_blocks(data, chunker, keep_data=keep_data))
+        return (
+            [tuple(record) for record in records],
+            fingerprinter.bytes_fingerprinted,
+            fingerprinter.chunks_fingerprinted,
+        )
+
+    @given(
+        data=st.one_of(binary_data, repetitive_data),
+        cut_points=st.lists(st.integers(min_value=0, max_value=20_000), max_size=8),
+        keep_data=st.booleans(),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_arbitrary_splits_for_every_chunker(self, data, cut_points, keep_data):
+        blocks = _split_into_blocks(data, cut_points) + [b""]
+        for chunker in _all_chunkers() + [build_chunker("gear", average_size=256)]:
+            whole = self._records(data, chunker, keep_data)
+            assert self._records(iter(blocks), chunker, keep_data) == whole, type(chunker).__name__
+            assert whole[1:] == (len(data), len(whole[0]))
+
+    @given(data=st.binary(min_size=0, max_size=3_000))
+    @settings(max_examples=25, deadline=None)
+    def test_one_byte_blocks(self, data):
+        chunker = build_chunker("gear", average_size=128)
+        blocks = [data[i:i + 1] for i in range(len(data))]
+        assert self._records(blocks, chunker) == self._records(data, chunker)
+
+    def test_cuts_on_block_edges_and_blocks_longer_than_max_size(self):
+        import random
+
+        data = random.Random(77).randbytes(120_000)
+        chunker = build_chunker("gear", average_size=512)
+        whole = self._records(data, chunker)
+        cuts = list(chunker.cut_offsets(data))
+        # Every block ends exactly on a chunk boundary...
+        on_edges = [data[a:b] for a, b in zip([0] + cuts[9::10], cuts[9::10] + [len(data)])]
+        assert b"".join(on_edges) == data
+        assert self._records(on_edges, chunker) == whole
+        # ...and one block far beyond max_size sits between two tiny ones.
+        assert self._records([data[:10], data[10:-10], data[-10:]], chunker) == whole
 
 
 class TestCompressedRestoreEquivalence:

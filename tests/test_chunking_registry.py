@@ -10,7 +10,7 @@ from repro.chunking import (
     StaticChunker,
     TTTDChunker,
     build_chunker,
-    numpy_available,
+    kernel_status,
 )
 from repro.core.framework import SigmaDedupe
 from repro.errors import ChunkingError
@@ -35,11 +35,12 @@ class TestRegistry:
         assert isinstance(build_chunker("gear-pure"), GearChunker)
         assert not isinstance(build_chunker("gear-pure"), AcceleratedGearChunker)
 
-    def test_gear_selects_accelerated_backend_when_numpy_present(self):
-        # ``"gear"`` must resolve to the fastest importable backend; the
-        # NumPy-absent side of this switch is covered in test_chunking_accel.
-        if not numpy_available():
-            pytest.skip("NumPy not importable in this environment")
+    def test_gear_selects_compiled_backend_when_kernel_builds(self):
+        # ``"gear"`` must resolve to the fastest available backend; the
+        # no-compiler side of this switch is covered in test_chunking_accel.
+        available, detail = kernel_status()
+        if not available:
+            pytest.skip(detail)
         assert isinstance(build_chunker("gear"), AcceleratedGearChunker)
         assert isinstance(build_chunker("gear-accel"), AcceleratedGearChunker)
 
@@ -64,6 +65,14 @@ class TestFrameworkChunkerSelection:
         assert report.logical_bytes == sum(len(data) for _, data in files)
         restored = dict(framework.restore_session(report.session_id))
         assert restored == dict(files)
+
+    def test_describe_names_the_live_chunker_backend(self):
+        live = "AcceleratedGearChunker" if kernel_status()[0] else "GearChunker"
+        assert SigmaDedupe(num_nodes=1, chunker="gear").describe()["chunker_backend"] == live
+        assert (
+            SigmaDedupe(num_nodes=1, chunker="gear-pure").describe()["chunker_backend"]
+            == "GearChunker"
+        )
 
     def test_framework_rejects_unknown_chunker_name(self):
         with pytest.raises(ChunkingError):

@@ -101,6 +101,23 @@ class TestFusedBufferPath:
         records = [first] + list(iterator)
         assert records[2].fingerprint == hashlib.sha1(b"\x00" * 256).digest()
 
+    def test_writable_buffer_is_hashed_one_record_at_a_time_behind_any_scan(self):
+        # The gear scans compute boundaries ahead (the compiled one up to a
+        # thousand); records of a writable buffer are still hashed and
+        # sliced one at a time, so a region overwritten before its record is
+        # handed out shows up in that record, payload and fingerprint alike.
+        from repro.chunking import build_chunker
+
+        buffer = bytearray(deterministic_bytes(64_000, seed=43))
+        iterator = Fingerprinter("sha1").fingerprint_blocks(
+            buffer, build_chunker("gear", average_size=256)
+        )
+        first = next(iterator)
+        buffer[-100:] = b"\x00" * 100
+        records = [first] + list(iterator)
+        assert b"".join(record.data for record in records) == bytes(buffer)
+        assert all(r.fingerprint == hashlib.sha1(r.data).digest() for r in records)
+
     def test_memoryview_input_matches_bytes_input(self):
         data = deterministic_bytes(10_000, seed=41)
         chunker = StaticChunker(512)

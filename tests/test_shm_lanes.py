@@ -9,6 +9,7 @@ views outstanding or a dead lane.
 """
 
 import os
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -17,7 +18,7 @@ from repro.chunking import build_chunker
 from repro.core.partitioner import PartitionerConfig, StreamPartitioner
 from repro.errors import ParallelLaneError
 from repro.fingerprint.fingerprinter import pack_record_pairs, records_from_packed
-from repro.parallel.shm import ShmLanePool
+from repro.parallel.shm import ShmLanePool, _chunk_packed
 
 SLOT_BYTES = 4096
 
@@ -40,6 +41,27 @@ def payload_bytes(size: int, seed: int = 7) -> bytes:
     import random
 
     return random.Random(seed).randbytes(size)
+
+
+def test_lane_front_end_chunks_a_read_only_slab_view_in_place():
+    # What a lane does per file: the serial front end over a read-only
+    # memoryview of its slab.  No step may copy the whole buffer (the
+    # compiled scan borrows read-only views too); a 4 MiB file may cost the
+    # records and the packed reply (~40 bytes per chunk), never megabytes.
+    size = 4 * 1024 * 1024
+    slab = bytearray(payload_bytes(size))
+    config = PartitionerConfig(
+        chunker=build_chunker("gear", average_size=4096), keep_chunk_data=False
+    )
+    view = memoryview(slab).toreadonly()
+    tracemalloc.start()
+    try:
+        packed = _chunk_packed(StreamPartitioner(config), view[:size])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records_from_packed(slab, packed)) > size // 16384
+    assert peak < size // 4, f"lane front end allocated {peak} bytes for a {size}-byte file"
 
 
 class TestShmLanePool:
