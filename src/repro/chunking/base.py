@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ChunkingError
 
@@ -12,6 +12,12 @@ from repro.errors import ChunkingError
 #: to amortise the per-run Python overhead of its consumers, small enough that
 #: a run's buffered payload copies stay well under one super-chunk.
 _SEGMENT_BATCH = 128
+
+#: A block of at least this many straddle windows (four average chunks each)
+#: is not copied behind the carried tail.  Measured, 4 KiB chunks: the window's
+#: extra scan call costs more than the copy it saves below ~64 KiB blocks and
+#: wins from 256 KiB (16 windows) up, so smaller blocks keep the plain join.
+_LARGE_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -71,23 +77,30 @@ class Chunker(ABC):
         return list(self.chunk(data))
 
     def committed_segments(
-        self, blocks: "Iterable[bytes | bytearray | memoryview]"
-    ) -> Iterator[Tuple[memoryview, int, List[int], int]]:
+        self, blocks: "Iterable[bytes | bytearray | memoryview]", digest: Optional[str] = None
+    ) -> Iterator[Tuple[memoryview, int, List[int], int, Optional[bytes]]]:
         """The one streaming loop: cut a stream delivered as byte blocks.
 
-        Yields ``(view, start, cuts, base)`` runs of at most
+        Yields ``(view, start, cuts, base, digests)`` runs of at most
         :data:`_SEGMENT_BATCH` committed chunks: chunk ``i`` of a run is
         ``view[cuts[i-1]:cuts[i]]`` (from ``start`` for the first) and
-        ``base`` is the stream offset of ``view[0]``.  The boundaries are
-        exactly those :meth:`cut_offsets` gives on the concatenation of
-        ``blocks``, while only the trailing
-        uncommitted chunk (at most one maximum chunk size) plus the incoming
-        block are held: each ``carry + block`` buffer is scanned once, its
-        last cut -- the end of the buffer, not yet a boundary -- is withheld,
-        and the remainder is carried into the next buffer.  A lone buffer is
-        a stream of one block and is never copied.  The carried tail is
-        re-scanned once per block, so very small blocks trade throughput for
-        memory.
+        ``base`` is the stream offset of ``view[0]``.  ``digests`` is None, or
+        the run's concatenated ``digest`` fingerprints where the chunker
+        hashed what it cut (the compiled gear kernel does); the caller hashes
+        otherwise.
+
+        The boundaries are exactly those :meth:`cut_offsets` gives on the
+        concatenation of ``blocks``, while only the trailing uncommitted
+        chunk (at most one maximum chunk size) plus the incoming block are
+        held.  Each buffer is scanned once; its last cut -- the end of the
+        buffer, not yet a boundary -- is withheld (and not hashed) and the
+        remainder carried into the next buffer, ``carry + block``.  A large
+        block (:data:`_LARGE_BLOCK`) is not copied behind the carry: the
+        carry meets only the block's head in a small joined window that
+        commits the one chunk straddling the edge, and the rest of the block
+        is scanned and sliced in place.  A lone buffer is a stream of one
+        block and is never copied.  The carried tail is re-scanned once per
+        block, so very small blocks trade throughput for memory.
 
         Correctness relies on the restart property every chunker here has:
         the scan state is reset at each emitted boundary, so re-chunking a
@@ -102,33 +115,54 @@ class Chunker(ABC):
         expect them to follow the mutation.)
         """
         carry = b""
-        base = 0  # stream offset of carry[0]
+        base = 0  # stream offset of carry[0], or of view[0] once the carry is spent
         for block in blocks:
             if not len(block):
                 continue
-            buffer = carry + block if carry else block
-            view = memoryview(buffer)
+            view = memoryview(block)
             if view.ndim != 1 or view.itemsize != 1:  # pragma: no cover - exotic buffers
-                buffer = view = view.cast("B")
-            limit = _SEGMENT_BATCH if view.readonly else 1
+                view = view.cast("B")
+            if carry:
+                window, cuts = 4 * self.average_chunk_size, None
+                if len(view) >= _LARGE_BLOCK * window:
+                    joined = memoryview(carry + view[:window])
+                    cuts, digests = next(self._committed_runs(joined, 1, digest), (None, None))
+                if cuts is None or cuts[0] < len(carry):
+                    # A smaller block, or the window holds no committed cut
+                    # (an unusually large maximum) or one back inside the
+                    # carry (TTTD's backup boundary): scan the whole join.
+                    view = memoryview(carry + view)
+                else:
+                    yield joined, 0, cuts, base, digests
+                    base += cuts[0]
+                    view = view[cuts[0] - len(carry):]
             start = 0
-            cuts: List[int] = []
-            for cut in self.cut_offsets(buffer):
-                if len(cuts) == limit:
-                    yield view, start, cuts, base
-                    start = cuts[-1]
-                    cuts = []
-                cuts.append(cut)
-            cuts.pop()  # the end of the buffer: its chunk may still grow
-            if cuts:
-                yield view, start, cuts, base
+            limit = _SEGMENT_BATCH if view.readonly else 1
+            for cuts, digests in self._committed_runs(view, limit, digest):
+                yield view, start, cuts, base, digests
                 start = cuts[-1]
             carry = bytes(view[start:])
             base += start
         if carry:
             # The carried tail began at a boundary and ran to the end of the
             # data without a cut, so on its own it is exactly one chunk.
-            yield memoryview(carry), 0, [len(carry)], base
+            yield memoryview(carry), 0, [len(carry)], base, None
+
+    def _committed_runs(
+        self, buffer: "bytes | bytearray | memoryview", limit: int, digest: Optional[str]
+    ) -> Iterator[Tuple[List[int], Optional[bytes]]]:
+        """``(cuts, digests)`` runs of at most ``limit`` cuts of one buffer,
+        short of the cut at its end.  Nothing is hashed here (``digests`` is
+        None); a chunker that hashes as it cuts overrides this."""
+        cuts: List[int] = []
+        for cut in self.cut_offsets(buffer):
+            if len(cuts) == limit:
+                yield cuts, None
+                cuts = []
+            cuts.append(cut)
+        cuts.pop()  # the end of the buffer: its chunk may still grow
+        if cuts:
+            yield cuts, None
 
     def chunk_stream(self, blocks: Iterable[bytes]) -> Iterator[RawChunk]:
         """Chunk a stream delivered as an iterable of byte blocks.
@@ -138,7 +172,7 @@ class Chunker(ABC):
         bounded memory: :meth:`committed_segments` with one payload slice
         per emitted chunk.
         """
-        for view, start, cuts, base in self.committed_segments(blocks):
+        for view, start, cuts, base, _digests in self.committed_segments(blocks):
             for cut in cuts:
                 yield RawChunk(data=bytes(view[start:cut]), offset=base + start)
                 start = cut

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.cluster.cluster import DedupeCluster, PendingStore
@@ -22,6 +23,8 @@ from repro.core.superchunk import SuperChunk
 from repro.fingerprint.fingerprinter import ChunkRecord
 from repro.errors import ValidationError
 from repro.parallel.engine import ParallelIngestEngine, resolve_workers
+
+_new_location = partial(tuple.__new__, ChunkLocation)  # positional, no keyword matching
 
 DEFAULT_PIPELINE_DEPTH = 4
 """How many super-chunk stores may be in flight (sent, not yet settled) at
@@ -185,13 +188,14 @@ class BackupClient:
                 report.per_node_superchunks.get(target_node, 0) + 1
             )
 
+            container_of = result.chunk_locations.get
             for path, records in contributions:
+                # One location per chunk, built positionally: (fingerprint,
+                # length, node_id, container_id).
                 locations: List[ChunkLocation] = [
-                    ChunkLocation(
-                        fingerprint=record.fingerprint,
-                        length=record.length,
-                        node_id=target_node,
-                        container_id=result.chunk_locations.get(record.fingerprint),
+                    _new_location(
+                        (record.fingerprint, record.length, target_node,
+                         container_of(record.fingerprint))
                     )
                     for record in records
                 ]

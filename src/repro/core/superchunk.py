@@ -12,6 +12,8 @@ enough provenance (stream / file ids) for the director to rebuild file recipes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple
 
 from repro.fingerprint.fingerprinter import ChunkRecord
@@ -33,7 +35,8 @@ class SuperChunk:
     Attributes
     ----------
     chunks:
-        The member chunk records in stream order.
+        The member chunk records in stream order; fixed once constructed
+        (``handprint`` and ``logical_size`` are derived from them once).
     handprint:
         The min-k handprint over the member chunk fingerprints.
     stream_id:
@@ -60,7 +63,7 @@ class SuperChunk:
         if not chunks:
             raise ValidationError("a super-chunk must contain at least one chunk")
         handprint = compute_handprint(
-            (chunk.fingerprint for chunk in chunks), handprint_size=handprint_size
+            map(attrgetter("fingerprint"), chunks), handprint_size=handprint_size
         )
         return cls(
             chunks=list(chunks),
@@ -69,9 +72,10 @@ class SuperChunk:
             sequence_number=sequence_number,
         )
 
-    @property
+    @cached_property
     def logical_size(self) -> int:
-        """Total logical bytes represented by this super-chunk."""
+        """Total logical bytes represented by this super-chunk (summed once:
+        the client, the node statistics and the node plane all read it)."""
         return sum(chunk.length for chunk in self.chunks)
 
     @property

@@ -8,11 +8,11 @@ about a half that of MD5" (Section 4.3); both are supported here.
 
 from __future__ import annotations
 
+from functools import partial
 from struct import Struct
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, cast
+from typing import Any, Iterable, Iterator, List, NamedTuple, Optional, Sequence
 
 from repro.chunking.base import RawChunk
-from repro.errors import FingerprintError
 from repro.utils.hashing import digest_bytes, digest_constructor
 
 
@@ -51,72 +51,46 @@ class ChunkRecord(NamedTuple):
         )
 
 
-def records_from_pairs(
-    data: "bytes | bytearray | memoryview",
-    pairs: "List[tuple]",
-    keep_data: bool = True,
-) -> List[ChunkRecord]:
-    """Bulk-construct :class:`ChunkRecord` lists from compact ``(fingerprint,
-    length)`` pairs over one shared memoryview.
+_new_record = partial(tuple.__new__, ChunkRecord)
 
-    This is the re-materialisation half of the parallel engine's compact
-    return path: worker processes ship back fingerprints and lengths only,
-    and the parent re-slices payloads locally off ``data`` in one tight loop
-    instead of one generator step per chunk.
+
+def records_from_ends(
+    view: memoryview,
+    ends: Sequence[int],
+    digests: bytes,
+    keep_data: bool = True,
+    copy: bool = True,
+    start: int = 0,
+    base: int = 0,
+) -> List[ChunkRecord]:
+    """The one ``(end offsets, digest blob) -> records`` constructor.
+
+    Chunk ``i`` is ``view[ends[i-1]:ends[i]]`` (from ``start`` for the first)
+    at stream offset ``base`` plus its begin, and its fingerprint is the
+    ``i``-th equal share of ``digests``.  One tight loop off the shared
+    memoryview, positional record construction; the retained payload is the
+    only per-chunk allocation besides the record (``copy=False`` keeps it a
+    zero-copy slice of ``view``).
     """
-    view = memoryview(data)
-    record = ChunkRecord
+    size = len(digests) // len(ends) if ends else 0
     records: List[ChunkRecord] = []
     append = records.append
-    offset = 0
-    if keep_data:
-        for fingerprint, length in pairs:
-            next_offset = offset + length
-            append(record(fingerprint, length, offset, bytes(view[offset:next_offset])))
-            offset = next_offset
-    else:
-        for fingerprint, length in pairs:
-            append(record(fingerprint, length, offset, None))
-            offset += length
+    at = 0
+    for end in ends:
+        payload: Any = None
+        if keep_data:
+            payload = bytes(view[start:end]) if copy else view[start:end]
+        append(_new_record((digests[at:at + size], end - start, base + start, payload)))
+        at += size
+        start = end
     return records
 
 
 #: Packed lane-reply layout: chunk count + digest size, then the ascending
-#: u64 end offsets, then the concatenated fixed-size fingerprints.
+#: u64 end offsets, then the concatenated fixed-size fingerprints.  Lengths
+#: and begin offsets are recoverable from consecutive ends; payloads never
+#: travel.
 _PACK_HEAD = Struct("!II")
-
-
-def pack_record_pairs(records: Sequence[ChunkRecord]) -> bytes:
-    """Pack records into a compact ``(end_offsets_u64, fingerprints_blob)``
-    byte string -- the shared-memory lane reply format.
-
-    Only end offsets and fingerprints travel (lengths and begin offsets are
-    recoverable from consecutive ends); payloads never do.  All fingerprints
-    must share one digest size, which holds for every supported algorithm.
-    """
-    count = len(records)
-    if count == 0:
-        return _PACK_HEAD.pack(0, 0)
-    digest_size = len(records[0].fingerprint)
-    ends: List[int] = []
-    end = records[0].offset
-    blob_parts: List[bytes] = []
-    for record in records:
-        if len(record.fingerprint) != digest_size:
-            raise FingerprintError(
-                "pack_record_pairs needs a uniform digest size, got "
-                f"{digest_size} and {len(record.fingerprint)}"
-            )
-        end += record.length
-        ends.append(end)
-        blob_parts.append(record.fingerprint)
-    return b"".join(
-        [
-            _PACK_HEAD.pack(count, digest_size),
-            Struct(f"!{count}Q").pack(*ends),
-            *blob_parts,
-        ]
-    )
 
 
 def records_from_packed(
@@ -125,7 +99,8 @@ def records_from_packed(
     keep_data: bool = True,
     copy: bool = True,
 ) -> List[ChunkRecord]:
-    """Rebuild full :class:`ChunkRecord` lists from a packed lane reply.
+    """Rebuild full :class:`ChunkRecord` lists from a packed lane reply
+    (:meth:`Fingerprinter.fingerprint_packed`).
 
     ``data`` is the same buffer the lane chunked (typically the parent's view
     of the shared-memory slab).  With ``copy=True`` payloads are materialised
@@ -136,28 +111,10 @@ def records_from_packed(
     """
     head = memoryview(packed)
     count, digest_size = _PACK_HEAD.unpack_from(head, 0)
-    records: List[ChunkRecord] = []
-    if count == 0:
-        return records
     ends = Struct(f"!{count}Q").unpack_from(head, _PACK_HEAD.size)
     blob_base = _PACK_HEAD.size + 8 * count
-    view = memoryview(data)
-    record = ChunkRecord
-    append = records.append
-    offset = 0
-    fp_at = blob_base
-    for end in ends:
-        fingerprint = bytes(head[fp_at:fp_at + digest_size])
-        fp_at += digest_size
-        if not keep_data:
-            payload: Optional[bytes] = None
-        elif copy:
-            payload = bytes(view[offset:end])
-        else:
-            payload = cast(bytes, view[offset:end])
-        append(record(fingerprint, end - offset, offset, payload))
-        offset = end
-    return records
+    digests = bytes(head[blob_base:blob_base + count * digest_size])
+    return records_from_ends(memoryview(data), ends, digests, keep_data, copy)
 
 
 class Fingerprinter:
@@ -210,56 +167,49 @@ class Fingerprinter:
         the one fused cut->digest loop every ingest takes:
         :meth:`~repro.chunking.base.Chunker.committed_segments` carries the
         uncommitted tail from block to block and hands back runs of committed
-        cuts, and :meth:`fingerprint_segments` builds each run's records
-        straight off one shared ``memoryview`` -- no intermediate
-        :class:`~repro.chunking.base.RawChunk`, one copy per byte
-        (``carry + block``) when streaming and none for a whole buffer, and
-        the retained payload as the only per-chunk allocation.  Nothing
-        beyond one block and the carried tail is ever held, so arbitrarily
-        long streams are fingerprinted in bounded memory.  A mutable buffer
-        is read in place, never snapshotted, one record at a time.
+        cuts -- with their digests where the chunker hashes as it cuts (the
+        compiled gear kernel), hashed here with ``hashlib`` otherwise -- and
+        :func:`records_from_ends` builds each run's records straight off one
+        shared ``memoryview``: no intermediate
+        :class:`~repro.chunking.base.RawChunk`, and the retained payload as
+        the only per-chunk allocation and the only copy of a block's bytes.
+        Nothing beyond one block and the carried tail is ever held, so
+        arbitrarily long streams are fingerprinted in bounded memory.  A
+        mutable buffer is read in place, never snapshotted, one record at a
+        time.
         """
         if isinstance(data, (bytes, bytearray, memoryview)):
             data = (data,)
-        for view, start, cuts, base in chunker.committed_segments(data):
-            yield from self.fingerprint_segments(view, cuts, keep_data, start, base)
+        for view, start, cuts, base, digests in chunker.committed_segments(data, self.algorithm):
+            digests = self._run_digests(view, cuts, start, digests)
+            yield from records_from_ends(view, cuts, digests, keep_data, True, start, base)
 
-    def fingerprint_segments(
-        self,
-        view: memoryview,
-        cuts: "List[int]",
-        keep_data: bool = True,
-        start: int = 0,
-        base: int = 0,
-    ) -> List[ChunkRecord]:
-        """Bulk-construct records for consecutive segments of one buffer.
+    def _run_digests(
+        self, view: memoryview, cuts: "List[int]", start: int, digests: Optional[bytes]
+    ) -> bytes:
+        """A run's concatenated fingerprints -- the chunker's where it hashed
+        what it cut (the compiled kernel), else one ``hashlib`` digest per
+        segment -- and the one statistics update per run."""
+        if digests is None:
+            new_digest = digest_constructor(self.algorithm)
+            pieces = map(view.__getitem__, map(slice, [start, *cuts[:-1]], cuts))
+            digests = b"".join([new_digest(piece).digest() for piece in pieces])
+        self.bytes_fingerprinted += cuts[-1] - start
+        self.chunks_fingerprinted += len(cuts)
+        return digests
 
-        ``cuts`` are ascending end offsets into ``view`` (the chunker's
-        ``cut_offsets`` contract), ``start`` the begin offset of the first
-        segment, ``base`` the stream offset of ``view[0]`` (added to every
-        record's offset).  Every record is hashed and built off the one
-        shared memoryview in a single tight loop -- positional
-        ``ChunkRecord`` construction, one statistics update per batch
-        instead of per chunk.
-        """
-        new_digest = digest_constructor(self.algorithm)
-        record = ChunkRecord
-        records: List[ChunkRecord] = []
-        append = records.append
-        previous = start
-        if keep_data:
-            for cut in cuts:
-                piece = view[previous:cut]
-                append(record(new_digest(piece).digest(), cut - previous, base + previous, bytes(piece)))
-                previous = cut
-        else:
-            for cut in cuts:
-                piece = view[previous:cut]
-                append(record(new_digest(piece).digest(), cut - previous, base + previous, None))
-                previous = cut
-        self.bytes_fingerprinted += previous - start
-        self.chunks_fingerprinted += len(records)
-        return records
+    def fingerprint_packed(self, data: "bytes | bytearray | memoryview", chunker) -> bytes:
+        """Chunk and fingerprint one buffer into the packed lane reply: the
+        end offsets and digest blobs of :meth:`fingerprint_blocks`' runs,
+        with no record built in between."""
+        ends: List[int] = []
+        blobs: List[bytes] = []
+        for view, start, cuts, base, digests in chunker.committed_segments((data,), self.algorithm):
+            blobs.append(self._run_digests(view, cuts, start, digests))
+            ends.extend(map(base.__add__, cuts))
+        count, blob = len(ends), b"".join(blobs)
+        head = _PACK_HEAD.pack(count, len(blob) // count if count else 0)
+        return b"".join([head, Struct(f"!{count}Q").pack(*ends), blob])
 
     def fingerprint_stream(
         self, data: "bytes | Iterable[bytes]", chunker, keep_data: bool = True

@@ -15,7 +15,8 @@ super-chunks with high probability.  The handprint is used
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Sequence, Set, Tuple
+from heapq import nsmallest
+from typing import FrozenSet, Iterable, List, Set, Tuple
 from repro.errors import ValidationError
 
 DEFAULT_HANDPRINT_SIZE = 8
@@ -79,9 +80,20 @@ def compute_handprint(
     """
     if handprint_size < 1:
         raise ValidationError("handprint_size must be >= 1")
-    distinct: Set[bytes] = set(fingerprints)
-    smallest = sorted(distinct, key=lambda fp: int.from_bytes(fp, "big"))[:handprint_size]
+    smallest = _smallest(set(fingerprints), handprint_size)
     return Handprint(representative_fingerprints=tuple(smallest))
+
+
+def _smallest(distinct: Set[bytes], k: int) -> List[bytes]:
+    """The ``k`` smallest of ``distinct`` as unsigned integers, ascending.
+
+    Digests of one length compare as integers exactly as they compare as
+    bytes, so the usual case never leaves C; only mixed lengths (where
+    ``b"\\x01"`` sorts after ``b"\\x00\\x02"`` but is the smaller integer)
+    pay for the integer key."""
+    if len(set(map(len, distinct))) > 1:
+        return nsmallest(k, distinct, key=lambda fp: int.from_bytes(fp, "big"))
+    return nsmallest(k, distinct)
 
 
 def jaccard_resemblance(fingerprints_a: Iterable[bytes], fingerprints_b: Iterable[bytes]) -> float:
@@ -116,8 +128,7 @@ def estimate_resemblance(handprint_a: Handprint, handprint_b: Handprint) -> floa
     union = set(handprint_a.representative_fingerprints) | set(
         handprint_b.representative_fingerprints
     )
-    smallest_union = sorted(union, key=lambda fp: int.from_bytes(fp, "big"))[:k]
-    sample = set(smallest_union)
+    sample = set(_smallest(union, k))
     shared = sample & handprint_a.as_set() & handprint_b.as_set()
     return len(shared) / len(sample)
 

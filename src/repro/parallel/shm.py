@@ -44,7 +44,6 @@ from typing import Any, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.core.partitioner import PartitionerConfig, StreamPartitioner
 from repro.errors import ParallelLaneError
-from repro.fingerprint.fingerprinter import pack_record_pairs
 
 ENV_TEARDOWN_TOKEN = "REPRO_TEARDOWN_TOKEN"
 """When set (the CI teardown audit sets it), segment names embed a hash of
@@ -163,14 +162,12 @@ def _lane_main(
 def _chunk_packed(partitioner: StreamPartitioner, view: memoryview) -> bytes:
     """Run the serial front end over ``view`` in place, return the packed reply.
 
-    Goes through ``iter_chunk_records`` (the exact code path serial ingest
-    uses) so boundaries, fingerprints and statistics semantics are identical
-    by construction, not by reimplementation.
+    The same ``committed_segments`` runs serial ingest consumes (so
+    boundaries, fingerprints and statistics are identical by construction),
+    packed as they come: a lane builds no records, the parent does.
     """
     try:
-        return pack_record_pairs(
-            list(partitioner.iter_chunk_records(view))  # streaming-ok: the records (offsets and fingerprints, no payloads) of the one submitted file in this slot or segment, packed into a single reply
-        )
+        return partitioner.fingerprinter.fingerprint_packed(view, partitioner.config.chunker)
     finally:
         view.release()
 

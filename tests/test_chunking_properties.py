@@ -316,6 +316,23 @@ class TestFusedBlockStreamEquivalence:
         # ...and one block far beyond max_size sits between two tiny ones.
         assert self._records([data[:10], data[10:-10], data[-10:]], chunker) == whole
 
+    def test_both_sides_of_the_large_block_threshold(self):
+        # Blocks of >= _LARGE_BLOCK straddle windows are scanned in place
+        # behind a small joined window, smaller ones behind a whole join:
+        # the two paths meet at the threshold and must not show.
+        import random
+
+        from repro.chunking.base import _LARGE_BLOCK
+
+        data = random.Random(78).randbytes(300_000)
+        for chunker in _all_chunkers() + [build_chunker("gear", average_size=512)]:
+            threshold = _LARGE_BLOCK * 4 * chunker.average_chunk_size
+            assert 3 * threshold < len(data)
+            whole = self._records(data, chunker)
+            for size in (threshold - 1, threshold, threshold + 1):
+                blocks = [data[i:i + size] for i in range(0, len(data), size)]
+                assert self._records(iter(blocks), chunker) == whole, (type(chunker).__name__, size)
+
 
 class TestCompressedRestoreEquivalence:
     """Spill compression must never change restored bytes."""

@@ -61,3 +61,26 @@ class TestTTTDChunker:
         chunks = chunker.chunk_all(data)
         observed = len(data) / len(chunks)
         assert 2048 / 3 < observed < 2048 * 3
+
+    def test_block_edge_between_a_backup_boundary_and_the_forced_cut(self):
+        # At max_size TTTD cuts back at its remembered backup boundary.  When a
+        # block edge falls between that boundary and the max_size position,
+        # the cut lies inside the carried tail, before the edge: the
+        # streaming loop must not treat it as the end of the straddling chunk.
+        import random
+
+        chunker = TTTDChunker(min_size=64, backup_mean=128, main_mean=256, max_size=1024)
+        data = random.Random(3).randbytes(64_000)  # the tail block is a "large" one
+        one_shot = [(c.offset, c.data) for c in chunker.chunk(data)]
+        backup_cuts = [
+            (offset, len(payload)) for offset, payload in one_shot
+            if len(payload) < 1000 and offset + 1024 < len(data)
+            # A chunk that keeps growing past its cut was not ended by a hash match.
+            and len(next(iter(chunker.chunk(data[offset:offset + len(payload) + 5]))).data)
+            == len(payload) + 5
+        ]
+        assert backup_cuts
+        offset, length = backup_cuts[0]
+        for edge in (offset + length + 1, offset + (length + 1024) // 2, offset + 1023):
+            streamed = chunker.chunk_stream([data[:edge], data[edge:]])
+            assert [(c.offset, c.data) for c in streamed] == one_shot, edge

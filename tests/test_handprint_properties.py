@@ -92,3 +92,65 @@ class TestHandprintProperties:
             assert jaccard_resemblance(a, b) > 0.0
         else:
             assert jaccard_resemblance(a, b) == 0.0
+
+
+def _as_integer(fingerprint):
+    return int.from_bytes(fingerprint, "big")
+
+
+def _reference_handprint(fingerprints, k):
+    """The selection as first written: the k smallest distinct fingerprints by
+    integer value (set order breaks ties between equal integers)."""
+    return tuple(sorted(set(fingerprints), key=_as_integer)[:k])
+
+
+def _reference_estimate(a, b):
+    k = min(a.size, b.size)
+    union = set(a.representative_fingerprints) | set(b.representative_fingerprints)
+    sample = set(sorted(union, key=_as_integer)[:k])
+    return len(sample & a.as_set() & b.as_set()) / len(sample)
+
+
+class TestSelectionOrder:
+    """Handprints are picked by memcmp order when every digest has one length
+    (the same order as the integers, without a Python key per fingerprint)
+    and by integer value when lengths are mixed, where the two differ."""
+
+    @given(
+        fingerprints=st.integers(min_value=1, max_value=32).flatmap(
+            lambda size: st.lists(st.binary(min_size=size, max_size=size), min_size=1, max_size=300)
+        ),
+        k=handprint_sizes,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equal_lengths_bytes_order_is_integer_order(self, fingerprints, k):
+        assert sorted(set(fingerprints)) == sorted(set(fingerprints), key=_as_integer)
+        handprint = compute_handprint(fingerprints, k)
+        assert handprint.representative_fingerprints == _reference_handprint(fingerprints, k)
+
+    @given(
+        fingerprints=st.lists(st.binary(min_size=1, max_size=4), min_size=1, max_size=200),
+        k=handprint_sizes,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_lengths_still_select_by_integer_value(self, fingerprints, k):
+        handprint = compute_handprint(fingerprints, k)
+        assert handprint.representative_fingerprints == _reference_handprint(fingerprints, k)
+
+    def test_the_case_where_the_two_orders_differ(self):
+        # b"\x01" is the integer 1, b"\x00\x02" the integer 2, yet sorts first as bytes.
+        assert sorted([b"\x01", b"\x00\x02"]) == [b"\x00\x02", b"\x01"]
+        assert compute_handprint([b"\x00\x02", b"\x01"], 1).champion == b"\x01"
+
+    @given(
+        a=st.lists(st.binary(min_size=1, max_size=3), min_size=1, max_size=60),
+        b=st.lists(st.binary(min_size=1, max_size=3), min_size=1, max_size=60),
+        uniform=st.booleans(),
+        k=handprint_sizes,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_estimate_matches_the_integer_order_estimate(self, a, b, uniform, k):
+        if uniform:
+            a, b = ([fp.ljust(3, b"\0") for fp in side] for side in (a, b))
+        first, second = compute_handprint(a, k), compute_handprint(b, k)
+        assert estimate_resemblance(first, second) == _reference_estimate(first, second)

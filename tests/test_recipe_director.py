@@ -14,6 +14,23 @@ def location(tag, length=100, node=0, container=0):
     )
 
 
+def test_positional_constructors_match_the_field_order():
+    # cluster/client.py and fingerprint/fingerprinter.py build these through
+    # ``tuple.__new__`` with positional columns: reordering a field (or adding
+    # one before the end) must fail here, not produce wrong recipes.
+    from repro.cluster.client import _new_location
+    from repro.fingerprint.fingerprinter import ChunkRecord, _new_record
+
+    assert ChunkLocation._fields == ("fingerprint", "length", "node_id", "container_id")
+    assert ChunkRecord._fields == ("fingerprint", "length", "offset", "data")
+    assert _new_location((b"f", 3, 1, 9)) == ChunkLocation(
+        fingerprint=b"f", length=3, node_id=1, container_id=9
+    )
+    assert _new_record((b"f", 3, 7, b"abc")) == ChunkRecord(
+        fingerprint=b"f", length=3, offset=7, data=b"abc"
+    )
+
+
 class TestFileRecipe:
     def test_logical_size_and_count(self):
         recipe = FileRecipe(path="a", session_id="s")

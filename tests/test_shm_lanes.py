@@ -8,16 +8,17 @@ idempotent and never leaks a ``/dev/shm`` name -- even with live payload
 views outstanding or a dead lane.
 """
 
+import hashlib
 import os
+import struct
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 
 from repro.chunking import build_chunker
 from repro.core.partitioner import PartitionerConfig, StreamPartitioner
 from repro.errors import ParallelLaneError
-from repro.fingerprint.fingerprinter import pack_record_pairs, records_from_packed
+from repro.fingerprint.fingerprinter import records_from_packed
 from repro.parallel.shm import ShmLanePool, _chunk_packed
 
 SLOT_BYTES = 4096
@@ -79,14 +80,21 @@ class TestShmLanePool:
             handle = pool.submit(data)
             view, packed = handle.wait()
             assert bytes(view) == data
-            serial = StreamPartitioner(replace(config, keep_chunk_data=False))
-            expected = pack_record_pairs(
-                list(serial.iter_chunk_records(memoryview(data)))
-            )
-            assert packed == expected
-            # Decoded records carry the same boundaries and payload slices.
+            # The reply decodes to exactly the serial front end's records
+            # (boundaries, fingerprints, payload slices) ...
+            serial = StreamPartitioner(config)
             records = records_from_packed(view, packed, keep_data=True)
+            assert records == list(serial.iter_chunk_records(memoryview(data)))
             assert b"".join(record.data for record in records) == data
+            # ... and, decoded by hand (not through the constructor the
+            # records above share), is the 8-byte header, the u64 end offsets
+            # and one SHA-1 per slice -- nothing else.
+            count, digest_size = struct.unpack_from("!II", packed)
+            ends = struct.unpack_from(f"!{count}Q", packed, 8)
+            assert (count, digest_size, ends[-1]) == (len(records), 20, len(data))
+            slices = zip((0, *ends), ends)
+            blob = b"".join(hashlib.sha1(data[begin:end]).digest() for begin, end in slices)
+            assert bytes(packed[8 + 8 * count:]) == blob
             handle.release()
         finally:
             pool.close()
