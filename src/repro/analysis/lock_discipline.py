@@ -4,7 +4,8 @@ Attributes annotated ``# guarded-by: <lock>`` on their defining line may only
 be read or written inside code that *statically* holds the named lock:
 
 * lexically inside ``with self.<lock>:`` (or, for striped locks, inside
-  ``with self.<lock>.lock_for(...)`` / ``.locked(...)`` / ``.locked_stripe(...)``);
+  ``with self.<lock>.lock_for(...)`` / ``.lock_at(...)`` / ``.locked(...)`` /
+  ``.locked_stripe(...)``);
 * or inside a method annotated ``# holds-lock: <lock>``, whose contract is
   that callers already hold the lock -- and every internal call site of such
   a method is itself checked for holding it.
@@ -32,7 +33,7 @@ HOLDS_LOCK = "holds-lock"
 WAIVER = "unguarded-ok"
 
 _CONSTRUCTORS = frozenset({"__init__", "__post_init__", "__new__"})
-_STRIPED_ACQUIRERS = frozenset({"lock_for", "locked", "locked_stripe"})
+_STRIPED_ACQUIRERS = frozenset({"lock_for", "lock_at", "locked", "locked_stripe"})
 
 
 def _self_attribute(node: ast.AST) -> Optional[str]:
@@ -160,7 +161,7 @@ class _MethodVisitor(ast.NodeVisitor):
             return attr
         if isinstance(context_expr, ast.Name):
             return self.lock_aliases.get(context_expr.id)
-        # with self._locks.lock_for(key):  (and .locked / .locked_stripe)
+        # with self._locks.lock_for(key):  (and .lock_at / .locked / .locked_stripe)
         if isinstance(context_expr, ast.Call) and isinstance(context_expr.func, ast.Attribute):
             if context_expr.func.attr in _STRIPED_ACQUIRERS:
                 owner = context_expr.func.value

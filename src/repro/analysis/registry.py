@@ -35,7 +35,6 @@ from typing import Dict, FrozenSet, Tuple
 STATS_MUTATING_CALLS: FrozenSet[str] = frozenset(
     {
         "lookup",
-        "lookup_many",
         "lookup_chunk",
         "lookup_handprint",
         "match_batch",
@@ -51,10 +50,8 @@ STATS_MUTATING_CALLS: FrozenSet[str] = frozenset(
         "prefetch_container",
         "prefetch_metadata",
         "insert",
-        "insert_many",
         "insert_batch",
-        "insert_handprint",
-        "insert_handprint_containers",
+        "index_handprint",
         "store_chunk",
         "store_chunks",
     }

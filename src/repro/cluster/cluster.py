@@ -220,6 +220,17 @@ class DedupeCluster(ClusterView):
     def sample_match_count(self, node_id: int, fingerprints: Sequence[bytes]) -> int:
         return self.handle(node_id).sample_match_count(fingerprints)
 
+    def routing_probe(
+        self, candidate_nodes: Sequence[int], handprint: Handprint
+    ) -> Tuple[List[int], List[int]]:
+        """The default round in the default order, with the usage sweep read
+        straight off the handles (no per-node bounds check: every node is
+        visited, so every id is in range)."""
+        resemblances = [
+            self.handle(node_id).resemblance_query(handprint) for node_id in candidate_nodes
+        ]
+        return resemblances, [handle.storage_usage for handle in self._handles]
+
     # ------------------------------------------------------------------ #
     # backup path
     # ------------------------------------------------------------------ #

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.fingerprint.fingerprinter import ChunkRecord
 from repro.fingerprint.handprint import (
@@ -23,6 +23,8 @@ from repro.fingerprint.handprint import (
     compute_handprint,
 )
 from repro.errors import ValidationError
+
+_FINGERPRINT = attrgetter("fingerprint")
 
 DEFAULT_SUPERCHUNK_SIZE = 1024 * 1024
 """The 1 MB super-chunk size the paper selects for cluster experiments (Section 4.4)."""
@@ -36,7 +38,8 @@ class SuperChunk:
     ----------
     chunks:
         The member chunk records in stream order; fixed once constructed
-        (``handprint`` and ``logical_size`` are derived from them once).
+        (``handprint``, ``fingerprints`` and ``logical_size`` are derived
+        from them once).
     handprint:
         The min-k handprint over the member chunk fingerprints.
     stream_id:
@@ -62,15 +65,15 @@ class SuperChunk:
         """Build a super-chunk (and its handprint) from chunk records."""
         if not chunks:
             raise ValidationError("a super-chunk must contain at least one chunk")
-        handprint = compute_handprint(
-            map(attrgetter("fingerprint"), chunks), handprint_size=handprint_size
-        )
-        return cls(
+        fingerprints = list(map(_FINGERPRINT, chunks))
+        superchunk = cls(
             chunks=list(chunks),
-            handprint=handprint,
+            handprint=compute_handprint(fingerprints, handprint_size=handprint_size),
             stream_id=stream_id,
             sequence_number=sequence_number,
         )
+        superchunk.__dict__["fingerprints"] = fingerprints
+        return superchunk
 
     @cached_property
     def logical_size(self) -> int:
@@ -82,18 +85,16 @@ class SuperChunk:
     def chunk_count(self) -> int:
         return len(self.chunks)
 
-    @property
+    @cached_property
     def fingerprints(self) -> List[bytes]:
-        """Fingerprints of all member chunks, in stream order."""
-        return [chunk.fingerprint for chunk in self.chunks]
+        """The fingerprint column: fingerprints of all member chunks, in
+        stream order (built once -- the handprint, routing samples and the
+        node plane all read it; callers must not mutate it)."""
+        return list(map(_FINGERPRINT, self.chunks))
 
     @property
     def distinct_fingerprints(self) -> int:
         return len(set(self.fingerprints))
-
-    def fingerprint_list(self) -> List[Tuple[bytes, int]]:
-        """``(fingerprint, length)`` pairs: the batched fingerprint query payload."""
-        return [(chunk.fingerprint, chunk.length) for chunk in self.chunks]
 
     def __len__(self) -> int:
         return len(self.chunks)

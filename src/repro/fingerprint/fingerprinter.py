@@ -38,18 +38,6 @@ class ChunkRecord(NamedTuple):
         """Hexadecimal form of the fingerprint (for logs and file recipes)."""
         return self.fingerprint.hex()
 
-    def without_data(self) -> "ChunkRecord":
-        """Return a copy of this record with the payload dropped.
-
-        Used when only metadata must travel (e.g. fingerprint lookup batches).
-        """
-        return ChunkRecord(
-            fingerprint=self.fingerprint,
-            length=self.length,
-            offset=self.offset,
-            data=None,
-        )
-
 
 _new_record = partial(tuple.__new__, ChunkRecord)
 

@@ -15,9 +15,11 @@ super-chunks with high probability.  The handprint is used
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import nsmallest
 from typing import FrozenSet, Iterable, List, Set, Tuple
 from repro.errors import ValidationError
+from repro.utils.striped_lock import stripe_key
 
 DEFAULT_HANDPRINT_SIZE = 8
 """The handprint size the paper settles on (Sections 4.3-4.4)."""
@@ -36,6 +38,13 @@ class Handprint:
     """
 
     representative_fingerprints: Tuple[bytes, ...]
+
+    @cached_property
+    def stripe_keys(self) -> Tuple[int, ...]:
+        """The similarity-index stripe key of each representative fingerprint,
+        converted once: routing probes the same handprint at every candidate
+        node, then the target looks it up and indexes it."""
+        return tuple(map(stripe_key, self.representative_fingerprints))
 
     @property
     def size(self) -> int:
@@ -80,12 +89,14 @@ def compute_handprint(
     """
     if handprint_size < 1:
         raise ValidationError("handprint_size must be >= 1")
-    smallest = _smallest(set(fingerprints), handprint_size)
+    smallest = smallest_fingerprints(set(fingerprints), handprint_size)
     return Handprint(representative_fingerprints=tuple(smallest))
 
 
-def _smallest(distinct: Set[bytes], k: int) -> List[bytes]:
-    """The ``k`` smallest of ``distinct`` as unsigned integers, ascending.
+def smallest_fingerprints(distinct: Set[bytes], k: int) -> List[bytes]:
+    """The ``k`` smallest of ``distinct`` as unsigned integers, ascending:
+    the one definition of the handprint order (recovery reseeds the
+    similarity index with it too).
 
     Digests of one length compare as integers exactly as they compare as
     bytes, so the usual case never leaves C; only mixed lengths (where
@@ -128,7 +139,7 @@ def estimate_resemblance(handprint_a: Handprint, handprint_b: Handprint) -> floa
     union = set(handprint_a.representative_fingerprints) | set(
         handprint_b.representative_fingerprints
     )
-    sample = set(_smallest(union, k))
+    sample = set(smallest_fingerprints(union, k))
     shared = sample & handprint_a.as_set() & handprint_b.as_set()
     return len(shared) / len(sample)
 

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import compress, count, filterfalse, groupby
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.runtime import GuardLock, assert_owned, guarded_lock
@@ -42,7 +44,11 @@ from repro.errors import (
     StorageError,
 )
 from repro.fingerprint.fingerprinter import ChunkRecord
-from repro.fingerprint.handprint import DEFAULT_HANDPRINT_SIZE, Handprint
+from repro.fingerprint.handprint import (
+    DEFAULT_HANDPRINT_SIZE,
+    Handprint,
+    smallest_fingerprints,
+)
 from repro.node.stats import NodeStats
 from repro.storage.backends import (
     ENV_CONTAINER_BACKEND,
@@ -62,6 +68,8 @@ from repro.utils.stats import count_matched_occurrences
 
 if TYPE_CHECKING:
     from repro.cluster.replication import ReplicaStore
+
+_LENGTH = attrgetter("length")
 
 
 @dataclass
@@ -290,23 +298,29 @@ class DedupeNode:
     def _backup_superchunk_batched(  # holds-lock: _plane_lock
         self, superchunk: SuperChunk
     ) -> SuperChunkBackupResult:
-        """The batched node data plane.
+        """The batched node data plane: the super-chunk crosses dedupe,
+        container append and index update as columns.
 
-        Phases: (1) intra-super-chunk dedupe, (2) classification against cache
-        snapshots and one counter-free disk-index resolution, re-probing only
-        after a prefetch widens the cache, (3) one batched container append,
-        (4) one batched disk-index / cache / handprint update.
+        Phase 1 dedupes the fingerprint column against itself.  Phase 2
+        classifies it a *wave* at a time against a snapshot of the cache and
+        the disk index.  A wave none of whose cache misses is on disk is
+        committed in bulk (:meth:`_commit_wave`): hits are duplicates, misses
+        are unique, one container append, one update per index.  Otherwise
+        the wave is cut before its first miss the disk index holds, and that
+        one chunk takes the per-chunk path (:meth:`_lookup_chunk_locked`:
+        disk hit, container prefetch) before what follows is probed again
+        against the cache its prefetch widened.
 
         Whenever no cache eviction interleaves within a single super-chunk
         (any realistic capacity -- the default holds 1024 containers), every
-        counter (node stats, cache LRU statistics and recency, disk-index
-        I/O) ends exactly where the per-chunk reference path leaves it.
-        Under adversarial eviction pressure the two execution orders may
-        attribute a duplicate to the cache vs the disk index differently
-        (and, with the disk index disabled, classify it differently), because
-        this path defers stores to phase 3/4 while the reference path
-        interleaves them; ``tests/test_node_batch_equivalence.py`` pins the
-        exact contract.
+        counter (node stats, cache LRU statistics and recency order,
+        disk-index I/O) ends exactly where the per-chunk reference path
+        leaves it.  Under adversarial eviction pressure the two execution
+        orders may attribute a duplicate to the cache vs the disk index
+        differently (and, with the disk index disabled, classify it
+        differently), because a wave is classified against one snapshot
+        while the reference path interleaves its stores;
+        ``tests/test_node_batch_equivalence.py`` pins the exact contract.
         """
         assert_owned(self._plane_lock, "DedupeNode._backup_superchunk_batched")
         stats = self.stats
@@ -315,175 +329,66 @@ class DedupeNode:
 
         # Step 1: similarity-index lookup for the handprint, prefetch matched
         # containers' fingerprints into the cache.
-        matched_containers = self.similarity_index.lookup_handprint(superchunk.handprint)
-        for container_id in matched_containers:
+        for container_id in self.similarity_index.lookup_handprint(superchunk.handprint):
             self._prefetch_container(container_id)
 
         # Phase 1: intra-super-chunk dedupe.  Later copies resolve to wherever
         # the first copy goes (same fingerprint key in chunk_locations).
-        duplicate_chunks = 0
-        duplicate_bytes = 0
-        seen = set()
-        seen_add = seen.add
-        distinct: List[ChunkRecord] = []
-        distinct_add = distinct.append
-        for chunk in superchunk.chunks:
-            fingerprint = chunk.fingerprint
-            if fingerprint in seen:
-                duplicate_chunks += 1
-                duplicate_bytes += chunk.length
-            else:
-                seen_add(fingerprint)
-                distinct_add(chunk)
+        chunks = superchunk.chunks
+        fingerprints = superchunk.fingerprints
+        if len(set(fingerprints)) != len(fingerprints):
+            first: Dict[bytes, ChunkRecord] = {}
+            for chunk in chunks:
+                first.setdefault(chunk.fingerprint, chunk)
+            fingerprints = list(first)
+            chunks = list(first.values())
 
-        total_distinct = len(distinct)
-        stats.intra_node_lookup_messages += total_distinct
-
+        # Phase 2-4, a wave at a time (one wave, unless the disk index holds
+        # something the cache missed).
         cache = self.fingerprint_cache
         disk_index = self.disk_index
-        disk_enabled = disk_index.enabled
-        # One batched disk-index resolution: membership cannot change until the
-        # batched insert of this super-chunk's uniques, so a single counter-free
-        # snapshot (built lazily on the first cache miss) serves every wave;
-        # the simulated index I/O is accounted below for exactly the probes
-        # the per-chunk path would have issued.
-        disk_map: Optional[Dict[bytes, int]] = None
-
         chunk_locations: Dict[bytes, int] = {}
-        unique: List[ChunkRecord] = []
-        unique_add = unique.append
+        unique_chunks = 0
         unique_bytes = 0
-        cache_hits = 0
-        cache_misses = 0
-        disk_lookups = 0
-        disk_hits = 0
-
-        # Phase 2: wave-based classification.  A wave probes the cache once
-        # for everything still pending; the first disk-index hit on an
-        # uncached container ends the wave (its prefetch widens the cache for
-        # the chunks that follow, exactly as in the per-chunk path).
-        fingerprints = [chunk.fingerprint for chunk in distinct]
-        index = 0
-        while index < total_distinct:
-            if index:
-                pending = distinct[index:]
-                found, stale = cache.probe_batch(fingerprints[index:])
-            else:
-                pending = distinct
-                found, stale = cache.probe_batch(fingerprints)
-            pending_count = len(pending)
-
-            def pending_bytes() -> int:
-                # Only the bulk fast paths need this sum; at index 0 the
-                # distinct bytes are the logical size minus the
-                # intra-super-chunk duplicates accounted so far.
-                if index:
-                    return sum(chunk.length for chunk in pending)
-                return superchunk.logical_size - duplicate_bytes
-
-            if len(found) == pending_count:
-                # Bulk fast path: everything still pending is cached (the
-                # repeat-backup regime) -- commit the wave without a walk.
-                cache_hits += pending_count
-                duplicate_chunks += pending_count
-                duplicate_bytes += pending_bytes()
-                chunk_locations.update(found)
-                cache.touch_many(list(found.values()))
-                break
-
+        total = len(fingerprints)
+        index, end = 0, total
+        while index < total:
+            wave = fingerprints[index:end]
+            found, stale = cache.probe_batch(wave)
             if not found:
-                if disk_enabled and disk_map is None:
-                    disk_map = disk_index.match_batch(seen)
-                if not disk_enabled or not disk_map:
-                    # Bulk fast path: nothing cached and nothing on disk (the
-                    # initial-backup regime) -- everything pending is unique.
-                    for fingerprint in stale:
-                        cache.drop_stale(fingerprint)
-                    cache_misses += pending_count
-                    if disk_enabled:
-                        disk_lookups += pending_count
-                    unique.extend(pending)
-                    unique_bytes += pending_bytes()
-                    break
-
-            stale_set = set(stale)
-            found_get = found.get
-            touched: List[int] = []
-            touched_add = touched.append
-            prefetch_id: Optional[int] = None
-            for chunk in pending:
-                fingerprint = chunk.fingerprint
-                index += 1
-                container_id = found_get(fingerprint)
-                if container_id is not None:
-                    cache_hits += 1
-                    touched_add(container_id)
-                    duplicate_chunks += 1
-                    duplicate_bytes += chunk.length
-                    chunk_locations[fingerprint] = container_id
+                misses = wave
+            elif len(found) == len(wave):
+                misses = []
+            else:
+                misses = list(filterfalse(found.__contains__, wave))
+            on_disk = disk_index.match_batch(misses) if misses else None
+            if on_disk:
+                cut = next(compress(count(), map(on_disk.__contains__, wave)))
+                if cut:
+                    # Classify what precedes the first on-disk miss by itself.
+                    end = index + cut
                     continue
-                cache_misses += 1
-                if stale_set and fingerprint in stale_set:
-                    cache.drop_stale(fingerprint)
-                if disk_enabled:
-                    disk_lookups += 1
-                    if disk_map is None:
-                        disk_map = disk_index.match_batch(seen)
-                    container_id = disk_map.get(fingerprint)
-                    if container_id is not None:
-                        disk_hits += 1
-                        duplicate_chunks += 1
-                        duplicate_bytes += chunk.length
-                        chunk_locations[fingerprint] = container_id
-                        if not cache.is_container_cached(container_id):
-                            prefetch_id = container_id
-                            break
-                        continue
-                unique_add(chunk)
-                unique_bytes += chunk.length
-            # Replay the wave's hit recency before any prefetch insertion so
-            # the LRU order matches the per-chunk probe sequence.
-            cache.touch_many(touched)
-            if prefetch_id is not None:
-                self._prefetch_container(prefetch_id)
-
-        cache.commit_lookups(cache_hits, cache_misses)
-        stats.cache_hits += cache_hits
-        stats.cache_misses += cache_misses
-        if disk_enabled:
-            disk_index.record_lookups(disk_lookups, disk_hits)
-            stats.disk_index_lookups += disk_lookups
-            stats.disk_index_hits += disk_hits
-
-        # Phase 3: one batched append partitions the unique chunks into
-        # containers in a single pass under a single store lock.
-        unique_chunks = len(unique)
-        if unique:
-            container_ids = self.container_store.store_chunks(
-                unique, stream_id=superchunk.stream_id
+                chunk_locations[wave[0]] = self._lookup_chunk_locked(wave[0])
+                index += 1
+                continue
+            unique = chunks[index:end] if misses else []
+            if found and misses:
+                unique = list(compress(unique, map(set(misses).__contains__, wave)))
+            self._commit_wave(
+                wave, found, stale, misses, unique, superchunk.stream_id, chunk_locations
             )
-            # Phase 4: batched index/cache updates.  Group consecutively by
-            # container so each open-container cache entry is created exactly
-            # once, in first-store order, as the per-chunk path does.
-            disk_index.insert_batch(
-                zip((chunk.fingerprint for chunk in unique), container_ids)
-            )
-            group_id = container_ids[0]
-            group: List[bytes] = []
-            group_add = group.append
-            for chunk, container_id in zip(unique, container_ids):
-                chunk_locations[chunk.fingerprint] = container_id
-                if container_id != group_id:
-                    cache.add_fingerprints(group_id, group)
-                    group_id = container_id
-                    group = []
-                    group_add = group.append
-                group_add(chunk.fingerprint)
-            cache.add_fingerprints(group_id, group)
+            if len(unique) == len(superchunk.chunks):
+                unique_bytes = superchunk.logical_size
+            elif unique:
+                unique_bytes += sum(map(_LENGTH, unique))
+            unique_chunks += len(unique)
+            index, end = end, total
 
         # Step 4: index the super-chunk's handprint.
-        self._index_handprint(superchunk.handprint, chunk_locations)
+        self.similarity_index.index_handprint(superchunk.handprint, chunk_locations)
 
+        duplicate_chunks = len(superchunk.chunks) - unique_chunks
+        duplicate_bytes = superchunk.logical_size - unique_bytes
         stats.physical_bytes += unique_bytes
         stats.unique_chunks += unique_chunks
         stats.duplicate_chunks += duplicate_chunks
@@ -497,6 +402,57 @@ class DedupeNode:
             duplicate_bytes=duplicate_bytes,
             chunk_locations=chunk_locations,
         )
+
+    def _commit_wave(  # holds-lock: _plane_lock
+        self,
+        wave: List[bytes],
+        found: Dict[bytes, int],
+        stale: List[bytes],
+        misses: List[bytes],
+        unique: List[ChunkRecord],
+        stream_id: int,
+        chunk_locations: Dict[bytes, int],
+    ) -> None:
+        """Commit a wave of distinct fingerprints none of whose cache misses
+        is on disk: ``found`` are duplicates, ``misses`` (``unique`` their
+        records, both in wave order) are stored.  Counters and LRU recency
+        advance exactly as the per-chunk path's probe sequence would: the
+        hits' touches in wave order, each container the append opens entering
+        the cache at the position of its first chunk.
+        """
+        stats = self.stats
+        cache = self.fingerprint_cache
+        disk_index = self.disk_index
+        for fingerprint in stale:
+            cache.drop_stale(fingerprint)
+        hits = len(found)
+        missed = len(misses)
+        stats.intra_node_lookup_messages += hits + missed
+        cache.commit_lookups(hits, missed)
+        stats.cache_hits += hits
+        stats.cache_misses += missed
+        if disk_index.enabled:
+            disk_index.record_lookups(missed, 0)
+            stats.disk_index_lookups += missed
+        chunk_locations.update(found)
+        touched = list(found.values())
+        replayed = 0
+        if unique:
+            container_ids = self.container_store.store_chunks(unique, stream_id=stream_id)
+            start = 0
+            for container_id, run in groupby(container_ids):
+                stop = start + len(list(run))
+                stored = misses[start:stop]
+                placed = dict.fromkeys(stored, container_id)
+                disk_index.insert_batch(placed)
+                chunk_locations.update(placed)
+                if touched and not cache.is_container_cached(container_id):
+                    before = wave.index(stored[0]) - start
+                    cache.touch_many(touched[replayed:before])
+                    replayed = before
+                cache.add_fingerprints(container_id, stored)
+                start = stop
+        cache.touch_many(touched[replayed:])
 
     def _backup_superchunk_per_chunk(  # holds-lock: _plane_lock
         self, superchunk: SuperChunk
@@ -541,7 +497,7 @@ class DedupeNode:
         # Step 4: index the super-chunk's handprint.  Each representative
         # fingerprint maps to the container now holding it (or holding the
         # duplicate it matched).
-        self._index_handprint(superchunk.handprint, chunk_locations)
+        self.similarity_index.index_handprint(superchunk.handprint, chunk_locations)
 
         self.stats.physical_bytes += unique_bytes
         self.stats.unique_chunks += unique_chunks
@@ -562,14 +518,6 @@ class DedupeNode:
         self.disk_index.insert(chunk.fingerprint, container_id)
         self.fingerprint_cache.add_fingerprint(container_id, chunk.fingerprint)
         return container_id
-
-    def _index_handprint(self, handprint: Handprint, chunk_locations: Dict[bytes, int]) -> None:
-        locations_get = chunk_locations.get
-        self.similarity_index.insert_many(
-            (fingerprint, locations_get(fingerprint))
-            for fingerprint in handprint
-            if locations_get(fingerprint) is not None
-        )
 
     def flush(self) -> None:
         """Seal open containers at the end of a backup session.
@@ -766,14 +714,11 @@ class DedupeNode:
         for container_id in container_ids:
             container = self.container_store.get(container_id)
             fingerprints = container.fingerprints()
-            disk_index.insert_batch(
-                (fingerprint, container_id) for fingerprint in fingerprints
-            )
-            representatives = sorted(
-                set(fingerprints), key=lambda fp: int.from_bytes(fp, "big")
-            )[:handprint_size]
-            similarity.insert_many(
-                (fingerprint, container_id) for fingerprint in representatives
+            disk_index.insert_batch(dict.fromkeys(fingerprints, container_id))
+            representatives = smallest_fingerprints(set(fingerprints), handprint_size)
+            similarity.index_handprint(
+                Handprint(tuple(representatives)),
+                dict.fromkeys(representatives, container_id),
             )
             if container_id in cache_seed_ids:
                 cache.prefetch_container(container_id, fingerprints)

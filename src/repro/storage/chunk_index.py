@@ -13,7 +13,7 @@ similarity index + fingerprint cache are designed to avoid.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 
 class DiskChunkIndex:
@@ -61,35 +61,19 @@ class DiskChunkIndex:
             return None
         return self._index.get(fingerprint)
 
-    def lookup_many(self, fingerprints: Sequence[bytes]) -> Dict[bytes, int]:
-        """Batched lookup of *distinct* fingerprints: ``fingerprint ->
-        container id`` for every hit.
-
-        One dict-view pass instead of per-fingerprint calls; for distinct
-        inputs the counters advance exactly as ``len(fingerprints)``
-        :meth:`lookup` calls would (a repeated fingerprint would count every
-        occurrence as a lookup but only one as a hit).
-        """
-        self.lookups += len(fingerprints)
-        if not self.enabled:
-            return {}
-        index = self._index
-        found = {fp: index[fp] for fp in fingerprints if fp in index}
-        self.lookup_hits += len(found)
-        return found
-
     def match_batch(self, fingerprints: Iterable[bytes]) -> Dict[bytes, int]:
         """Counter-free ``fingerprint -> container id`` map for batch execution.
 
-        The batched node data plane resolves the whole super-chunk against
-        this snapshot and then accounts only the lookups it would actually
-        have issued (cache misses) via :meth:`record_lookups`, keeping the
-        simulated-I/O statistics identical to the per-chunk path.
+        The batched node data plane resolves a wave's cache misses against
+        this snapshot and then accounts the lookups it would have issued via
+        :meth:`record_lookups`, keeping the simulated-I/O statistics identical
+        to the per-chunk path.  One keys-view intersection: the usual answer
+        (nothing the cache missed is on disk) never runs a Python loop.
         """
         if not self.enabled:
             return {}
         index = self._index
-        return {fp: index[fp] for fp in fingerprints if fp in index}
+        return {fp: index[fp] for fp in index.keys() & fingerprints}
 
     def peek_many(self, fingerprints: Iterable[bytes]) -> Set[bytes]:
         """The subset of ``fingerprints`` present, as a set-intersection probe.
@@ -114,10 +98,6 @@ class DiskChunkIndex:
             return
         self.inserts += 1
         self._index[fingerprint] = container_id
-
-    def insert_many(self, fingerprints: Iterable[bytes], container_id: int) -> None:
-        for fingerprint in fingerprints:
-            self.insert(fingerprint, container_id)
 
     def insert_batch(self, items: Iterable[Tuple[bytes, int]]) -> None:
         """Insert many ``(fingerprint, container id)`` pairs in one dict update."""

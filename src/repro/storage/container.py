@@ -19,6 +19,11 @@ chunks then costs no memcpy at all, and the contiguous form is materialised
 only when a backend actually writes the container out
 (:meth:`Container.payload_bytes`).  The metadata offsets always describe the
 contiguous layout, so the spilled file and the resident view stay coherent.
+
+The metadata section is held the same way, as three aligned columns
+(fingerprints, offsets, lengths): a run of chunks is appended by extending
+each column, and the rows are materialised only when a backend or a replica
+asks for them (:meth:`Container.metadata_section`).
 """
 
 from __future__ import annotations
@@ -26,7 +31,9 @@ from __future__ import annotations
 import mmap
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Union
+from functools import partial
+from itertools import accumulate
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Union, cast
 
 from repro.errors import ContainerFullError, ContainerNotFoundError, StorageError
 from repro.fingerprint.fingerprinter import ChunkRecord
@@ -48,16 +55,26 @@ wire frame's ``memoryview``."""
 
 
 class ContainerMetadataEntry(NamedTuple):
-    """One row of a container's metadata section.
-
-    A named tuple rather than a dataclass: one entry is created per stored
-    chunk, squarely on the batched-append hot path, and the C-level tuple
-    constructor is several times cheaper than a frozen dataclass ``__init__``.
-    """
+    """One row of a container's metadata section, as journals, replicas and
+    prefetch readers see it (the container itself keeps columns)."""
 
     fingerprint: bytes
     offset: int
     length: int
+
+
+_new_entry = partial(tuple.__new__, ContainerMetadataEntry)
+
+
+def _stored_payload(data: Optional[bytes], length: int) -> bytes:
+    """What a container keeps for a chunk's ``data``."""
+    if data is None:
+        # Fingerprint-only traces carry no payload; account the space so
+        # physical-capacity statistics stay correct.
+        return b"\x00" * length
+    # Immutable payloads are stored by reference (zero-copy); anything
+    # mutable (bytearray, memoryview) is snapshotted.
+    return data if type(data) is bytes else bytes(data)
 
 
 class StoredForm(NamedTuple):
@@ -121,7 +138,9 @@ class Container:
     stream_id: int = 0
     sealed: bool = False
     _parts: Optional[List[bytes]] = field(default_factory=list, repr=False)
-    _metadata: List[ContainerMetadataEntry] = field(default_factory=list, repr=False)
+    _fingerprints: List[bytes] = field(default_factory=list, repr=False)
+    _offsets: List[int] = field(default_factory=list, repr=False)
+    _lengths: List[int] = field(default_factory=list, repr=False)
     _index_of: Dict[bytes, int] = field(default_factory=dict, repr=False)
     _used: int = field(default=0, repr=False)
     _loader: Optional[Callable[["Container"], PayloadSection]] = field(default=None, repr=False)
@@ -163,12 +182,13 @@ class Container:
             stream_id=stream_id,
             sealed=True,
         )
-        container._metadata = list(entries)
-        container._index_of = {
-            entry.fingerprint: position
-            for position, entry in enumerate(container._metadata)
-        }
-        container._used = sum(entry.length for entry in container._metadata)
+        if entries:
+            fingerprints, offsets, lengths = map(list, zip(*entries))
+            container._fingerprints = fingerprints
+            container._offsets = offsets
+            container._lengths = lengths
+            container._index_of = dict(zip(fingerprints, range(len(fingerprints))))
+            container._used = sum(lengths)
         container._parts = parts
         container._loader = loader
         container._stored = stored
@@ -187,7 +207,7 @@ class Container:
 
     @property
     def chunk_count(self) -> int:
-        return len(self._metadata)
+        return len(self._fingerprints)
 
     @property
     def payload_resident(self) -> bool:
@@ -203,17 +223,6 @@ class Container:
     def has_room_for(self, length: int) -> bool:
         """Whether a chunk of ``length`` bytes fits in the remaining space."""
         return not self.sealed and length <= self.free
-
-    @staticmethod
-    def _payload_of(chunk: ChunkRecord) -> bytes:
-        data = chunk.data
-        if data is None:
-            # Fingerprint-only traces carry no payload; account the space so
-            # physical-capacity statistics stay correct.
-            return b"\x00" * chunk.length
-        # Immutable payloads are stored by reference (zero-copy); anything
-        # mutable (bytearray, memoryview) is snapshotted.
-        return data if type(data) is bytes else bytes(data)
 
     def append(self, chunk: ChunkRecord) -> ContainerMetadataEntry:
         """Append a unique chunk; returns the metadata entry recorded for it.
@@ -235,44 +244,49 @@ class Container:
             offset=self._used,
             length=chunk.length,
         )
-        self._index_of[chunk.fingerprint] = len(self._metadata)
-        self._metadata.append(entry)
-        self._parts.append(self._payload_of(chunk))
-        self._used += chunk.length
+        position = len(self._fingerprints)
+        self._fingerprints.append(entry.fingerprint)
+        self._offsets.append(entry.offset)
+        self._lengths.append(entry.length)
+        self._parts.append(_stored_payload(chunk.data, chunk.length))
+        # Last: a concurrent restore must never find a position without its part.
+        self._index_of[entry.fingerprint] = position
+        self._used += entry.length
         return entry
 
-    def append_many(self, chunks: List[ChunkRecord]) -> None:
-        """Append a run of chunks known to fit, in one pass.
+    def append_many(
+        self,
+        fingerprints: Sequence[bytes],
+        lengths: Sequence[int],
+        payloads: Sequence[Optional[bytes]],
+    ) -> None:
+        """Append a run of chunks known to fit, given as aligned columns
+        (what ``store_chunks`` splits a batch into).
 
-        Equivalent to per-chunk :meth:`append` calls (same metadata rows and
-        contiguous layout) -- the batched append of ``store_chunks``.
+        Equivalent to one :meth:`append` per chunk: same metadata rows, same
+        contiguous layout, payloads by reference when they are all ``bytes``.
         """
         if self.sealed:
             raise ContainerFullError(f"container {self.container_id} is sealed")
-        total = sum(chunk.length for chunk in chunks)
-        if total > self.free:
+        offsets = list(accumulate(lengths, initial=self._used))
+        used = offsets.pop()
+        if used > self.capacity:
             raise ContainerFullError(
                 f"container {self.container_id} has {self.free} bytes free, "
-                f"batch needs {total}"
+                f"batch needs {used - self._used}"
             )
-        offset = self._used
-        metadata = self._metadata
-        parts = self._parts
-        index_of = self._index_of
-        payload_of = self._payload_of
-        position = len(metadata)
-        for chunk in chunks:
-            length = chunk.length
-            metadata.append(
-                ContainerMetadataEntry(
-                    fingerprint=chunk.fingerprint, offset=offset, length=length
-                )
-            )
-            parts.append(payload_of(chunk))
-            index_of[chunk.fingerprint] = position
-            position += 1
-            offset += length
-        self._used = offset
+        parts: Sequence[bytes]
+        if set(map(type, payloads)) == {bytes}:
+            parts = cast(Sequence[bytes], payloads)
+        else:
+            parts = list(map(_stored_payload, payloads, lengths))
+        position = len(self._fingerprints)
+        self._fingerprints.extend(fingerprints)
+        self._offsets.extend(offsets)
+        self._lengths.extend(lengths)
+        self._parts.extend(parts)
+        self._index_of.update(zip(fingerprints, range(position, position + len(offsets))))
+        self._used = used
 
     def seal(self) -> None:
         """Mark the container immutable (it is now a candidate for prefetching only)."""
@@ -332,9 +346,8 @@ class Container:
         parts = self._parts
         if parts is not None:
             return parts[position]
-        entry = self._metadata[position]
-        payload = self.payload_bytes()
-        return payload[entry.offset:entry.offset + entry.length]
+        offset = self._offsets[position]
+        return self.payload_bytes()[offset:offset + self._lengths[position]]
 
     def read_chunks(self, fingerprints: Sequence[bytes]) -> List[Optional[bytes]]:
         """Bulk :meth:`read_chunk`: payloads aligned with ``fingerprints``.
@@ -359,17 +372,18 @@ class Container:
                 continue
             if payload is None:
                 payload = self.payload_bytes()
-            entry = self._metadata[position]
-            results.append(payload[entry.offset:entry.offset + entry.length])
+            offset = self._offsets[position]
+            results.append(payload[offset:offset + self._lengths[position]])
         return results
 
     def metadata_section(self) -> List[ContainerMetadataEntry]:
-        """The metadata section (copied), what a prefetch reads from disk."""
-        return list(self._metadata)
+        """The metadata section as rows (built per call), what a prefetch
+        reads from disk."""
+        return list(map(_new_entry, zip(self._fingerprints, self._offsets, self._lengths)))
 
     def fingerprints(self) -> List[bytes]:
         """All chunk fingerprints stored in this container, in append order."""
-        return [entry.fingerprint for entry in self._metadata]
+        return list(self._fingerprints)
 
     def metadata_size_bytes(self, entry_size: int = 40) -> int:
         """Approximate size of the metadata section (40 B per entry by default,

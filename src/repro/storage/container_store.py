@@ -10,6 +10,8 @@ All disk accesses are performed at the granularity of a container."
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.runtime import GuardLock, assert_owned, guarded_lock
@@ -129,8 +131,8 @@ class ContainerStore:
             return container.container_id
 
     def store_chunks(self, chunks: Sequence[ChunkRecord], stream_id: int = 0) -> List[int]:
-        """Store a batch of unique chunks, partitioning them into containers
-        in one pass under one lock acquisition.
+        """Store a batch of unique chunks, split into one run per container
+        under one lock acquisition.
 
         Equivalent to calling :meth:`store_chunk` once per chunk in order:
         identical container ids, contents, seal timing and write accounting --
@@ -138,43 +140,43 @@ class ContainerStore:
         Returns the container id of every chunk, aligned with ``chunks``.
         """
         container_ids: List[int] = []
-        append_id = container_ids.append
+        if not chunks:
+            return container_ids
+        # The batch as columns; ends[i] is the size of chunks[:i + 1], so a
+        # container run is one bisect for how far its free space reaches.
+        fingerprints, lengths, _offsets, payloads = zip(*chunks)
+        ends = list(accumulate(lengths))
+        total = len(lengths)
         capacity = self.container_capacity
+        stored_bytes = 0
+        stored_chunks = 0
+        start = 0
         with self._lock:
             container = self._open_by_stream.get(stream_id)
             if container is not None and container.sealed:
                 container = None
-            free = container.free if container is not None else 0
-            run: List[ChunkRecord] = []
-            run_append = run.append
-            stored_bytes = 0
-            stored_chunks = 0
-
-            def flush_run() -> None:
-                if run:
-                    container.append_many(run)
-                    run.clear()
-
-            for chunk in chunks:
-                length = chunk.length
+            while start < total:
+                length = lengths[start]
                 if length > capacity:
                     # _store_oversize accounts its own chunk and leaves the
-                    # stream's open container (and its pending run) untouched.
-                    append_id(self._store_oversize(chunk, stream_id))
+                    # stream's open container untouched.
+                    container_ids.append(self._store_oversize(chunks[start], stream_id))
+                    start += 1
                     continue
-                if container is None or length > free:
-                    flush_run()
+                if container is None or length > container.free:
                     if container is not None:
                         self._seal(container)
                     container = self._allocate(stream_id)
                     self._open_by_stream[stream_id] = container
-                    free = container.free
-                run_append(chunk)
-                free -= length
-                stored_bytes += length
-                stored_chunks += 1
-                append_id(container.container_id)
-            flush_run()
+                before = ends[start] - length
+                end = bisect_right(ends, before + container.free, start)
+                container.append_many(
+                    fingerprints[start:end], lengths[start:end], payloads[start:end]
+                )
+                container_ids += [container.container_id] * (end - start)
+                stored_bytes += ends[end - 1] - before
+                stored_chunks += end - start
+                start = end
             self._stored_bytes.add(stored_bytes)
             self._stored_chunks.add(stored_chunks)
         return container_ids

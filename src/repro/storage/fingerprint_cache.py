@@ -51,8 +51,7 @@ class ChunkFingerprintCache:
         """Load all fingerprints of ``container_id`` into the cache."""
         fingerprint_set = set(fingerprints)
         self._containers.put(container_id, fingerprint_set)
-        for fingerprint in fingerprint_set:
-            self._fingerprint_to_container[fingerprint] = container_id
+        self._fingerprint_to_container.update(dict.fromkeys(fingerprint_set, container_id))
         self.prefetches += 1
 
     def add_fingerprint(self, container_id: int, fingerprint: bytes) -> None:
@@ -98,24 +97,6 @@ class ChunkFingerprintCache:
             return None
         return container_id
 
-    def lookup_many(self, fingerprints: Sequence[bytes]) -> Dict[bytes, int]:
-        """Batched lookup of distinct fingerprints against a stable cache state.
-
-        Returns ``fingerprint -> container id`` for every hit.  The hit/miss
-        statistics, stale-entry dropping and final LRU recency order are
-        exactly what ``len(fingerprints)`` sequential :meth:`lookup` calls
-        would have produced -- provided no prefetch or insert runs in between
-        (callers interleaving mutations, like the batched node data plane,
-        use :meth:`probe_batch` + :meth:`commit_lookups` instead).
-        """
-        found, stale = self.probe_batch(fingerprints)
-        reverse = self._fingerprint_to_container
-        for fingerprint in stale:
-            del reverse[fingerprint]
-        self.touch_many(found.values())
-        self._containers.record(len(found), len(fingerprints) - len(found))
-        return found
-
     def probe_batch(
         self, fingerprints: Iterable[bytes]
     ) -> Tuple[Dict[bytes, int], List[bytes]]:
@@ -131,13 +112,10 @@ class ChunkFingerprintCache:
         reverse = self._fingerprint_to_container
         if not reverse:
             return {}, []
-        found = {
-            fingerprint: reverse[fingerprint]
-            for fingerprint in fingerprints
-            if fingerprint in reverse
-        }
-        if not found:
+        hits = list(filter(reverse.__contains__, fingerprints))
+        if not hits:
             return {}, []
+        found = dict(zip(hits, map(reverse.__getitem__, hits)))
         entries = self._containers
         # Validate per distinct container, not per fingerprint: stale entries
         # are the rare case, hits usually share a handful of containers.

@@ -21,11 +21,10 @@ The index answers two questions:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.fingerprint.handprint import Handprint
 from repro.utils.striped_lock import StripedLock
-from repro.errors import ValidationError
 
 DEFAULT_ENTRY_SIZE_BYTES = 40
 """Per-entry RAM footprint assumed by the paper's RAM-usage estimate."""
@@ -86,22 +85,8 @@ class SimilarityIndex:
             self.inserts += 1
             self._entries[representative_fingerprint] = container_id
 
-    def insert_many(self, items: Iterable[Tuple[bytes, int]]) -> None:
-        """Batched insert of ``(RFP, container id)`` pairs.
-
-        Each entry still takes its own stripe lock (entries hash to different
-        stripes), with counters advancing exactly as per-entry inserts would.
-        """
-        locks = self._locks
-        entries = self._entries
-        for representative_fingerprint, container_id in items:
-            with locks.lock_for(representative_fingerprint):
-                locks.acquisitions += 1
-                self.inserts += 1
-                entries[representative_fingerprint] = container_id
-
     # ------------------------------------------------------------------ #
-    # handprint-level operations
+    # handprint-level operations (stripes by ``Handprint.stripe_keys``)
     # ------------------------------------------------------------------ #
 
     def resemblance_count(self, handprint: Handprint) -> int:
@@ -113,8 +98,8 @@ class SimilarityIndex:
         count = 0
         locks = self._locks
         entries = self._entries
-        for fingerprint in handprint:
-            with locks.lock_for(fingerprint):
+        for fingerprint, key in zip(handprint, handprint.stripe_keys):
+            with locks.lock_at(key):
                 locks.acquisitions += 1
                 self.lookups += 1
                 if fingerprint in entries:
@@ -123,29 +108,38 @@ class SimilarityIndex:
         return count
 
     def lookup_handprint(self, handprint: Handprint) -> List[int]:
-        """Container ids of every matched RFP of ``handprint`` (deduplicated, ordered)."""
-        container_ids: List[int] = []
-        seen = set()
-        for fingerprint in handprint:
-            container_id = self.lookup(fingerprint)
-            if container_id is not None and container_id not in seen:
-                seen.add(container_id)
-                container_ids.append(container_id)
-        return container_ids
+        """Container ids of every matched RFP of ``handprint`` (deduplicated,
+        ordered); counters advance as one :meth:`lookup` per RFP would."""
+        container_ids: Dict[int, None] = {}
+        locks = self._locks
+        entries = self._entries
+        for fingerprint, key in zip(handprint, handprint.stripe_keys):
+            with locks.lock_at(key):
+                locks.acquisitions += 1
+                self.lookups += 1
+                container_id = entries.get(fingerprint)
+                if container_id is not None:
+                    self.lookup_hits += 1
+                    container_ids[container_id] = None
+        return list(container_ids)
 
-    def insert_handprint(self, handprint: Handprint, container_id: int) -> None:
-        """Record every RFP of a newly stored super-chunk as residing in ``container_id``."""
-        for fingerprint in handprint:
-            self.insert(fingerprint, container_id)
+    def index_handprint(self, handprint: Handprint, locations: Mapping[bytes, int]) -> None:
+        """Point every RFP of ``handprint`` that ``locations`` places at the
+        container holding it (RFPs it does not place are left alone).
 
-    def insert_handprint_containers(
-        self, handprint: Handprint, container_ids: Sequence[int]
-    ) -> None:
-        """Record each RFP with its own container id (parallel sequences)."""
-        if len(container_ids) != len(handprint.representative_fingerprints):
-            raise ValidationError("container_ids must align with the handprint fingerprints")
-        for fingerprint, container_id in zip(handprint, container_ids):
-            self.insert(fingerprint, container_id)
+        Each entry still takes its own stripe lock (entries hash to different
+        stripes), with counters advancing exactly as per-entry inserts would.
+        """
+        locks = self._locks
+        entries = self._entries
+        for fingerprint, key in zip(handprint, handprint.stripe_keys):
+            container_id = locations.get(fingerprint)
+            if container_id is None:
+                continue
+            with locks.lock_at(key):
+                locks.acquisitions += 1
+                self.inserts += 1
+                entries[fingerprint] = container_id
 
     # ------------------------------------------------------------------ #
     # statistics

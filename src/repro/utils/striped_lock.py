@@ -15,6 +15,13 @@ from typing import Iterator
 from repro.errors import ValidationError
 
 
+def stripe_key(key: bytes) -> int:
+    """The integer :meth:`StripedLock.stripe_for` stripes a ``bytes`` key by
+    (its leading 64 bits).  A caller that probes the same key at many indexes
+    converts it once and takes each lock through :meth:`StripedLock.lock_at`."""
+    return int.from_bytes(key[:8] or b"\x00", "big")
+
+
 class StripedLock:
     """A fixed-size array of locks indexed by hashing a key.
 
@@ -52,6 +59,11 @@ class StripedLock:
         responsible for bumping :attr:`acquisitions` inside the block.
         """
         return self._locks[self.stripe_for(key)]
+
+    def lock_at(self, key: int) -> threading.Lock:
+        """:meth:`lock_for` of the ``bytes`` key whose :func:`stripe_key` is
+        ``key`` (same stripe, same caller duties)."""
+        return self._locks[key % len(self._locks)]
 
     @contextmanager
     def locked(self, key: bytes) -> Iterator[None]:

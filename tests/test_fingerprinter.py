@@ -69,14 +69,6 @@ class TestChunkRecord:
         record = ChunkRecord(fingerprint=b"\xde\xad\xbe\xef", length=4)
         assert record.hex == "deadbeef"
 
-    def test_without_data(self):
-        record = ChunkRecord(fingerprint=b"\x01", length=10, offset=5, data=b"x" * 10)
-        stripped = record.without_data()
-        assert stripped.data is None
-        assert stripped.fingerprint == record.fingerprint
-        assert stripped.length == 10
-        assert stripped.offset == 5
-
     def test_frozen(self):
         record = ChunkRecord(fingerprint=b"\x01", length=1)
         with pytest.raises(AttributeError):

@@ -9,13 +9,16 @@ The full-statistics comparisons run at cache capacities where no LRU eviction
 interleaves with a super-chunk (the default configuration and far beyond any
 benchmarked regime).  Under eviction *pressure* the two execution orders may
 attribute a hit to the cache vs the disk index differently (the batched plane
-defers stores to its final phases while the per-chunk path interleaves them),
-so the tiny-cache test pins down the invariants that survive eviction *as
-long as the disk index is enabled*: classification, stored bytes and restored
-content.  With the disk index disabled (the Figure 5(b) ablation) an eviction
-interleaving can additionally change classification itself; that ablation is
-compared only at non-evicting capacities, and the per-chunk reference path
-remains available for it via ``NodeConfig(batch_execution=False)``.
+classifies a wave against one snapshot of the cache while the per-chunk path
+interleaves its stores), so the tiny-cache test pins down the invariants that
+survive eviction *as long as the disk index is enabled*: classification,
+stored bytes and restored content.  With the disk index disabled (the
+Figure 5(b) ablation) an eviction interleaving can additionally change
+classification itself; that ablation is compared only at non-evicting
+capacities, and the per-chunk reference path remains available for it via
+``NodeConfig(batch_execution=False)``.  ``tests/test_node_plane_regimes.py``
+generates the streams, tiny caches included, and detects the one event after
+which the two may differ.
 """
 
 import random
@@ -48,13 +51,9 @@ def node_state(node: DedupeNode) -> dict:
         "container_writes": store.container_writes,
         "stored_bytes": store.stored_bytes,
         "stored_chunks": store.stored_chunks,
-        # Cache membership, not raw LRU order: the batched plane inserts the
-        # entries of containers *created by this super-chunk* at the end of
-        # the super-chunk (after the batched append) instead of mid-stream.
-        # Touch order of existing entries, all counters and all results are
-        # identical; the insertion point is observable only through eviction
-        # order at adversarial capacities, covered by the tiny-cache test.
-        "cache_lru_members": sorted(node.fingerprint_cache._containers),
+        # Raw LRU order: the batched plane replays each hit's touch and each
+        # newly opened container's insertion at its per-chunk position.
+        "cache_lru_order": list(node.fingerprint_cache._containers),
         "cache_hits": node.fingerprint_cache.hits,
         "cache_misses": node.fingerprint_cache.misses,
         "cache_prefetches": node.fingerprint_cache.prefetches,

@@ -22,12 +22,6 @@ class TestEnabledIndex:
         index.insert(fp, 1)
         assert fp in index
 
-    def test_insert_many(self):
-        index = DiskChunkIndex()
-        fps = [synthetic_fingerprint(str(i)) for i in range(5)]
-        index.insert_many(fps, container_id=3)
-        assert all(index.lookup(fp) == 3 for fp in fps)
-
     def test_update_overwrites_container(self):
         index = DiskChunkIndex()
         fp = synthetic_fingerprint("moved")
@@ -87,11 +81,14 @@ class TestBatchOperations:
             index.insert(synthetic_fingerprint(str(i)), i % 3)
         return index
 
-    def test_lookup_many_matches_sequential_lookups(self):
+    def test_match_batch_plus_record_lookups_matches_sequential_lookups(self):
+        # What the node plane calls: a counter-free snapshot, then the
+        # lookups it would have issued accounted in bulk.
         batched = self._populated()
         sequential = self._populated()
         queries = [synthetic_fingerprint(str(i)) for i in range(0, 9)]
-        found = batched.lookup_many(queries)
+        found = batched.match_batch(queries)
+        batched.record_lookups(len(queries), len(found))
         expected = {}
         for fp in queries:
             container_id = sequential.lookup(fp)
@@ -101,11 +98,11 @@ class TestBatchOperations:
         assert batched.lookups == sequential.lookups
         assert batched.lookup_hits == sequential.lookup_hits
 
-    def test_lookup_many_disabled_counts_lookups(self):
+    def test_match_batch_disabled_matches_nothing(self):
         index = DiskChunkIndex(enabled=False)
-        assert index.lookup_many([synthetic_fingerprint("a")] * 3) == {}
-        assert index.lookups == 3
-        assert index.lookup_hits == 0
+        index.insert(synthetic_fingerprint("a"), 1)
+        assert index.match_batch([synthetic_fingerprint("a")] * 3) == {}
+        assert index.lookups == 0
 
     def test_match_batch_and_record_lookups(self):
         index = self._populated()

@@ -148,11 +148,22 @@ class TestBatchOperations:
         cache.prefetch_container(1, fps("c1", 3))
         return cache
 
-    def test_lookup_many_matches_sequential_lookups(self):
+    @staticmethod
+    def _batched_lookup(cache, queries):
+        """The node plane's bulk commit: snapshot, drop what is stale, replay
+        the hits' recency in probe order, account the lookups."""
+        found, stale = cache.probe_batch(queries)
+        for fingerprint in stale:
+            cache.drop_stale(fingerprint)
+        cache.touch_many(list(found.values()))
+        cache.commit_lookups(len(found), len(queries) - len(found))
+        return found
+
+    def test_batched_lookup_matches_sequential_lookups(self):
         batched = self._populated()
         sequential = self._populated()
         queries = fps("c0", 3) + fps("absent", 2) + fps("c1", 1)
-        found = batched.lookup_many(queries)
+        found = self._batched_lookup(batched, queries)
         expected = {}
         for fp in queries:
             container_id = sequential.lookup(fp)
@@ -163,15 +174,27 @@ class TestBatchOperations:
         assert batched.misses == sequential.misses
         assert list(batched._containers) == list(sequential._containers)
 
-    def test_lookup_many_drops_stale_entries(self):
-        cache = ChunkFingerprintCache(capacity_containers=1)
+    def test_batched_lookup_drops_stale_entries(self):
+        batched = ChunkFingerprintCache(capacity_containers=1)
+        sequential = ChunkFingerprintCache(capacity_containers=1)
         first = fps("c0", 2)
-        cache.prefetch_container(0, first)
-        cache.prefetch_container(1, fps("c1", 2))  # evicts container 0
-        # Re-point a stale-looking reverse entry at the evicted container.
-        cache._fingerprint_to_container[first[0]] = 0
-        assert cache.lookup_many([first[0]]) == {}
-        assert first[0] not in cache._fingerprint_to_container
+        for cache in (batched, sequential):
+            cache.prefetch_container(0, first)
+            cache.prefetch_container(1, fps("c1", 2))  # evicts container 0
+            # Re-point a stale-looking reverse entry at the evicted container.
+            cache._fingerprint_to_container[first[0]] = 0
+        assert batched.probe_batch([first[0]]) == ({}, [first[0]])
+        assert self._batched_lookup(batched, [first[0]]) == {}
+        assert sequential.lookup(first[0]) is None
+        assert first[0] not in batched._fingerprint_to_container
+        assert (batched.hits, batched.misses) == (sequential.hits, sequential.misses)
+
+    def test_prefetch_container_repoints_the_reverse_map(self):
+        cache = self._populated()
+        moved = fps("c0", 1) + fps("c9", 2)
+        cache.prefetch_container(9, moved)
+        assert all(cache.peek(fp) == 9 for fp in moved)
+        assert cache.peek(fps("c0", 3)[1]) == 0
 
     def test_probe_batch_is_side_effect_free(self):
         cache = self._populated()

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core.superchunk import SuperChunk
 from repro.errors import ContainerNotFoundError, RecoveryError, StorageError
+from repro.fingerprint.fingerprinter import ChunkRecord
 from repro.node.dedupe_node import DedupeNode, NodeConfig
 from repro.storage import recovery as recovery_cli
 from repro.storage.backends import FileContainerBackend
@@ -184,6 +186,39 @@ class TestNodeRecovery:
         # super-chunk stores zero new chunks.
         result = revived.backup_superchunk(superchunk_from_seeds([1, 2, 3, 4]))
         assert result.duplicate_chunks == result.total_chunks
+        revived.close()
+
+    @pytest.mark.parametrize(
+        "fingerprints",
+        [
+            [bytes([value]) * 20 for value in (9, 3, 200, 7, 1, 50, 2, 8)],
+            # As integers b"\x01" < b"\x00\x02" < b"\x03" < b"\x00\x00\x05", the
+            # reverse of their order as bytes.
+            [b"\x01", b"\x00\x02", b"\x03", b"\x00\x00\x05", b"\x09" * 20, b"\x00" * 19 + b"\x04"],
+        ],
+        ids=["equal_length", "mixed_length"],
+    )
+    def test_recovered_similarity_index_finds_a_superchunks_whole_handprint(
+        self, tmp_path, fingerprints
+    ):
+        """Recovery reseeds the similarity index with each container's min-k
+        by the same order handprinting uses, so a super-chunk that filled a
+        container alone resembles it in every representative fingerprint."""
+        records = [
+            ChunkRecord(fingerprint, 64, 0, bytes([index]) * 64)
+            for index, fingerprint in enumerate(fingerprints)
+        ]
+        superchunk = SuperChunk.from_chunks(records, handprint_size=4)
+        node = make_node(tmp_path)
+        node.backup_superchunk(superchunk)
+        node.flush()
+        node.close()
+
+        revived = make_node(tmp_path)
+        revived.recover_storage(handprint_size=4)
+        assert superchunk.handprint.size == 4
+        assert revived.resemblance_query(superchunk.handprint) == 4
+        assert len(revived.similarity_index) == 4
         revived.close()
 
     def test_recovery_requires_empty_store(self, tmp_path):

@@ -56,11 +56,15 @@ class TestSingleEntry:
         assert index.size_in_bytes == 200
 
 
+def placed_at(handprint, container_id):
+    return dict.fromkeys(handprint.representative_fingerprints, container_id)
+
+
 class TestHandprintOperations:
     def test_resemblance_count(self):
         index = SimilarityIndex()
         stored = handprint_of(range(8))
-        index.insert_handprint(stored, container_id=3)
+        index.index_handprint(stored, placed_at(stored, 3))
         query = handprint_of(range(4, 12))
         count = index.resemblance_count(query)
         expected = len(set(stored.representative_fingerprints) & set(query.representative_fingerprints))
@@ -73,7 +77,7 @@ class TestHandprintOperations:
     def test_lookup_handprint_returns_container_ids(self):
         index = SimilarityIndex()
         handprint = handprint_of(range(8))
-        index.insert_handprint(handprint, container_id=9)
+        index.index_handprint(handprint, placed_at(handprint, 9))
         assert index.lookup_handprint(handprint) == [9]
 
     def test_lookup_handprint_deduplicates_containers(self):
@@ -83,23 +87,52 @@ class TestHandprintOperations:
             index.insert(fp, 4)
         assert index.lookup_handprint(handprint) == [4]
 
-    def test_insert_handprint_containers_aligned(self):
+    def test_lookup_handprint_orders_containers_by_first_match(self):
         index = SimilarityIndex()
         handprint = handprint_of(range(4), k=4)
-        index.insert_handprint_containers(handprint, [0, 1, 2, 3])
-        containers = [index.lookup(fp) for fp in handprint]
-        assert containers == [0, 1, 2, 3]
+        index.index_handprint(handprint, dict(zip(handprint, [7, 2, 7, 5])))
+        assert index.lookup_handprint(handprint) == [7, 2, 5]
 
-    def test_insert_handprint_containers_misaligned_raises(self):
+    def test_index_handprint_places_each_rfp_and_skips_the_unplaced(self):
         index = SimilarityIndex()
         handprint = handprint_of(range(4), k=4)
-        with pytest.raises(ValueError):
-            index.insert_handprint_containers(handprint, [0, 1])
+        first, second, third, fourth = handprint
+        index.index_handprint(handprint, {first: 0, second: 1, fourth: 3, b"not-an-rfp": 9})
+        assert [index.lookup(fp) for fp in handprint] == [0, 1, None, 3]
+        assert index.inserts == 3
+        assert len(index) == 3
+
+    def test_handprint_operations_count_like_single_entry_calls(self):
+        batched = SimilarityIndex(num_locks=4)
+        single = SimilarityIndex(num_locks=4)
+        handprint = handprint_of(range(8))
+        batched.index_handprint(handprint, placed_at(handprint, 1))
+        for fp in handprint:
+            single.insert(fp, 1)
+        query = handprint_of(range(4, 12))
+        batched.lookup_handprint(query)
+        batched.resemblance_count(query)
+        for _ in range(2):
+            for fp in query:
+                single.lookup(fp)
+        for counter in ("inserts", "lookups", "lookup_hits"):
+            assert getattr(batched, counter) == getattr(single, counter)
+        assert batched._locks.acquisitions == single._locks.acquisitions
+
+    def test_stripe_keys_address_the_stripe_lock_of_each_rfp(self):
+        index = SimilarityIndex(num_locks=16)
+        handprint = compute_handprint(
+            [synthetic_fingerprint(str(tag)) for tag in range(6)] + [b"\x07", b""],
+            handprint_size=8,
+        )
+        locks = index._locks
+        for fingerprint, key in zip(handprint, handprint.stripe_keys):
+            assert locks.lock_at(key) is locks.lock_for(fingerprint)
 
     def test_fingerprints_iteration(self):
         index = SimilarityIndex()
         handprint = handprint_of(range(6), k=6)
-        index.insert_handprint(handprint, 0)
+        index.index_handprint(handprint, placed_at(handprint, 0))
         assert set(index.fingerprints()) == set(handprint.representative_fingerprints)
 
 

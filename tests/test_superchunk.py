@@ -46,11 +46,15 @@ class TestSuperChunkAccessors:
         superchunk = SuperChunk.from_chunks(records)
         assert superchunk.distinct_fingerprints == 3
 
-    def test_fingerprint_list_pairs(self):
-        superchunk = superchunk_from_seeds(range(3), length=256)
-        pairs = superchunk.fingerprint_list()
-        assert len(pairs) == 3
-        assert all(length == 256 for _, length in pairs)
+    def test_fingerprints_column_is_built_once(self):
+        records = chunk_records_from_seeds(range(4))
+        built = SuperChunk.from_chunks(records)
+        assert built.fingerprints is built.fingerprints
+        # A super-chunk constructed directly (the transport worker does)
+        # derives the same column on first use.
+        direct = SuperChunk(chunks=list(records), handprint=built.handprint)
+        assert direct.fingerprints == built.fingerprints
+        assert direct.fingerprints is direct.fingerprints
 
     def test_handprint_is_subset_of_fingerprints(self):
         superchunk = superchunk_from_seeds(range(30), handprint_size=8)
