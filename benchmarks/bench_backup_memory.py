@@ -114,9 +114,11 @@ def measure_spill_peak(
     """Peak traced bytes of a streamed backup against a small-container cluster."""
     cluster = DedupeCluster(
         num_nodes=2,
-        node_config=NodeConfig(container_capacity=SPILL_CONTAINER_CAPACITY),
-        container_backend=container_backend,
-        storage_dir=storage_dir,
+        node_config=NodeConfig(
+            container_capacity=SPILL_CONTAINER_CAPACITY,
+            container_backend=container_backend,
+            storage_dir=storage_dir,
+        ),
     )
     client = BackupClient(
         "bench-spill", cluster, Director(), partitioner_config=make_config(superchunk_size)

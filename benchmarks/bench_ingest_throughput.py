@@ -108,6 +108,7 @@ import sys
 import tempfile
 import time
 from collections import deque
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -225,11 +226,10 @@ def measure_node_path(
     """Cluster data plane MB/s: two generations (unique then repeat) through
     routing + node dedupe + container store, best of NODE_PATH_REPEATS."""
     best = 0.0
+    if storage_dir:
+        node_config = replace(node_config, container_backend="file", storage_dir=storage_dir)
     for _ in range(NODE_PATH_REPEATS):
-        cluster = DedupeCluster(
-            num_nodes=NUM_NODES, node_config=node_config, storage_dir=storage_dir,
-            container_backend="file" if storage_dir else None,
-        )
+        cluster = DedupeCluster(num_nodes=NUM_NODES, node_config=node_config)
         start = time.perf_counter()
         for _generation in range(2):
             for superchunk in superchunks:

@@ -22,7 +22,7 @@ from repro.core.partitioner import FilePayload, PartitionerConfig, StreamPartiti
 from repro.core.superchunk import SuperChunk
 from repro.fingerprint.fingerprinter import ChunkRecord
 from repro.errors import ValidationError
-from repro.parallel.engine import ParallelIngestEngine, resolve_workers
+from repro.parallel.engine import EXECUTORS, ParallelIngestEngine, resolve_workers
 
 _new_location = partial(tuple.__new__, ChunkLocation)  # positional, no keyword matching
 
@@ -31,6 +31,20 @@ DEFAULT_PIPELINE_DEPTH = 4
 once.  Per-node in-order dispatch keeps any depth byte-identical to serial;
 4 is deep enough to keep every worker of a small cluster busy without
 unbounded settle latency."""
+
+
+def resolve_lanes(
+    workers: Optional[int], parallel_executor: str, pipeline_depth: int
+) -> int:
+    """Validate a client's lane settings and return its lane count
+    (``workers``, else ``REPRO_INGEST_WORKERS``, else 1)."""
+    if pipeline_depth < 1:
+        raise ValidationError(f"pipeline_depth must be >= 1, got {pipeline_depth}")
+    if parallel_executor not in EXECUTORS:
+        raise ValidationError(
+            f"parallel_executor must be one of {list(EXECUTORS)}, got {parallel_executor!r}"
+        )
+    return resolve_workers(workers)
 
 
 @dataclass
@@ -72,7 +86,7 @@ class BackupClient:
     partitioner_config:
         Chunking / super-chunk / handprint configuration.
     workers:
-        Default number of parallel ingest lanes for this client's backups.
+        Number of parallel ingest lanes for this client's backups.
         ``None`` defers to the ``REPRO_INGEST_WORKERS`` environment variable,
         falling back to serial ingest.  Parallel ingest produces results
         byte-identical to serial ingest (same reports, statistics and
@@ -101,26 +115,21 @@ class BackupClient:
         parallel_executor: str = "thread",
         pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
     ):
-        if pipeline_depth < 1:
-            raise ValidationError(
-                f"pipeline_depth must be >= 1, got {pipeline_depth}"
-            )
+        self.workers = resolve_lanes(workers, parallel_executor, pipeline_depth)
         self.client_id = client_id
         self.cluster = cluster
         self.director = director
         self.partitioner = StreamPartitioner(partitioner_config)
-        self.workers = workers
         self.parallel_executor = parallel_executor
         self.pipeline_depth = pipeline_depth
 
     def _partition(
-        self, files: Iterable[Tuple[str, FilePayload]], stream_id: int, workers: Optional[int]
+        self, files: Iterable[Tuple[str, FilePayload]], stream_id: int
     ) -> Iterator[Tuple[Optional[SuperChunk], List[Tuple[str, List[ChunkRecord]]]]]:
         """The session's ``(superchunk, contributions)`` source: the serial
         partitioner, or the parallel engine when more than one lane is asked
         for (identical output either way)."""
-        effective = resolve_workers(workers if workers is not None else self.workers)
-        if effective <= 1:
+        if self.workers <= 1:
             return self.partitioner.partition_files(files, stream_id=stream_id)
         # Direct lane->wire hand-off: shared-memory process lanes may hand
         # payloads over as zero-copy memoryview slices of their slabs, all
@@ -130,7 +139,7 @@ class BackupClient:
             self.parallel_executor == "process" and not self.cluster.retains_payloads
         )
         engine = ParallelIngestEngine(
-            workers=effective,
+            workers=self.workers,
             executor=self.parallel_executor,
             payload_views=hand_off,
         )
@@ -141,7 +150,6 @@ class BackupClient:
         files: Iterable[Tuple[str, FilePayload]],
         session_label: str = "",
         stream_id: int = 0,
-        workers: Optional[int] = None,
     ) -> ClientBackupReport:
         """Back up ``(path, payload)`` files as one backup session.
 
@@ -151,11 +159,10 @@ class BackupClient:
         soon as they fill, so peak client memory is O(one super-chunk) --
         independent of file sizes -- rather than O(largest file).
 
-        With ``workers > 1`` (or a client/environment default) the
-        chunk+fingerprint front end runs across that many parallel lanes in
-        O(lanes x super-chunk) memory; the results are identical to serial
-        ingest in every observable (reports, per-node statistics, recipes,
-        restored bytes).
+        With ``workers > 1`` the chunk+fingerprint front end runs across
+        that many parallel lanes in O(lanes x super-chunk) memory; the
+        results are identical to serial ingest in every observable (reports,
+        per-node statistics, recipes, restored bytes).
 
         Returns a :class:`ClientBackupReport` with transfer statistics; file
         recipes are recorded with the director so files can be restored.
@@ -205,7 +212,7 @@ class BackupClient:
             while window:
                 settle_oldest()
 
-        for superchunk, contributions in self._partition(files, stream_id, workers):
+        for superchunk, contributions in self._partition(files, stream_id):
             if superchunk is None:
                 # Trailing zero-byte files with no super-chunk to ride on:
                 # nothing to route, but their (empty) recipes must exist --
@@ -239,12 +246,10 @@ class BackupClient:
         data: bytes,
         session_label: str = "",
         stream_id: int = 0,
-        workers: Optional[int] = None,
     ) -> ClientBackupReport:
         """Convenience wrapper to back up a single in-memory object."""
         return self.backup_files(
-            [(path, data)], session_label=session_label, stream_id=stream_id,
-            workers=workers,
+            [(path, data)], session_label=session_label, stream_id=stream_id
         )
 
     def backup_stream(
@@ -253,7 +258,6 @@ class BackupClient:
         path: str = "stream",
         session_label: str = "",
         stream_id: int = 0,
-        workers: Optional[int] = None,
     ) -> ClientBackupReport:
         """Ingest a single (possibly unbounded) block stream as one object.
 
@@ -266,6 +270,5 @@ class BackupClient:
         fully serial, like every other backup call).
         """
         return self.backup_files(
-            [(path, blocks)], session_label=session_label, stream_id=stream_id,
-            workers=workers,
+            [(path, blocks)], session_label=session_label, stream_id=stream_id
         )

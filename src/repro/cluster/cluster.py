@@ -12,7 +12,6 @@ worker process per node in :class:`~repro.transport.cluster.TransportCluster`.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple, Type
 
 from repro.cluster.handle import LocalNodeHandle, NodeHandle, NodeRecovery, Pending, ReadRequests
@@ -28,9 +27,15 @@ from repro.errors import (
     ValidationError,
 )
 from repro.fingerprint.handprint import DEFAULT_HANDPRINT_SIZE, Handprint
-from repro.node.dedupe_node import DedupeNode, NodeConfig, SuperChunkBackupResult
+from repro.node.dedupe_node import (
+    DedupeNode,
+    NodeConfig,
+    SuperChunkBackupResult,
+    resolve_container_backend,
+)
 from repro.routing.base import ClusterView, RoutingDecision, RoutingScheme
 from repro.routing.sigma import SigmaRouting
+from repro.storage.compression import resolve_compression
 from repro.utils.stats import mean, population_stddev
 
 RETRYABLE_READ_ERRORS: Tuple[Type[ReproError], ...] = (
@@ -103,14 +108,11 @@ class DedupeCluster(ClusterView):
     num_nodes:
         Number of deduplication servers.
     node_config:
-        Configuration applied to every node.
+        Configuration applied to every node, storage settings included
+        (each node claims its own ``node-<id>`` subdirectory of
+        ``storage_dir``).
     routing_scheme:
         The inter-node data routing scheme (defaults to Sigma-Dedupe routing).
-    container_backend / storage_dir / container_compression:
-        Convenience overrides threaded into ``node_config``: the registered
-        container backend name each node stores sealed containers with, the
-        directory disk-backed backends write under (each node claims its
-        own ``node-<id>`` subdirectory), and the spill compression codec.
     replication_factor:
         Total copies of every sealed container (1 = no replication, the
         seed behavior).  With ``N > 1`` each node's seals are mirrored to
@@ -135,34 +137,20 @@ class DedupeCluster(ClusterView):
         num_nodes: int,
         node_config: Optional[NodeConfig] = None,
         routing_scheme: Optional[RoutingScheme] = None,
-        container_backend: Optional[str] = None,
-        storage_dir: Optional[str] = None,
-        container_compression: Optional[str] = None,
         replication_factor: int = 1,
         failover_policy: Optional[FailoverPolicy] = None,
     ):
         # Validated before any node, worker process or directory exists.
         if num_nodes < 1:
             raise ValidationError("a cluster needs at least one node")
-        if replication_factor < 1:
-            raise ValidationError("replication_factor must be at least 1")
-        if replication_factor > num_nodes:
+        if not 1 <= replication_factor <= num_nodes:
             raise ValidationError(
-                f"replication_factor must be between 2 and the cluster size "
+                f"replication_factor must be between 1 and the cluster size "
                 f"({num_nodes}), got {replication_factor}"
             )
-        overrides = {
-            key: value
-            for key, value in (
-                ("container_backend", container_backend),
-                ("storage_dir", storage_dir),
-                ("container_compression", container_compression),
-            )
-            if value is not None
-        }
         config = node_config or NodeConfig()
-        if overrides:
-            config = replace(config, **overrides)
+        resolve_container_backend(config)  # StorageError
+        resolve_compression(config.container_compression)  # CompressionError
         self.routing_scheme = routing_scheme or SigmaRouting()
         self.messages = MessageCounter()
         self.failover_policy = failover_policy or FailoverPolicy()

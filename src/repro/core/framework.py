@@ -7,15 +7,19 @@ framework through one object.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import TracebackType
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Type
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Type
 
 from repro.chunking import build_chunker
 from repro.chunking.base import Chunker
 from repro.chunking.fixed import StaticChunker
-from repro.cluster.client import DEFAULT_PIPELINE_DEPTH, BackupClient, ClientBackupReport
+from repro.cluster.client import (
+    DEFAULT_PIPELINE_DEPTH,
+    BackupClient,
+    ClientBackupReport,
+    resolve_lanes,
+)
 from repro.cluster.cluster import DedupeCluster
 from repro.cluster.director import Director
 from repro.cluster.handle import NodeRecovery
@@ -28,9 +32,6 @@ from repro.node.dedupe_node import NodeConfig
 from repro.routing import ALL_SCHEMES
 from repro.routing.base import RoutingScheme
 from repro.errors import ValidationError
-
-ENV_NODE_TRANSPORT = "REPRO_NODE_TRANSPORT"
-"""Environment default for the node-plane transport (``inproc``/``process``)."""
 
 NODE_TRANSPORTS = ("inproc", "process")
 """Registered node-plane transports (see :mod:`repro.transport`)."""
@@ -82,19 +83,15 @@ class SigmaDedupe:
         Routing-granularity parameters (paper defaults: 1 MB and 8).
     node_config:
         Per-node structural configuration.
-    container_backend / storage_dir:
-        Container storage backend selection, threaded into every node's
-        config: ``container_backend`` is a registered backend name
-        (``"memory"`` keeps sealed containers resident, the default;
-        ``"file"`` spills their data sections to disk and keeps RAM bounded),
-        ``storage_dir`` is where disk-backed backends write (one ``node-<id>``
-        subdirectory per node).  Passing only ``storage_dir`` implies the
-        ``"file"`` backend.
-    container_compression:
-        Spill compression codec for disk-backed backends (``"none"``,
-        ``"zlib"``, ``"zstd"`` or ``"auto"``); ``None`` defers to the
-        ``REPRO_CONTAINER_COMPRESSION`` environment variable, falling back
-        to uncompressed (mmap-served) spill files.
+    container_backend / storage_dir / container_compression:
+        Storage settings, folded into ``node_config`` (a value given here
+        wins): the backend (``"memory"`` keeps sealed containers resident,
+        ``"file"`` spills their data sections to disk), where disk-backed
+        backends write (one ``node-<id>`` subdirectory per node) and the
+        spill codec (``"none"``, ``"zlib"``, ``"zstd"`` or ``"auto"``).
+        Unset values resolve through
+        :func:`~repro.node.dedupe_node.resolve_container_backend` and
+        :func:`~repro.storage.compression.resolve_compression`.
     replication_factor:
         Total copies of every sealed container (1 = no replication); with
         ``N > 1`` restore reads transparently fail over to ring-successor
@@ -102,11 +99,11 @@ class SigmaDedupe:
     failover_policy:
         Retry/backoff tuning for the failover read path.
     workers:
-        Default number of parallel ingest lanes for every backup client of
-        this framework (overridable per backup call).  ``None`` defers to the
-        ``REPRO_INGEST_WORKERS`` environment variable, falling back to serial
-        ingest.  Parallel ingest is result-identical to serial ingest; the
-        lanes only fan out the chunk+fingerprint front end.
+        Number of parallel ingest lanes for every backup client of this
+        framework.  ``None`` defers to the ``REPRO_INGEST_WORKERS``
+        environment variable, falling back to serial ingest.  Parallel
+        ingest is result-identical to serial ingest; the lanes only fan out
+        the chunk+fingerprint front end.
     parallel_executor:
         ``"thread"`` (default) or ``"process"`` lanes; see
         :class:`~repro.parallel.engine.ParallelIngestEngine`.
@@ -119,8 +116,9 @@ class SigmaDedupe:
         this process; ``"process"`` hosts each node in its own worker
         process behind the binary RPC protocol of :mod:`repro.transport`
         (results are byte-identical; only the execution substrate changes).
-        ``None`` defers to the ``REPRO_NODE_TRANSPORT`` environment
-        variable, falling back to ``"inproc"``.
+
+    Every setting is validated here, before any node, worker or directory
+    exists.
     """
 
     def __init__(
@@ -140,7 +138,7 @@ class SigmaDedupe:
         pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
         replication_factor: int = 1,
         failover_policy: Optional[FailoverPolicy] = None,
-        transport: Optional[str] = None,
+        transport: str = "inproc",
     ):
         if isinstance(routing, str):
             try:
@@ -153,45 +151,46 @@ class SigmaDedupe:
             routing_scheme = routing
         if isinstance(chunker, str):
             chunker = build_chunker(chunker)
-        resolved_transport = (
-            transport or os.environ.get(ENV_NODE_TRANSPORT) or "inproc"
-        )
-        if resolved_transport not in NODE_TRANSPORTS:
+        if transport not in NODE_TRANSPORTS:
             raise ValidationError(
-                f"unknown node transport {resolved_transport!r}; expected one "
-                f"of {list(NODE_TRANSPORTS)}"
+                f"unknown node transport {transport!r}; expected one of "
+                f"{list(NODE_TRANSPORTS)}"
             )
-        self.transport = resolved_transport
-        # Backend inference (storage_dir alone implies "file") lives in one
-        # place -- DedupeNode -- so every entry point resolves identically.
-        cluster_kwargs = dict(
-            num_nodes=num_nodes,
-            node_config=node_config,
-            routing_scheme=routing_scheme,
-            container_backend=container_backend,
-            storage_dir=storage_dir,
-            container_compression=container_compression,
-            replication_factor=replication_factor,
-            failover_policy=failover_policy,
-        )
-        self.cluster: DedupeCluster
-        if resolved_transport == "process":
-            from repro.transport.cluster import TransportCluster
-
-            self.cluster = TransportCluster(**cluster_kwargs)
-        else:
-            self.cluster = DedupeCluster(**cluster_kwargs)
-        self.director = Director()
-        self.restore_manager = RestoreManager(self.cluster, self.director)
+        self.transport = transport
         self._partitioner_config = PartitionerConfig(
             chunker=chunker or StaticChunker(4096),
             superchunk_size=superchunk_size,
             handprint_size=handprint_size,
             fingerprint_algorithm=fingerprint_algorithm,
         )
-        self.workers = workers
+        self.workers = resolve_lanes(workers, parallel_executor, pipeline_depth)
         self.parallel_executor = parallel_executor
         self.pipeline_depth = pipeline_depth
+        # The one place the storage keywords meet node_config; the cluster
+        # validates the result and every node infers its backend from it.
+        storage: Dict[str, Any] = dict(
+            container_backend=container_backend,
+            storage_dir=storage_dir,
+            container_compression=container_compression,
+        )
+        config = replace(
+            node_config or NodeConfig(),
+            **{key: value for key, value in storage.items() if value is not None},
+        )
+        cluster_type: Type[DedupeCluster] = DedupeCluster
+        if transport == "process":
+            from repro.transport.cluster import TransportCluster
+
+            cluster_type = TransportCluster
+        self.cluster = cluster_type(
+            num_nodes,
+            node_config=config,
+            routing_scheme=routing_scheme,
+            replication_factor=replication_factor,
+            failover_policy=failover_policy,
+        )
+        self.director = Director()
+        self.restore_manager = RestoreManager(self.cluster, self.director)
         self._clients: Dict[str, BackupClient] = {}
 
     # ------------------------------------------------------------------ #
@@ -221,16 +220,14 @@ class SigmaDedupe:
         files: Iterable[Tuple[str, FilePayload]],
         client_id: str = "default",
         session_label: str = "",
-        workers: Optional[int] = None,
     ) -> BackupReport:
         """Back up ``(path, payload)`` pairs as one session and return a summary.
 
         Payloads may be byte buffers or iterables of byte blocks; block
-        payloads stream through the client in bounded memory.  ``workers``
-        overrides the framework's parallel-lane default for this call.
+        payloads stream through the client in bounded memory.
         """
         client = self.client(client_id)
-        report = client.backup_files(files, session_label=session_label, workers=workers)
+        report = client.backup_files(files, session_label=session_label)
         return BackupReport.from_client_report(report, self.cluster)
 
     def backup_stream(
@@ -239,13 +236,10 @@ class SigmaDedupe:
         path: str = "stream",
         client_id: str = "default",
         session_label: str = "",
-        workers: Optional[int] = None,
     ) -> BackupReport:
         """Ingest one (possibly unbounded) block stream as a single object."""
         client = self.client(client_id)
-        report = client.backup_stream(
-            blocks, path=path, session_label=session_label, workers=workers
-        )
+        report = client.backup_stream(blocks, path=path, session_label=session_label)
         return BackupReport.from_client_report(report, self.cluster)
 
     def restore(self, session_id: str, path: str) -> bytes:

@@ -27,6 +27,7 @@ from repro.chunking.fixed import StaticChunker
 from repro.core.superchunk import DEFAULT_SUPERCHUNK_SIZE, SuperChunk
 from repro.fingerprint.fingerprinter import ChunkRecord, Fingerprinter
 from repro.fingerprint.handprint import DEFAULT_HANDPRINT_SIZE
+from repro.utils.hashing import digest_constructor
 
 
 @dataclass
@@ -43,9 +44,8 @@ class PartitionerConfig:
     handprint_size:
         Number of representative fingerprints per handprint (paper default: 8).
     fingerprint_algorithm:
-        Hash used for chunk fingerprints (paper default: SHA-1); ``"xxh64"``
-        and ``"blake3"`` are accepted when their optional modules are
-        installed.
+        Hash used for chunk fingerprints (paper default: SHA-1; ``"md5"``
+        and ``"sha256"`` also accepted).
     keep_chunk_data:
         Whether chunk payloads are retained in the records (set to ``False``
         for pure accounting simulations to save memory).
@@ -62,6 +62,7 @@ class PartitionerConfig:
             raise ValidationError("superchunk_size must be at least one average chunk")
         if self.handprint_size < 1:
             raise ValidationError("handprint_size must be >= 1")
+        digest_constructor(self.fingerprint_algorithm)  # FingerprintError
 
 
 class StreamPartitioner:

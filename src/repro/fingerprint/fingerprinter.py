@@ -112,15 +112,12 @@ class Fingerprinter:
     ----------
     algorithm:
         ``"sha1"`` (default, the paper's choice), ``"md5"`` or ``"sha256"``;
-        ``"xxh64"`` or ``"blake3"`` when their optional modules are installed
-        (selecting one without its module raises
-        :class:`~repro.errors.FingerprintError` here, at configuration time).
+        anything else raises :class:`~repro.errors.FingerprintError` here.
     """
 
     def __init__(self, algorithm: str = "sha1"):
         # Resolves (and caches) the constructor up front, so an unsupported
-        # or unavailable algorithm fails at configuration time with a
-        # FingerprintError rather than mid-stream.
+        # algorithm fails at configuration time rather than mid-stream.
         digest_constructor(algorithm)
         self.algorithm = algorithm
         self.bytes_fingerprinted = 0

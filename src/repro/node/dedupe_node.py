@@ -55,6 +55,7 @@ from repro.storage.backends import (
     FileContainerBackend,
     SpillRecovery,
     build_container_backend,
+    container_backend_factory,
 )
 from repro.storage.chunk_index import DiskChunkIndex
 from repro.storage.container import DEFAULT_CONTAINER_CAPACITY, StoredSection
@@ -72,7 +73,7 @@ if TYPE_CHECKING:
 _LENGTH = attrgetter("length")
 
 
-@dataclass
+@dataclass(frozen=True)
 class NodeConfig:
     """Configuration of a deduplication node.
 
@@ -91,9 +92,8 @@ class NodeConfig:
         When ``True`` (default) super-chunks run through the batched data
         plane; ``False`` selects the per-chunk reference path.
     container_backend:
-        Registered container backend name (``"memory"`` or ``"file"``).
-        ``None`` defers to the ``REPRO_CONTAINER_BACKEND`` environment
-        variable, falling back to ``"memory"``.
+        Registered container backend name (``"memory"`` or ``"file"``);
+        ``None`` leaves the choice to :func:`resolve_container_backend`.
     storage_dir:
         Directory for disk-backed container backends.  Each node uses its own
         ``node-<id>`` subdirectory so container files never collide; ``None``
@@ -113,6 +113,21 @@ class NodeConfig:
     container_backend: Optional[str] = None
     storage_dir: Optional[str] = None
     container_compression: Optional[str] = None
+
+
+def resolve_container_backend(config: NodeConfig) -> str:
+    """The container backend a node built from ``config`` uses: the explicit
+    ``container_backend``, else the ``REPRO_CONTAINER_BACKEND`` environment
+    variable, else ``"file"`` when a ``storage_dir`` is set, else
+    ``"memory"``.  An unregistered name raises
+    :class:`~repro.errors.StorageError`."""
+    name = (
+        config.container_backend
+        or os.environ.get(ENV_CONTAINER_BACKEND)
+        or ("file" if config.storage_dir else "memory")
+    )
+    container_backend_factory(name)  # StorageError
+    return name
 
 
 @dataclass
@@ -153,17 +168,11 @@ class DedupeNode:
         self.fingerprint_cache = ChunkFingerprintCache(  # guarded-by: _plane_lock
             self.config.cache_capacity_containers
         )
-        backend_name = (
-            self.config.container_backend
-            or os.environ.get(ENV_CONTAINER_BACKEND)
-            # A storage_dir with no explicit backend means "spill there".
-            or ("file" if self.config.storage_dir else "memory")
-        )
         storage_dir = self.config.storage_dir
         if storage_dir is not None:
             storage_dir = os.path.join(storage_dir, f"node-{node_id}")
         self.container_backend = build_container_backend(
-            backend_name,
+            resolve_container_backend(self.config),
             storage_dir=storage_dir,
             compression=self.config.container_compression,
         )

@@ -8,7 +8,7 @@ number of streams and locks.  This package provides both halves of that story:
 * :class:`~repro.parallel.engine.ParallelIngestEngine` -- the production
   ingest engine: N worker lanes chunk and fingerprint concurrently behind
   bounded queues, either re-sequenced for results byte-identical to serial
-  ingest (``BackupClient.backup_files(workers=N)``) or merged as independent
+  ingest (``BackupClient(workers=N)``) or merged as independent
   concurrent streams.
 * :class:`~repro.parallel.pipeline.ParallelDedupePipeline` and the
   measurement helpers the Figure 4 benchmarks use.

@@ -28,7 +28,7 @@ Two consumption shapes are offered:
     so super-chunk boundaries, handprints, routing decisions, statistics and
     recipes are byte-identical to serial ingest.  The node data plane runs
     serially in the consumer thread, overlapped with the lanes' front-end
-    work.  This is what ``BackupClient.backup_files(workers=N)`` uses.
+    work.  This is what a ``BackupClient(workers=N)`` backup uses.
 
 ``iter_stream_superchunks``
     Concurrent multi-stream ingest: one lane per independent data stream,
@@ -52,6 +52,9 @@ from repro.errors import ValidationError
 
 ENV_INGEST_WORKERS = "REPRO_INGEST_WORKERS"
 """Environment variable naming the default worker-lane count for ingest."""
+
+EXECUTORS = ("thread", "process")
+"""Lane execution models (see :class:`ParallelIngestEngine`)."""
 
 DEFAULT_BATCH_BYTES = 256 * 1024
 """Records cross a lane's output queue in batches of about this many payload
@@ -182,8 +185,8 @@ class ParallelIngestEngine:
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
         payload_views: bool = False,
     ):
-        if executor not in ("thread", "process"):
-            raise ValidationError(f"executor must be 'thread' or 'process', got {executor!r}")
+        if executor not in EXECUTORS:
+            raise ValidationError(f"executor must be one of {list(EXECUTORS)}, got {executor!r}")
         if batch_bytes < 1:
             raise ValidationError("batch_bytes must be positive")
         if queue_depth < 1:

@@ -734,6 +734,18 @@ CONTAINER_BACKENDS: Dict[str, Callable[..., ContainerBackend]] = {
 """Registry of container backend constructors by name."""
 
 
+def container_backend_factory(name: str) -> Callable[..., ContainerBackend]:
+    """The registered factory for backend ``name``; an unregistered name
+    raises :class:`~repro.errors.StorageError`."""
+    try:
+        return CONTAINER_BACKENDS[name]
+    except KeyError:
+        raise StorageError(
+            f"unknown container backend {name!r}; expected one of "
+            f"{sorted(CONTAINER_BACKENDS)}"
+        ) from None
+
+
 def build_container_backend(
     name: str,
     storage_dir: "str | Path | None" = None,
@@ -745,11 +757,5 @@ def build_container_backend(
     compression=...)``; backends that need no directory or codec (the
     in-memory one, or third-party registrations) simply ignore them.
     """
-    try:
-        factory = CONTAINER_BACKENDS[name]
-    except KeyError:
-        raise StorageError(
-            f"unknown container backend {name!r}; expected one of "
-            f"{sorted(CONTAINER_BACKENDS)}"
-        ) from None
+    factory = container_backend_factory(name)
     return factory(storage_dir=storage_dir, compression=compression)

@@ -19,18 +19,16 @@ RPC handle:
   subclass that opens proxies instead of in-process handles and owns the
   workers' lifecycle.
 
-Select with ``SigmaDedupe(transport="process")`` or
-``REPRO_NODE_TRANSPORT=process``; results are byte-identical to the
-in-process default (see ``tests/test_transport_properties.py``).
+Select with ``SigmaDedupe(transport="process")``; results are
+byte-identical to the in-process default (see
+``tests/test_transport_properties.py``).
 """
 
-from repro.transport.cluster import ENV_NODE_TRANSPORT, ENV_START_METHOD, TransportCluster
+from repro.transport.cluster import TransportCluster
 from repro.transport.proxy import NodeProxy, PendingBackup, PendingCall
 from repro.transport.worker import ENV_WORKER_MARKER, NodeWorker, WorkerSpec, node_worker_main
 
 __all__ = [
-    "ENV_NODE_TRANSPORT",
-    "ENV_START_METHOD",
     "ENV_WORKER_MARKER",
     "NodeProxy",
     "NodeWorker",

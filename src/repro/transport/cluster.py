@@ -16,32 +16,25 @@ import shutil
 import tempfile
 import time
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.analysis.runtime import GuardLock, guarded_lock
 from repro.cluster.cluster import RETRYABLE_READ_ERRORS, DedupeCluster
-from repro.cluster.replication import FailoverPolicy
 from repro.errors import NodeUnavailableError, RpcDroppedError, TransportError
 from repro.fingerprint.handprint import DEFAULT_HANDPRINT_SIZE, Handprint
-from repro.node.dedupe_node import NodeConfig
-from repro.routing.base import RoutingScheme
+from repro.node.dedupe_node import NodeConfig, resolve_container_backend
 from repro.transport.proxy import NodeProxy, PendingBackup, PendingCall, pack_handprint
 from repro.transport.worker import ENV_WORKER_MARKER, WorkerSpec, node_worker_main
 
 __all__ = [
-    "ENV_NODE_TRANSPORT",
-    "ENV_START_METHOD",
     "NodeProxy",
     "PendingBackup",
     "PendingCall",
     "TransportCluster",
 ]
 
-ENV_NODE_TRANSPORT = "REPRO_NODE_TRANSPORT"
-"""Selects the node-plane transport (``inproc`` default, ``process``)."""
-
-ENV_START_METHOD = "REPRO_TRANSPORT_START_METHOD"
-"""Overrides the multiprocessing start method (``fork`` preferred)."""
+START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+"""How workers start: ``fork`` where the platform has it, else ``spawn``."""
 
 REAP_TIMEOUT_SECONDS = 5.0
 """How long each step of reaping a worker (exit, SIGTERM, SIGKILL) may take."""
@@ -62,9 +55,8 @@ class TransportCluster(DedupeCluster):
     """A dedupe cluster whose nodes are worker processes behind real RPC.
 
     Accepts the configuration surface of
-    :class:`~repro.cluster.cluster.DedupeCluster` (plus ``start_method``, the
-    multiprocessing start method); construction spawns one worker per node
-    and connects a :class:`NodeProxy` to each.
+    :class:`~repro.cluster.cluster.DedupeCluster`; construction spawns one
+    worker per node and connects a :class:`NodeProxy` to each.
     """
 
     transport = "process"
@@ -78,36 +70,15 @@ class TransportCluster(DedupeCluster):
     request is retried under the same bounded-backoff policy as a faulty
     spill read."""
 
-    def __init__(
-        self,
-        num_nodes: int,
-        node_config: Optional[NodeConfig] = None,
-        routing_scheme: Optional[RoutingScheme] = None,
-        container_backend: Optional[str] = None,
-        storage_dir: Optional[str] = None,
-        container_compression: Optional[str] = None,
-        replication_factor: int = 1,
-        failover_policy: Optional[FailoverPolicy] = None,
-        start_method: Optional[str] = None,
-    ):
-        method = start_method or os.environ.get(ENV_START_METHOD)
-        if method is None:
-            method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        self._mp_context = multiprocessing.get_context(method)
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        # DedupeCluster's parameters, passed through unchanged.  Defined here
+        # rather than inherited so worker spawn-up can be timed on its own.
+        self._mp_context = multiprocessing.get_context(START_METHOD)
         self._lock: GuardLock = guarded_lock("TransportCluster._lock")
         self._closed = False  # guarded-by: _lock
         self._runtime_dir: str  # claimed by _open_nodes, once the config is valid
         self.node_proxies: List[NodeProxy] = []
-        super().__init__(
-            num_nodes,
-            node_config=node_config,
-            routing_scheme=routing_scheme,
-            container_backend=container_backend,
-            storage_dir=storage_dir,
-            container_compression=container_compression,
-            replication_factor=replication_factor,
-            failover_policy=failover_policy,
-        )
+        super().__init__(*args, **kwargs)
 
     # ------------------------------------------------------------------ #
     # worker lifecycle
@@ -116,10 +87,7 @@ class TransportCluster(DedupeCluster):
     def _open_nodes(self, num_nodes: int, config: NodeConfig, replicate: bool) -> None:
         # Runs after validation, so a rejected configuration leaks nothing.
         self._runtime_dir = tempfile.mkdtemp(prefix="repro-transport-")
-        if config.storage_dir is None and (
-            config.container_backend == "file"
-            or os.environ.get("REPRO_CONTAINER_BACKEND") == "file"
-        ):
+        if config.storage_dir is None and resolve_container_backend(config) == "file":
             # File-backed workers need a directory that outlives a worker
             # restart; claim one inside the runtime dir (removed on close).
             config = replace(

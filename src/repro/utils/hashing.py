@@ -17,12 +17,6 @@ from repro.errors import FingerprintError, ValidationError
 #: Digest algorithms always available for chunk fingerprinting (hashlib).
 SUPPORTED_ALGORITHMS = ("sha1", "md5", "sha256")
 
-#: Non-cryptographic / modern digests accepted when their third-party module
-#: is importable (``xxhash`` / ``blake3``).  Neither is a hard dependency:
-#: selecting one without its module raises :class:`FingerprintError` at
-#: configuration time, never mid-stream.
-OPTIONAL_ALGORITHMS = ("xxh64", "blake3")
-
 #: Resolved digest constructors, keyed by algorithm name.  ``hashlib.new``
 #: re-resolves the algorithm string on every call, which is measurable at one
 #: call per chunk; the named constructors (``hashlib.sha1`` etc.) skip that
@@ -41,53 +35,13 @@ def digest_constructor(algorithm: str = "sha1") -> Callable:
     try:
         return _DIGEST_CONSTRUCTORS[algorithm]
     except KeyError:
-        if algorithm in SUPPORTED_ALGORITHMS:
-            constructor = getattr(hashlib, algorithm)
-        elif algorithm in OPTIONAL_ALGORITHMS:
-            constructor = _optional_constructor(algorithm)
-        else:
+        if algorithm not in SUPPORTED_ALGORITHMS:
             raise FingerprintError(
                 f"unsupported digest algorithm: {algorithm!r}"
             ) from None
+        constructor = getattr(hashlib, algorithm)
         _DIGEST_CONSTRUCTORS[algorithm] = constructor
         return constructor
-
-
-def _optional_constructor(algorithm: str) -> Callable:
-    """Resolve an :data:`OPTIONAL_ALGORITHMS` constructor or fail clearly.
-
-    Both ``xxhash.xxh64`` and ``blake3.blake3`` expose the hashlib protocol
-    (constructor taking an optional initial buffer, ``.digest()``), so they
-    drop straight into the per-chunk fingerprint path.
-    """
-    if algorithm == "xxh64":
-        try:
-            import xxhash
-        except ImportError:
-            raise FingerprintError(
-                "fingerprint algorithm 'xxh64' requires the optional 'xxhash' "
-                "module, which is not installed"
-            ) from None
-        return xxhash.xxh64
-    if algorithm == "blake3":
-        try:
-            import blake3
-        except ImportError:
-            raise FingerprintError(
-                "fingerprint algorithm 'blake3' requires the optional 'blake3' "
-                "module, which is not installed"
-            ) from None
-        return blake3.blake3
-    raise FingerprintError(f"unsupported digest algorithm: {algorithm!r}")
-
-
-def algorithm_available(algorithm: str) -> bool:
-    """Whether ``algorithm`` can actually construct digests in this process."""
-    try:
-        digest_constructor(algorithm)
-    except FingerprintError:
-        return False
-    return True
 
 
 def digest_bytes(data: bytes, algorithm: str = "sha1") -> bytes:

@@ -206,7 +206,9 @@ def run_cluster_session(
         node_config=node_config,
         storage_dir=storage_dir,
         workers=workers,
-        transport=transport,
+        # No keyword at all when unset, so the default side exercises
+        # SigmaDedupe's own default transport.
+        **({} if transport is None else {"transport": transport}),
     )
     try:
         rng = random.Random(1337)

@@ -39,8 +39,7 @@ def open_cluster(kind, storage_dir):
     directly, never the cluster's own logic."""
     return KINDS[kind](
         num_nodes=2,
-        node_config=NodeConfig(container_capacity=2048),
-        storage_dir=str(storage_dir),
+        node_config=NodeConfig(container_capacity=2048, storage_dir=str(storage_dir)),
         replication_factor=2,
     )
 

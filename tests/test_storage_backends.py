@@ -2,9 +2,12 @@
 
 import mmap
 import os
+from pathlib import Path
 
 import pytest
 
+from repro.cluster.cluster import DedupeCluster
+from repro.core.framework import NODE_TRANSPORTS, SigmaDedupe
 from repro.errors import CompressionError, ContainerNotFoundError, StorageError
 from repro.fingerprint.fingerprinter import ChunkRecord
 from repro.node.dedupe_node import DedupeNode, NodeConfig
@@ -23,6 +26,7 @@ from repro.storage.compression import (
     zstd_available,
 )
 from repro.storage.container_store import ContainerStore
+from repro.storage.journal import MANIFEST_NAME, ManifestJournal
 from tests.helpers import deterministic_bytes, fingerprint_of, superchunk_from_seeds
 
 #: Codec names usable on this host ("none" always; "zstd" only with the
@@ -175,68 +179,103 @@ class TestSpillFileCrashes:
             node.read_chunk(superchunk.chunks[0].fingerprint)
 
 
-class TestNodeBackendSelection:
-    def test_default_is_memory(self, monkeypatch):
-        monkeypatch.delenv(ENV_CONTAINER_BACKEND, raising=False)
-        node = DedupeNode(0)
-        assert isinstance(node.container_backend, InMemoryBackend)
+#: What ``SigmaDedupe(transport=...)`` resolves, whichever transport hosts
+#: the nodes.  Backend: the explicit keyword, then REPRO_CONTAINER_BACKEND,
+#: then a storage_dir means "file", then "memory".
+#: Row: (container_backend=, REPRO_CONTAINER_BACKEND, storage_dir given, backend).
+BACKEND_PRECEDENCE = [
+    pytest.param(None, None, False, "memory", id="default"),
+    pytest.param("file", None, False, "file", id="keyword"),
+    pytest.param(None, "file", False, "file", id="environment"),
+    pytest.param("memory", "file", False, "memory", id="keyword-beats-environment"),
+    pytest.param(None, None, True, "file", id="storage-dir-implies-file"),
+    pytest.param(None, "memory", True, "memory", id="environment-beats-storage-dir"),
+    pytest.param("memory", None, True, "memory", id="keyword-beats-storage-dir"),
+]
 
-    def test_config_selects_file_backend(self, tmp_path):
-        node = DedupeNode(3, config=NodeConfig(container_backend="file", storage_dir=str(tmp_path)))
-        assert isinstance(node.container_backend, FileContainerBackend)
-        assert node.container_backend.storage_dir == tmp_path / "node-3"
+AUTO_CODEC = "zstd" if zstd_available() else "zlib"
 
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(ENV_CONTAINER_BACKEND, "file")
-        node = DedupeNode(0)
-        try:
-            assert isinstance(node.container_backend, FileContainerBackend)
-        finally:
-            node.container_backend.close()
+#: Compression: the explicit keyword, then REPRO_CONTAINER_COMPRESSION, then
+#: "none"; "auto" is zstd, or zlib without the zstandard module.
+#: Row: (container_compression=, REPRO_CONTAINER_COMPRESSION, codec).
+COMPRESSION_PRECEDENCE = [
+    pytest.param(None, None, "none", id="default"),
+    pytest.param("zlib", None, "zlib", id="keyword"),
+    pytest.param(None, "zlib", "zlib", id="environment"),
+    pytest.param("none", "zlib", "none", id="keyword-beats-environment"),
+    pytest.param("auto", None, AUTO_CODEC, id="keyword-auto"),
+    pytest.param(None, "auto", AUTO_CODEC, id="environment-auto"),
+]
 
-    def test_explicit_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_CONTAINER_BACKEND, "file")
-        node = DedupeNode(0, config=NodeConfig(container_backend="memory"))
-        assert isinstance(node.container_backend, InMemoryBackend)
 
-    def test_storage_dir_alone_implies_file_backend(self, monkeypatch, tmp_path):
-        # A storage_dir with no explicit backend must mean "spill there", at
-        # node, cluster and framework level alike -- silently keeping the
-        # in-memory backend would ignore the directory without any error.
-        from repro.cluster.cluster import DedupeCluster
+def spill_root(framework, storage_dir):
+    """Where node 0 writes its spill tree, if it has one."""
+    if storage_dir is not None:
+        return Path(storage_dir) / "node-0"
+    if framework.transport == "process":
+        # The worker's own claim, inside the cluster's runtime directory.
+        return Path(framework.cluster._runtime_dir) / "storage" / "node-0"
+    return getattr(framework.cluster.node(0).container_backend, "storage_dir", None)
 
-        monkeypatch.delenv(ENV_CONTAINER_BACKEND, raising=False)
-        node = DedupeNode(0, config=NodeConfig(storage_dir=str(tmp_path / "n")))
-        assert isinstance(node.container_backend, FileContainerBackend)
-        cluster = DedupeCluster(num_nodes=2, storage_dir=str(tmp_path / "c"))
-        assert all(
-            isinstance(member.container_backend, FileContainerBackend)
-            for member in cluster.nodes
+
+def spilled_codec(monkeypatch, transport, environ, **settings):
+    """Back up one object through ``SigmaDedupe`` and read, from the spill
+    tree node 0 wrote, the codec its journal recorded (``None``: no spill
+    tree, i.e. the node kept its containers in memory)."""
+    for variable, value in environ.items():
+        if value is None:
+            monkeypatch.delenv(variable, raising=False)
+        else:
+            monkeypatch.setenv(variable, value)
+    with SigmaDedupe(
+        num_nodes=1,
+        node_config=NodeConfig(container_capacity=4096),
+        transport=transport,
+        **settings,
+    ) as framework:
+        framework.backup([("a.bin", deterministic_bytes(32 * 1024, seed=1))])
+        root = spill_root(framework, settings.get("storage_dir"))
+        first = None if root is None else ManifestJournal(root / MANIFEST_NAME).first_record()
+        return None if first is None else first["codec"]
+
+
+@pytest.mark.parametrize("transport", NODE_TRANSPORTS)
+class TestStorageSettingPrecedence:
+    @pytest.mark.parametrize("keyword, environ, with_dir, expected", BACKEND_PRECEDENCE)
+    def test_backend(self, monkeypatch, tmp_path, transport, keyword, environ, with_dir, expected):
+        codec = spilled_codec(
+            monkeypatch,
+            transport,
+            {ENV_CONTAINER_BACKEND: environ},
+            container_backend=keyword,
+            storage_dir=str(tmp_path) if with_dir else None,
         )
+        assert ("memory" if codec is None else "file") == expected
 
+    @pytest.mark.parametrize("keyword, environ, expected", COMPRESSION_PRECEDENCE)
+    def test_compression(self, monkeypatch, tmp_path, transport, keyword, environ, expected):
+        codec = spilled_codec(
+            monkeypatch,
+            transport,
+            {ENV_CONTAINER_COMPRESSION: environ},
+            container_backend="file",
+            storage_dir=str(tmp_path),
+            container_compression=keyword,
+        )
+        assert codec == expected
+
+
+class TestNodeDirectories:
     def test_nodes_get_disjoint_directories(self, tmp_path):
-        from repro.cluster.cluster import DedupeCluster
-
-        cluster = DedupeCluster(num_nodes=3, storage_dir=str(tmp_path), container_backend="file")
+        config = NodeConfig(container_backend="file", storage_dir=str(tmp_path))
+        cluster = DedupeCluster(num_nodes=3, node_config=config)
         directories = {node.container_backend.storage_dir for node in cluster.nodes}
-        assert len(directories) == 3
+        assert directories == {tmp_path / f"node-{node_id}" for node_id in range(3)}
 
 
 class TestCompressionCodecs:
     def test_registry_names(self):
         assert set(COMPRESSION_CODECS) == {"none", "zlib", "zstd"}
-
-    def test_resolve_defaults_to_none(self, monkeypatch):
-        monkeypatch.delenv(ENV_CONTAINER_COMPRESSION, raising=False)
-        assert resolve_compression(None) == "none"
-
-    def test_resolve_reads_environment(self, monkeypatch):
-        monkeypatch.setenv(ENV_CONTAINER_COMPRESSION, "zlib")
-        assert resolve_compression(None) == "zlib"
-
-    def test_explicit_name_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(ENV_CONTAINER_COMPRESSION, "zlib")
-        assert resolve_compression("none") == "none"
 
     def test_auto_picks_an_available_codec(self):
         assert resolve_compression("auto") == ("zstd" if zstd_available() else "zlib")
@@ -447,8 +486,6 @@ class TestCompressionSelection:
             FileContainerBackend(tmp_path, compression="lz77")
 
     def test_framework_roundtrip_with_compression(self, tmp_path):
-        from repro.core.framework import SigmaDedupe
-
         framework = SigmaDedupe(
             num_nodes=2,
             storage_dir=str(tmp_path),

@@ -18,22 +18,34 @@ import multiprocessing
 import os
 import signal
 import socket
+import string
 import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.cluster import DedupeCluster
 from repro.cluster.message import MessageType
 from repro.core.framework import SigmaDedupe
 from repro.errors import (
+    CompressionError,
+    FingerprintError,
     NodeUnavailableError,
+    StorageError,
     TransportError,
     ValidationError,
     WireProtocolError,
 )
 from repro.faults.plan import FaultPlan, NodeDownWindow
 from repro.node.dedupe_node import NodeConfig
+from repro.parallel.engine import ENV_INGEST_WORKERS, EXECUTORS
+from repro.routing import ALL_SCHEMES
+from repro.storage.backends import CONTAINER_BACKENDS, ENV_CONTAINER_BACKEND
+from repro.storage.compression import COMPRESSION_CODECS, ENV_CONTAINER_COMPRESSION
 from repro.transport import TransportCluster, wire
+from repro.utils.hashing import SUPPORTED_ALGORITHMS
 from tests.helpers import chunk_records_from_seeds, superchunk_from_seeds
 
 
@@ -210,21 +222,69 @@ class TestTransportCluster:
             SigmaDedupe(num_nodes=1, transport="carrier-pigeon")
 
 
+# ------------------------------------------------------------------ #
+# Strategies: one bad setting each, with the typed error it must raise
+# ------------------------------------------------------------------ #
+
+
+def names_outside(legal):
+    """Setting values drawn from outside ``legal``."""
+    return st.text(alphabet=string.ascii_lowercase + string.digits, min_size=1, max_size=8).filter(
+        lambda name: name not in legal
+    )
+
+
+def keyword(name, values, error):
+    return values.map(lambda value: ({name: value}, {}, error))
+
+
+def environment(variable, values, error):
+    return values.map(lambda value: ({}, {variable: value}, error))
+
+
+CODEC_NAMES = [*COMPRESSION_CODECS, "auto"]
+
+rejected_settings = st.one_of(
+    keyword("routing", names_outside(ALL_SCHEMES), ValidationError),
+    keyword("parallel_executor", names_outside(EXECUTORS), ValidationError),
+    keyword("fingerprint_algorithm", names_outside(SUPPORTED_ALGORITHMS), FingerprintError),
+    keyword("container_backend", names_outside(CONTAINER_BACKENDS), StorageError),
+    keyword("container_compression", names_outside(CODEC_NAMES), CompressionError),
+    keyword("num_nodes", st.integers(max_value=0), ValidationError),
+    keyword("workers", st.integers(max_value=0), ValidationError),
+    keyword("pipeline_depth", st.integers(max_value=0), ValidationError),
+    keyword(
+        "replication_factor",
+        st.integers(max_value=0) | st.integers(min_value=3),
+        ValidationError,
+    ),
+    environment(
+        ENV_INGEST_WORKERS,
+        st.integers(max_value=0).map(str) | st.text(string.ascii_letters, min_size=1),
+        ValidationError,
+    ),
+    environment(ENV_CONTAINER_BACKEND, names_outside(CONTAINER_BACKENDS), StorageError),
+    environment(ENV_CONTAINER_COMPRESSION, names_outside(CODEC_NAMES), CompressionError),
+)
+
+
 @pytest.mark.parametrize("cluster_type", [DedupeCluster, TransportCluster])
-def test_rejected_config_leaves_nothing_behind(tmp_path, cluster_type):
-    """Validation runs before any node, worker or directory exists (the
-    in-process cluster used to build -- and leak -- both file-backed nodes
-    before rejecting the replication factor)."""
+@given(rejected=rejected_settings)
+@settings(max_examples=60, deadline=None)
+def test_rejected_config_leaves_nothing_behind(cluster_type, rejected):
+    """Every setting is checked before any node, worker or directory exists:
+    a bad value raises its typed error from ``SigmaDedupe(...)`` and leaves
+    the storage dir empty, no runtime dir and no worker behind."""
+    keywords, environ, error = rejected
     runtime_dirs = os.path.join(tempfile.gettempdir(), "repro-transport-*")
     before = set(glob.glob(runtime_dirs))
-    with pytest.raises(ValidationError):
-        cluster_type(
-            num_nodes=2,
-            container_backend="file",
-            storage_dir=str(tmp_path),
-            replication_factor=3,
+    with tempfile.TemporaryDirectory() as storage_dir, mock.patch.dict(os.environ, environ):
+        settings_ = dict(
+            num_nodes=2, storage_dir=storage_dir, transport=cluster_type.transport
         )
-    assert os.listdir(tmp_path) == []
+        with pytest.raises(error):
+            SigmaDedupe(**{**settings_, **keywords})
+        assert os.listdir(storage_dir) == []
     assert set(glob.glob(runtime_dirs)) == before
     assert not [
         child
@@ -236,6 +296,12 @@ def test_rejected_config_leaves_nothing_behind(tmp_path, cluster_type):
 # ------------------------------------------------------------------ #
 # crash, failover, restart: the lifecycle acceptance path
 # ------------------------------------------------------------------ #
+
+
+def spill_config(tmp_path):
+    return NodeConfig(
+        container_capacity=4096, container_backend="file", storage_dir=str(tmp_path)
+    )
 
 
 def ingest_tracked(cluster, seeds_groups, length=256):
@@ -263,8 +329,7 @@ class TestWorkerCrashFailover:
         tree via the journal and serves direct reads again."""
         cluster = TransportCluster(
             num_nodes=3,
-            node_config=NodeConfig(container_capacity=4096, container_backend="file"),
-            storage_dir=str(tmp_path),
+            node_config=spill_config(tmp_path),
             replication_factor=2,
         )
         try:
@@ -310,8 +375,7 @@ class TestWorkerCrashFailover:
     def test_sigkill_without_replicas_raises_node_unavailable(self, tmp_path):
         cluster = TransportCluster(
             num_nodes=2,
-            node_config=NodeConfig(container_capacity=4096, container_backend="file"),
-            storage_dir=str(tmp_path),
+            node_config=spill_config(tmp_path),
         )
         try:
             stored = ingest_tracked(cluster, [[1, 2, 3], [4, 5, 6]])
@@ -331,8 +395,7 @@ class TestWorkerCrashFailover:
     def test_marked_down_node_fails_over_and_recovers_on_up(self, tmp_path):
         cluster = TransportCluster(
             num_nodes=3,
-            node_config=NodeConfig(container_capacity=4096, container_backend="file"),
-            storage_dir=str(tmp_path),
+            node_config=spill_config(tmp_path),
             replication_factor=2,
         )
         try:
@@ -365,8 +428,7 @@ class TestTransportFaults:
     def test_drop_rpc_is_retried_deterministically(self, tmp_path):
         cluster = TransportCluster(
             num_nodes=2,
-            node_config=NodeConfig(container_capacity=4096, container_backend="file"),
-            storage_dir=str(tmp_path),
+            node_config=spill_config(tmp_path),
         )
         try:
             stored = ingest_tracked(cluster, [[21, 22, 23], [24, 25, 26]])
@@ -394,8 +456,7 @@ class TestTransportFaults:
     def test_all_rpcs_dropped_fails_over_to_replicas(self, tmp_path):
         cluster = TransportCluster(
             num_nodes=3,
-            node_config=NodeConfig(container_capacity=4096, container_backend="file"),
-            storage_dir=str(tmp_path),
+            node_config=spill_config(tmp_path),
             replication_factor=2,
         )
         try:
@@ -422,8 +483,7 @@ class TestTransportFaults:
     def test_nodes_down_window_routes_reads_to_replicas(self, tmp_path):
         cluster = TransportCluster(
             num_nodes=3,
-            node_config=NodeConfig(container_capacity=4096, container_backend="file"),
-            storage_dir=str(tmp_path),
+            node_config=spill_config(tmp_path),
             replication_factor=2,
         )
         try:
