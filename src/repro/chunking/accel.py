@@ -38,6 +38,7 @@ from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.chunking.gear import GEAR_TABLE, GearChunker
 from repro.errors import ChunkingError, FingerprintError
+from repro.utils.buffers import borrowed
 from repro.utils.hashing import SUPPORTED_ALGORITHMS, digest_constructor
 
 _SOURCE = b"""
@@ -103,18 +104,6 @@ size_t gear_cut_digest(const uint8_t *data, size_t length, size_t start,
 #: input length and keeps :meth:`AcceleratedGearChunker.cut_offsets` lazy.
 _CUT_BATCH = 1024
 _GEAR = (ctypes.c_uint64 * 256)(*GEAR_TABLE)
-
-
-class _PyBuffer(ctypes.Structure):
-    """``Py_buffer``: lets the scan borrow any contiguous buffer in place, the
-    read-only views (shm lane slabs) ``ctypes.from_buffer`` refuses included."""
-
-    _fields_ = [
-        ("buf", ctypes.c_void_p), ("obj", ctypes.c_void_p),
-        ("len", ctypes.c_ssize_t), ("itemsize", ctypes.c_ssize_t),
-        ("readonly", ctypes.c_int), ("ndim", ctypes.c_int),
-        *((f, ctypes.c_void_p) for f in ("format", "shape", "strides", "suboffsets", "internal")),
-    ]
 
 
 class _Evp(ctypes.Structure):
@@ -323,16 +312,11 @@ class AcceleratedGearChunker(GearChunker):
         if kernel is None:
             raise ChunkingError(f"compiled gear kernel unavailable: {detail}")
         length, start, count = len(data), 0, limit
-        borrowed, api = _PyBuffer(), ctypes.pythonapi  # a PyDLL: raises BufferError itself
-        try:  # flags 0 = PyBUF_SIMPLE: contiguous bytes, read-only is fine
-            api.PyObject_GetBuffer(ctypes.py_object(data), ctypes.byref(borrowed), 0)
-        except BufferError:  # a strided view is the one input that is copied
-            api.PyObject_GetBuffer(ctypes.py_object(bytes(data)), ctypes.byref(borrowed), 0)
-        try:
+        with borrowed(data) as view:  # pins ``data`` (and a bytearray's size) for the scan only
             while count == limit:
                 scratch = _LOCAL.scratch  # this thread's, whichever thread resumes the scan
                 count = kernel(
-                    borrowed.buf, length, start, _GEAR, self._mask_strict, self._mask_loose,
+                    view.buf, length, start, _GEAR, self._mask_strict, self._mask_loose,
                     self.min_size, self.max_size, self._normal_point, scratch.cuts, limit,
                     scratch.context, evp, scratch.digests,
                 )
@@ -342,8 +326,6 @@ class AcceleratedGearChunker(GearChunker):
                     cuts = scratch.cuts[:count]  # copied out: the scratch is reused while we yield
                     start = cuts[-1]
                     yield cuts, evp and scratch.digests[: count * evp.size]
-        finally:  # the export pins ``data`` (and a bytearray's size) for the scan only
-            api.PyBuffer_Release(ctypes.byref(borrowed))
 
 
 def best_gear_chunker(**kwargs: Any) -> GearChunker:

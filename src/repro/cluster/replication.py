@@ -55,6 +55,7 @@ from repro.storage.journal import MANIFEST_NAME
 
 if TYPE_CHECKING:
     from repro.cluster.cluster import DedupeCluster
+    from repro.cluster.handle import NodeHandle
 
 REPLICA_ID_STRIDE = 1 << 40
 """Spill-id stride separating replica namespaces per origin node: a replica
@@ -231,6 +232,8 @@ class ReplicationManager:
         self.factor = factor
         self._lock: GuardLock = guarded_lock("ReplicationManager._lock")
         self.failover_reads = 0  # guarded-by: _lock
+        # Per node: the handle it was drained through, and its seals not yet mirrored.
+        self._unmirrored: Dict[int, Tuple[NodeHandle, List[int]]] = {}  # guarded-by: _lock
 
     def successors(self, node_id: int) -> List[int]:
         """The ring successors mirroring ``node_id``'s containers."""
@@ -258,12 +261,27 @@ class ReplicationManager:
             push.result()
 
     def sync_node(self, node_id: int) -> int:
-        """Mirror every container sealed on ``node_id`` since the last sync."""
-        sealed = self.cluster.handle(node_id).drain_sealed()
+        """Mirror every container sealed on ``node_id`` since the last sync,
+        after any an earlier sync left unmirrored: a mirror that raises
+        leaves its container and the rest of the drained batch pending for
+        the next call (unless the node's handle has since been replaced: a
+        restarted worker logs again whatever it recovered)."""
+        handle = self.cluster.handle(node_id)
+        sealed = handle.drain_sealed()
+        with self._lock:
+            owner, pending = self._unmirrored.pop(node_id, (handle, []))
+        pending = (pending if owner is handle else []) + sealed
         successors = self.successors(node_id)
-        for container_id in sealed:
-            self._mirror_container(node_id, container_id, successors)
-        return len(sealed)
+        mirrored = 0
+        try:
+            for container_id in pending:
+                self._mirror_container(node_id, container_id, successors)
+                mirrored += 1
+        finally:
+            if mirrored < len(pending):
+                with self._lock:
+                    self._unmirrored[node_id] = (handle, pending[mirrored:])
+        return mirrored
 
     def sync(self) -> int:
         """Mirror pending seals on every node (end-of-session flush)."""

@@ -31,6 +31,7 @@ from repro.fingerprint.handprint import DEFAULT_HANDPRINT_SIZE
 from repro.node.dedupe_node import NodeConfig
 from repro.routing import ALL_SCHEMES
 from repro.routing.base import RoutingScheme
+from repro.storage.compression import codec_status
 from repro.errors import ValidationError
 
 NODE_TRANSPORTS = ("inproc", "process")
@@ -309,8 +310,11 @@ class SigmaDedupe:
         """Cluster-wide summary, plus ``chunker_backend``: the class of the
         configured chunker, i.e. which scan ``chunker="gear"`` resolved to
         (``AcceleratedGearChunker`` or the ~200x slower pure ``GearChunker``;
-        :func:`repro.chunking.accel.kernel_status` gives the reason)."""
+        :func:`repro.chunking.accel.kernel_status` gives the reason), and
+        ``codec_backend``: what the ``"zlib"`` spill codec runs on
+        (:func:`repro.storage.compression.codec_status`'s detail)."""
         return {
             **self.cluster.describe(),
             "chunker_backend": type(self._partitioner_config.chunker).__name__,
+            "codec_backend": codec_status()[1],
         }

@@ -33,6 +33,7 @@ from repro.storage.compression import (
     COMPRESSION_CODECS,
     CompressionCodec,
     build_codec,
+    codec_status,
     resolve_compression,
     zstd_available,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "SimilarityIndex",
     "build_codec",
     "build_container_backend",
+    "codec_status",
     "resolve_compression",
     "zstd_available",
 ]

@@ -12,6 +12,8 @@ The submodules are intentionally small and dependency-free:
   RAM-usage comparison model.
 * :mod:`repro.utils.striped_lock` -- striped locking used by the parallel
   similarity index.
+* :mod:`repro.utils.buffers` -- borrowing a buffer in place for a
+  :mod:`ctypes` call (the gear kernel and the libdeflate codec).
 """
 
 from repro.utils.hashing import digest_bytes, digest_hex, digest_to_int, fingerprint_mod

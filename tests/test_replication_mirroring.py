@@ -16,7 +16,7 @@ import pytest
 import repro.storage.backends as backends_module
 from repro.cluster.replication import REPLICA_ID_STRIDE, REPLICA_SUBDIR
 from repro.core.framework import SigmaDedupe
-from repro.errors import SimulatedCrashError, StorageError
+from repro.errors import RpcDroppedError, SimulatedCrashError, StorageError
 from repro.faults import FaultPlan
 from repro.node.dedupe_node import NodeConfig
 from repro.storage.compression import build_codec, zstd_available
@@ -244,6 +244,48 @@ class TestCorruptPrimaryIsRefused:
             replica_dir = tmp_path / f"node-{(origin + 1) % 3}" / REPLICA_SUBDIR
             assert not list(replica_dir.glob("container-*.cdata"))
             assert framework.describe()["replicated_containers"] == 0
+        finally:
+            framework.close()
+
+
+class TestFailedMirrorKeepsTheRestPending:
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_the_next_sync_mirrors_what_a_failed_push_left(
+        self, tmp_path, monkeypatch, transport
+    ):
+        framework = make_framework(
+            tmp_path, container_compression="zlib", transport=transport
+        )
+        try:
+            cluster = framework.cluster
+            # Back up with the manager unplugged, so every seal waits in its
+            # node's log and one sync drains a batch of several.
+            manager, cluster.replication = cluster.replication, None
+            framework.backup(compressible_corpus(num_files=8))
+            cluster.replication = manager
+            sealed = {
+                node_id: len(journal_records(tmp_path / f"node-{node_id}"))
+                for node_id in range(3)
+            }
+            origin = max(sealed, key=sealed.get)
+            assert sealed[origin] >= 3
+            target = cluster.handle(manager.successors(origin)[0])
+            push, pushed = type(target).store_replica, []
+
+            def drop_the_second(handle, *args):
+                if handle is target:
+                    pushed.append(args)
+                    if len(pushed) == 2:
+                        raise RpcDroppedError("injected drop of the second mirror")
+                return push(handle, *args)
+
+            monkeypatch.setattr(type(target), "store_replica", drop_the_second)
+            with pytest.raises(RpcDroppedError):
+                manager.sync_node(origin)
+            assert manager.sync() == sum(sealed.values()) - 1
+            assert len(pushed) == sealed[origin] + 1  # the dropped one was pushed again
+            assert assert_replicas_mirror_primaries(tmp_path, 3, 2) == sum(sealed.values())
+            assert manager.sync() == 0
         finally:
             framework.close()
 
