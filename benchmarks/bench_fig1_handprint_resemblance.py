@@ -52,8 +52,8 @@ def resemblance_series() -> List[List]:
     fingerprinter = Fingerprinter("sha1")
     rows: List[List] = []
     for name, (original, revised) in build_pairs().items():
-        fps_a = [r.fingerprint for r in fingerprinter.fingerprint_stream(original, chunker, keep_data=False)]
-        fps_b = [r.fingerprint for r in fingerprinter.fingerprint_stream(revised, chunker, keep_data=False)]
+        fps_a = [r.fingerprint for r in fingerprinter.fingerprint_blocks(original, chunker, keep_data=False)]
+        fps_b = [r.fingerprint for r in fingerprinter.fingerprint_blocks(revised, chunker, keep_data=False)]
         real = jaccard_resemblance(fps_a, fps_b)
         row: List = [name, round(real, 3)]
         for k in HANDPRINT_SIZES:

@@ -76,7 +76,7 @@ def _cdc_ratio_on_sample(workload) -> float:
                 break
             data = file.data[: per_snapshot_budget - consumed]
             consumed += len(data)
-            for record in fingerprinter.fingerprint_chunks(chunker.chunk(data), keep_data=False):
+            for record in fingerprinter.fingerprint_blocks(data, chunker, keep_data=False):
                 logical += record.length
                 unique.setdefault(record.fingerprint, record.length)
     unique_bytes = sum(unique.values())

@@ -152,10 +152,7 @@ BLOCK_STREAM_PRODUCERS: FrozenSet[str] = frozenset(
         "committed_segments",
         "fingerprint_blocks",
         "iter_chunk_records",
-        "iter_superchunks",
-        "group_into_superchunks",
         "iter_file_records",
-        "iter_stream_superchunks",
         "iter_restore_file",
     }
 )

@@ -32,7 +32,7 @@ and ``"gear-pure"`` pin one backend explicitly (``"gear-accel"`` raises
 
 from typing import Callable, Dict
 
-from repro.chunking.base import Chunker, RawChunk, iter_chunk_payloads
+from repro.chunking.base import Chunker, RawChunk
 from repro.chunking.fixed import StaticChunker
 from repro.chunking.rabin import RabinRollingHash, RABIN_WINDOW_SIZE
 from repro.chunking.cdc import ContentDefinedChunker
@@ -71,7 +71,6 @@ def build_chunker(name: str, **kwargs) -> Chunker:
 __all__ = [
     "Chunker",
     "RawChunk",
-    "iter_chunk_payloads",
     "StaticChunker",
     "RabinRollingHash",
     "RABIN_WINDOW_SIZE",

@@ -194,9 +194,3 @@ class Chunker(ABC):
                 f"{type(self).__name__} did not partition the stream losslessly: "
                 f"{len(reassembled)} bytes reassembled from {len(data)} input bytes"
             )
-
-
-def iter_chunk_payloads(chunks: Iterable[RawChunk]) -> Iterator[bytes]:
-    """Yield only the payloads of an iterable of chunks."""
-    for chunk in chunks:
-        yield chunk.data

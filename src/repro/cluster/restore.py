@@ -163,12 +163,16 @@ class RestoreManager:
     def verify_session(self, session_id: str, originals: Dict[str, bytes]) -> bool:
         """Restore every file and compare against the provided originals.
 
-        Returns ``True`` when every file matches; raises ``RecipeError`` when a
-        file of the session is missing from ``originals``.
+        Returns ``True`` when every file matches and the session holds every
+        path of ``originals`` (a lost file is a mismatch); raises
+        ``RecipeError`` when a file of the session is missing from
+        ``originals``.
         """
+        restored = set()
         for path, data in self.restore_session(session_id):
             if path not in originals:
                 raise RecipeError(f"no original provided for restored file {path!r}")
             if originals[path] != data:
                 return False
-        return True
+            restored.add(path)
+        return restored == originals.keys()

@@ -82,56 +82,9 @@ class StreamPartitioner:
             data, self.config.chunker, keep_data=self.config.keep_chunk_data
         )
 
-    def chunk_records(self, data: FilePayload) -> List[ChunkRecord]:
-        """Chunk and fingerprint a buffer or block stream into a list."""
-        return list(self.iter_chunk_records(data))  # streaming-ok: eager convenience wrapper over the lazy API
-
     # ------------------------------------------------------------------ #
     # super-chunk grouping
     # ------------------------------------------------------------------ #
-
-    def group_into_superchunks(
-        self,
-        records: Iterable[ChunkRecord],
-        stream_id: int = 0,
-        start_sequence: int = 0,
-    ) -> Iterator[SuperChunk]:
-        """Group consecutive chunk records into super-chunks of the target size."""
-        pending: List[ChunkRecord] = []
-        pending_bytes = 0
-        sequence = start_sequence
-        for record in records:
-            pending.append(record)
-            pending_bytes += record.length
-            if pending_bytes >= self.config.superchunk_size:
-                yield SuperChunk.from_chunks(
-                    pending,
-                    handprint_size=self.config.handprint_size,
-                    stream_id=stream_id,
-                    sequence_number=sequence,
-                )
-                sequence += 1
-                pending = []
-                pending_bytes = 0
-        if pending:
-            yield SuperChunk.from_chunks(
-                pending,
-                handprint_size=self.config.handprint_size,
-                stream_id=stream_id,
-                sequence_number=sequence,
-            )
-
-    def iter_superchunks(self, data: FilePayload, stream_id: int = 0) -> Iterator[SuperChunk]:
-        """Full streaming pipeline over one buffer or block stream.
-
-        Chunk, fingerprint and group lazily: super-chunks are yielded as soon
-        as they fill, so an unbounded stream is partitioned in bounded memory.
-        """
-        return self.group_into_superchunks(self.iter_chunk_records(data), stream_id=stream_id)
-
-    def partition(self, data: FilePayload, stream_id: int = 0) -> List[SuperChunk]:
-        """Full pipeline over one buffer or block stream, as a list."""
-        return list(self.iter_superchunks(data, stream_id=stream_id))  # streaming-ok: eager convenience wrapper over the lazy API
 
     def partition_files(
         self,
@@ -171,12 +124,12 @@ class StreamPartitioner:
     ) -> Iterator[Tuple[Optional[SuperChunk], List[Tuple[str, List[ChunkRecord]]]]]:
         """Group already-fingerprinted per-file record streams into super-chunks.
 
-        The grouping core of :meth:`partition_files`, split out so producers
-        that compute chunk records elsewhere -- in particular the parallel
-        ingest engine's worker lanes -- share the exact same super-chunk
-        boundaries, contribution bookkeeping and zero-byte-file semantics as
-        the serial path.  Record iterables are consumed strictly in stream
-        order, one file at a time.
+        The one super-chunk grouping loop: :meth:`partition_files` feeds it
+        :meth:`iter_chunk_records` streams and the parallel ingest engine
+        feeds it its worker lanes' records, so both paths share the same
+        super-chunk boundaries, contribution bookkeeping and zero-byte-file
+        semantics.  Record iterables are consumed strictly in stream order,
+        one file at a time.
         """
         pending: List[ChunkRecord] = []
         pending_files: List[Tuple[str, List[ChunkRecord]]] = []
@@ -228,11 +181,3 @@ class StreamPartitioner:
             # Only zero-byte contributions remain; emit them without a
             # super-chunk so their recipes are still recorded.
             yield None, pending_files
-
-    def partition_record_stream(
-        self,
-        records: Iterable[ChunkRecord],
-        stream_id: int = 0,
-    ) -> List[SuperChunk]:
-        """Group pre-fingerprinted records (trace workloads) into super-chunks."""
-        return list(self.group_into_superchunks(records, stream_id=stream_id))  # streaming-ok: eager convenience wrapper over the lazy API

@@ -12,8 +12,7 @@ from functools import partial
 from struct import Struct
 from typing import Any, Iterable, Iterator, List, NamedTuple, Optional, Sequence
 
-from repro.chunking.base import RawChunk
-from repro.utils.hashing import digest_bytes, digest_constructor
+from repro.utils.hashing import digest_constructor
 
 
 class ChunkRecord(NamedTuple):
@@ -123,25 +122,6 @@ class Fingerprinter:
         self.bytes_fingerprinted = 0
         self.chunks_fingerprinted = 0
 
-    def fingerprint_chunk(self, chunk: RawChunk, keep_data: bool = True) -> ChunkRecord:
-        """Fingerprint a single raw chunk."""
-        digest = digest_bytes(chunk.data, self.algorithm)
-        self.bytes_fingerprinted += chunk.length
-        self.chunks_fingerprinted += 1
-        return ChunkRecord(
-            fingerprint=digest,
-            length=chunk.length,
-            offset=chunk.offset,
-            data=chunk.data if keep_data else None,
-        )
-
-    def fingerprint_chunks(
-        self, chunks: Iterable[RawChunk], keep_data: bool = True
-    ) -> Iterator[ChunkRecord]:
-        """Fingerprint an iterable of raw chunks lazily, preserving order."""
-        for chunk in chunks:
-            yield self.fingerprint_chunk(chunk, keep_data=keep_data)
-
     def fingerprint_blocks(
         self, data: "bytes | Iterable[bytes]", chunker, keep_data: bool = True
     ) -> Iterator[ChunkRecord]:
@@ -195,13 +175,3 @@ class Fingerprinter:
         count, blob = len(ends), b"".join(blobs)
         head = _PACK_HEAD.pack(count, len(blob) // count if count else 0)
         return b"".join([head, Struct(f"!{count}Q").pack(*ends), blob])
-
-    def fingerprint_stream(
-        self, data: "bytes | Iterable[bytes]", chunker, keep_data: bool = True
-    ) -> List[ChunkRecord]:
-        """Chunk ``data`` with ``chunker`` and fingerprint every chunk.
-
-        Returns a fully materialised list; for bounded-memory consumption of
-        long block streams iterate :meth:`fingerprint_blocks` instead.
-        """
-        return list(self.fingerprint_blocks(data, chunker, keep_data=keep_data))

@@ -7,11 +7,10 @@ number of streams and locks.  This package provides both halves of that story:
 
 * :class:`~repro.parallel.engine.ParallelIngestEngine` -- the production
   ingest engine: N worker lanes chunk and fingerprint concurrently behind
-  bounded queues, either re-sequenced for results byte-identical to serial
-  ingest (``BackupClient(workers=N)``) or merged as independent
-  concurrent streams.
-* :class:`~repro.parallel.pipeline.ParallelDedupePipeline` and the
-  measurement helpers the Figure 4 benchmarks use.
+  bounded queues, re-sequenced in file order for results byte-identical to
+  serial ingest (``BackupClient(workers=N)``).
+* :mod:`repro.parallel.pipeline` -- the thread-per-stream measurement
+  helpers the Figure 4 benchmarks use.
 """
 
 from repro.parallel.engine import (
@@ -20,7 +19,6 @@ from repro.parallel.engine import (
     resolve_workers,
 )
 from repro.parallel.pipeline import (
-    ParallelDedupePipeline,
     ThroughputSample,
     measure_chunking_throughput,
     measure_fingerprinting_throughput,
@@ -30,7 +28,6 @@ from repro.parallel.pipeline import (
 __all__ = [
     "ENV_INGEST_WORKERS",
     "ParallelIngestEngine",
-    "ParallelDedupePipeline",
     "ThroughputSample",
     "measure_chunking_throughput",
     "measure_fingerprinting_throughput",

@@ -18,23 +18,14 @@ serial path's exact results:
   O(lanes x super-chunk), never O(stream): a lane that runs ahead of the
   consumer blocks instead of buffering.
 
-Two consumption shapes are offered:
-
-``iter_file_records`` / ``partition_files``
-    Deterministic single-stream ingest: files are chunked and fingerprinted
-    concurrently but their record streams are re-sequenced in file order and
-    grouped through
-    :meth:`~repro.core.partitioner.StreamPartitioner.partition_file_records`,
-    so super-chunk boundaries, handprints, routing decisions, statistics and
-    recipes are byte-identical to serial ingest.  The node data plane runs
-    serially in the consumer thread, overlapped with the lanes' front-end
-    work.  This is what a ``BackupClient(workers=N)`` backup uses.
-
-``iter_stream_superchunks``
-    Concurrent multi-stream ingest: one lane per independent data stream,
-    assembled super-chunks from all lanes merged through one bounded queue in
-    completion order.  This is the fig-4 multi-stream experiment shape used by
-    :class:`~repro.parallel.pipeline.ParallelDedupePipeline`.
+One consumption shape is offered, ``iter_file_records`` /
+``partition_files``: files are chunked and fingerprinted concurrently but
+their record streams are re-sequenced in file order and grouped through
+:meth:`~repro.core.partitioner.StreamPartitioner.partition_file_records`, so
+super-chunk boundaries, handprints, routing decisions, statistics and recipes
+are byte-identical to serial ingest.  The node data plane runs serially in
+the consumer thread, overlapped with the lanes' front-end work.  This is what
+a ``BackupClient(workers=N)`` backup uses.
 """
 
 from __future__ import annotations
@@ -43,7 +34,7 @@ import os
 import threading
 from collections import deque
 from queue import Empty, Full, Queue
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.partitioner import FilePayload, PartitionerConfig, StreamPartitioner
 from repro.core.superchunk import SuperChunk
@@ -113,7 +104,6 @@ class _FileTask:
 
 _END_OF_FILE = object()
 _END_OF_INPUT = object()
-_LANE_DONE = object()
 
 
 def _put_cancellable(queue: Queue, item: object, cancelled: threading.Event) -> bool:
@@ -395,120 +385,3 @@ class ParallelIngestEngine:
                 yield path, iter(records)
         finally:
             pool.close()
-
-    # ------------------------------------------------------------------ #
-    # concurrent multi-stream mode
-    # ------------------------------------------------------------------ #
-
-    def iter_stream_superchunks(
-        self,
-        streams: Sequence[FilePayload],
-        config: PartitionerConfig,
-        stream_ids: Optional[Sequence[int]] = None,
-    ) -> Iterator[SuperChunk]:
-        """Chunk, fingerprint and assemble independent streams concurrently.
-
-        One lane per stream, each owning a partitioner and carrying its
-        stream id; assembled super-chunks from all lanes are merged through a
-        single bounded queue (completion order across lanes, stream order
-        within a lane) for the consumer -- typically the node data plane -- to
-        drain.  Peak buffered payload is O(streams x super-chunk).
-
-        With the process executor, streams are chunked and fingerprinted in
-        shared-memory lane processes instead (super-chunks assembled in the
-        consumer from the compact lane replies, stream order overall).  Each
-        stream's payload then occupies slab or segment space whole while its
-        lane scans it, so peak memory is O(in-flight streams x stream) --
-        suited to the in-memory multi-stream experiments, not to unbounded
-        streams.
-        """
-        streams = list(streams)
-        if stream_ids is None:
-            stream_ids = list(range(len(streams)))
-        if len(stream_ids) != len(streams):
-            raise ValidationError("stream_ids must align with streams")
-        if not streams:
-            return
-        if self.executor == "process":
-            yield from self._process_iter_stream_superchunks(streams, config, stream_ids)
-            return
-        merged: Queue = Queue(maxsize=max(2, len(streams)))
-        cancelled = threading.Event()
-
-        def lane(stream_id: int, payload: FilePayload) -> None:
-            partitioner = StreamPartitioner(config)
-            try:
-                for superchunk in partitioner.iter_superchunks(payload, stream_id=stream_id):
-                    if not _put_cancellable(merged, superchunk, cancelled):
-                        return
-            except BaseException as exc:  # noqa: BLE001 - crosses the thread boundary
-                _put_cancellable(merged, _WorkerFailure(exc), cancelled)
-            finally:
-                _put_cancellable(merged, _LANE_DONE, cancelled)
-
-        threads = [
-            threading.Thread(target=lane, args=(stream_id, payload), daemon=True)
-            for stream_id, payload in zip(stream_ids, streams)
-        ]
-        for thread in threads:
-            thread.start()
-        remaining = len(threads)
-        try:
-            while remaining:
-                item = merged.get()
-                if item is _LANE_DONE:
-                    remaining -= 1
-                    continue
-                if isinstance(item, _WorkerFailure):
-                    raise item.error
-                yield item
-        finally:
-            cancelled.set()
-            for thread in threads:
-                thread.join(timeout=5.0)
-
-    def _process_iter_stream_superchunks(
-        self,
-        streams: "List[FilePayload]",
-        config: PartitionerConfig,
-        stream_ids: Sequence[int],
-    ) -> Iterator[SuperChunk]:
-        """Multi-stream ingest over shared-memory lane processes.
-
-        Up to ``workers`` streams scan concurrently in the lanes; each
-        finished stream's compact reply is re-materialised and grouped into
-        super-chunks by a per-stream serial partitioner, so boundaries and
-        handprints match the thread path exactly.
-        """
-        from repro.parallel.shm import PendingChunkFile, ShmLanePool
-
-        keep_data = config.keep_chunk_data
-        pool = ShmLanePool(config=config, workers=min(self.workers, len(streams)))
-        try:
-            pending: "deque[Tuple[int, PendingChunkFile]]" = deque()
-            source = iter(zip(stream_ids, streams))
-            exhausted = False
-            while True:
-                while not exhausted and len(pending) <= pool.workers:
-                    try:
-                        stream_id, payload = next(source)
-                    except StopIteration:
-                        exhausted = True
-                        break
-                    pending.append((stream_id, pool.submit(payload)))
-                if not pending:
-                    break
-                stream_id, handle = pending.popleft()
-                view, packed = handle.wait()
-                records = records_from_packed(view, packed, keep_data=keep_data)
-                handle.release()
-                sequencer = StreamPartitioner(config)
-                for superchunk, _contributions in sequencer.partition_file_records(
-                    [("stream", iter(records))], stream_id=stream_id
-                ):
-                    if superchunk is not None:
-                        yield superchunk
-        finally:
-            pool.close()
-
-

@@ -1,6 +1,8 @@
-"""Thread-per-stream parallel deduplication and throughput measurement.
+"""Thread-per-stream throughput measurement for the Figure 4 benchmarks.
 
-Reproduces the intra-node parallelism experiments of Section 4.3:
+Reproduces the intra-node parallelism experiments of Section 4.3; the callers
+are ``benchmarks/bench_fig4a_chunking_fingerprinting.py`` and
+``benchmarks/bench_fig4b_index_lookup.py``:
 
 * Figure 4(a): chunking (CDC) and SHA-1/MD5 fingerprinting throughput at the
   backup client as a function of the number of data streams.
@@ -18,13 +20,9 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.chunking.base import Chunker
-from repro.core.partitioner import PartitionerConfig
-from repro.core.superchunk import SuperChunk
-from repro.node.dedupe_node import DedupeNode
-from repro.parallel.engine import ParallelIngestEngine
 from repro.storage.similarity_index import SimilarityIndex
 from repro.utils.hashing import digest_bytes
 
@@ -146,88 +144,3 @@ def measure_similarity_index_lookup(
         items_processed=total_lookups,
         elapsed_seconds=elapsed,
     )
-
-
-class ParallelDedupePipeline:
-    """Back up several data streams against one node concurrently.
-
-    Each stream gets its own thread (and therefore its own open container via
-    parallel container management).  Used by integration tests to exercise the
-    node's locking under concurrency and by the deduplication-efficiency
-    benchmarks.
-    """
-
-    def __init__(self, node: DedupeNode, fingerprint_algorithm: str = "sha1"):
-        self.node = node
-        self.fingerprint_algorithm = fingerprint_algorithm
-
-    def backup_streams(
-        self,
-        streams: Sequence[Sequence[SuperChunk]],
-    ) -> ThroughputSample:
-        """Back up pre-partitioned super-chunk streams in parallel."""
-        bytes_processed = [0] * len(streams)
-        chunks_processed = [0] * len(streams)
-
-        def worker(stream_id: int) -> None:
-            for superchunk in streams[stream_id]:
-                result = self.node.backup_superchunk(superchunk)
-                bytes_processed[stream_id] += superchunk.logical_size
-                chunks_processed[stream_id] += result.total_chunks
-
-        elapsed = _run_in_threads(worker, len(streams))
-        return ThroughputSample(
-            label="parallel-dedupe",
-            num_streams=len(streams),
-            bytes_processed=sum(bytes_processed),
-            items_processed=sum(chunks_processed),
-            elapsed_seconds=elapsed,
-        )
-
-    def backup_data_streams(
-        self,
-        data_streams: "Sequence[bytes | Iterable[bytes]]",
-        chunker: Chunker,
-        superchunk_size: int = 1024 * 1024,
-        handprint_size: int = 8,
-        executor: str = "thread",
-    ) -> ThroughputSample:
-        """Chunk, fingerprint and back up raw data streams in parallel.
-
-        Each stream may be one byte buffer or an iterable of byte blocks.
-        One engine lane per stream chunks, fingerprints and assembles
-        super-chunks concurrently, feeding them through the engine's bounded
-        queue straight into the node's batched data plane -- nothing beyond
-        O(streams x super-chunk) is ever buffered (the seed harness collected
-        every stream's super-chunks, payloads included, before starting the
-        timed phase).  The measurement therefore now times the whole
-        pipeline, front end included; the sample keeps the historical
-        ``parallel-dedupe`` label and field shape.  ``executor="process"``
-        runs the front end in shared-memory lane processes instead of
-        threads (see :class:`~repro.parallel.engine.ParallelIngestEngine`).
-        """
-        data_streams = list(data_streams)
-        config = PartitionerConfig(
-            chunker=chunker,
-            superchunk_size=superchunk_size,
-            handprint_size=handprint_size,
-            fingerprint_algorithm=self.fingerprint_algorithm,
-        )
-        engine = ParallelIngestEngine(
-            workers=max(1, len(data_streams)), executor=executor
-        )
-        bytes_processed = 0
-        chunks_processed = 0
-        start = time.perf_counter()
-        for superchunk in engine.iter_stream_superchunks(data_streams, config):
-            result = self.node.backup_superchunk(superchunk)
-            bytes_processed += superchunk.logical_size
-            chunks_processed += result.total_chunks
-        elapsed = time.perf_counter() - start
-        return ThroughputSample(
-            label="parallel-dedupe",
-            num_streams=len(data_streams),
-            bytes_processed=bytes_processed,
-            items_processed=chunks_processed,
-            elapsed_seconds=elapsed,
-        )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from repro.chunking.fixed import StaticChunker
 from repro.core.partitioner import PartitionerConfig, StreamPartitioner
 from repro.core.superchunk import SuperChunk
-from repro.fingerprint.fingerprinter import ChunkRecord, Fingerprinter
+from repro.fingerprint.fingerprinter import ChunkRecord
 
 
 def make_bytes(length: int, seed: int = 0) -> bytes:
@@ -20,9 +21,7 @@ def make_bytes(length: int, seed: int = 0) -> bytes:
 def make_chunk_record(seed: int, length: int = 1024) -> ChunkRecord:
     """A chunk record with deterministic content and fingerprint."""
     data = make_bytes(length, seed=seed)
-    return Fingerprinter("sha1").fingerprint_chunk(
-        chunk=__import__("repro.chunking.base", fromlist=["RawChunk"]).RawChunk(data=data, offset=0)
-    )
+    return ChunkRecord(hashlib.sha1(data).digest(), len(data), 0, data)
 
 
 def make_superchunk(seeds, handprint_size: int = 8, length: int = 1024) -> SuperChunk:

@@ -6,9 +6,9 @@ import hashlib
 import random
 from typing import List, Sequence
 
-from repro.chunking.base import RawChunk
+from repro.core.partitioner import FilePayload, StreamPartitioner
 from repro.core.superchunk import SuperChunk
-from repro.fingerprint.fingerprinter import ChunkRecord, Fingerprinter
+from repro.fingerprint.fingerprinter import ChunkRecord
 from repro.workloads.trace import TraceChunk, TraceFile, TraceSnapshot
 
 
@@ -28,11 +28,10 @@ def synthetic_fingerprint(tag: str) -> bytes:
 
 def chunk_records_from_seeds(seeds: Sequence[int], length: int = 512) -> List[ChunkRecord]:
     """Chunk records whose payloads are derived from integer seeds."""
-    fingerprinter = Fingerprinter("sha1")
     records = []
     for seed in seeds:
         data = deterministic_bytes(length, seed=seed)
-        records.append(fingerprinter.fingerprint_chunk(RawChunk(data=data, offset=0)))
+        records.append(ChunkRecord(fingerprint_of(data), len(data), 0, data))
     return records
 
 
@@ -42,6 +41,17 @@ def superchunk_from_seeds(
     """A super-chunk whose chunk payloads are derived from integer seeds."""
     records = chunk_records_from_seeds(seeds, length=length)
     return SuperChunk.from_chunks(records, handprint_size=handprint_size, stream_id=stream_id)
+
+
+def partition(
+    partitioner: StreamPartitioner, data: FilePayload, stream_id: int = 0
+) -> List[SuperChunk]:
+    """The super-chunks of one payload, partitioned as a one-file stream."""
+    return [
+        superchunk
+        for superchunk, _contributions in partitioner.partition_files([("f", data)], stream_id)
+        if superchunk is not None
+    ]
 
 
 def trace_snapshot_from_tags(

@@ -7,6 +7,7 @@ exactly the annotated line.
 
 from __future__ import annotations
 
+import ast
 import textwrap
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import pytest
 from repro.analysis import default_root, main, run_checks
 from repro.analysis.common import load_module, parse_annotation
 from repro.analysis.lock_discipline import LockDisciplineChecker
+from repro.analysis.registry import BLOCK_STREAM_PRODUCERS
 from repro.analysis.stats_purity import StatsPurityChecker
 from repro.analysis.streaming import StreamingDisciplineChecker
 from repro.analysis.taxonomy import ErrorTaxonomyChecker
@@ -354,6 +356,17 @@ class TestLiveTree:
             assert expected in contracts, f"{expected} lost its lock contracts"
         assert contracts["DedupeNode"].guarded["stats"] == "_plane_lock"
         assert contracts["SimilarityIndex"].guarded["_entries"] == "_locks"
+
+    def test_every_block_stream_producer_is_defined(self):
+        # A producer deleted from the package must leave the list too, or the
+        # streaming checker guards a name nothing can call.
+        defined = {
+            node.name
+            for module in _iter_live_modules()
+            for node in ast.walk(module.tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        assert BLOCK_STREAM_PRODUCERS <= defined, sorted(BLOCK_STREAM_PRODUCERS - defined)
 
 
 class TestCli:

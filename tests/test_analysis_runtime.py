@@ -125,7 +125,14 @@ class TestNodeUnderLockAsserts:
         with pytest.raises(LockOwnershipError):
             node._lookup_chunk_locked(b"\x00" * 32)
 
-    def test_concurrent_backups_hold_discipline(self, node):
+    @pytest.mark.parametrize(
+        "lane_stride, unique_chunks",
+        # Four lanes of distinct seeds store everything; four lanes of the
+        # same seeds store one stream's 50 chunks once.
+        [(1000, 4 * 50), (0, 50)],
+        ids=["distinct-streams", "identical-streams"],
+    )
+    def test_concurrent_backups_hold_discipline(self, node, lane_stride, unique_chunks):
         errors: list = []
 
         def ingest(offset):
@@ -136,13 +143,16 @@ class TestNodeUnderLockAsserts:
             except ReproError as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
-        threads = [threading.Thread(target=ingest, args=(lane * 1000,)) for lane in range(4)]
+        threads = [
+            threading.Thread(target=ingest, args=(lane * lane_stride,)) for lane in range(4)
+        ]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
         assert errors == []
         assert node.stats.superchunks_received == 20
+        assert node.stats.unique_chunks == unique_chunks
 
     def test_container_store_lock_wrapped(self, node):
         assert isinstance(node.container_store._lock, OwnershipLock)

@@ -52,6 +52,12 @@ class TestBackupRestoreRoundtrip:
         report = client.backup_files(files)
         assert restore.verify_session(report.session_id, dict(files))
 
+    def test_verify_session_detects_lost_file(self):
+        _, _, client, restore = make_stack()
+        files = sample_files(count=2)
+        report = client.backup_files(files[:1])
+        assert not restore.verify_session(report.session_id, dict(files))
+
     def test_verify_session_missing_original_raises(self):
         _, _, client, restore = make_stack()
         files = sample_files(count=2)

@@ -4,22 +4,23 @@ import hashlib
 
 import pytest
 
-from repro.chunking.base import RawChunk
 from repro.chunking.fixed import StaticChunker
 from repro.errors import FingerprintError
 from repro.fingerprint.fingerprinter import ChunkRecord, Fingerprinter
 from tests.helpers import deterministic_bytes
 
 
+def fingerprint(data, chunker, algorithm="sha1", keep_data=True):
+    return list(Fingerprinter(algorithm).fingerprint_blocks(data, chunker, keep_data=keep_data))
+
+
 class TestFingerprinter:
     def test_sha1_fingerprint_matches_hashlib(self):
-        chunk = RawChunk(data=b"hello chunk", offset=0)
-        record = Fingerprinter("sha1").fingerprint_chunk(chunk)
+        [record] = fingerprint(b"hello chunk", StaticChunker(64))
         assert record.fingerprint == hashlib.sha1(b"hello chunk").digest()
 
     def test_md5_fingerprint_matches_hashlib(self):
-        chunk = RawChunk(data=b"hello chunk", offset=0)
-        record = Fingerprinter("md5").fingerprint_chunk(chunk)
+        [record] = fingerprint(b"hello chunk", StaticChunker(64), algorithm="md5")
         assert record.fingerprint == hashlib.md5(b"hello chunk").digest()
 
     def test_unknown_algorithm_raises(self):
@@ -27,40 +28,36 @@ class TestFingerprinter:
             Fingerprinter("adler32")
 
     def test_record_carries_length_offset_and_data(self):
-        chunk = RawChunk(data=b"abcdef", offset=42)
-        record = Fingerprinter().fingerprint_chunk(chunk)
-        assert record.length == 6
-        assert record.offset == 42
-        assert record.data == b"abcdef"
+        record = fingerprint(b"0123456789abcdef", StaticChunker(4))[2]
+        assert record.length == 4
+        assert record.offset == 8
+        assert record.data == b"89ab"
 
     def test_keep_data_false_drops_payload(self):
-        chunk = RawChunk(data=b"abcdef", offset=0)
-        record = Fingerprinter().fingerprint_chunk(chunk, keep_data=False)
+        [record] = fingerprint(b"abcdef", StaticChunker(64), keep_data=False)
         assert record.data is None
         assert record.length == 6
 
     def test_statistics_counters(self):
         fingerprinter = Fingerprinter()
-        fingerprinter.fingerprint_chunk(RawChunk(data=b"aaaa", offset=0))
-        fingerprinter.fingerprint_chunk(RawChunk(data=b"bb", offset=4))
+        list(fingerprinter.fingerprint_blocks(b"aaaabb", StaticChunker(4)))
         assert fingerprinter.chunks_fingerprinted == 2
         assert fingerprinter.bytes_fingerprinted == 6
 
-    def test_fingerprint_stream(self):
+    def test_whole_buffer_reassembles(self):
         data = deterministic_bytes(10_000, seed=1)
-        records = Fingerprinter().fingerprint_stream(data, StaticChunker(1024))
+        records = fingerprint(data, StaticChunker(1024))
         assert len(records) == 10
         assert b"".join(record.data for record in records) == data
 
     def test_identical_chunks_have_identical_fingerprints(self):
         data = deterministic_bytes(1024, seed=2)
-        a = Fingerprinter().fingerprint_chunk(RawChunk(data=data, offset=0))
-        b = Fingerprinter().fingerprint_chunk(RawChunk(data=data, offset=9999))
+        a, b = fingerprint(data + data, StaticChunker(1024))
+        assert (a.offset, b.offset) == (0, 1024)
         assert a.fingerprint == b.fingerprint
 
     def test_different_chunks_have_different_fingerprints(self):
-        a = Fingerprinter().fingerprint_chunk(RawChunk(data=b"one", offset=0))
-        b = Fingerprinter().fingerprint_chunk(RawChunk(data=b"two", offset=0))
+        a, b = fingerprint(b"onetwo", StaticChunker(3))
         assert a.fingerprint != b.fingerprint
 
 
@@ -113,8 +110,8 @@ class TestFusedBufferPath:
     def test_memoryview_input_matches_bytes_input(self):
         data = deterministic_bytes(10_000, seed=41)
         chunker = StaticChunker(512)
-        from_bytes = Fingerprinter("sha1").fingerprint_stream(data, chunker)
-        from_view = Fingerprinter("sha1").fingerprint_stream(memoryview(data), chunker)
+        from_bytes = fingerprint(data, chunker)
+        from_view = fingerprint(memoryview(data), chunker)
         assert [(r.fingerprint, r.length, r.offset, r.data) for r in from_view] == [
             (r.fingerprint, r.length, r.offset, r.data) for r in from_bytes
         ]
@@ -122,9 +119,7 @@ class TestFusedBufferPath:
     def test_records_carry_bytes_not_views(self):
         # Downstream layers (container store, messages) require real bytes
         # payloads even when the input was a mutable buffer.
-        records = Fingerprinter("sha1").fingerprint_stream(
-            bytearray(deterministic_bytes(2048, seed=42)), StaticChunker(512)
-        )
+        records = fingerprint(bytearray(deterministic_bytes(2048, seed=42)), StaticChunker(512))
         assert all(type(r.data) is bytes for r in records)
 
     def test_counters_update_on_buffer_path(self):
@@ -135,23 +130,21 @@ class TestFusedBufferPath:
 
     def test_keep_data_false_keeps_fingerprints_correct(self):
         data = deterministic_bytes(4096, seed=43)
-        records = Fingerprinter("sha1").fingerprint_stream(
-            data, StaticChunker(1024), keep_data=False
-        )
+        records = fingerprint(data, StaticChunker(1024), keep_data=False)
         assert all(r.data is None for r in records)
         assert [r.fingerprint for r in records] == [
             hashlib.sha1(data[i:i + 1024]).digest() for i in range(0, 4096, 1024)
         ]
 
     def test_empty_buffer_yields_no_records(self):
-        assert Fingerprinter("sha1").fingerprint_stream(b"", StaticChunker(256)) == []
+        assert fingerprint(b"", StaticChunker(256)) == []
 
 
 class TestStreamingFingerprinting:
     def test_fingerprint_blocks_matches_oneshot(self):
         data = deterministic_bytes(10_000, seed=31)
         chunker = StaticChunker(512)
-        one_shot = Fingerprinter("sha1").fingerprint_stream(data, chunker, keep_data=False)
+        one_shot = fingerprint(data, chunker, keep_data=False)
         blocks = [data[i:i + 777] for i in range(0, len(data), 777)]
         streamed = list(
             Fingerprinter("sha1").fingerprint_blocks(blocks, chunker, keep_data=False)
@@ -160,13 +153,11 @@ class TestStreamingFingerprinting:
             (r.fingerprint, r.length, r.offset) for r in one_shot
         ]
 
-    def test_fingerprint_stream_accepts_block_iterable(self):
+    def test_fingerprint_blocks_accepts_block_iterable(self):
         data = deterministic_bytes(8_000, seed=32)
         chunker = StaticChunker(1024)
-        from_bytes = Fingerprinter("sha1").fingerprint_stream(data, chunker)
-        from_blocks = Fingerprinter("sha1").fingerprint_stream(
-            iter([data[:3000], data[3000:3001], data[3001:]]), chunker
-        )
+        from_bytes = fingerprint(data, chunker)
+        from_blocks = fingerprint(iter([data[:3000], data[3000:3001], data[3001:]]), chunker)
         assert [r.fingerprint for r in from_blocks] == [r.fingerprint for r in from_bytes]
 
     def test_fingerprint_blocks_is_lazy(self):

@@ -127,6 +127,30 @@ class TestDeterministicPartitioning:
         )
         assert whole == blocked
 
+    def test_stream_id_propagated(self):
+        config = make_config()
+        files = sample_files(count=3)
+        serial = as_pairs(StreamPartitioner(config).partition_files(files, stream_id=7))
+        pairs = list(ParallelIngestEngine(workers=2).partition_files(config, files, stream_id=7))
+        assert {superchunk.stream_id for superchunk, _ in pairs} == {7}
+        assert as_pairs(pairs) == serial
+
+    def test_many_files_surface_in_file_order(self):
+        """Lanes finish out of order (large and tiny files interleaved); the
+        contributions must still come back in submission order."""
+        config = make_config()
+        files = [
+            (f"f-{i}", deterministic_bytes(30_000 if i % 3 == 0 else 300, seed=i))
+            for i in range(18)
+        ]
+        pairs = ParallelIngestEngine(workers=4).partition_files(config, files)
+        seen = []
+        for _superchunk, contributions in pairs:
+            for path, _records in contributions:
+                if not seen or seen[-1] != path:
+                    seen.append(path)
+        assert seen == [path for path, _ in files]
+
     def test_small_batch_and_queue_bounds_still_identical(self):
         config = make_config()
         files = sample_files(count=4)
@@ -213,54 +237,27 @@ class TestProcessExecutor:
         engine = ParallelIngestEngine(workers=2, executor="process")
         assert as_pairs(engine.partition_files(config, files)) == serial
 
+    def test_cdc_chunker_identical_to_serial(self):
+        config = make_config(chunker=GearChunker(average_size=512), superchunk_size=4096)
+        files = sample_files(count=3, size=9_000)
+        serial = as_pairs(StreamPartitioner(config).partition_files(files))
+        engine = ParallelIngestEngine(workers=2, executor="process")
+        assert as_pairs(engine.partition_files(config, files)) == serial
+
+    def test_no_files(self):
+        engine = ParallelIngestEngine(workers=2, executor="process")
+        assert as_pairs(engine.partition_files(make_config(), [])) == []
+
+    def test_worker_exception_propagates(self):
+        def broken_payload():
+            yield deterministic_bytes(2_000, seed=1)
+            raise OSError("disk vanished")
+
+        files = [("ok.bin", deterministic_bytes(2_000, seed=0)), ("bad.bin", broken_payload())]
+        engine = ParallelIngestEngine(workers=2, executor="process")
+        with pytest.raises(OSError, match="disk vanished"):
+            list(engine.partition_files(make_config(), files))
+
     def test_invalid_executor_rejected(self):
         with pytest.raises(ValueError):
             ParallelIngestEngine(workers=2, executor="fiber")
-
-
-class TestStreamSuperchunks:
-    def test_all_streams_ingested_in_lane_order(self):
-        config = make_config()
-        streams = [deterministic_bytes(20_000, seed=i) for i in range(3)]
-        engine = ParallelIngestEngine()
-        by_stream = {}
-        for superchunk in engine.iter_stream_superchunks(streams, config):
-            by_stream.setdefault(superchunk.stream_id, []).append(superchunk)
-        assert set(by_stream) == {0, 1, 2}
-        for stream_id, superchunks in by_stream.items():
-            expected = StreamPartitioner(config).partition(
-                streams[stream_id], stream_id=stream_id
-            )
-            assert [s.chunks for s in superchunks] == [s.chunks for s in expected]
-            assert [s.sequence_number for s in superchunks] == [
-                s.sequence_number for s in expected
-            ]
-
-    def test_custom_stream_ids(self):
-        config = make_config()
-        streams = [deterministic_bytes(6_000, seed=4)]
-        engine = ParallelIngestEngine()
-        ids = {
-            s.stream_id
-            for s in engine.iter_stream_superchunks(streams, config, stream_ids=[7])
-        }
-        assert ids == {7}
-
-    def test_empty_stream_list(self):
-        config = make_config()
-        assert list(ParallelIngestEngine().iter_stream_superchunks([], config)) == []
-
-    def test_lane_exception_propagates(self):
-        config = make_config()
-
-        def bad():
-            yield deterministic_bytes(1_000, seed=0)
-            raise ValueError("bad stream")
-
-        engine = ParallelIngestEngine()
-        with pytest.raises(ValueError, match="bad stream"):
-            list(
-                engine.iter_stream_superchunks(
-                    [deterministic_bytes(6_000, seed=1), bad()], config
-                )
-            )

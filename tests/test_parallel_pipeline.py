@@ -2,14 +2,12 @@
 
 from repro.chunking.cdc import ContentDefinedChunker
 from repro.chunking.fixed import StaticChunker
-from repro.node.dedupe_node import DedupeNode
 from repro.parallel.pipeline import (
-    ParallelDedupePipeline,
     measure_chunking_throughput,
     measure_fingerprinting_throughput,
     measure_similarity_index_lookup,
 )
-from tests.helpers import deterministic_bytes, superchunk_from_seeds, synthetic_fingerprint
+from tests.helpers import deterministic_bytes, synthetic_fingerprint
 
 
 class TestThroughputMeasurement:
@@ -54,117 +52,3 @@ class TestThroughputMeasurement:
         streams = [[synthetic_fingerprint(str(i)) for i in range(100)]]
         sample = measure_similarity_index_lookup(streams, num_locks=1)
         assert sample.items_processed == 100
-
-
-class TestParallelDedupePipeline:
-    def test_parallel_streams_backed_up_completely(self):
-        node = DedupeNode(0)
-        pipeline = ParallelDedupePipeline(node)
-        streams = [
-            [superchunk_from_seeds(range(s * 100, s * 100 + 20), stream_id=s)]
-            for s in range(4)
-        ]
-        sample = pipeline.backup_streams(streams)
-        assert sample.items_processed == 4 * 20
-        assert node.stats.unique_chunks == 4 * 20
-
-    def test_parallel_duplicate_streams_deduplicated(self):
-        node = DedupeNode(0)
-        pipeline = ParallelDedupePipeline(node)
-        # All four streams carry the same content; only one copy should be stored.
-        streams = [
-            [superchunk_from_seeds(range(50), stream_id=s)] for s in range(4)
-        ]
-        pipeline.backup_streams(streams)
-        logical = node.stats.logical_bytes
-        assert node.stats.physical_bytes <= logical
-        # Deduplication should remove at least half of the redundancy even
-        # under concurrent insertion races.
-        assert node.stats.deduplication_ratio >= 2.0
-
-    def test_backup_data_streams_end_to_end(self):
-        node = DedupeNode(0)
-        pipeline = ParallelDedupePipeline(node)
-        streams = [deterministic_bytes(32 * 1024, seed=i) for i in range(2)]
-        sample = pipeline.backup_data_streams(
-            streams, chunker=StaticChunker(1024), superchunk_size=8 * 1024, handprint_size=4
-        )
-        assert sample.bytes_processed == 2 * 32 * 1024
-        assert node.stats.logical_bytes == 2 * 32 * 1024
-
-
-class TestStreamingBackup:
-    def test_backup_data_streams_accepts_block_iterables(self):
-        data = [deterministic_bytes(32 * 1024, seed=i) for i in range(2)]
-
-        def run(streams):
-            node = DedupeNode(0)
-            ParallelDedupePipeline(node).backup_data_streams(
-                streams, chunker=StaticChunker(1024), superchunk_size=8 * 1024, handprint_size=4
-            )
-            return node.stats.logical_bytes, node.stats.physical_bytes
-
-        whole = run(list(data))
-        blocked = run(
-            [iter([d[i:i + 5000] for i in range(0, len(d), 5000)]) for d in data]
-        )
-        assert blocked == whole
-
-    def test_streaming_backup_with_cdc_chunker_matches_oneshot(self):
-        data = [deterministic_bytes(64 * 1024, seed=9)]
-
-        def run(streams):
-            node = DedupeNode(0)
-            ParallelDedupePipeline(node).backup_data_streams(
-                streams,
-                chunker=ContentDefinedChunker(average_size=1024),
-                superchunk_size=16 * 1024,
-                handprint_size=4,
-            )
-            return node.stats.unique_chunks, node.stats.physical_bytes
-
-        assert run([iter([data[0][:10_000], data[0][10_000:]])]) == run(list(data))
-
-    def test_superchunks_flow_through_bounded_queues(self):
-        """The timed phase must start while streams are still being consumed:
-        the seed harness buffered every stream's super-chunks (payloads
-        included) before backing anything up."""
-        node = DedupeNode(0)
-        pipeline = ParallelDedupePipeline(node)
-        total_blocks = 40
-        consumed = []
-
-        def blocks():
-            for index in range(total_blocks):
-                consumed.append(index)
-                yield deterministic_bytes(8 * 1024, seed=index)
-
-        consumed_at_first_backup = []
-        original = node.backup_superchunk
-
-        def tracking_backup(superchunk):
-            if not consumed_at_first_backup:
-                consumed_at_first_backup.append(len(consumed))
-            return original(superchunk)
-
-        node.backup_superchunk = tracking_backup
-        sample = pipeline.backup_data_streams(
-            [blocks()], chunker=StaticChunker(1024), superchunk_size=8 * 1024,
-            handprint_size=4,
-        )
-        assert sample.bytes_processed == total_blocks * 8 * 1024
-        assert consumed_at_first_backup[0] < total_blocks
-
-    def test_sample_shape_is_preserved(self):
-        node = DedupeNode(0)
-        pipeline = ParallelDedupePipeline(node)
-        streams = [deterministic_bytes(16 * 1024, seed=i) for i in range(2)]
-        sample = pipeline.backup_data_streams(
-            streams, chunker=StaticChunker(1024), superchunk_size=8 * 1024,
-            handprint_size=4,
-        )
-        assert sample.label == "parallel-dedupe"
-        assert sample.num_streams == 2
-        assert sample.items_processed == 2 * 16
-        assert sample.elapsed_seconds > 0
-        assert sample.megabytes_per_second > 0

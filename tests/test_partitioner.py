@@ -4,7 +4,7 @@ import pytest
 
 from repro.chunking.fixed import StaticChunker
 from repro.core.partitioner import PartitionerConfig, StreamPartitioner
-from tests.helpers import deterministic_bytes
+from tests.helpers import deterministic_bytes, partition
 
 
 def small_config(chunk=256, superchunk=1024, handprint=4):
@@ -34,14 +34,14 @@ class TestPartition:
     def test_partition_preserves_all_bytes(self):
         partitioner = StreamPartitioner(small_config())
         data = deterministic_bytes(10_000, seed=1)
-        superchunks = partitioner.partition(data)
+        superchunks = partition(partitioner, data)
         total = sum(sc.logical_size for sc in superchunks)
         assert total == len(data)
 
     def test_superchunk_sizes_respect_target(self):
         partitioner = StreamPartitioner(small_config(chunk=256, superchunk=1024))
         data = deterministic_bytes(10_000, seed=2)
-        superchunks = partitioner.partition(data)
+        superchunks = partition(partitioner, data)
         for superchunk in superchunks[:-1]:
             assert superchunk.logical_size >= 1024
             # One chunk of slack above the target at most.
@@ -49,21 +49,21 @@ class TestPartition:
 
     def test_empty_data_yields_nothing(self):
         partitioner = StreamPartitioner(small_config())
-        assert partitioner.partition(b"") == []
+        assert partition(partitioner, b"") == []
 
     def test_sequence_numbers_increase(self):
         partitioner = StreamPartitioner(small_config())
-        superchunks = partitioner.partition(deterministic_bytes(8000, seed=3))
+        superchunks = partition(partitioner, deterministic_bytes(8000, seed=3))
         assert [sc.sequence_number for sc in superchunks] == list(range(len(superchunks)))
 
     def test_stream_id_propagated(self):
         partitioner = StreamPartitioner(small_config())
-        superchunks = partitioner.partition(deterministic_bytes(4000, seed=4), stream_id=5)
+        superchunks = partition(partitioner, deterministic_bytes(4000, seed=4), stream_id=5)
         assert all(sc.stream_id == 5 for sc in superchunks)
 
     def test_chunk_records_count(self):
         partitioner = StreamPartitioner(small_config(chunk=256))
-        records = partitioner.chunk_records(deterministic_bytes(1024, seed=5))
+        records = list(partitioner.iter_chunk_records(deterministic_bytes(1024, seed=5)))
         assert len(records) == 4
 
 
@@ -131,8 +131,8 @@ class TestPartitionFiles:
 
     def test_record_stream_grouping(self):
         partitioner = StreamPartitioner(small_config(chunk=256, superchunk=1024))
-        records = partitioner.chunk_records(deterministic_bytes(4096, seed=9))
-        superchunks = partitioner.partition_record_stream(records)
+        records = list(partitioner.iter_chunk_records(deterministic_bytes(4096, seed=9)))
+        superchunks = [sc for sc, _ in partitioner.partition_file_records([("f", records)])]
         assert sum(sc.chunk_count for sc in superchunks) == len(records)
 
     def test_file_ending_on_superchunk_boundary_leaves_no_empty_contribution(self):
@@ -198,11 +198,11 @@ class TestPartitionFilesStreaming:
         assert seen == {"a", "b"}
         assert total == len(data_a) + len(data_b)
 
-    def test_iter_superchunks_matches_partition(self):
+    def test_block_stream_superchunks_match_buffer(self):
         partitioner = StreamPartitioner(small_config(chunk=256, superchunk=1024))
         data = deterministic_bytes(6000, seed=24)
-        eager = partitioner.partition(data)
-        lazy = list(partitioner.iter_superchunks(iter([data[:2500], data[2500:]])))
+        eager = partition(partitioner, data)
+        lazy = partition(partitioner, iter([data[:2500], data[2500:]]))
         assert [sc.logical_size for sc in eager] == [sc.logical_size for sc in lazy]
         assert [
             [record.fingerprint for record in sc.chunks] for sc in eager

@@ -9,6 +9,7 @@ bytes -- streaming only changes *when* bytes flow, never *what* is stored.
 import pytest
 
 from repro.chunking.fixed import StaticChunker
+from repro.chunking.gear import GearChunker
 from repro.cluster.client import BackupClient
 from repro.cluster.cluster import DedupeCluster
 from repro.cluster.director import Director
@@ -27,14 +28,14 @@ from repro.workloads.trace import (
 )
 from repro.workloads.versioned_source import VersionedSourceWorkload
 from repro.workloads.vm_images import VMBackupWorkload
-from tests.helpers import deterministic_bytes
+from tests.helpers import deterministic_bytes, partition
 
 
-def make_stack(num_nodes=4):
+def make_stack(num_nodes=4, chunker=None):
     cluster = DedupeCluster(num_nodes=num_nodes)
     director = Director()
     config = PartitionerConfig(
-        chunker=StaticChunker(256), superchunk_size=2048, handprint_size=4
+        chunker=chunker or StaticChunker(256), superchunk_size=2048, handprint_size=4
     )
     client = BackupClient("client", cluster, director, partitioner_config=config)
     restore = RestoreManager(cluster, director)
@@ -120,6 +121,49 @@ class TestClientStreamedVsBuffered:
             else:
                 assert stats == reference
 
+    def test_cdc_chunker_streamed_matches_buffered(self):
+        files = sample_files(count=3, size=9000)
+        _, _, buffered_client, _ = make_stack(chunker=GearChunker(average_size=256))
+        _, _, streamed_client, _ = make_stack(chunker=GearChunker(average_size=256))
+        buffered = buffered_client.backup_files(files)
+        streamed = streamed_client.backup_files(as_block_iterators(files, block_size=1234))
+        assert report_stats(streamed) == report_stats(buffered)
+
+    def test_identical_files_stored_once(self):
+        data = deterministic_bytes(8192, seed=5)
+        cluster, _, client, restore = make_stack()
+        report = client.backup_files([(f"copy-{i}", data) for i in range(4)])
+        assert report.logical_bytes == 4 * len(data)
+        assert report.unique_chunks == len(data) // 256
+        assert report.duplicate_chunks == 3 * len(data) // 256
+        assert sum(cluster.storage_usages()) < 2 * len(data)
+        assert restore.restore_file(report.session_id, "copy-3") == data
+
+    def test_storage_starts_before_source_is_exhausted(self):
+        """Super-chunks are stored as they fill, not after the whole source
+        has been read."""
+        cluster, _, client, _ = make_stack()
+        total_blocks = 40
+        consumed = []
+
+        def blocks():
+            for index in range(total_blocks):
+                consumed.append(index)
+                yield deterministic_bytes(1024, seed=index)
+
+        consumed_at_first_store = []
+        original = cluster.backup_superchunk_send
+
+        def spy(superchunk, decision=None):
+            if not consumed_at_first_store:
+                consumed_at_first_store.append(len(consumed))
+            return original(superchunk, decision)
+
+        cluster.backup_superchunk_send = spy
+        report = client.backup_stream(blocks(), path="s.bin")
+        assert report.logical_bytes == total_blocks * 1024
+        assert consumed_at_first_store[0] < total_blocks
+
 
 class TestBackupStream:
     def test_backup_stream_matches_backup_bytes(self):
@@ -140,7 +184,7 @@ class TestBackupStream:
     def test_backup_bytes_threads_stream_id(self):
         data = deterministic_bytes(3000, seed=6)
         cluster, _, client, _ = make_stack()
-        partitioned = client.partitioner.partition(data, stream_id=7)
+        partitioned = partition(client.partitioner, data, stream_id=7)
         assert all(sc.stream_id == 7 for sc in partitioned)
         # The client-level wrappers must propagate the same stream id all the
         # way to the routed super-chunks (spied at the cluster boundary so the
