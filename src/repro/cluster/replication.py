@@ -40,7 +40,8 @@ whatever spill files the previous process left there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, cast
 
 from repro.analysis.runtime import GuardLock, guarded_lock
 from repro.errors import NodeUnavailableError, RpcDroppedError, ValidationError
@@ -50,7 +51,7 @@ from repro.storage.backends import (
     FileContainerBackend,
     InMemoryBackend,
 )
-from repro.storage.container import Container, StoredSection
+from repro.storage.container import Container, StoredSection, read_in_runs
 from repro.storage.journal import MANIFEST_NAME
 
 if TYPE_CHECKING:
@@ -182,21 +183,23 @@ class ReplicaStore:
 
         ``requests`` pairs ``(fingerprint, container_id)``; payloads come
         back aligned, ``None`` where this store holds no replica of the
-        container or the replica lacks the fingerprint.  Stats-free like
-        every restore path: replica reads touch no dedup counters.
+        container or the replica lacks the fingerprint.  The primary's
+        run-wise read: one :meth:`Container.read_chunks
+        <repro.storage.container.Container.read_chunks>` (one spill load)
+        per distinct replica container.  Stats-free like every restore
+        path: replica reads touch no dedup counters.
         """
-        with self._lock:
-            replicas = [
-                self._replicas.get((origin_node_id, container_id))
-                for _fingerprint, container_id in requests
-            ]
-        results: List[Optional[bytes]] = []
-        for (fingerprint, _container_id), replica in zip(requests, replicas):
+
+        def read(container_id: int, fingerprints: List[bytes]) -> List[Optional[bytes]]:
+            with self._lock:
+                replica = self._replicas.get((origin_node_id, container_id))
             if replica is None:
-                results.append(None)
-            else:
-                results.append(replica.read_chunk(fingerprint))
-        return results
+                return [None] * len(fingerprints)
+            return replica.read_chunks(fingerprints)
+
+        return read_in_runs(
+            list(map(itemgetter(1), requests)), list(map(itemgetter(0), requests)), read
+        )
 
     def read_chunk(
         self, origin_node_id: int, fingerprint: bytes, container_id: int
@@ -317,15 +320,14 @@ class ReplicationManager:
         unresolved after the chain raises
         :class:`~repro.errors.NodeUnavailableError`.
         """
-        resolved: List[Tuple[bytes, int]] = []
-        for fingerprint, container_id in requests:
-            if container_id is None:
-                raise NodeUnavailableError(
-                    f"node {node_id} is unavailable and chunk "
-                    f"{fingerprint.hex()} has no recipe container id to "
-                    f"locate a replica with"
-                )
-            resolved.append((fingerprint, container_id))
+        container_ids = list(map(itemgetter(1), requests))
+        if None in container_ids:
+            raise NodeUnavailableError(
+                f"node {node_id} is unavailable and chunk "
+                f"{requests[container_ids.index(None)][0].hex()} has no recipe "
+                f"container id to locate a replica with"
+            )
+        resolved = cast(Sequence[Tuple[bytes, int]], requests)
         results: List[Optional[bytes]] = [None] * len(resolved)
         pending = list(range(len(resolved)))
         for successor_id in self.successors(node_id):
@@ -336,7 +338,7 @@ class ReplicationManager:
                 continue
             try:
                 payloads = successor.replica_read(
-                    node_id, [resolved[position] for position in pending]
+                    node_id, list(map(resolved.__getitem__, pending))
                 )
             except UNAVAILABLE_LINK_ERRORS:
                 continue
@@ -357,7 +359,7 @@ class ReplicationManager:
             )
         with self._lock:
             self.failover_reads += len(resolved)
-        return [payload for payload in results if payload is not None]
+        return cast(List[bytes], results)  # every position resolved
 
     # ------------------------------------------------------------------ #
     # reporting

@@ -22,12 +22,19 @@ all still raises :class:`~repro.errors.ChunkNotFoundError`), and
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from operator import itemgetter, length_hint
+from typing import Dict, Iterator, Tuple
 
 from repro.cluster.cluster import DedupeCluster
 from repro.cluster.director import Director
 from repro.cluster.recipe import ChunkLocation, FileRecipe
 from repro.errors import RecipeError, RestoreIntegrityError, ValidationError
+from repro.storage.container import read_in_runs
+
+_REQUEST = itemgetter(0, 3)
+"""A :class:`ChunkLocation`'s ``(fingerprint, container_id)`` read request."""
+_LENGTH = itemgetter(1)
+_NODE = itemgetter(2)
 
 DEFAULT_RESTORE_BATCH_CHUNKS = 1024
 """Recipe locations gathered per batched-read window (~4 MB of 4 KB chunks):
@@ -91,9 +98,12 @@ class RestoreManager:
 
         The whole file is never materialised: the batched path holds one
         window of chunk payloads at a time, the per-chunk path exactly one
-        chunk.  Chunks are verified against the recipe (and counted) as they
-        are yielded, so a consumer that stops early has read only verified
-        data.  Raises as :meth:`restore_file`.
+        chunk.  Chunks are verified against the recipe before they are
+        yielded -- a window at a time on the batched path -- so a consumer
+        that stops early has read only verified data, and ``chunks_read`` /
+        ``bytes_restored`` count exactly the chunks it received (on the
+        batched path the count of a verified window lands when the window is
+        used up or the iterator is closed).  Raises as :meth:`restore_file`.
         """
         recipe = self.director.get_recipe(session_id, path)
         recipe.validate()
@@ -111,35 +121,34 @@ class RestoreManager:
             yield data
 
     def _iter_batched(self, recipe: FileRecipe) -> Iterator[bytes]:
-        """The batched path: windows of grouped (node, container) bulk reads."""
+        """The batched path: each window of recipe locations becomes columns,
+        read with one bulk call per node over that node's runs (each node
+        groups its requests by container run), and is verified column-wise:
+        a window whose payload lengths all match the recipe is yielded whole
+        and counted once it is used up or the iterator is closed, up to the
+        chunk the consumer stopped at; one that does not is replayed chunk by
+        chunk, so the chunks before the first mismatch are yielded and
+        counted exactly as on the per-chunk path."""
         chunks = recipe.chunks
         window_size = self.batch_chunks
         for start in range(0, len(chunks), window_size):
             window = chunks[start:start + window_size]
-            for location, data in zip(window, self._read_window(window)):
-                self._verify(recipe.path, location, data)
+            payloads = read_in_runs(
+                list(map(_NODE, window)), list(map(_REQUEST, window)), self.cluster.read_chunks
+            )
+            lengths = list(map(_LENGTH, window))
+            if list(map(len, payloads)) == lengths:
+                unread = iter(payloads)
+                try:
+                    yield from unread
+                finally:  # also on close(): count only what was yielded
+                    taken = len(lengths) - length_hint(unread)
+                    self.chunks_read += taken
+                    self.bytes_restored += sum(lengths[:taken])
+                continue
+            for location, data in zip(window, payloads):
+                self._verify(recipe.path, location, data)  # raises at the first mismatch
                 yield data
-
-    def _read_window(self, window: List[ChunkLocation]) -> List[bytes]:
-        """Read one window of recipe locations with one bulk call per node.
-
-        Each node groups its requests by container, so every distinct
-        container in the window is read exactly once; payloads come back in
-        window (= recipe) order.
-        """
-        by_node: Dict[int, List[int]] = {}
-        for position, location in enumerate(window):
-            by_node.setdefault(location.node_id, []).append(position)
-        resolved: Dict[int, bytes] = {}
-        for node_id, positions in by_node.items():
-            requests: List[Tuple[bytes, Optional[int]]] = [
-                (window[position].fingerprint, window[position].container_id)
-                for position in positions
-            ]
-            for position, data in zip(positions, self.cluster.read_chunks(node_id, requests)):
-                resolved[position] = data
-        # by_node partitions the window's positions, so every one resolved.
-        return [resolved[position] for position in range(len(window))]
 
     def _verify(self, path: str, location: ChunkLocation, data: bytes) -> None:
         """Check one payload against its recipe entry; count it only if good."""

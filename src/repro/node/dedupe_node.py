@@ -32,8 +32,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import compress, count, filterfalse, groupby
-from operator import attrgetter
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter, itemgetter
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, cast
 
 from repro.analysis.runtime import GuardLock, assert_owned, guarded_lock
 from repro.core.superchunk import SuperChunk
@@ -71,6 +71,8 @@ if TYPE_CHECKING:
     from repro.cluster.replication import ReplicaStore
 
 _LENGTH = attrgetter("length")
+_FIRST = itemgetter(0)
+_SECOND = itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -587,29 +589,30 @@ class DedupeNode:
         """Bulk restore reads: payloads aligned with ``(fingerprint,
         container_id)`` requests.
 
-        The batched restore path: container ids missing from a recipe are
-        resolved through the same read-only peeks as :meth:`read_chunk`, then
-        the whole batch goes through one grouped
+        The batched restore path: the requests split into a fingerprint and a
+        container-id column, container ids missing from a recipe are resolved
+        through the same read-only peeks as :meth:`read_chunk`, and the
+        columns go through one grouped
         :meth:`~repro.storage.container_store.ContainerStore.read_chunks`
         call, so each distinct container is read (and, when spilled, its data
         section loaded) once for the batch.  Statistics stay untouched, as on
         every restore path.
         """
         self._check_available()
-        resolved: List[Tuple[int, bytes]] = [
-            (self._resolve_restore_container(fingerprint, container_id), fingerprint)
-            for fingerprint, container_id in requests
-        ]
-        payloads = self.container_store.read_chunks(resolved)
-        verified: List[bytes] = []
-        for (container_id, fingerprint), payload in zip(resolved, payloads):
-            if payload is None:
-                raise ChunkNotFoundError(
-                    f"container {container_id} on node {self.node_id} does not hold "
-                    f"chunk {fingerprint.hex()}"
-                )
-            verified.append(payload)
-        return verified
+        fingerprints = list(map(_FIRST, requests))
+        container_ids = list(map(_SECOND, requests))
+        if None in container_ids:
+            container_ids = list(
+                map(self._resolve_restore_container, fingerprints, container_ids)
+            )
+        payloads = self.container_store.read_chunks(container_ids, fingerprints)
+        if None in payloads:
+            position = payloads.index(None)
+            raise ChunkNotFoundError(
+                f"container {container_ids[position]} on node {self.node_id} does not "
+                f"hold chunk {fingerprints[position].hex()}"
+            )
+        return cast(List[bytes], payloads)
 
     # ------------------------------------------------------------------ #
     # replication (the one mirroring seam: the in-process manager calls these

@@ -273,11 +273,11 @@ class FileContainerBackend(ContainerBackend):
         power-loss durability costs, not what the crash tests need.
 
     Concurrency contract: loads are serialized by an internal lock, and a
-    returned :data:`PayloadSection` is valid until the *next* load on this
-    backend (loading a different container closes the previous ``mmap`` so
-    page slices cannot pin unlinked spill files).  Every read path in the
-    tree already finishes slicing under a per-node or per-store lock before
-    another load can start.
+    returned :data:`PayloadSection` stays valid for as long as its caller
+    holds it.  Restores slice it outside any lock, so a load that displaces
+    an ``mmap`` from the one-slot buffer never closes it: the map is
+    released by reference counting when its last reader drops it (slices
+    are ``bytes`` copies, so no chunk pins a spill file).
     """
 
     name = "file"
@@ -315,9 +315,9 @@ class FileContainerBackend(ContainerBackend):
         self._io_lock: GuardLock = guarded_lock("FileContainerBackend._io_lock")
         # One-slot read buffer: consecutive chunk reads from the same sealed
         # container (the common restore pattern) reload its file only once
-        # while keeping resident payload bounded to a single container.  The
-        # displaced entry's mmap is closed eagerly (see the class docstring's
-        # concurrency contract), so page slices never pin unlinked files.
+        # while keeping resident payload bounded to a single container.  A
+        # displaced entry is dropped, not closed (see the class docstring's
+        # concurrency contract).
         self._last_loaded: Optional[Tuple[int, PayloadSection]] = None  # guarded-by: _io_lock
         # Decompressed-section LRU (compressed spills only), filled by seals
         # and by loads: byte-bounded so resident decompressed payload never
@@ -641,7 +641,7 @@ class FileContainerBackend(ContainerBackend):
                 # Decompressed-LRU hit: the codec already ran for this
                 # container; neither a spill load nor a decompression happens.
                 self._decompressed.move_to_end(container.container_id)
-                self._replace_loaded(container.container_id, remembered)
+                self._last_loaded = (container.container_id, remembered)
                 return remembered
         stored = self._map_spill_file(container)
         payload: PayloadSection
@@ -673,20 +673,8 @@ class FileContainerBackend(ContainerBackend):
                 f"({self.spill_path(container.container_id)})"
             )
         self.spill_loads += 1
-        self._replace_loaded(container.container_id, payload)
+        self._last_loaded = (container.container_id, payload)
         return payload
-
-    def _replace_loaded(self, container_id: int, payload: PayloadSection) -> None:  # holds-lock: _io_lock
-        """Install the new one-slot buffer entry, closing the displaced mmap
-        so its pages stop pinning a (possibly unlinked) spill file."""
-        previous = self._last_loaded
-        self._last_loaded = (container_id, payload)
-        if (
-            previous is not None
-            and previous[1] is not payload
-            and isinstance(previous[1], mmap.mmap)
-        ):
-            previous[1].close()
 
     def _remember_decompressed(self, container_id: int, section: bytes) -> None:  # holds-lock: _io_lock
         """LRU-cache a decompressed data section within the byte budget."""
@@ -706,19 +694,17 @@ class FileContainerBackend(ContainerBackend):
     # ------------------------------------------------------------------ #
 
     def close(self) -> None:
-        """Release the one-slot ``mmap``, the decompressed LRU and any private
-        temporary directory.  Idempotent; loads after close raise
+        """Release the one-slot ``mmap`` (to reference counting, like any
+        displaced map), the decompressed LRU and any private temporary
+        directory.  Idempotent; loads after close raise
         :class:`~repro.errors.StorageError`."""
         if self._closed:
             return
         self._closed = True
         with self._io_lock:
-            cached = self._last_loaded
             self._last_loaded = None
             self._decompressed.clear()
             self._decompressed_bytes = 0
-            if cached is not None and isinstance(cached[1], mmap.mmap):
-                cached[1].close()
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
             self._tmpdir = None

@@ -32,8 +32,11 @@ import mmap
 import zlib
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Union, cast
+from itertools import accumulate, chain, groupby
+from operator import add
+from typing import (
+    Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence, TypeVar, Union, cast,
+)
 
 from repro.errors import ContainerFullError, ContainerNotFoundError, StorageError
 from repro.fingerprint.fingerprinter import ChunkRecord
@@ -340,41 +343,42 @@ class Container:
 
     def read_chunk(self, fingerprint: bytes) -> Optional[bytes]:
         """Return the payload of a chunk stored in this container, or ``None``."""
-        position = self._index_of.get(fingerprint)
-        if position is None:
-            return None
-        parts = self._parts
-        if parts is not None:
-            return parts[position]
-        offset = self._offsets[position]
-        return self.payload_bytes()[offset:offset + self._lengths[position]]
+        return self.read_chunks([fingerprint])[0]
 
-    def read_chunks(self, fingerprints: Sequence[bytes]) -> List[Optional[bytes]]:
-        """Bulk :meth:`read_chunk`: payloads aligned with ``fingerprints``.
+    def read_chunks(self, fingerprints: List[bytes]) -> List[Optional[bytes]]:
+        """Payloads aligned with ``fingerprints`` (``None`` where this
+        container does not hold one): the container-run read of restore.
 
-        The batched restore read path: an evicted data section is loaded
-        through the backend exactly once for the whole batch instead of once
-        per chunk, which is what turns spill restores from one file reload
-        per chunk into one per container.
+        A restore asks for runs of chunks in the order they were appended, so
+        the run is matched with one index probe and one list compare (by
+        identity, element by element, for the fingerprint objects recipes
+        share with the container) and served as one slice of the resident
+        parts, or as slices of the data section, loaded through the backend
+        once.  A run that does not match -- a repeat, a reordering, a chunk
+        missing or skipped -- is resolved chunk by chunk instead.
         """
-        positions = [self._index_of.get(fingerprint) for fingerprint in fingerprints]
+        count = len(fingerprints)
+        start = self._index_of.get(fingerprints[0]) if count else None
+        if start is not None and self._fingerprints[start:start + count] == fingerprints:
+            parts = self._parts
+            if parts is None:
+                section = self.payload_bytes()
+                starts = self._offsets[start:start + count]
+                ends = map(add, starts, self._lengths[start:start + count])
+                return list(map(section.__getitem__, map(slice, starts, ends)))
+            run = parts[start:start + count]
+            if len(run) == count:  # else an append is still publishing the run's tail
+                return run
+        positions = list(map(self._index_of.get, fingerprints))
         parts = self._parts
         if parts is not None:
-            return [
-                parts[position] if position is not None else None
-                for position in positions
-            ]
-        payload: Optional[PayloadSection] = None
-        results: List[Optional[bytes]] = []
-        for position in positions:
-            if position is None:
-                results.append(None)
-                continue
-            if payload is None:
-                payload = self.payload_bytes()
-            offset = self._offsets[position]
-            results.append(payload[offset:offset + self._lengths[position]])
-        return results
+            return [None if p is None else parts[p] for p in positions]
+        if positions.count(None) == count:
+            return [None] * count
+        section = self.payload_bytes()
+        offsets, lengths = self._offsets, self._lengths
+        return [None if p is None else section[offsets[p]:offsets[p] + lengths[p]]
+                for p in positions]
 
     def metadata_section(self) -> List[ContainerMetadataEntry]:
         """The metadata section as rows (built per call), what a prefetch
@@ -389,3 +393,43 @@ class Container:
         """Approximate size of the metadata section (40 B per entry by default,
         the per-entry size the paper's RAM estimate assumes)."""
         return self.chunk_count * entry_size
+
+
+K = TypeVar("K", bound=Hashable)
+T = TypeVar("T")
+R = TypeVar("R")
+
+
+def read_in_runs(
+    keys: Sequence[K], items: List[T], read: Callable[[K, List[T]], List[R]]
+) -> List[R]:
+    """``read(key, items of key)`` once per distinct key, in order of first
+    appearance, with every run of that key concatenated; the results come
+    back aligned with ``items`` (``read`` returns one per item it was given).
+
+    The restore path's one grouping: a window of requests is keyed by node,
+    then inside a node by container, and recipes follow the order chunks were
+    stored in, so the keys come in long runs.  :func:`itertools.groupby`
+    finds them in an identity-fast C loop, and the work per key is a few
+    slices, not a step per chunk.
+    """
+    spans: Dict[K, List[slice]] = {}
+    start = 0
+    for key, run in groupby(keys):
+        end = start + len(list(run))
+        spans.setdefault(key, []).append(slice(start, end))
+        start = end
+    if len(spans) == 1:
+        return read(keys[0], items)
+    results: List[Optional[R]] = [None] * start
+    for key, slices in spans.items():
+        if len(slices) == 1:
+            results[slices[0]] = read(key, items[slices[0]])
+            continue
+        done = 0
+        got = read(key, list(chain.from_iterable(map(items.__getitem__, slices))))
+        for span in slices:
+            size = span.stop - span.start
+            results[span] = got[done:done + size]
+            done += size
+    return cast(List[R], results)

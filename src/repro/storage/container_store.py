@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import accumulate
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.runtime import GuardLock, assert_owned, guarded_lock
 from repro.errors import ContainerNotFoundError, RecoveryError, ValidationError
 from repro.fingerprint.fingerprinter import ChunkRecord
 from repro.storage.backends import ContainerBackend, InMemoryBackend, SpillRecovery
-from repro.storage.container import Container, DEFAULT_CONTAINER_CAPACITY
+from repro.storage.container import Container, DEFAULT_CONTAINER_CAPACITY, read_in_runs
 from repro.utils.stats import SnapshotCounter
 
 
@@ -263,31 +263,22 @@ class ContainerStore:
         return container.read_chunk(fingerprint)
 
     def read_chunks(
-        self, requests: Sequence[Tuple[int, bytes]]
+        self, container_ids: Sequence[int], fingerprints: List[bytes]
     ) -> List[Optional[bytes]]:
         """Bulk chunk reads grouped by container: the batched restore path.
 
-        ``requests`` is a sequence of ``(container_id, fingerprint)`` pairs in
-        any order; payloads come back aligned with it.  Each distinct
-        container is read exactly once -- one container-granularity read on
-        the I/O counters and, with a spill backend, one data-section load --
-        however many chunks of it the batch wants, versus one read per chunk
-        on the per-chunk path.  An unknown container id raises
+        Two aligned columns, in any order; payloads come back aligned with
+        them.  Each distinct container is read exactly once -- one
+        container-granularity read on the I/O counters and, with a spill
+        backend, one data-section load -- over all of its runs, versus one
+        read per chunk on the per-chunk path.  An unknown container id raises
         :class:`~repro.errors.ContainerNotFoundError`; a fingerprint the
         container does not hold yields ``None`` at its position.
         """
-        by_container: Dict[int, List[int]] = {}
-        for position, (container_id, _fingerprint) in enumerate(requests):
-            by_container.setdefault(container_id, []).append(position)
-        results: List[Optional[bytes]] = [None] * len(requests)
-        for container_id, positions in by_container.items():
-            container = self.read_container(container_id)
-            payloads = container.read_chunks(
-                [requests[position][1] for position in positions]
-            )
-            for position, payload in zip(positions, payloads):
-                results[position] = payload
-        return results
+        return read_in_runs(
+            container_ids, fingerprints,
+            lambda container_id, run: self.read_container(container_id).read_chunks(run),
+        )
 
     def prefetch_metadata(self, container_id: int) -> List[bytes]:
         """Read the metadata section of a container: the fingerprint prefetch path."""

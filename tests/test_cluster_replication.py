@@ -15,6 +15,7 @@ from repro.core.framework import SigmaDedupe
 from repro.errors import NodeUnavailableError, StorageError, ValidationError
 from repro.node.dedupe_node import DedupeNode, NodeConfig
 from repro.storage.backends import FileContainerBackend
+from repro.storage.container import Container
 from tests.helpers import chunk_records_from_seeds, superchunk_from_seeds
 
 
@@ -200,6 +201,54 @@ class TestFailoverReads:
                 assert framework.restore(session_id, path) == payload
             cluster.mark_node_up(node.node_id)
         assert cluster.describe()["failover_reads"] > before
+        framework.close()
+
+    def test_failover_restore_loads_each_replica_container_once(self, tmp_path, monkeypatch):
+        # Raw spill files and a second, edited generation: its recipes
+        # alternate between old and new containers, so a replica read per
+        # chunk would reload a spill file at every alternation (and take a
+        # loader call per chunk even where the one-slot buffer hides it).
+        framework = make_framework(
+            tmp_path, num_nodes=2, container_compression="none",
+            node_config=NodeConfig(container_capacity=8192),
+        )
+        _first, files = backup_corpus(framework, file_size=40_000)
+        rng = random.Random(5)
+        edited = []
+        for path, payload in files:
+            buffer = bytearray(payload)
+            for offset in range(3000, len(buffer), 9000):
+                buffer[offset:offset + 500] = rng.randbytes(500)
+            edited.append((path, bytes(buffer)))
+        session_id = framework.backup(edited).session_id
+        cluster = framework.cluster
+        sections_served = []
+        payload_bytes = Container.payload_bytes
+
+        def counted(container):
+            sections_served.append(container)
+            return payload_bytes(container)
+
+        monkeypatch.setattr(Container, "payload_bytes", counted)
+        for down in cluster.nodes:
+            replicas = cluster.node(1 - down.node_id).replica_store
+            cluster.mark_node_down(down.node_id)
+            for path, payload in edited:
+                recipe = framework.director.get_recipe(session_id, path)
+                distinct = {
+                    location.container_id
+                    for location in recipe.chunks
+                    if location.node_id == down.node_id
+                }
+                loads = replicas.backend.spill_loads
+                sections_served.clear()
+                assert framework.restore(session_id, path) == payload
+                assert replicas.backend.spill_loads - loads <= len(distinct)
+                held = set(map(id, replicas._replicas.values()))
+                # One section (one loader call) per replica container.
+                assert sum(id(c) in held for c in sections_served) <= len(distinct)
+            cluster.mark_node_up(down.node_id)
+        assert cluster.describe()["failover_reads"] > 0
         framework.close()
 
     def test_down_node_without_replication_raises(self, tmp_path):

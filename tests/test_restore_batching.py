@@ -173,6 +173,26 @@ class TestRestoreEquivalence:
         pieces.extend(iterator)
         assert b"".join(pieces) == expected[path]
 
+    @pytest.mark.parametrize("batch_reads, batch_chunks", [(False, 4), (True, 4), (True, 1024)])
+    @pytest.mark.parametrize("received", [1, 4, 6])
+    def test_early_stop_counts_only_the_chunks_received(
+        self, batch_reads, batch_chunks, received
+    ):
+        framework, sessions, expected = build_framework(seed=23, generations=1)
+        session_id = sessions[-1].session_id
+        path = framework.director.files_in_session(session_id)[0]
+        assert len(framework.director.get_recipe(session_id, path).chunks) > received
+        manager = RestoreManager(
+            framework.cluster, framework.director,
+            batch_reads=batch_reads, batch_chunks=batch_chunks,
+        )
+        iterator = manager.iter_restore_file(session_id, path)
+        pieces = [next(iterator) for _ in range(received)]
+        iterator.close()
+        assert manager.chunks_read == received
+        assert manager.bytes_restored == sum(map(len, pieces))
+        assert b"".join(pieces) == expected[path][:manager.bytes_restored]
+
 
 class TestRestoreIntegrity:
     def corrupt_recipe(self, framework, session_id, path, position=0, delta=1):

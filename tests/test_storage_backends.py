@@ -324,9 +324,7 @@ class TestCompressedSpill:
         store.flush()
         for chunk, container_id in zip(chunks, ids):
             assert store.read_chunk(container_id, chunk.fingerprint) == chunk.data
-        batched = store.read_chunks(
-            [(cid, chunk.fingerprint) for chunk, cid in zip(chunks, ids)]
-        )
+        batched = store.read_chunks(ids, [chunk.fingerprint for chunk in chunks])
         assert batched == [chunk.data for chunk in chunks]
 
     @pytest.mark.parametrize("name", [n for n in AVAILABLE_CODECS if n != "none"])

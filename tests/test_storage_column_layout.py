@@ -212,5 +212,5 @@ class TestStoreChunks:
         batch = records(BATCHES["oversize_mid_run"] + BATCHES["spans_three_containers"])
         ids = batched.store_chunks(batch)
         batched.flush()
-        requests = [(cid, chunk.fingerprint) for cid, chunk in zip(ids, batch)]
-        assert batched.read_chunks(requests) == [chunk.data for chunk in batch]
+        fingerprints = [chunk.fingerprint for chunk in batch]
+        assert batched.read_chunks(ids, fingerprints) == [chunk.data for chunk in batch]

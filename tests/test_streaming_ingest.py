@@ -16,6 +16,7 @@ from repro.cluster.director import Director
 from repro.cluster.restore import RestoreManager
 from repro.core.framework import SigmaDedupe
 from repro.core.partitioner import PartitionerConfig
+from repro.parallel.engine import DEFAULT_BATCH_BYTES, DEFAULT_QUEUE_DEPTH
 from repro.simulation.comparison import compare_schemes, run_scheme
 from repro.simulation.simulator import ClusterSimulator
 from repro.routing.sigma import SigmaRouting
@@ -141,9 +142,11 @@ class TestClientStreamedVsBuffered:
 
     def test_storage_starts_before_source_is_exhausted(self):
         """Super-chunks are stored as they fill, not after the whole source
-        has been read."""
+        has been read.  With parallel ingest a lane runs ahead of storage by
+        up to ``queue_depth`` batches (plus the one it is filling and the one
+        being consumed), so the source is several times that look-ahead."""
         cluster, _, client, _ = make_stack()
-        total_blocks = 40
+        total_blocks = 4 * DEFAULT_BATCH_BYTES * DEFAULT_QUEUE_DEPTH // 1024
         consumed = []
 
         def blocks():
