@@ -11,14 +11,12 @@ in MB/s over the same synthetic payload:
   (``Fingerprinter.fingerprint_blocks`` slicing one shared memoryview);
 * **node_path** -- the cluster data plane alone: pre-partitioned super-chunks
   driven through routing + node dedupe + container store for two generations
-  (a unique ingest, then a full repeat backup), comparing the per-chunk seed
-  execution against the batched execution and the batched execution on the
+  (a unique ingest, then a full repeat backup), on the in-memory and on the
   spill-to-disk container backend;
 * **end_to_end** -- a full backup session against an in-memory cluster
   (``SigmaDedupe.backup``: partitioning, SHA-1, handprint routing, node
-  dedupe and container store), plus ``end_to_end_perchunk`` /
-  ``end_to_end_spill`` rows for the seed node execution and the file-backend
-  variant of the same session;
+  dedupe and container store), plus an ``end_to_end_spill`` row for the
+  file-backend variant of the same session;
 * **parallel_end_to_end** -- the same session through the parallel ingest
   engine for workers in {1, 2, 4}.  The headline ``mb_per_s`` uses the
   shared-memory process front end
@@ -54,10 +52,9 @@ in MB/s over the same synthetic payload:
   ring's extra copy only pays off for frames far larger than containers);
   both rates are recorded so the choice stays auditable;
 * **restore** -- the read path on the spill-to-disk backend: a two-generation
-  session whose later recipes interleave containers, restored chunk-at-a-time
-  (the seed path, one spill reload per chunk softened only by a one-slot
-  buffer) vs the batched path (grouped by (node, container), one load per
-  distinct container per window) vs the streamed iterator;
+  session whose later recipes interleave containers, restored whole (grouped
+  by (node, container), one load per distinct container per window) and
+  through the streamed iterator;
 * **restore_compressed** -- the same two-generation interleaved session over a
   compressible payload, batched restore on uncompressed (mmap-sliced) vs
   compressed spill files, with the raw/stored spill byte totals recorded as
@@ -74,10 +71,8 @@ root so successive PRs accumulate comparable data points.  The chunk rows are
 best-of-N (single runs swing 10-15% on shared hosts).  Asserted regressions
 (the CI smoke gate): where the compiled gear kernel is live
 (``kernel_status()``) its scan is >= 30x the pure scan and accelerated
-end-to-end ingest is >= 8x the pure end-to-end rate, the batched node path is >= 1.2x
-the seed per-chunk node path, batched spill restore is >= 2x the per-chunk
-spill restore, compressed batched restore is >= 0.9x the uncompressed batched
-restore on the same payload, compressed spill files hold <= 0.8x the raw
+end-to-end ingest is >= 8x the pure end-to-end rate, compressed batched
+restore is >= 0.9x the uncompressed batched restore on the same payload, compressed spill files hold <= 0.8x the raw
 bytes on the compressible workload, both recovery restore legs are
 byte-identical with the failover leg actually serving replica reads and
 holding >= 0.25x the healthy replicated rate, and -- on hosts with >= 4 cores,
@@ -129,8 +124,7 @@ AVERAGE_CHUNK_SIZE = 4096
 SUPERCHUNK_SIZE = 256 * 1024
 NUM_NODES = 4
 NUM_FILES = 4
-# Best-of-5: the 1.2x batched-vs-per-chunk gate needs a noise-resistant
-# baseline on shared CI runners (locally the ratio sits around 1.3x).
+# Best-of-5: single node-path passes swing on shared CI runners.
 NODE_PATH_REPEATS = 5
 # Chunk rows are best-of-N too, so a single noisy run must not fail the
 # build -- single passes swing 10-15% on shared hosts.  Accel passes are
@@ -159,7 +153,7 @@ WIRE_TRAIN_FRAMES = 64
 WIRE_FRAME_BYTES = 4096
 # Restore rows use small containers so even the smoke payload spreads over
 # many spill files (with 4 MiB containers a 3 MB smoke run would fit in one
-# container per node and the one-slot buffer would hide the whole effect).
+# container per node).
 RESTORE_CONTAINER_CAPACITY = 256 * 1024
 RESTORE_REPEATS = 3
 # Recovery rows replicate at factor 2 so the failover leg has replicas to
@@ -243,7 +237,6 @@ def measure_node_path(
 def measure_end_to_end(
     chunker: Chunker,
     files: List[Tuple[str, bytes]],
-    batch_execution: bool = True,
     storage_dir: Optional[str] = None,
     workers: Optional[int] = None,
     parallel_executor: str = "thread",
@@ -253,7 +246,6 @@ def measure_end_to_end(
         routing="sigma",
         chunker=chunker,
         superchunk_size=SUPERCHUNK_SIZE,
-        node_config=NodeConfig(batch_execution=batch_execution),
         storage_dir=storage_dir,
         workers=workers,
         parallel_executor=parallel_executor,
@@ -538,9 +530,7 @@ def measure_restore(framework: SigmaDedupe, session_id: str, logical: int, mode:
     """Restore the whole session via one consumption shape, best of repeats."""
     best = 0.0
     for _ in range(RESTORE_REPEATS):
-        manager = RestoreManager(
-            framework.cluster, framework.director, batch_reads=(mode != "per-chunk")
-        )
+        manager = RestoreManager(framework.cluster, framework.director)
         restored_bytes = 0
         start = time.perf_counter()
         for path in framework.director.files_in_session(session_id):
@@ -684,7 +674,7 @@ def run(scale: str) -> Dict:
         results["end_to_end"][name] = round(measure_end_to_end(factory(), files), 2)
 
     # The node-path rows: identical pre-partitioned super-chunks driven
-    # through every execution mode / container backend of the cluster plane.
+    # through the cluster plane on each container backend.
     partitioner = StreamPartitioner(
         PartitionerConfig(
             chunker=best_chunker(), superchunk_size=SUPERCHUNK_SIZE, handprint_size=8
@@ -698,28 +688,17 @@ def run(scale: str) -> Dict:
         if superchunk is not None
     ]
     logical = sum(superchunk.logical_size for superchunk in superchunks)
-    results["node_path"]["per-chunk"] = round(
-        measure_node_path(superchunks, logical, NodeConfig(batch_execution=False)), 2
-    )
     results["node_path"]["batched"] = round(
-        measure_node_path(superchunks, logical, NodeConfig(batch_execution=True)), 2
+        measure_node_path(superchunks, logical, NodeConfig()), 2
     )
     with tempfile.TemporaryDirectory(prefix="bench-ingest-spill-") as spill_dir:
         results["node_path"]["batched-spill"] = round(
-            measure_node_path(
-                superchunks, logical, NodeConfig(batch_execution=True), storage_dir=spill_dir
-            ),
-            2,
+            measure_node_path(superchunks, logical, NodeConfig(), storage_dir=spill_dir), 2
         )
 
-        # End-to-end variants of the same session on the best chunker: the
-        # seed per-chunk node execution and the spill-to-disk backend.
+        # The same session end to end on the best chunker, on the
+        # spill-to-disk backend.
         chunker_name = gear_backends()[-1][0]
-        results["end_to_end_perchunk"] = {
-            chunker_name: round(
-                measure_end_to_end(best_chunker(), files, batch_execution=False), 2
-            )
-        }
         results["end_to_end_spill"] = {
             chunker_name: round(
                 measure_end_to_end(
@@ -802,8 +781,8 @@ def run(scale: str) -> Dict:
             else None
         )
 
-        # Restore: the spill-backed read path, chunk-at-a-time vs batched vs
-        # streamed, over a session whose recipes interleave containers.
+        # Restore: the spill-backed read path, whole files and streamed, over
+        # a session whose recipes interleave containers.
         restore_framework, restore_session, restore_logical = build_restore_session(
             str(Path(spill_dir) / "restore"), data
         )
@@ -811,7 +790,7 @@ def run(scale: str) -> Dict:
             f"{mode}-spill": round(
                 measure_restore(restore_framework, restore_session, restore_logical, mode), 2
             )
-            for mode in ("per-chunk", "batched", "streamed")
+            for mode in ("batched", "streamed")
         }
 
         # Compressed spill: the same interleaved two-generation session over a
@@ -854,19 +833,7 @@ def run(scale: str) -> Dict:
             str(Path(spill_dir) / "recovery"), data
         )
 
-    # The CI smoke gates: a chunking, ingest or node-plane regression fails
-    # the build.  At smoke scale the batched/per-chunk ratio has comfortable
-    # headroom (~1.5x measured); the bigger full-scale payload spends
-    # proportionally more time in shared memcpy/page-fault work, squeezing
-    # the measured ratio toward ~1.25x, so the full run gates at 1.1x to
-    # stay noise-resistant while still catching real regressions.
-    node_gate = 1.2 if scale == "smoke" else 1.1
-    node_per_chunk = results["node_path"]["per-chunk"]
-    node_batched = results["node_path"]["batched"]
-    assert node_batched >= node_per_chunk * node_gate, (
-        f"batched node path regressed: {node_batched} MB/s vs per-chunk "
-        f"{node_per_chunk} MB/s (< {node_gate}x)"
-    )
+    # The CI smoke gates: a chunking or ingest regression fails the build.
     if kernel_status()[0]:
         chunk_pure = results["chunk_only"]["gear-pure"]
         chunk_accel = results["chunk_only"]["gear-accel"]
@@ -882,15 +849,6 @@ def run(scale: str) -> Dict:
         assert e2e_accel >= e2e_pure * 8, (
             f"accelerated ingest regressed: {e2e_accel} MB/s vs pure {e2e_pure} MB/s"
         )
-
-    # Restore gate: grouping a window's reads by container must beat one
-    # spill reload per chunk decisively, everywhere.
-    restore_per_chunk = results["restore"]["per-chunk-spill"]
-    restore_batched = results["restore"]["batched-spill"]
-    assert restore_batched >= restore_per_chunk * 2.0, (
-        f"batched spill restore regressed: {restore_batched} MB/s vs per-chunk "
-        f"{restore_per_chunk} MB/s (< 2x)"
-    )
 
     # Compression gates: the one-decompression-per-container cost must stay
     # amortised (compressed batched restore within 10% of uncompressed on the

@@ -35,7 +35,6 @@ from typing import Dict, FrozenSet, Tuple
 STATS_MUTATING_CALLS: FrozenSet[str] = frozenset(
     {
         "lookup",
-        "lookup_chunk",
         "lookup_handprint",
         "match_batch",
         "probe_batch",
@@ -63,14 +62,12 @@ READ_PATH_SCOPES: Dict[str, Tuple[str, ...]] = {
     "cluster/restore.py": ("*",),
     "cluster/cluster.py": (
         "DedupeCluster.sample_match_count",
-        "DedupeCluster.read_chunk",
         "DedupeCluster.read_chunks",
         "DedupeCluster._failover_read",
     ),
     # Replica reads are failover restore reads: like every restore path they
     # must stay invisible to dedupe statistics (replicas never dedupe).
     "cluster/replication.py": (
-        "ReplicaStore.read_chunk",
         "ReplicaStore.read_chunks",
         "ReplicationManager.read_chunks_failover",
     ),
@@ -91,7 +88,6 @@ READ_PATH_SCOPES: Dict[str, Tuple[str, ...]] = {
     "node/dedupe_node.py": (
         "DedupeNode.sample_match_count",
         "DedupeNode._resolve_restore_container",
-        "DedupeNode.read_chunk",
         "DedupeNode.read_chunks",
         "DedupeNode.replica_read",
     ),

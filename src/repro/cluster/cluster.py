@@ -313,10 +313,6 @@ class DedupeCluster(ClusterView):
     # restore path
     # ------------------------------------------------------------------ #
 
-    def read_chunk(self, node_id: int, fingerprint: bytes, container_id: Optional[int] = None) -> bytes:
-        """Restore-read one chunk, with transparent retry + replica failover."""
-        return self.read_chunks(node_id, [(fingerprint, container_id)])[0]
-
     def read_chunks(self, node_id: int, requests: ReadRequests) -> List[bytes]:
         """Bulk restore reads against one node (grouped per container there).
 

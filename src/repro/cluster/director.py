@@ -221,6 +221,8 @@ class Director:
                 ]
             except (KeyError, TypeError, ValueError, IndexError) as exc:
                 raise RecipeError(f"malformed file entry in session export: {exc}") from exc
+            if path in recipes:
+                raise RecipeError(f"session export names {path!r} twice")
             recipe = FileRecipe(path=path, session_id=session_id, chunks=locations)
             recipe.validate()
             recipes[path] = recipe
@@ -245,6 +247,7 @@ class Director:
         """Logical bytes recorded in recipes (one session, or all sessions)."""
         with self._lock:
             if session_id is not None:
+                self.get_session(session_id)
                 return sum(recipe.logical_size for recipe in self._recipes[session_id].values())
             return sum(
                 recipe.logical_size

@@ -201,11 +201,6 @@ class ReplicaStore:
             list(map(itemgetter(1), requests)), list(map(itemgetter(0), requests)), read
         )
 
-    def read_chunk(
-        self, origin_node_id: int, fingerprint: bytes, container_id: int
-    ) -> Optional[bytes]:
-        return self.read_chunks(origin_node_id, [(fingerprint, container_id)])[0]
-
     def close(self) -> None:
         if self.backend is not None:
             self.backend.close()

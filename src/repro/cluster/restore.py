@@ -4,14 +4,13 @@ Restore is the inverse of backup: for every chunk location of a file recipe
 the manager reads the chunk payload from the owning node's container store and
 concatenates the payloads in recipe order.
 
-Mirroring the write side's batched data plane, reads are batched by default:
-recipe locations are gathered into windows, grouped by (node, container) and
-issued as bulk :meth:`~repro.node.dedupe_node.DedupeNode.read_chunks` calls,
-so each container -- and, with a spill backend, each container's data-section
-file -- is read once per window instead of once per chunk.  The seed's
-chunk-at-a-time execution is kept as the reference path
-(``RestoreManager(batch_reads=False)``), exactly as the node keeps its
-per-chunk plane.
+Mirroring the write side's batched data plane, reads are batched: recipe
+locations are gathered into windows, grouped by (node, container) and issued
+as bulk :meth:`~repro.node.dedupe_node.DedupeNode.read_chunks` calls, so each
+container -- and, with a spill backend, each container's data-section file --
+is read once per window instead of once per chunk.  The chunk-at-a-time
+execution is the reference this path is tested against; it lives in
+``tests/oracles.py``, beside the node's per-chunk plane.
 
 Every chunk is verified against its recipe before it is counted or yielded: a
 payload whose length disagrees with the recipe raises
@@ -49,27 +48,22 @@ class RestoreManager:
     ----------
     cluster / director:
         Where chunk payloads live and where file recipes are tracked.
-    batch_reads:
-        ``True`` (default) groups each window of recipe locations by
-        (node, container) and issues bulk reads; ``False`` is the seed
-        chunk-at-a-time reference path.
     batch_chunks:
-        Window size, in recipe locations, for the batched path (also the
-        memory bound of :meth:`iter_restore_file`).
+        Window size, in recipe locations: each window is grouped by
+        (node, container) and read in bulk (also the memory bound of
+        :meth:`iter_restore_file`).
     """
 
     def __init__(
         self,
         cluster: DedupeCluster,
         director: Director,
-        batch_reads: bool = True,
         batch_chunks: int = DEFAULT_RESTORE_BATCH_CHUNKS,
     ):
         if batch_chunks < 1:
             raise ValidationError("batch_chunks must be positive")
         self.cluster = cluster
         self.director = director
-        self.batch_reads = batch_reads
         self.batch_chunks = batch_chunks
         self.chunks_read = 0
         self.bytes_restored = 0
@@ -96,39 +90,27 @@ class RestoreManager:
     def iter_restore_file(self, session_id: str, path: str) -> Iterator[bytes]:
         """Stream one file's payload in recipe order, chunk by chunk.
 
-        The whole file is never materialised: the batched path holds one
-        window of chunk payloads at a time, the per-chunk path exactly one
-        chunk.  Chunks are verified against the recipe before they are
-        yielded -- a window at a time on the batched path -- so a consumer
-        that stops early has read only verified data, and ``chunks_read`` /
-        ``bytes_restored`` count exactly the chunks it received (on the
-        batched path the count of a verified window lands when the window is
-        used up or the iterator is closed).  Raises as :meth:`restore_file`.
+        The whole file is never materialised: one window of chunk payloads
+        is held at a time.  Chunks are verified against the recipe a window
+        at a time before they are yielded, so a consumer that stops early
+        has read only verified data, and ``chunks_read`` /
+        ``bytes_restored`` count exactly the chunks it received (the count
+        of a verified window lands when the window is used up or the
+        iterator is closed).  Raises as :meth:`restore_file`.
         """
         recipe = self.director.get_recipe(session_id, path)
         recipe.validate()
-        if self.batch_reads:
-            return self._iter_batched(recipe)
-        return self._iter_per_chunk(recipe)
-
-    def _iter_per_chunk(self, recipe: FileRecipe) -> Iterator[bytes]:
-        """The seed reference path: one cluster read per recipe location."""
-        for location in recipe.chunks:
-            data = self.cluster.read_chunk(
-                location.node_id, location.fingerprint, container_id=location.container_id
-            )
-            self._verify(recipe.path, location, data)
-            yield data
+        return self._iter_batched(recipe)
 
     def _iter_batched(self, recipe: FileRecipe) -> Iterator[bytes]:
-        """The batched path: each window of recipe locations becomes columns,
-        read with one bulk call per node over that node's runs (each node
-        groups its requests by container run), and is verified column-wise:
-        a window whose payload lengths all match the recipe is yielded whole
-        and counted once it is used up or the iterator is closed, up to the
+        """Each window of recipe locations becomes columns, read with one
+        bulk call per node over that node's runs (each node groups its
+        requests by container run), and is verified column-wise: a window
+        whose payload lengths all match the recipe is yielded whole and
+        counted once it is used up or the iterator is closed, up to the
         chunk the consumer stopped at; one that does not is replayed chunk by
         chunk, so the chunks before the first mismatch are yielded and
-        counted exactly as on the per-chunk path."""
+        counted exactly as a chunk-at-a-time read would."""
         chunks = recipe.chunks
         window_size = self.batch_chunks
         for start in range(0, len(chunks), window_size):

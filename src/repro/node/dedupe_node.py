@@ -12,19 +12,17 @@ Implements the intra-node backup path described in Section 3.3 of the paper:
    container, the similarity index is updated with the super-chunk's handprint
    pointing at that container, and the disk index learns the new fingerprints.
 
-Two executions of this pipeline exist:
+The node runs the pipeline as one **batched data plane**: the whole
+super-chunk goes through set/dict-view phases -- one intra-super-chunk dedupe
+pass, a snapshot cache probe per prefetch wave, one counter-free disk-index
+resolution, one batched container append and one batched index/cache/handprint
+update.  Per-chunk Python calls survive only as plain dict operations, which
+is what lifts the node out of the end-to-end ingest hot path.
 
-* The **batched data plane** (default) runs the whole super-chunk through
-  set/dict-view phases: one intra-super-chunk dedupe pass, a snapshot cache
-  probe per prefetch wave, one counter-free disk-index resolution, one batched
-  container append and one batched index/cache/handprint update.  Per-chunk
-  Python calls survive only as plain dict operations, which is what lifts the
-  node out of the end-to-end ingest hot path.
-* The **per-chunk reference path** (``NodeConfig(batch_execution=False)``)
-  is the seed implementation: one cache + disk-index call per chunk.  It is
-  the executable specification the batched plane is tested against (identical
-  results, statistics and message accounting) and the baseline the ingest
-  benchmark gates the batched speedup on.
+The per-chunk execution of the same steps (one cache + disk-index call per
+chunk) is the executable specification: it lives in ``tests/oracles.py``,
+where the plane is tested against it for identical results, statistics and
+message accounting.
 """
 
 from __future__ import annotations
@@ -90,9 +88,6 @@ class NodeConfig:
     enable_disk_index:
         When ``False`` the node runs in "similarity-index-only" mode, the
         approximate-deduplication ablation of Figure 5(b).
-    batch_execution:
-        When ``True`` (default) super-chunks run through the batched data
-        plane; ``False`` selects the per-chunk reference path.
     container_backend:
         Registered container backend name (``"memory"`` or ``"file"``);
         ``None`` leaves the choice to :func:`resolve_container_backend`.
@@ -111,7 +106,6 @@ class NodeConfig:
     cache_capacity_containers: int = DEFAULT_CACHE_CAPACITY_CONTAINERS
     similarity_index_locks: int = 1024
     enable_disk_index: bool = True
-    batch_execution: bool = True
     container_backend: Optional[str] = None
     storage_dir: Optional[str] = None
     container_compression: Optional[str] = None
@@ -262,11 +256,6 @@ class DedupeNode:
     # backup path
     # ------------------------------------------------------------------ #
 
-    def lookup_chunk(self, fingerprint: bytes) -> Optional[int]:
-        """Find the container storing ``fingerprint`` via cache then disk index."""
-        with self._plane_lock:
-            return self._lookup_chunk_locked(fingerprint)
-
     def _lookup_chunk_locked(self, fingerprint: bytes) -> Optional[int]:  # holds-lock: _plane_lock
         assert_owned(self._plane_lock, "DedupeNode._lookup_chunk_locked")
         self.stats.intra_node_lookup_messages += 1
@@ -302,9 +291,7 @@ class DedupeNode:
         """
         self._check_available()
         with self._plane_lock:
-            if self.config.batch_execution:
-                return self._backup_superchunk_batched(superchunk)
-            return self._backup_superchunk_per_chunk(superchunk)
+            return self._backup_superchunk_batched(superchunk)
 
     def _backup_superchunk_batched(  # holds-lock: _plane_lock
         self, superchunk: SuperChunk
@@ -326,8 +313,9 @@ class DedupeNode:
         (any realistic capacity -- the default holds 1024 containers), every
         counter (node stats, cache LRU statistics and recency order,
         disk-index I/O) ends exactly where the per-chunk reference path
-        leaves it.  Under adversarial eviction pressure the two execution
-        orders may attribute a duplicate to the cache vs the disk index
+        (``tests/oracles.py``) leaves it.  Under adversarial eviction
+        pressure the two execution orders may attribute a duplicate to the
+        cache vs the disk index
         differently (and, with the disk index disabled, classify it
         differently), because a wave is classified against one snapshot
         while the reference path interleaves its stores;
@@ -465,71 +453,6 @@ class DedupeNode:
                 start = stop
         cache.touch_many(touched[replayed:])
 
-    def _backup_superchunk_per_chunk(  # holds-lock: _plane_lock
-        self, superchunk: SuperChunk
-    ) -> SuperChunkBackupResult:
-        """The per-chunk reference path (the seed implementation)."""
-        assert_owned(self._plane_lock, "DedupeNode._backup_superchunk_per_chunk")
-        self.stats.superchunks_received += 1
-        self.stats.logical_bytes += superchunk.logical_size
-
-        # Step 1: similarity-index lookup for the handprint, prefetch matched
-        # containers' fingerprints into the cache.
-        matched_containers = self.similarity_index.lookup_handprint(superchunk.handprint)
-        for container_id in matched_containers:
-            self._prefetch_container(container_id)
-
-        unique_chunks = 0
-        duplicate_chunks = 0
-        unique_bytes = 0
-        duplicate_bytes = 0
-        chunk_locations: Dict[bytes, int] = {}
-        seen_in_superchunk: Dict[bytes, int] = {}
-
-        for chunk in superchunk.chunks:
-            fingerprint = chunk.fingerprint
-            # Intra-super-chunk duplicates resolve to wherever the first copy went.
-            if fingerprint in seen_in_superchunk:
-                duplicate_chunks += 1
-                duplicate_bytes += chunk.length
-                chunk_locations[fingerprint] = seen_in_superchunk[fingerprint]
-                continue
-            container_id = self._lookup_chunk_locked(fingerprint)
-            if container_id is not None:
-                duplicate_chunks += 1
-                duplicate_bytes += chunk.length
-            else:
-                container_id = self._store_unique_chunk(chunk, superchunk.stream_id)
-                unique_chunks += 1
-                unique_bytes += chunk.length
-            chunk_locations[fingerprint] = container_id
-            seen_in_superchunk[fingerprint] = container_id
-
-        # Step 4: index the super-chunk's handprint.  Each representative
-        # fingerprint maps to the container now holding it (or holding the
-        # duplicate it matched).
-        self.similarity_index.index_handprint(superchunk.handprint, chunk_locations)
-
-        self.stats.physical_bytes += unique_bytes
-        self.stats.unique_chunks += unique_chunks
-        self.stats.duplicate_chunks += duplicate_chunks
-        self.stats.duplicate_bytes += duplicate_bytes
-
-        return SuperChunkBackupResult(
-            node_id=self.node_id,
-            unique_chunks=unique_chunks,
-            duplicate_chunks=duplicate_chunks,
-            unique_bytes=unique_bytes,
-            duplicate_bytes=duplicate_bytes,
-            chunk_locations=chunk_locations,
-        )
-
-    def _store_unique_chunk(self, chunk: ChunkRecord, stream_id: int) -> int:  # holds-lock: _plane_lock
-        container_id = self.container_store.store_chunk(chunk, stream_id=stream_id)
-        self.disk_index.insert(chunk.fingerprint, container_id)
-        self.fingerprint_cache.add_fingerprint(container_id, chunk.fingerprint)
-        return container_id
-
     def flush(self) -> None:
         """Seal open containers at the end of a backup session.
 
@@ -567,32 +490,16 @@ class DedupeNode:
             )
         return container_id
 
-    def read_chunk(self, fingerprint: bytes, container_id: Optional[int] = None) -> bytes:
-        """Return the payload of a stored chunk for restore.
-
-        Read-only with respect to the backup path's statistics (see
-        :meth:`_resolve_restore_container`).
-        """
-        self._check_available()
-        container_id = self._resolve_restore_container(fingerprint, container_id)
-        data = self.container_store.read_chunk(container_id, fingerprint)
-        if data is None:
-            raise ChunkNotFoundError(
-                f"container {container_id} on node {self.node_id} does not hold "
-                f"chunk {fingerprint.hex()}"
-            )
-        return data
-
     def read_chunks(
         self, requests: Sequence[Tuple[bytes, Optional[int]]]
     ) -> List[bytes]:
-        """Bulk restore reads: payloads aligned with ``(fingerprint,
+        """Restore reads: payloads aligned with ``(fingerprint,
         container_id)`` requests.
 
-        The batched restore path: the requests split into a fingerprint and a
-        container-id column, container ids missing from a recipe are resolved
-        through the same read-only peeks as :meth:`read_chunk`, and the
-        columns go through one grouped
+        The requests split into a fingerprint and a container-id column,
+        container ids missing from a recipe are resolved through read-only
+        peeks (:meth:`_resolve_restore_container`), and the columns go
+        through one grouped
         :meth:`~repro.storage.container_store.ContainerStore.read_chunks`
         call, so each distinct container is read (and, when spilled, its data
         section loaded) once for the batch.  Statistics stay untouched, as on

@@ -341,10 +341,6 @@ class Container:
     def contains(self, fingerprint: bytes) -> bool:
         return fingerprint in self._index_of
 
-    def read_chunk(self, fingerprint: bytes) -> Optional[bytes]:
-        """Return the payload of a chunk stored in this container, or ``None``."""
-        return self.read_chunks([fingerprint])[0]
-
     def read_chunks(self, fingerprints: List[bytes]) -> List[Optional[bytes]]:
         """Payloads aligned with ``fingerprints`` (``None`` where this
         container does not hold one): the container-run read of restore.

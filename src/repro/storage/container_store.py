@@ -101,15 +101,6 @@ class ContainerStore:
         self._seal(container)
         return container.container_id
 
-    def open_container(self, stream_id: int = 0) -> Container:
-        """Return the open container for ``stream_id``, allocating one if needed."""
-        with self._lock:
-            container = self._open_by_stream.get(stream_id)
-            if container is None or container.sealed:
-                container = self._allocate(stream_id)
-                self._open_by_stream[stream_id] = container
-            return container
-
     def store_chunk(self, chunk: ChunkRecord, stream_id: int = 0) -> int:
         """Store a unique chunk into the stream's open container.
 
@@ -252,26 +243,16 @@ class ContainerStore:
             self.container_reads += 1
         return container
 
-    def read_chunk(self, container_id: int, fingerprint: bytes) -> Optional[bytes]:
-        """Read a chunk payload out of a container (one container-granularity read).
-
-        With a spill-to-disk backend this reloads the container's spill file;
-        a missing or truncated file raises
-        :class:`~repro.errors.ContainerNotFoundError`.
-        """
-        container = self.read_container(container_id)
-        return container.read_chunk(fingerprint)
-
     def read_chunks(
         self, container_ids: Sequence[int], fingerprints: List[bytes]
     ) -> List[Optional[bytes]]:
-        """Bulk chunk reads grouped by container: the batched restore path.
+        """Chunk reads grouped by container: the restore path.
 
         Two aligned columns, in any order; payloads come back aligned with
         them.  Each distinct container is read exactly once -- one
         container-granularity read on the I/O counters and, with a spill
-        backend, one data-section load -- over all of its runs, versus one
-        read per chunk on the per-chunk path.  An unknown container id raises
+        backend, one data-section load -- over all of its runs.  An unknown
+        container id, or a spill file that is missing or truncated, raises
         :class:`~repro.errors.ContainerNotFoundError`; a fingerprint the
         container does not hold yields ``None`` at its position.
         """

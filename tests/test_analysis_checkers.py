@@ -16,7 +16,7 @@ import pytest
 from repro.analysis import default_root, main, run_checks
 from repro.analysis.common import load_module, parse_annotation
 from repro.analysis.lock_discipline import LockDisciplineChecker
-from repro.analysis.registry import BLOCK_STREAM_PRODUCERS
+from repro.analysis.registry import BLOCK_STREAM_PRODUCERS, STATS_MUTATING_CALLS
 from repro.analysis.stats_purity import StatsPurityChecker
 from repro.analysis.streaming import StreamingDisciplineChecker
 from repro.analysis.taxonomy import ErrorTaxonomyChecker
@@ -357,16 +357,21 @@ class TestLiveTree:
         assert contracts["DedupeNode"].guarded["stats"] == "_plane_lock"
         assert contracts["SimilarityIndex"].guarded["_entries"] == "_locks"
 
-    def test_every_block_stream_producer_is_defined(self):
-        # A producer deleted from the package must leave the list too, or the
-        # streaming checker guards a name nothing can call.
+    @pytest.mark.parametrize(
+        "registered",
+        [BLOCK_STREAM_PRODUCERS, STATS_MUTATING_CALLS],
+        ids=["block-stream-producers", "stats-mutating-calls"],
+    )
+    def test_every_block_stream_producer_is_defined(self, registered):
+        # A producer or mutator deleted from the package must leave its list
+        # too, or a checker guards a name nothing can call.
         defined = {
             node.name
             for module in _iter_live_modules()
             for node in ast.walk(module.tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
-        assert BLOCK_STREAM_PRODUCERS <= defined, sorted(BLOCK_STREAM_PRODUCERS - defined)
+        assert registered <= defined, sorted(registered - defined)
 
 
 class TestCli:

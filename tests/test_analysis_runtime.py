@@ -114,14 +114,12 @@ class TestNodeUnderLockAsserts:
         assert result.unique_chunks == 10
         # Restore path still works (peeks take no lock by contract).
         chunk = superchunk.chunks[0]
-        assert node.read_chunk(chunk.fingerprint) == chunk.data
+        assert node.read_chunks([(chunk.fingerprint, None)])[0] == chunk.data
 
     def test_direct_plane_call_without_lock_raises(self, node):
         superchunk = superchunk_from_seeds(range(10))
         with pytest.raises(LockOwnershipError):
             node._backup_superchunk_batched(superchunk)
-        with pytest.raises(LockOwnershipError):
-            node._backup_superchunk_per_chunk(superchunk)
         with pytest.raises(LockOwnershipError):
             node._lookup_chunk_locked(b"\x00" * 32)
 

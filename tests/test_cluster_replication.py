@@ -85,7 +85,7 @@ class TestReplicaStore:
         # Destroy the origin's spill plane; the replica must still serve reads.
         node.close()
         for fingerprint, payload in expected.items():
-            assert store.read_chunk(0, fingerprint, container.container_id) == payload
+            assert store.read_chunks(0, [(fingerprint, container.container_id)])[0] == payload
 
     def test_adopt_is_idempotent_and_counts_once(self, tmp_path):
         node, container = sealed_container(tmp_path)
@@ -108,8 +108,8 @@ class TestReplicaStore:
         assert backend.spill_path(composite).exists()
         fingerprint = container.fingerprints()[0]
         assert (
-            store.read_chunk(0, fingerprint, container.container_id)
-            == container.read_chunk(fingerprint)
+            store.read_chunks(0, [(fingerprint, container.container_id)])[0]
+            == container.read_chunks([fingerprint])[0]
         )
         store.close()
         node.close()

@@ -233,7 +233,7 @@ class TestDamagedBlobs:
         store.flush()
         backend.spill_path(container_id).write_bytes(spill(record.data))
         with running_on(implementation), pytest.raises(ContainerNotFoundError, match=message):
-            store.read_chunk(container_id, record.fingerprint)
+            store.read_chunks([container_id], [record.fingerprint])[0]
         backend.close()
 
 

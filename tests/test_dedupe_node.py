@@ -115,19 +115,19 @@ class TestRestore:
         result = node.backup_superchunk(superchunk)
         for chunk in superchunk.chunks:
             container_id = result.chunk_locations[chunk.fingerprint]
-            assert node.read_chunk(chunk.fingerprint, container_id) == chunk.data
+            assert node.read_chunks([(chunk.fingerprint, container_id)])[0] == chunk.data
 
     def test_read_chunk_without_container_hint(self):
         node = DedupeNode(0)
         superchunk = superchunk_from_seeds(range(5))
         node.backup_superchunk(superchunk)
         chunk = superchunk.chunks[2]
-        assert node.read_chunk(chunk.fingerprint) == chunk.data
+        assert node.read_chunks([(chunk.fingerprint, None)])[0] == chunk.data
 
     def test_read_unknown_chunk_raises(self):
         node = DedupeNode(0)
         with pytest.raises(ChunkNotFoundError):
-            node.read_chunk(b"\x00" * 20)
+            node.read_chunks([(b"\x00" * 20, None)])[0]
 
 
 class TestCounters:
@@ -171,7 +171,7 @@ class TestRestoreDoesNotPolluteStatistics:
         hits = node.fingerprint_cache.hits
         misses = node.fingerprint_cache.misses
         for fingerprint in superchunk.fingerprints:
-            node.read_chunk(fingerprint)
+            node.read_chunks([(fingerprint, None)])[0]
         assert node.fingerprint_cache.hits == hits
         assert node.fingerprint_cache.misses == misses
 
@@ -184,7 +184,7 @@ class TestRestoreDoesNotPolluteStatistics:
         node.fingerprint_cache._containers.clear()
         node.fingerprint_cache._fingerprint_to_container.clear()
         for fingerprint in superchunk.fingerprints:
-            assert node.read_chunk(fingerprint)
+            assert node.read_chunks([(fingerprint, None)])[0]
         assert node.disk_index.lookups == lookups
 
     def test_read_chunk_does_not_refresh_lru_recency(self):
@@ -194,5 +194,5 @@ class TestRestoreDoesNotPolluteStatistics:
         node.backup_superchunk(superchunk)
         order_before = list(node.fingerprint_cache._containers)
         for fingerprint in superchunk.fingerprints:
-            node.read_chunk(fingerprint)
+            node.read_chunks([(fingerprint, None)])[0]
         assert list(node.fingerprint_cache._containers) == order_before

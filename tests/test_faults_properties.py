@@ -110,7 +110,7 @@ class TestReplayPrefixConsistency:
             # Byte-identical payloads for everything recovered.
             for container in recovery.containers:
                 for fingerprint in container.fingerprints():
-                    assert container.read_chunk(fingerprint) == expected[fingerprint]
+                    assert container.read_chunks([fingerprint])[0] == expected[fingerprint]
 
             # No debris: the directory holds exactly the recovered spills.
             remaining = sorted(

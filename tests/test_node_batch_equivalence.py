@@ -1,9 +1,11 @@
 """Equivalence suite: per-chunk vs batched vs spill-to-disk node data plane.
 
-The batched data plane (`NodeConfig(batch_execution=True)`, the default) and
-the spill-to-disk container backend must be invisible to every observable
-surface: `SuperChunkBackupResult`s, per-node statistics, cluster message
-accounting and restored bytes all match the per-chunk reference path exactly.
+The batched data plane (`DedupeNode.backup_superchunk`) and the spill-to-disk
+container backend must be invisible to every observable surface:
+`SuperChunkBackupResult`s, per-node statistics, cluster message accounting
+and restored bytes all match the per-chunk reference path exactly.  The
+reference is ``tests/oracles.py``: `PerChunkNode` for one node,
+`per_chunk_plane()` for the nodes a whole framework builds.
 
 The full-statistics comparisons run at cache capacities where no LRU eviction
 interleaves with a super-chunk (the default configuration and far beyond any
@@ -15,8 +17,8 @@ survive eviction *as long as the disk index is enabled*: classification,
 stored bytes and restored content.  With the disk index disabled (the
 Figure 5(b) ablation) an eviction interleaving can additionally change
 classification itself; that ablation is compared only at non-evicting
-capacities, and the per-chunk reference path remains available for it via
-``NodeConfig(batch_execution=False)``.  ``tests/test_node_plane_regimes.py``
+capacities, where the per-chunk reference serves it.
+``tests/test_node_plane_regimes.py``
 generates the streams, tiny caches included, and detects the one event after
 which the two may differ.
 """
@@ -29,6 +31,7 @@ from repro.core.framework import SigmaDedupe
 from repro.core.superchunk import SuperChunk
 from repro.node.dedupe_node import DedupeNode, NodeConfig
 from tests.helpers import chunk_records_from_seeds, superchunk_from_seeds
+from tests.oracles import PerChunkNode, per_chunk_plane
 
 pytestmark = []
 
@@ -108,8 +111,8 @@ class TestNodeLevelEquivalence:
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_batched_matches_per_chunk(self, seed):
-        per_chunk = DedupeNode(0, NodeConfig(container_capacity=2048, batch_execution=False))
-        batched = DedupeNode(0, NodeConfig(container_capacity=2048, batch_execution=True))
+        per_chunk = PerChunkNode(0, NodeConfig(container_capacity=2048))
+        batched = DedupeNode(0, NodeConfig(container_capacity=2048))
         results_ref = replay(per_chunk, seed)
         results_new = replay(batched, seed)
         assert results_ref == results_new
@@ -117,12 +120,11 @@ class TestNodeLevelEquivalence:
 
     @pytest.mark.parametrize("seed", [5, 6])
     def test_spill_backend_matches_per_chunk(self, seed, tmp_path):
-        per_chunk = DedupeNode(0, NodeConfig(container_capacity=2048, batch_execution=False))
+        per_chunk = PerChunkNode(0, NodeConfig(container_capacity=2048))
         spilled = DedupeNode(
             0,
             NodeConfig(
                 container_capacity=2048,
-                batch_execution=True,
                 container_backend="file",
                 storage_dir=str(tmp_path),
             ),
@@ -134,20 +136,20 @@ class TestNodeLevelEquivalence:
         # And every stored chunk restores bit-for-bit from the spill files.
         for superchunk in random_superchunk_stream(seed):
             for chunk in superchunk.chunks:
-                assert spilled.read_chunk(chunk.fingerprint) == chunk.data
+                assert spilled.read_chunks([(chunk.fingerprint, None)]) == [chunk.data]
 
     def test_disk_index_disabled_mode(self):
         config = dict(container_capacity=2048, enable_disk_index=False)
-        per_chunk = DedupeNode(0, NodeConfig(batch_execution=False, **config))
-        batched = DedupeNode(0, NodeConfig(batch_execution=True, **config))
+        per_chunk = PerChunkNode(0, NodeConfig(**config))
+        batched = DedupeNode(0, NodeConfig(**config))
         assert replay(per_chunk, 7) == replay(batched, 7)
         assert node_state(per_chunk) == node_state(batched)
 
     def test_intra_superchunk_duplicates_only(self):
         records = chunk_records_from_seeds([1, 1, 2, 1, 2, 3], length=128)
         superchunk = SuperChunk.from_chunks(records, handprint_size=4)
-        per_chunk = DedupeNode(0, NodeConfig(batch_execution=False))
-        batched = DedupeNode(0, NodeConfig(batch_execution=True))
+        per_chunk = PerChunkNode(0)
+        batched = DedupeNode(0)
         result_ref = per_chunk.backup_superchunk(superchunk)
         result_new = batched.backup_superchunk(superchunk)
         assert result_ref == result_new
@@ -157,15 +159,15 @@ class TestNodeLevelEquivalence:
 
     def test_single_chunk_superchunk(self):
         superchunk = superchunk_from_seeds([42], handprint_size=1, length=64)
-        per_chunk = DedupeNode(0, NodeConfig(batch_execution=False))
-        batched = DedupeNode(0, NodeConfig(batch_execution=True))
+        per_chunk = PerChunkNode(0)
+        batched = DedupeNode(0)
         assert per_chunk.backup_superchunk(superchunk) == batched.backup_superchunk(superchunk)
         assert node_state(per_chunk) == node_state(batched)
 
     def test_oversized_chunks_inside_superchunk(self):
         config = dict(container_capacity=300)
-        per_chunk = DedupeNode(0, NodeConfig(batch_execution=False, **config))
-        batched = DedupeNode(0, NodeConfig(batch_execution=True, **config))
+        per_chunk = PerChunkNode(0, NodeConfig(**config))
+        batched = DedupeNode(0, NodeConfig(**config))
         records = chunk_records_from_seeds([1, 2], length=128) + chunk_records_from_seeds(
             [3], length=900
         ) + chunk_records_from_seeds([4, 5], length=128)
@@ -178,8 +180,8 @@ class TestNodeLevelEquivalence:
         """Under eviction pressure the execution orders may differ in hit
         attribution, but never in what is stored or restored."""
         config = dict(container_capacity=1024, cache_capacity_containers=2)
-        per_chunk = DedupeNode(0, NodeConfig(batch_execution=False, **config))
-        batched = DedupeNode(0, NodeConfig(batch_execution=True, **config))
+        per_chunk = PerChunkNode(0, NodeConfig(**config))
+        batched = DedupeNode(0, NodeConfig(**config))
         results_ref = replay(per_chunk, seed)
         results_new = replay(batched, seed)
         for ref, new in zip(results_ref, results_new):
@@ -190,14 +192,12 @@ class TestNodeLevelEquivalence:
         assert per_chunk.stats.physical_bytes == batched.stats.physical_bytes
         for superchunk in random_superchunk_stream(seed):
             for chunk in superchunk.chunks:
-                assert batched.read_chunk(chunk.fingerprint) == chunk.data
+                assert batched.read_chunks([(chunk.fingerprint, None)]) == [chunk.data]
 
 
-def run_cluster_session(
-    tmp_path=None, batch_execution=True, storage_dir=None, workers=None, transport=None
-):
+def run_cluster_session(storage_dir=None, workers=None, transport=None):
     """One multi-generation backup+restore session against a full cluster."""
-    node_config = NodeConfig(container_capacity=64 * 1024, batch_execution=batch_execution)
+    node_config = NodeConfig(container_capacity=64 * 1024)
     framework = SigmaDedupe(
         num_nodes=3,
         routing="sigma",
@@ -244,11 +244,10 @@ class TestClusterLevelEquivalence:
     """Whole-framework sessions: reports, stats, messages and restores match."""
 
     def test_three_modes_agree(self, tmp_path):
-        per_chunk = run_cluster_session(batch_execution=False)
-        batched = run_cluster_session(batch_execution=True)
-        spilled = run_cluster_session(
-            batch_execution=True, storage_dir=str(tmp_path / "spill")
-        )
+        with per_chunk_plane():
+            per_chunk = run_cluster_session()
+        batched = run_cluster_session()
+        spilled = run_cluster_session(storage_dir=str(tmp_path / "spill"))
 
         assert per_chunk["reports"] == batched["reports"] == spilled["reports"]
         assert (
@@ -294,8 +293,9 @@ class TestParallelIngestEquivalence:
 
     def test_workers_match_serial_per_chunk_plane(self):
         # Parallel lanes compose with the per-chunk reference node plane too.
-        serial = run_cluster_session(batch_execution=False)
-        parallel = run_cluster_session(batch_execution=False, workers=4)
+        with per_chunk_plane():
+            serial = run_cluster_session()
+            parallel = run_cluster_session(workers=4)
         assert serial["reports"] == parallel["reports"]
         assert serial["node_describes"] == parallel["node_describes"]
         assert parallel["restored"] == parallel["expected"]

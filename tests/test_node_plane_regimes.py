@@ -1,4 +1,5 @@
-"""Generated regimes: the batched node plane against the per-chunk reference.
+"""Generated regimes: the batched node plane against the per-chunk reference
+(``tests/oracles.py``).
 
 ``tests/test_node_batch_equivalence.py`` replays a few fixed random streams.
 This suite generates the streams, with shapes that force every way a
@@ -36,6 +37,7 @@ from repro.core.superchunk import SuperChunk
 from repro.fingerprint.fingerprinter import ChunkRecord
 from repro.node.dedupe_node import DedupeNode, NodeConfig
 from tests.helpers import deterministic_bytes
+from tests.oracles import PerChunkNode
 
 REACHED = Counter()
 """Branches the generated examples drove the batched plane through."""
@@ -235,8 +237,8 @@ def store_view(node):
 
 def run_pair(program):
     config = {key: value for key, value in program.items() if key != "superchunks"}
-    reference = DedupeNode(0, NodeConfig(batch_execution=False, **config))
-    batched = ObservedNode(0, NodeConfig(batch_execution=True, **config))
+    reference = PerChunkNode(0, NodeConfig(**config))
+    batched = ObservedNode(0, NodeConfig(**config))
     for node in (reference, batched):
         node.container_store.track_seals = True
     if not program["enable_disk_index"]:

@@ -222,6 +222,25 @@ class TestSessionExportImport:
         with pytest.raises(RecipeError):
             fresh.import_session(broken)
 
+    def test_import_rejects_a_path_named_twice(self):
+        director, session = self.build_director()
+        payload = director.export_session(session.session_id)
+        first = payload["files"][0]
+        twice = {**payload, "files": [first, {**first, "chunks": first["chunks"][:1]}]}
+        fresh = Director()
+        with pytest.raises(RecipeError, match="twice"):
+            fresh.import_session(twice)
+        # Nothing was adopted: the session is unknown and can be imported whole.
+        assert fresh.sessions() == []
+        fresh.import_session(payload)
+        assert fresh.files_in_session(session.session_id) == ["etc/passwd", "var/log"]
+
     def test_export_unknown_session_raises(self):
         with pytest.raises(RecipeError):
             Director().export_session("session-000404")
+
+    def test_total_logical_bytes_of_unknown_session_raises(self):
+        director, session = self.build_director()
+        assert director.total_logical_bytes(session.session_id) == 112
+        with pytest.raises(RecipeError, match="unknown backup session"):
+            director.total_logical_bytes("session-000404")

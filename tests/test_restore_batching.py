@@ -1,8 +1,9 @@
 """Restore-path batching: per-chunk vs batched vs streamed-iterator equivalence.
 
-The batched restore path (the default) groups each window of recipe locations
-by (node, container) and loads every distinct container once; the seed
-chunk-at-a-time execution survives as ``RestoreManager(batch_reads=False)``.
+The batched restore path (``RestoreManager``) groups each window of recipe
+locations by (node, container) and loads every distinct container once; the
+chunk-at-a-time execution it is checked against is ``PerChunkRestore`` in
+``tests/oracles.py``.
 All three consumption shapes must produce byte-identical files and identical
 verified-chunk accounting, while the batched path performs strictly fewer
 spill-file loads on the disk-backed container backend.  Integrity failures
@@ -10,6 +11,7 @@ raise :class:`~repro.errors.RestoreIntegrityError` and are never counted.
 """
 
 import random
+from functools import partial
 
 import pytest
 
@@ -18,6 +20,7 @@ from repro.cluster.restore import RestoreManager
 from repro.core.framework import SigmaDedupe
 from repro.errors import ChunkNotFoundError, RestoreIntegrityError
 from repro.node.dedupe_node import NodeConfig
+from tests.oracles import PerChunkRestore
 
 
 def build_framework(storage_dir=None, seed=2024, generations=3, num_files=4,
@@ -66,9 +69,8 @@ def spill_loads(framework):
 
 def restore_all(framework, session_id, mode):
     """Restore every file of a session via one of the three consumption shapes."""
-    manager = RestoreManager(
-        framework.cluster, framework.director, batch_reads=(mode != "per-chunk")
-    )
+    restorer = PerChunkRestore if mode == "per-chunk" else RestoreManager
+    manager = restorer(framework.cluster, framework.director)
     restored = {}
     for path in framework.director.files_in_session(session_id):
         if mode == "streamed":
@@ -173,19 +175,18 @@ class TestRestoreEquivalence:
         pieces.extend(iterator)
         assert b"".join(pieces) == expected[path]
 
-    @pytest.mark.parametrize("batch_reads, batch_chunks", [(False, 4), (True, 4), (True, 1024)])
+    @pytest.mark.parametrize(
+        "restorer",
+        [PerChunkRestore, partial(RestoreManager, batch_chunks=4), RestoreManager],
+        ids=["per-chunk", "batched-4", "batched-1024"],
+    )
     @pytest.mark.parametrize("received", [1, 4, 6])
-    def test_early_stop_counts_only_the_chunks_received(
-        self, batch_reads, batch_chunks, received
-    ):
+    def test_early_stop_counts_only_the_chunks_received(self, restorer, received):
         framework, sessions, expected = build_framework(seed=23, generations=1)
         session_id = sessions[-1].session_id
         path = framework.director.files_in_session(session_id)[0]
         assert len(framework.director.get_recipe(session_id, path).chunks) > received
-        manager = RestoreManager(
-            framework.cluster, framework.director,
-            batch_reads=batch_reads, batch_chunks=batch_chunks,
-        )
+        manager = restorer(framework.cluster, framework.director)
         iterator = manager.iter_restore_file(session_id, path)
         pieces = [next(iterator) for _ in range(received)]
         iterator.close()
@@ -205,29 +206,25 @@ class TestRestoreIntegrity:
             container_id=location.container_id,
         )
 
-    @pytest.mark.parametrize("batch_reads", [True, False])
-    def test_length_mismatch_raises_integrity_error(self, batch_reads):
+    @pytest.mark.parametrize("restorer", [RestoreManager, PerChunkRestore])
+    def test_length_mismatch_raises_integrity_error(self, restorer):
         framework, sessions, _ = build_framework(seed=20, generations=1)
         session_id = sessions[-1].session_id
         path = framework.director.files_in_session(session_id)[0]
         self.corrupt_recipe(framework, session_id, path, position=2)
-        manager = RestoreManager(
-            framework.cluster, framework.director, batch_reads=batch_reads
-        )
+        manager = restorer(framework.cluster, framework.director)
         with pytest.raises(RestoreIntegrityError):
             manager.restore_file(session_id, path)
 
-    @pytest.mark.parametrize("batch_reads", [True, False])
-    def test_failed_chunk_is_not_counted(self, batch_reads):
+    @pytest.mark.parametrize("restorer", [RestoreManager, PerChunkRestore])
+    def test_failed_chunk_is_not_counted(self, restorer):
         framework, sessions, _ = build_framework(seed=21, generations=1)
         session_id = sessions[-1].session_id
         path = framework.director.files_in_session(session_id)[0]
         recipe = framework.director.get_recipe(session_id, path)
         bad_position = 2
         self.corrupt_recipe(framework, session_id, path, position=bad_position)
-        manager = RestoreManager(
-            framework.cluster, framework.director, batch_reads=batch_reads
-        )
+        manager = restorer(framework.cluster, framework.director)
         with pytest.raises(RestoreIntegrityError):
             manager.restore_file(session_id, path)
         # Exactly the chunks verified before the corrupt one are counted.

@@ -8,8 +8,8 @@ recipes that decide which of those a read takes -- whole and partial
 container runs, repeated and reordered fingerprints, slices of real
 (interleaved) recipes -- and restores each through both the batched path, at
 window sizes 1-7 and the default, and the chunk-at-a-time oracle
-(``RestoreManager(batch_reads=False)``), then compares what they yield, what
-they count and how they fail:
+(``PerChunkRestore`` in ``tests/oracles.py``), then compares what they yield,
+what they count and how they fail:
 
 * ``container_id=None`` entries, resolved by the node's read-only peeks;
 * a fingerprint missing from its container (``ChunkNotFoundError``);
@@ -37,6 +37,7 @@ from repro.core.framework import SigmaDedupe
 from repro.errors import ReproError, RestoreIntegrityError
 from repro.node.dedupe_node import NodeConfig
 from repro.storage.container import Container
+from tests.oracles import PerChunkRestore
 
 REACHED = Counter()
 """Branches and regimes the generated recipes drove the restore through."""
@@ -249,7 +250,7 @@ def restore_both(corpus, locations, batch_chunks):
     corpus.recipe_count += 1
     path = f"recipe-{corpus.recipe_count}"
     framework.director.record_file_chunks(corpus.session_id, path, locations)
-    oracle = RestoreManager(framework.cluster, framework.director, batch_reads=False)
+    oracle = PerChunkRestore(framework.cluster, framework.director)
     batched = RestoreManager(framework.cluster, framework.director, batch_chunks=batch_chunks)
     return (
         (oracle, *consume(oracle, corpus.session_id, path)),

@@ -100,7 +100,7 @@ class TestSpillOnSeal:
         ids = store.store_chunks(chunks)
         store.flush()
         for chunk, container_id in zip(chunks, ids):
-            assert store.read_chunk(container_id, chunk.fingerprint) == chunk.data
+            assert store.read_chunks([container_id], [chunk.fingerprint])[0] == chunk.data
 
     def test_reads_count_as_container_io(self, tmp_path):
         store = ContainerStore(container_capacity=64, backend=FileContainerBackend(tmp_path))
@@ -108,7 +108,7 @@ class TestSpillOnSeal:
         container_id = store.store_chunk(chunk)
         store.flush()
         reads_before = store.container_reads
-        store.read_chunk(container_id, chunk.fingerprint)
+        store.read_chunks([container_id], [chunk.fingerprint])[0]
         assert store.container_reads == reads_before + 1
 
     def test_metadata_stays_resident_for_prefetch(self, tmp_path):
@@ -135,7 +135,7 @@ class TestSpillOnSeal:
         big = record(deterministic_bytes(200, seed=4))
         container_id = store.store_chunk(big)
         assert not store.get(container_id).payload_resident
-        assert store.read_chunk(container_id, big.fingerprint) == big.data
+        assert store.read_chunks([container_id], [big.fingerprint])[0] == big.data
 
 
 class TestSpillFileCrashes:
@@ -153,14 +153,14 @@ class TestSpillFileCrashes:
         backend, store, chunk, container_id = self._spilled(tmp_path)
         backend.spill_path(container_id).unlink()
         with pytest.raises(ContainerNotFoundError, match="missing or unreadable"):
-            store.read_chunk(container_id, chunk.fingerprint)
+            store.read_chunks([container_id], [chunk.fingerprint])[0]
 
     def test_truncated_spill_file_raises_container_not_found(self, tmp_path):
         backend, store, chunk, container_id = self._spilled(tmp_path)
         path = backend.spill_path(container_id)
         path.write_bytes(path.read_bytes()[:10])
         with pytest.raises(ContainerNotFoundError, match="truncated"):
-            store.read_chunk(container_id, chunk.fingerprint)
+            store.read_chunks([container_id], [chunk.fingerprint])[0]
 
     def test_crash_surfaces_through_node_restore(self, tmp_path):
         config = NodeConfig(
@@ -176,7 +176,7 @@ class TestSpillFileCrashes:
         for name in os.listdir(node.container_backend.storage_dir):
             (node.container_backend.storage_dir / name).unlink()
         with pytest.raises(ContainerNotFoundError):
-            node.read_chunk(superchunk.chunks[0].fingerprint)
+            node.read_chunks([(superchunk.chunks[0].fingerprint, None)])[0]
 
 
 #: What ``SigmaDedupe(transport=...)`` resolves, whichever transport hosts
@@ -323,7 +323,7 @@ class TestCompressedSpill:
         ids = store.store_chunks(chunks)
         store.flush()
         for chunk, container_id in zip(chunks, ids):
-            assert store.read_chunk(container_id, chunk.fingerprint) == chunk.data
+            assert store.read_chunks([container_id], [chunk.fingerprint])[0] == chunk.data
         batched = store.read_chunks(ids, [chunk.fingerprint for chunk in chunks])
         assert batched == [chunk.data for chunk in chunks]
 
@@ -355,14 +355,14 @@ class TestCompressedSpill:
         store.flush()
         container = store.get(container_id)
         assert isinstance(container.payload_bytes(), mmap.mmap)
-        assert store.read_chunk(container_id, chunk.fingerprint) == chunk.data
+        assert store.read_chunks([container_id], [chunk.fingerprint])[0] == chunk.data
 
     def _interleaved_reads(self, store, chunks, ids):
         # An interleaved read pattern revisits each sealed container many
         # times.
         for _ in range(4):
             for chunk, container_id in zip(chunks, ids):
-                assert store.read_chunk(container_id, chunk.fingerprint) == chunk.data
+                assert store.read_chunks([container_id], [chunk.fingerprint])[0] == chunk.data
 
     def test_sealed_sections_are_admitted_write_through(self, tmp_path):
         backend = FileContainerBackend(tmp_path, compression="zlib")
@@ -419,14 +419,14 @@ class TestCompressedSpillCrashes:
         backend, store, chunk, container_id = self._spilled(tmp_path, "zlib")
         backend.spill_path(container_id).write_bytes(b"\xde\xad\xbe\xef" * 4)
         with pytest.raises(ContainerNotFoundError, match="cannot be decompressed"):
-            store.read_chunk(container_id, chunk.fingerprint)
+            store.read_chunks([container_id], [chunk.fingerprint])[0]
 
     def test_truncated_compressed_file_raises_container_not_found(self, tmp_path):
         backend, store, chunk, container_id = self._spilled(tmp_path, "zlib")
         path = backend.spill_path(container_id)
         path.write_bytes(path.read_bytes()[:5])
         with pytest.raises(ContainerNotFoundError, match="cannot be decompressed"):
-            store.read_chunk(container_id, chunk.fingerprint)
+            store.read_chunks([container_id], [chunk.fingerprint])[0]
 
     def test_wrong_decompressed_length_raises_truncated(self, tmp_path):
         import zlib
@@ -434,13 +434,13 @@ class TestCompressedSpillCrashes:
         backend, store, chunk, container_id = self._spilled(tmp_path, "zlib")
         backend.spill_path(container_id).write_bytes(zlib.compress(b"tiny"))
         with pytest.raises(ContainerNotFoundError, match="truncated"):
-            store.read_chunk(container_id, chunk.fingerprint)
+            store.read_chunks([container_id], [chunk.fingerprint])[0]
 
     def test_missing_compressed_file_raises_container_not_found(self, tmp_path):
         backend, store, chunk, container_id = self._spilled(tmp_path, "zlib")
         backend.spill_path(container_id).unlink()
         with pytest.raises(ContainerNotFoundError, match="missing or unreadable"):
-            store.read_chunk(container_id, chunk.fingerprint)
+            store.read_chunks([container_id], [chunk.fingerprint])[0]
 
     def test_crash_surfaces_through_node_restore(self, tmp_path):
         config = NodeConfig(
@@ -461,7 +461,7 @@ class TestCompressedSpillCrashes:
         for name in os.listdir(node.container_backend.storage_dir):
             (node.container_backend.storage_dir / name).write_bytes(b"garbage")
         with pytest.raises(ContainerNotFoundError):
-            node.read_chunk(superchunk.chunks[0].fingerprint)
+            node.read_chunks([(superchunk.chunks[0].fingerprint, None)])[0]
 
 
 class TestCompressionSelection:

@@ -45,7 +45,7 @@ def container_view(container: Container):
         "rows": container.metadata_section(),
         "fingerprints": container.fingerprints(),
         "payload": bytes(container.payload_bytes()),
-        "chunks": [container.read_chunk(fp) for fp in container.fingerprints()],
+        "chunks": [container.read_chunks([fp])[0] for fp in container.fingerprints()],
         "bulk_chunks": container.read_chunks(container.fingerprints()),
         "used": container.used,
         "free": container.free,
@@ -92,8 +92,8 @@ class TestAppendMany:
         container.append_many(*columns(run))
         buffer[:] = b"z" * 10
         view_source[:] = b"z" * 10
-        assert container.read_chunk(b"\x01" * 20) == b"a" * 10
-        assert container.read_chunk(b"\x02" * 20) == b"b" * 10
+        assert container.read_chunks([b"\x01" * 20])[0] == b"a" * 10
+        assert container.read_chunks([b"\x02" * 20])[0] == b"b" * 10
         assert all(type(part) is bytes for part in container._parts)
 
     def test_bytes_payloads_are_kept_by_reference(self):

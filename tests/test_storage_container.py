@@ -17,7 +17,7 @@ class TestAppend:
         container = Container(container_id=0, capacity=1024)
         chunk = record(b"hello world")
         container.append(chunk)
-        assert container.read_chunk(chunk.fingerprint) == b"hello world"
+        assert container.read_chunks([chunk.fingerprint])[0] == b"hello world"
 
     def test_metadata_entry_records_offset_and_length(self):
         container = Container(container_id=0, capacity=1024)
@@ -59,7 +59,7 @@ class TestAppend:
 class TestReading:
     def test_read_missing_chunk_returns_none(self):
         container = Container(container_id=0, capacity=100)
-        assert container.read_chunk(b"\x00" * 20) is None
+        assert container.read_chunks([b"\x00" * 20])[0] is None
 
     def test_contains(self):
         container = Container(container_id=0, capacity=100)

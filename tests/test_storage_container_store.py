@@ -19,7 +19,7 @@ class TestStoreChunk:
         store = ContainerStore(container_capacity=1024)
         chunk = record(b"payload")
         container_id = store.store_chunk(chunk)
-        assert store.read_chunk(container_id, chunk.fingerprint) == b"payload"
+        assert store.read_chunks([container_id], [chunk.fingerprint])[0] == b"payload"
 
     def test_new_container_opened_when_full(self):
         store = ContainerStore(container_capacity=100)
@@ -109,7 +109,7 @@ class TestOversizedChunks:
         store = ContainerStore(container_capacity=100)
         big = record(b"x" * 250)
         container_id = store.store_chunk(big)
-        assert store.read_chunk(container_id, big.fingerprint) == b"x" * 250
+        assert store.read_chunks([container_id], [big.fingerprint])[0] == b"x" * 250
 
     def test_oversized_chunk_container_sealed_immediately(self):
         store = ContainerStore(container_capacity=100)

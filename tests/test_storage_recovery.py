@@ -51,7 +51,7 @@ class TestBackendReplay:
         for container in recovery.containers:
             assert container.sealed
             for fingerprint in container.fingerprints():
-                assert container.read_chunk(fingerprint)
+                assert container.read_chunks([fingerprint])[0]
         backend.close()
 
     def test_torn_journal_tail_discards_last_seal(self, tmp_path):
@@ -146,7 +146,7 @@ class TestBackendReplay:
         assert backend.compression == "zlib"
         for container in backend.last_recovery.containers:
             for fingerprint in container.fingerprints():
-                assert container.read_chunk(fingerprint) == expected[fingerprint]
+                assert container.read_chunks([fingerprint])[0] == expected[fingerprint]
         backend.close()
 
     def test_codec_mismatch_raises_recovery_error(self, tmp_path):
@@ -181,7 +181,7 @@ class TestNodeRecovery:
         assert counts[0] == counts[1]
         # Byte-identical restores, resolved through the rebuilt chunk index.
         for fingerprint, payload in expected.items():
-            assert revived.read_chunk(fingerprint) == payload
+            assert revived.read_chunks([(fingerprint, None)])[0] == payload
         # The rebuilt indexes still deduplicate: re-ingesting a recovered
         # super-chunk stores zero new chunks.
         result = revived.backup_superchunk(superchunk_from_seeds([1, 2, 3, 4]))
@@ -266,9 +266,9 @@ class TestBackendLifecycle:
         expected = ingest(node, [[1, 2, 3, 4]])
         with node.container_backend as backend:
             fingerprint = next(iter(expected))
-            assert node.read_chunk(fingerprint) == expected[fingerprint]
+            assert node.read_chunks([(fingerprint, None)])[0] == expected[fingerprint]
         with pytest.raises(StorageError):
-            node.read_chunk(fingerprint)
+            node.read_chunks([(fingerprint, None)])[0]
 
     def test_temporary_directory_removed_on_close(self):
         backend = FileContainerBackend()
