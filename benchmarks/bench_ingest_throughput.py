@@ -36,8 +36,8 @@ in MB/s over the same synthetic payload:
   k+1..k+K's routing with k's store -- one batched routing probe per
   super-chunk instead of the seed's c+N+c sequential round-trips;
 * **handoff_end_to_end** -- the full stack in one row: 4 shm lane processes
-  feeding 4 node worker processes, lane payload memoryviews handed straight
-  to ``sendmsg`` so payload bytes cross the parent process zero times;
+  feeding 4 node worker processes, lane payload memoryviews joined straight
+  into the wire train, so payload bytes are copied once in the parent;
 * **stage_breakdown** (own top-level block) -- measured per-stage time
   attribution over the same payload: the chunk scan, record build (digest
   + record construction), node plane and wire, each with seconds / MB/s /
@@ -46,10 +46,11 @@ in MB/s over the same synthetic payload:
   numbers;
 * **wire_payload_plane** -- the two candidate zero-copy payload planes,
   measured head to head (parent process shipping chunk-frame trains to a
-  child): ``sendmsg`` scatter-gather over a unix socket vs a
-  ``shared_memory`` double-buffered ring.  The transport keeps the winner
-  (``sendmsg``: no copy into a staging ring, no credit round-trips; the
-  ring's extra copy only pays off for frames far larger than containers);
+  child): the transport's socket sender (``wire.send_message``, recorded
+  under the ``sendmsg`` key) vs a ``shared_memory`` double-buffered ring.
+  The transport keeps the winner (the socket: no staging ring, no credit
+  round-trips; the ring's extra copy only pays off for frames far larger
+  than containers);
   both rates are recorded so the choice stays auditable;
 * **restore** -- the read path on the spill-to-disk backend: a two-generation
   session whose later recipes interleave containers, restored whole (grouped
@@ -286,8 +287,9 @@ def measure_transport_end_to_end(
     pipelined stores, so routing of super-chunks k+1..k+K overlaps the store
     of k inside the workers.  With ``lanes``/``executor="process"`` the
     chunk+fingerprint front end additionally fans out across shared-memory
-    lane processes whose payload views are handed straight to ``sendmsg``
-    (the lane->worker hand-off: payload bytes cross the parent zero times).
+    lane processes whose payload views are joined straight into the wire
+    train (the lane->worker hand-off: payload bytes are copied once in the
+    parent).
     """
     logical = sum(len(data) for _, data in files)
     best = 0.0
@@ -374,7 +376,7 @@ def measure_stage_breakdown(
 
 
 def _wire_drain_child(fd: int, trains: int, frames_per_train: int) -> None:
-    """Child side of the sendmsg duel: drain whole trains off the socket."""
+    """Child side of the socket duel: drain whole trains off the socket."""
     import socket as socket_module
 
     from repro.transport import wire
@@ -409,8 +411,9 @@ def _shm_drain_child(
 
 def measure_wire_payload_plane(total_bytes: int) -> Dict[str, float]:
     """The zero-copy payload-plane duel: the same chunk-frame trains shipped
-    parent -> child through ``sendmsg`` scatter-gather vs a ``shared_memory``
-    double-buffered ring.  The transport keeps the winner (sendmsg); both
+    parent -> child through the transport's socket sender vs a
+    ``shared_memory`` double-buffered ring.  The transport keeps the winner
+    (the socket, recorded under the ``sendmsg`` key); both
     rates are recorded so the decision stays auditable in the JSON."""
     import multiprocessing
     import socket as socket_module
@@ -428,7 +431,7 @@ def measure_wire_payload_plane(total_bytes: int) -> Dict[str, float]:
     )
     rows: Dict[str, float] = {}
 
-    # sendmsg scatter-gather: the plane the transport actually uses.
+    # The socket sender: the plane the transport actually uses.
     parent_sock, child_sock = socket_module.socketpair()
     drainer = context.Process(
         target=_wire_drain_child,
@@ -746,8 +749,8 @@ def run(scale: str) -> Dict:
         }
 
         # The full stack: shm lane processes feeding node worker processes,
-        # lane payload views handed straight to sendmsg (payload bytes cross
-        # the parent zero times).  Informational row -- the scaling gates
+        # lane payload views joined straight into the wire train (payload
+        # bytes are copied once in the parent).  Informational row -- the scaling gates
         # below run on the single-axis rows, where regressions localise.
         results["handoff_end_to_end"] = {
             "lanes-4-workers-4": {

@@ -128,8 +128,8 @@ STREAMING_MODULES: FrozenSet[str] = frozenset(
         "faults/plan.py",
         # The transport plane: wire trains carry one super-chunk or one
         # sealed container per message (bounded by super-chunk/container
-        # capacity), with payload chunks as by-reference frames -- never a
-        # whole backup stream.
+        # capacity), joined into one buffer per send -- never a whole
+        # backup stream.
         "transport/wire.py",
         "transport/worker.py",
         "transport/proxy.py",

@@ -6,15 +6,15 @@ and then performs deduplication at each node independently and in parallel."
 (paper Section 1)
 
 A :class:`SuperChunk` carries its member chunk records, its handprint, and
-enough provenance (stream / file ids) for the director to rebuild file recipes.
+its place in the backup stream (stream id and sequence number).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.fingerprint.fingerprinter import ChunkRecord
 from repro.fingerprint.handprint import (
@@ -98,17 +98,3 @@ class SuperChunk:
 
     def __len__(self) -> int:
         return len(self.chunks)
-
-
-@dataclass
-class SuperChunkProvenance:
-    """Optional mapping from super-chunk member chunks back to files.
-
-    The director uses this to assemble file recipes when a file spans multiple
-    super-chunks or a super-chunk spans multiple small files.
-    """
-
-    file_ids: List[Optional[str]] = field(default_factory=list)
-
-    def add(self, file_id: Optional[str]) -> None:
-        self.file_ids.append(file_id)

@@ -104,18 +104,12 @@ class RoutingScheme(ABC):
         ``True`` for file-granularity schemes (Extreme Binning), which cannot
         run on fingerprint-only traces lacking file boundaries -- exactly why
         the paper omits Extreme Binning on the Mail and Web traces.
-    queries_cluster:
-        ``False`` for schemes that route without consulting any node state
-        (pure hash placement).  Transports use this to coalesce consecutive
-        wire trains: with no routing queries interleaved between stores,
-        deferring a store to the next burst cannot stall a lookup behind it.
     """
 
     name: str = "base"
     granularity: str = "superchunk"
     requires_file_metadata: bool = False
     is_stateful: bool = False
-    queries_cluster: bool = True
 
     #: How the target node deduplicates a routed unit: ``"exact"`` (against the
     #: node's full chunk index) or ``"bin"`` (only against the bin addressed by

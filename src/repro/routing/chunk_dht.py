@@ -27,7 +27,6 @@ class ChunkDHTRouting(RoutingScheme):
     granularity = "chunk"
     requires_file_metadata = False
     is_stateful = False
-    queries_cluster = False
 
     def route(self, superchunk: SuperChunk, cluster: ClusterView) -> RoutingDecision:
         # The simulator presents each chunk as its own routing unit (a

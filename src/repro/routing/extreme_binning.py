@@ -36,7 +36,6 @@ class ExtremeBinningRouting(RoutingScheme):
     granularity = "file"
     requires_file_metadata = True
     is_stateful = False
-    queries_cluster = False
     intra_node_dedup = "bin"
 
     def route(self, superchunk: SuperChunk, cluster: ClusterView) -> RoutingDecision:

@@ -24,7 +24,6 @@ class StatelessRouting(RoutingScheme):
     granularity = "superchunk"
     requires_file_metadata = False
     is_stateful = False
-    queries_cluster = False
 
     def route(self, superchunk: SuperChunk, cluster: ClusterView) -> RoutingDecision:
         self._check_cluster(cluster)

@@ -8,12 +8,13 @@ OS process behind a length-prefixed binary RPC protocol, reached through an
 RPC handle:
 
 * :mod:`repro.transport.wire` -- the wire format (JSON header + out-of-band
-  zero-copy payload frames, shipped with ``sendmsg`` scatter-gather).
+  payload frames) and the one encoder, sender and receiver both ends use.
 * :mod:`repro.transport.worker` -- the per-node worker process: one
-  :class:`~repro.node.dedupe_node.DedupeNode` served from an asyncio unix
-  stream server with strict in-order dispatch.
+  :class:`~repro.node.dedupe_node.DedupeNode` serving its one unix-socket
+  connection in a blocking loop, strictly in arrival order.
 * :mod:`repro.transport.proxy` -- :class:`~repro.transport.proxy.NodeProxy`,
-  the RPC node handle: one pipelined connection to one worker.
+  the RPC node handle: one pipelined connection to one worker; every request
+  goes on the wire when it is sent.
 * :mod:`repro.transport.cluster` --
   :class:`~repro.transport.cluster.TransportCluster`, the ``DedupeCluster``
   subclass that opens proxies instead of in-process handles and owns the

@@ -121,7 +121,6 @@ class TransportCluster(DedupeCluster):
         process.start()
         proxy = NodeProxy(
             node_id, socket_path, process, self.messages,
-            stage_stores=not self.routing_scheme.queries_cluster,
             consult_fault=self._consult_rpc_fault,
         )
         proxy.connect()

@@ -126,8 +126,8 @@ class NodeProxy:
     responses for their waiters, so concurrent restore threads and a
     pipelined backup can share the connection.
 
-    ``stage_stores``: see :meth:`backup`.  ``consult_fault(node_id, op)`` is
-    called before every read-plane RPC (fault injection).
+    ``consult_fault(node_id, op)`` is called before every read-plane RPC
+    (fault injection).
     """
 
     local_node = None  # the node lives in the worker; its internals are opaque
@@ -138,20 +138,17 @@ class NodeProxy:
         socket_path: str,
         process: Any,
         messages: MessageCounter,
-        stage_stores: bool = False,
         consult_fault: Optional[Callable[[int, str], None]] = None,
     ):
         self.node_id = node_id
         self.socket_path = socket_path
         self.process = process
         self.messages = messages
-        self.stage_stores = stage_stores
         self._consult_fault = consult_fault
         self.down = False  # client-side mirror of mark_down
         self._sock: Optional[socket.socket] = None
         self._send_lock: GuardLock = guarded_lock(f"NodeProxy{node_id}._send_lock")
         self._next_id = 0  # guarded-by: _send_lock
-        self._staged: List[wire.Buffer] = []  # guarded-by: _send_lock
         self._recv_cond = threading.Condition()
         self._responses: Dict[int, Response] = {}  # guarded-by: _recv_cond
         self._receiving = False  # guarded-by: _recv_cond
@@ -229,21 +226,11 @@ class NodeProxy:
         op: str,
         header: Optional[Dict[str, Any]] = None,
         frames: Sequence[wire.Buffer] = (),
-        coalesce: bool = False,
         decode: Optional[Callable[[Dict[str, Any], List[memoryview]], Any]] = None,
     ) -> PendingCall:
-        """Send a request without waiting for its response (pipelining).
-
-        With ``coalesce=True`` the encoded train is *staged* instead of put
-        on the wire: it rides at the front of this connection's next burst
-        (the next plain ``send``, or the flush a response read performs), so
-        consecutive trains to one worker collapse into a single ``sendmsg``
-        burst.  The request id is assigned at staging time, so per-connection
-        FIFO order -- and therefore byte-identical results -- is unchanged.
-        Only stage trains whose frames are immutable
-        (:func:`repro.transport.wire.frames_immutable`): zero-copy slab views
-        must reach the kernel before their slab region can be reused.
-        """
+        """Put a request on the wire without waiting for its response
+        (pipelining).  Request ids are assigned in wire order, so responses
+        match back by FIFO position."""
         message = dict(header or {})
         message["op"] = op
         with self._send_lock:
@@ -253,11 +240,11 @@ class NodeProxy:
             request_id = self._next_id
             self._next_id += 1
             message["id"] = request_id
-            buffers = wire.encode_message(message, frames)
-            nbytes = wire.message_size(buffers)
-            self._staged.extend(buffers)
-            if not coalesce:
-                self._put_staged_locked(sock)
+            try:
+                nbytes = wire.send_message(sock, message, frames)
+            except ConnectionLostError as exc:
+                self._mark_dead(str(exc))
+                self._raise_unavailable(str(exc), cause=exc)
         self.messages.record_wire(_op_message_type(op), 1, nbytes)
         return PendingCall(self, request_id, op, decode)  # unguarded-ok: snapshot of the ordinal assigned under _send_lock
 
@@ -270,31 +257,6 @@ class NodeProxy:
         """Send a request and block for its response."""
         return self.send(op, header, frames).response()
 
-    def _flush_staged(self) -> None:
-        """Put staged coalesced trains on the wire as one ``sendmsg`` burst.
-
-        A no-op when nothing is staged.  Must run before blocking for any
-        response: a staged request's reply cannot arrive until its train is
-        actually sent.
-        """
-        with self._send_lock:
-            if not self._staged:
-                return
-            sock = self._sock
-            if sock is None:
-                self._staged = []
-                self._raise_unavailable(self._dead_reason() or "not connected")
-            self._put_staged_locked(sock)
-
-    def _put_staged_locked(self, sock: socket.socket) -> None:  # holds-lock: _send_lock
-        """Put every staged train on the wire as one burst."""
-        train, self._staged = self._staged, []
-        try:
-            wire.send_buffers(sock, train)
-        except ConnectionLostError as exc:
-            self._mark_dead(str(exc))
-            self._raise_unavailable(str(exc), cause=exc)
-
     def _wait(self, request_id: int, op: str) -> Response:
         """Collect the response for ``request_id``.
 
@@ -302,7 +264,6 @@ class NodeProxy:
         present when a response must be read becomes the reader, stashing
         responses that belong to other waiters.
         """
-        self._flush_staged()
         while True:
             with self._recv_cond:
                 response = self._responses.pop(request_id, None)
@@ -416,25 +377,13 @@ class NodeProxy:
     # ------------------------------------------------------------------ #
 
     def backup(self, superchunk: SuperChunk) -> PendingBackup:
-        """Ship one super-chunk without waiting for the store.
-
-        With ``stage_stores`` (the cluster's routing scheme never queries
-        node state) consecutive stores bound for this worker are staged and
-        collapse into a single ``sendmsg`` burst when the client settles its
-        window.  Under a cluster-querying scheme (sigma, stateful) the train
-        is sent eagerly instead -- staging it would park the store behind the
-        next routing round and stall that round's lookups behind the store,
-        serialising exactly what the pipeline exists to overlap.  Zero-copy
-        slab-view frames are always sent eagerly (the kernel must own the
-        bytes before the lane slab region is reused).
-        """
+        """Put one super-chunk on the wire without waiting for the store."""
         header, frames = wire.encode_superchunk_frames(
             superchunk.chunks, superchunk.handprint.representative_fingerprints
         )
         header["stream_id"] = superchunk.stream_id
         header["sequence_number"] = superchunk.sequence_number
-        coalesce = self.stage_stores and wire.frames_immutable(frames)
-        return PendingBackup(self.node_id, self.send("backup", header, frames, coalesce))
+        return PendingBackup(self.node_id, self.send("backup", header, frames))
 
     def flush(self) -> PendingCall:
         return self.send("flush", decode=_no_value)

@@ -11,17 +11,20 @@ Every message is one *train*::
     frames                concatenated frame payloads
 
 Chunk payloads, fingerprints and container exports travel as *frames*, never
-inside the header: the sender hands the kernel a scatter-gather list of
-buffer views (``socket.sendmsg``), so a ``backup_superchunk`` batch crosses
-the process boundary without per-chunk pickling or concatenation copies, and
-the receiver drains a whole train's frames with one ``recv_into`` loop into a
-single buffer it then slices zero-copy.
+inside the header, so a ``backup_superchunk`` batch crosses the process
+boundary without per-chunk pickling.  Both ends of a connection -- the
+parent's :class:`~repro.transport.proxy.NodeProxy` and the worker's serve
+loop -- use the same three calls: :func:`encode_message` builds a train as
+one buffer (one copy of its frames, bounded by a super-chunk or one sealed
+container), :func:`send_message` hands it to the kernel with one
+``sendall``, and :func:`recv_message` drains a whole train's frames with one
+``recv_into`` loop into a single buffer it then slices zero-copy.
 
 A shared-memory ring was the measured alternative for the payload plane (see
 the ``wire_payload_plane`` stage of ``benchmarks/bench_ingest_throughput.py``,
-which keeps measuring both); ``sendmsg`` scatter-gather won on this workload
--- no ring sizing, no cross-process synchronisation, no segment lifecycle to
-leak -- and is what this module implements.
+which keeps measuring both); the socket won on this workload -- no ring
+sizing, no cross-process synchronisation, no segment lifecycle to leak -- and
+is what this module implements.
 
 Fingerprints are variable-length (tests use synthetic tags), so sequences of
 byte strings are packed as one blob plus a ``!<n>I`` length array rather than
@@ -33,7 +36,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Any, Dict, List, NoReturn, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, NoReturn, Sequence, Tuple, Union
 
 import repro.errors as _errors
 from repro.errors import (
@@ -59,26 +62,14 @@ MAX_FRAMES = 1 << 22
 MAX_FRAME_BYTES = (1 << 32) - 1
 """Frame lengths are u32; container capacities (4 MiB default) sit far below."""
 
-SENDMSG_BATCH = 512
-"""Buffers handed to one ``sendmsg`` call: comfortably under ``IOV_MAX``
-(1024 on Linux) while still batching a whole super-chunk of 4 KB chunks
-into a few system calls."""
-
 
 # --------------------------------------------------------------------- #
 # encoding
 # --------------------------------------------------------------------- #
 
 
-def encode_message(
-    header: Dict[str, Any], frames: Sequence[Buffer] = ()
-) -> List[Buffer]:
-    """Encode a train as a scatter-gather buffer list (no payload copies).
-
-    The first buffer is the prefix + header + frame-length array; the frames
-    follow by reference, so a caller's chunk payloads are handed straight to
-    the kernel.
-    """
+def encode_message(header: Dict[str, Any], frames: Sequence[Buffer] = ()) -> bytes:
+    """Encode a train: prefix, header, frame-length array and frames, joined."""
     header_blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
     count = len(frames)
     sizes: List[int] = []
@@ -91,64 +82,24 @@ def encode_message(
         sizes.append(size)
     lengths = struct.pack(f"!{count}I", *sizes) if count else b""
     head = PREFIX.pack(len(header_blob), count) + header_blob + lengths
-    return [head, *frames]
-
-
-def message_size(buffers: Sequence[Buffer]) -> int:
-    """Total wire bytes of an encoded train (for MessageCounter accounting)."""
-    return sum(len(buffer) for buffer in buffers)
-
-
-def frames_immutable(frames: Sequence[Buffer]) -> bool:
-    """Whether every frame owns immutable bytes.
-
-    Staging a train for a deferred coalesced send is only sound when no frame
-    aliases mutable storage: zero-copy ``memoryview`` frames of a shared-
-    memory slab (the lane hand-off path) must hit the wire before their slab
-    region can be reused, so they are sent eagerly instead of staged.
-    """
-    return all(isinstance(frame, bytes) for frame in frames)
+    return b"".join([head, *frames])  # streaming-ok: one train, bounded by a super-chunk or one sealed container
 
 
 # --------------------------------------------------------------------- #
-# blocking socket I/O (client / proxy side)
+# blocking socket I/O (both ends)
 # --------------------------------------------------------------------- #
-
-
-def send_buffers(sock: socket.socket, buffers: Sequence[Buffer]) -> int:
-    """Send a scatter-gather buffer list, batching ``sendmsg`` under IOV_MAX.
-
-    Returns the bytes sent.  Partial sends re-enter with the unsent tail of
-    the interrupted view; empty buffers are skipped (``sendmsg`` iovecs must
-    be non-empty on some platforms).
-    """
-    pending: List[memoryview] = [
-        memoryview(buffer).cast("B") for buffer in buffers if len(buffer)
-    ]
-    total = sum(len(view) for view in pending)
-    position = 0
-    while position < len(pending):
-        window = pending[position:position + SENDMSG_BATCH]
-        try:
-            sent = sock.sendmsg(window)
-        except (BrokenPipeError, ConnectionResetError, OSError) as exc:
-            raise ConnectionLostError(f"send failed: {exc}") from exc
-        for view in window:
-            size = len(view)
-            if sent >= size:
-                sent -= size
-                position += 1
-            else:
-                pending[position] = view[sent:]
-                break
-    return total
 
 
 def send_message(
     sock: socket.socket, header: Dict[str, Any], frames: Sequence[Buffer] = ()
 ) -> int:
     """Encode and send one train; returns its wire size in bytes."""
-    return send_buffers(sock, encode_message(header, frames))
+    train = encode_message(header, frames)
+    try:
+        sock.sendall(train)
+    except OSError as exc:
+        raise ConnectionLostError(f"send failed: {exc}") from exc
+    return len(train)
 
 
 def _recv_exact(sock: socket.socket, count: int) -> memoryview:
@@ -191,46 +142,6 @@ def recv_message(
         frames = _slice_frames(body, sizes)
     wire_bytes = PREFIX.size + header_len + U32.size * frame_count + body_bytes
     return header, frames, wire_bytes
-
-
-# --------------------------------------------------------------------- #
-# asyncio stream I/O (worker side)
-# --------------------------------------------------------------------- #
-
-
-async def read_message_async(
-    reader: "Any",
-) -> Tuple[Dict[str, Any], List[memoryview], int]:
-    """Asyncio twin of :func:`recv_message` for the worker's stream server.
-
-    Raises ``asyncio.IncompleteReadError`` on EOF (the caller treats a closed
-    connection as "parent is gone, shut down").
-    """
-    head = await reader.readexactly(PREFIX.size)
-    header_len, frame_count = PREFIX.unpack(head)
-    _validate_prefix(header_len, frame_count)
-    header = _decode_header(await reader.readexactly(header_len))
-    frames: List[memoryview] = []
-    body_bytes = 0
-    if frame_count:
-        lengths_blob = await reader.readexactly(U32.size * frame_count)
-        sizes = struct.unpack(f"!{frame_count}I", lengths_blob)
-        body_bytes = sum(sizes)
-        body = memoryview(await reader.readexactly(body_bytes))
-        frames = _slice_frames(body, sizes)
-    wire_bytes = PREFIX.size + header_len + U32.size * frame_count + body_bytes
-    return header, frames, wire_bytes
-
-
-def write_message(
-    writer: "Any", header: Dict[str, Any], frames: Sequence[Buffer] = ()
-) -> int:
-    """Queue one train on an asyncio stream writer (``writelines`` keeps the
-    frames as separate buffers -- the response-side zero-copy path); the
-    caller drains.  Returns the train's wire size."""
-    buffers = encode_message(header, frames)
-    writer.writelines(buffers)
-    return message_size(buffers)
 
 
 # --------------------------------------------------------------------- #

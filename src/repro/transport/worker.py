@@ -3,11 +3,13 @@
 ``node_worker_main`` is the process entry point (picklable for the ``spawn``
 start method): it builds the node (and, with replication enabled, its
 :class:`~repro.cluster.replication.ReplicaStore`) inside the worker process,
-binds an asyncio stream server on the spec's unix socket and answers the
-parent's RPCs.
+binds the spec's unix socket, accepts the parent's one connection and answers
+its RPCs with the same blocking framing the parent uses
+(:func:`~repro.transport.wire.recv_message` /
+:func:`~repro.transport.wire.send_message`).
 
 **FIFO dispatch is the correctness keystone.**  The parent holds exactly one
-connection per worker, and this server decodes and executes its requests
+connection per worker, and this loop decodes and executes its requests
 strictly in arrival order.  That gives per-node sequential consistency: when
 the proxy pipelines super-chunk *k+1*'s routing queries behind super-chunk
 *k*'s store on the same connection, the queries are answered *after* the
@@ -16,24 +18,31 @@ have observed -- while queries to *other* workers (separate processes,
 separate connections) genuinely overlap the store.  Pipelining therefore
 changes wall-clock, never results.
 
-Heavy ops run inline on the event loop: with a single connection there is
+Requests run inline, one at a time: with a single connection there is
 nothing to keep responsive while the node's data plane executes, and inline
 execution is what makes FIFO trivial rather than queued.
 
-The worker exits when the parent's connection reaches EOF -- a vanished
-parent (SIGKILL, test crash) must never leave orphan workers behind (the CI
-teardown check asserts exactly this).
+The worker exits on ``shutdown``, when the parent's connection reaches EOF,
+on a train it cannot decode, and when no parent connects within
+:data:`~repro.transport.proxy.CONNECT_TIMEOUT_SECONDS` -- a vanished parent
+(SIGKILL, test crash) must never leave orphan workers behind (the CI teardown
+check asserts exactly this).
 """
 
 from __future__ import annotations
 
-import asyncio
 import os
+import socket
 from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
 from repro.transport import wire
-from repro.errors import ReproError, TransportError, WireProtocolError
+from repro.errors import (
+    ConnectionLostError,
+    ReproError,
+    TransportError,
+    WireProtocolError,
+)
 
 ENV_WORKER_MARKER = "REPRO_TRANSPORT_WORKER"
 """Set in every worker's initial environment (visible in ``/proc/<pid>/environ``)
@@ -53,56 +62,54 @@ class WorkerSpec:
 
 def node_worker_main(spec: WorkerSpec) -> None:
     """Process entry point: host ``spec.node_id`` behind ``spec.socket_path``."""
-    asyncio.run(_serve(spec))
-
-
-async def _serve(spec: WorkerSpec) -> None:
     # Imports happen in the worker so a ``spawn``-started child pays them
     # here, not at module pickle time.
     from repro.cluster.replication import host_node
+    from repro.transport import proxy
 
     node = host_node(spec.node_id, spec.node_config, spec.replicate)
-    worker = NodeWorker(node)
     try:
-        os.unlink(spec.socket_path)
-    except FileNotFoundError:
-        pass
-    server = await asyncio.start_unix_server(
-        worker.handle_connection, path=spec.socket_path
-    )
-    async with server:
-        await worker.closed.wait()
-    node.close()
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as listener:
+            try:
+                os.unlink(spec.socket_path)
+            except FileNotFoundError:
+                pass
+            listener.bind(spec.socket_path)
+            listener.listen(1)
+            listener.settimeout(proxy.CONNECT_TIMEOUT_SECONDS)
+            try:
+                connection, _address = listener.accept()
+            except socket.timeout:
+                return  # nobody came for this node
+        with connection:
+            NodeWorker(node).serve(connection)
+    finally:
+        node.close()
 
 
 class NodeWorker:
-    """Serves one node's RPCs from an asyncio stream server (FIFO per
-    connection; the parent holds exactly one connection)."""
+    """Serves one node's RPCs over one connection, in arrival order."""
 
     def __init__(self, node: Any):
         self.node = node
-        self.closed = asyncio.Event()
 
-    async def handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while not self.closed.is_set():
-                try:
-                    header, frames, _nbytes = await wire.read_message_async(reader)
-                except (asyncio.IncompleteReadError, ConnectionResetError):
-                    # Parent is gone (or closed us deliberately): no parent
-                    # means no work and nobody to clean us up -- exit.
-                    self.closed.set()
-                    break
-                response_header, response_frames = self._dispatch(header, frames)
-                response_header["id"] = header.get("id")
-                wire.write_message(writer, response_header, response_frames)
-                await writer.drain()
-                if header.get("op") == "shutdown":
-                    self.closed.set()
-        finally:
-            writer.close()
+    def serve(self, connection: socket.socket) -> None:
+        """Answer requests until ``shutdown``, EOF or an undecodable train."""
+        while True:
+            try:
+                header, frames, _nbytes = wire.recv_message(connection)
+            except (ConnectionLostError, WireProtocolError):
+                # Parent is gone, closed us deliberately, or the stream is
+                # corrupt: no parent means no work and nobody to clean us up.
+                return
+            response_header, response_frames = self._dispatch(header, frames)
+            response_header["id"] = header.get("id")
+            try:
+                wire.send_message(connection, response_header, response_frames)
+            except ConnectionLostError:
+                return
+            if header.get("op") == "shutdown":
+                return
 
     # ------------------------------------------------------------------ #
     # dispatch

@@ -1,11 +1,11 @@
 """The windowed transport pipeline: depth contract, batched routing probe,
-wire-train coalescing eligibility.
+eager sends.
 
 Covers the pieces the windowed send path is built from: the client's bounded
 in-flight window (``pipeline_depth``), the single batched ``routing_probe``
-RPC that replaced the seed's per-candidate query sequence, and the
-``frames_immutable`` predicate that decides which backup trains may be
-staged behind the next probe burst.
+RPC that replaced the seed's per-candidate query sequence, and the eager
+send every backup train takes -- the hash-placed schemes, which put several
+trains to one worker between probe rounds, included.
 """
 
 import pytest
@@ -16,7 +16,6 @@ from repro.cluster.director import Director
 from repro.core.framework import SigmaDedupe
 from repro.errors import ValidationError
 from repro.fingerprint.handprint import Handprint
-from repro.transport import wire
 from repro.workloads.synthetic import SyntheticDataGenerator
 
 
@@ -64,14 +63,15 @@ class TestPipelineDepth:
             )
             assert windowed == baseline
 
-    def test_coalescing_schemes_are_byte_identical_over_process_transport(self):
-        # Wire-silent routing (no cluster queries) is the path that actually
-        # stages backup trains behind the next send; it must observe nothing.
+    def test_hash_placed_schemes_are_byte_identical_over_process_transport(self):
+        # Wire-silent routing (no cluster queries) sends consecutive backup
+        # trains to one worker with no probe round between them; each goes
+        # on the wire when it is sent, and the results must not move.
         files = session_files()
         for routing in ("stateless", "extreme_binning"):
             baseline = run_session(files, routing=routing)
-            coalesced = run_session(files, routing=routing, transport="process")
-            assert coalesced == baseline
+            eager = run_session(files, routing=routing, transport="process")
+            assert eager == baseline
 
 
 class TestRoutingProbe:
@@ -119,12 +119,3 @@ class TestRoutingProbe:
             inproc.close()
             process.close()
 
-
-class TestFramesImmutable:
-    def test_bytes_only_trains_are_immutable(self):
-        assert wire.frames_immutable([b"a", b"b" * 10])
-        assert wire.frames_immutable([])
-
-    def test_views_and_bytearrays_are_not(self):
-        assert not wire.frames_immutable([b"a", bytearray(b"b")])
-        assert not wire.frames_immutable([memoryview(b"a")])

@@ -123,8 +123,9 @@ class TestProcessExecutorProperties:
     def test_full_handoff_stack_is_byte_identical_to_serial(
         self, sessions, pipeline_depth
     ):
-        """Lanes + process transport: payloads cross the parent zero times,
-        and the windowed pipeline coalesces nothing observable."""
+        """Lanes + process transport: slab views reach the wire train with
+        no copy out to bytes, and the windowed pipeline changes nothing
+        observable."""
         serial = run_session(sessions, "memory")
         handoff = run_session(
             sessions,

@@ -20,6 +20,7 @@ import signal
 import socket
 import string
 import tempfile
+import time
 from unittest import mock
 
 import pytest
@@ -44,7 +45,8 @@ from repro.parallel.engine import ENV_INGEST_WORKERS, EXECUTORS
 from repro.routing import ALL_SCHEMES
 from repro.storage.backends import CONTAINER_BACKENDS, ENV_CONTAINER_BACKEND
 from repro.storage.compression import COMPRESSION_CODECS, ENV_CONTAINER_COMPRESSION
-from repro.transport import TransportCluster, wire
+from repro.transport import TransportCluster, WorkerSpec, node_worker_main, proxy, wire
+from repro.transport.cluster import REAP_TIMEOUT_SECONDS
 from repro.utils.hashing import SUPPORTED_ALGORITHMS
 from tests.helpers import chunk_records_from_seeds, superchunk_from_seeds
 
@@ -64,7 +66,7 @@ class TestWireProtocol:
             assert header == {"op": "demo", "id": 7}
             assert [bytes(frame) for frame in received] == frames
             encoded = wire.encode_message({"op": "demo", "id": 7}, frames)
-            assert sent == nbytes == wire.message_size(encoded)
+            assert sent == nbytes == len(encoded)
         finally:
             left.close()
             right.close()
@@ -220,6 +222,46 @@ class TestTransportCluster:
             TransportCluster(num_nodes=2, replication_factor=3)
         with pytest.raises(ValidationError):
             SigmaDedupe(num_nodes=1, transport="carrier-pigeon")
+
+
+class TestWorkerExit:
+    """A worker ends on its own, with exit code 0, whenever it has no parent
+    left to serve -- so ``close`` never waits out the reap escalation."""
+
+    def test_malformed_train_ends_the_worker(self):
+        cluster = TransportCluster(num_nodes=2)
+        try:
+            node_proxy = cluster.node_proxies[0]
+            node_proxy._sock.sendall(wire.PREFIX.pack(0xFFFFFFF0, 0))
+            with pytest.raises(NodeUnavailableError):
+                node_proxy.call("ping")
+            node_proxy.process.join(timeout=1.0)
+            assert node_proxy.process.exitcode == 0
+            assert cluster.node_proxies[1].call("ping")[0]["ok"]
+        finally:
+            started = time.monotonic()
+            cluster.close()
+            elapsed = time.monotonic() - started
+        assert elapsed < REAP_TIMEOUT_SECONDS / 5
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="patches the timeout in the parent for a forked child",
+    )
+    def test_worker_nobody_connects_to_exits_after_connect_timeout(self, tmp_path):
+        spec = WorkerSpec(
+            node_id=0, socket_path=str(tmp_path / "w.sock"), node_config=NodeConfig()
+        )
+        with mock.patch.object(proxy, "CONNECT_TIMEOUT_SECONDS", 0.2):
+            process = multiprocessing.get_context("fork").Process(
+                target=node_worker_main, args=(spec,), daemon=True
+            )
+            process.start()
+        process.join(timeout=REAP_TIMEOUT_SECONDS)
+        if process.is_alive():
+            process.kill()
+            process.join()
+        assert process.exitcode == 0
 
 
 # ------------------------------------------------------------------ #
