@@ -134,8 +134,9 @@ class BackupClient:
             return self.partitioner.partition_files(files, stream_id=stream_id)
         # Direct lane->wire hand-off: shared-memory process lanes may hand
         # payloads over as zero-copy memoryview slices of their slabs, all
-        # the way to the wire train, unless the cluster's nodes keep the payload
-        # objects they are given (then the lanes must copy out to bytes).
+        # the way to the wire train, unless the cluster's nodes keep the
+        # payload objects they are given (then the lanes must copy out to
+        # bytes).
         hand_off = (
             self.parallel_executor == "process" and not self.cluster.retains_payloads
         )
