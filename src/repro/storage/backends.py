@@ -17,8 +17,8 @@ section lives:
 The file backend optionally compresses each spilled data section (see
 :mod:`repro.storage.compression`): raw spill files are read back through
 ``mmap`` so restore windows slice pages instead of copying whole ``.cdata``
-files, and compressed ones are decompressed once per container -- a cost the
-batched ``read_chunks`` restore path amortises over every chunk in the batch.
+files, and compressed ones are decompressed and split into per-chunk payloads
+once per container, so every later read of it is list slices.
 
 The file backend is also **crash consistent**: every seal appends a
 checksummed record to a per-directory ``manifest.jsonl`` journal (see
@@ -71,6 +71,7 @@ from repro.storage.compression import NullCodec, build_codec, resolve_compressio
 from repro.storage.container import (
     Container,
     ContainerMetadataEntry,
+    LoadedSection,
     PayloadSection,
     SectionBuffer,
     StoredForm,
@@ -91,7 +92,8 @@ DEFAULT_DECOMPRESSED_CACHE_BYTES = 32 * 1024 * 1024
 (8 default-capacity containers).  Raw spill files need no such cache -- their
 ``mmap`` pages live in the kernel page cache -- but a compressed section costs
 a real decompression to rebuild, and fragmented restores revisit the same
-container across many read windows.  Seals admit their raw section too."""
+container across many read windows.  Seals admit their raw section too, which
+the container's first read splits in place."""
 
 
 class SpillFaultHook(Protocol):
@@ -258,13 +260,16 @@ class FileContainerBackend(ContainerBackend):
         ``"none"`` -- raw spill files, read back as ``mmap`` page slices.
     decompressed_cache_bytes:
         Budget for the decompressed-section LRU used when a codec is active:
-        a container is decompressed once and its section cached, so a
-        fragmented restore that revisits the container across many read
-        windows pays the codec once, not once per window.  The LRU is
+        a container is decompressed once, split once into per-chunk
+        ``bytes`` and the list cached, so a fragmented restore that revisits
+        the container across many read windows pays the codec and the copy
+        once, not once per window: every read is list slices.  The LRU is
         **write-through**: ``on_seal`` admits the raw section it has just
         compressed (by reference, within the same budget), so a restore that
         follows an ingest reads the most recently sealed containers without
-        running the codec at all.
+        running the codec at all; the first read splits that section.  A
+        section is admitted only after its length checks out, so a damaged
+        spill file fails every read (and so fails over), not just the first.
     fsync:
         Force every spill file and journal record to stable storage before
         the seal returns.  Off by default: the write ordering (data file
@@ -276,8 +281,10 @@ class FileContainerBackend(ContainerBackend):
     returned :data:`PayloadSection` stays valid for as long as its caller
     holds it.  Restores slice it outside any lock, so a load that displaces
     an ``mmap`` from the one-slot buffer never closes it: the map is
-    released by reference counting when its last reader drops it (slices
-    are ``bytes`` copies, so no chunk pins a spill file).
+    released by reference counting when its last reader drops it (a raw
+    spill's slices are ``bytes`` copies, so no chunk pins a spill file).  A
+    split list is never mutated, and eviction or ``close()`` only drops the
+    backend's references to it.
     """
 
     name = "file"
@@ -318,11 +325,14 @@ class FileContainerBackend(ContainerBackend):
         # while keeping resident payload bounded to a single container.  A
         # displaced entry is dropped, not closed (see the class docstring's
         # concurrency contract).
-        self._last_loaded: Optional[Tuple[int, PayloadSection]] = None  # guarded-by: _io_lock
-        # Decompressed-section LRU (compressed spills only), filled by seals
-        # and by loads: byte-bounded so resident decompressed payload never
-        # exceeds the configured budget.
-        self._decompressed: "OrderedDict[int, bytes]" = OrderedDict()  # guarded-by: _io_lock
+        self._last_loaded: Optional[Tuple[int, LoadedSection]] = None  # guarded-by: _io_lock
+        # Decompressed-section LRU (compressed spills only) of (raw bytes,
+        # section), filled by seals and by loads: byte-bounded so resident
+        # decompressed payload never exceeds the configured budget.  A
+        # section is a seal's joined bytes until its first read splits it.
+        self._decompressed: "OrderedDict[int, Tuple[int, LoadedSection]]" = (  # guarded-by: _io_lock
+            OrderedDict()
+        )
         self._decompressed_bytes = 0  # guarded-by: _io_lock
         self._decompressed_capacity = decompressed_cache_bytes
 
@@ -350,7 +360,7 @@ class FileContainerBackend(ContainerBackend):
             # Write-through: a container is most likely to be restored soon
             # after it was written, and its raw section is in hand right now.
             with self._io_lock:
-                self._remember_decompressed(container.container_id, section)
+                self._remember_decompressed(container.container_id, section, len(section))
 
     def _persist(
         self, container: Container, blob: SectionBuffer, stored: StoredForm
@@ -621,7 +631,7 @@ class FileContainerBackend(ContainerBackend):
                 f"or unreadable: {path}"
             ) from exc
 
-    def _load(self, container: Container) -> PayloadSection:
+    def _load(self, container: Container) -> LoadedSection:
         if self._closed:
             raise StorageError("file backend is closed")
         hook = self._fault_hook
@@ -631,27 +641,36 @@ class FileContainerBackend(ContainerBackend):
         with self._io_lock:
             return self._load_locked(container)
 
-    def _load_locked(self, container: Container) -> PayloadSection:  # holds-lock: _io_lock
+    def _load_locked(self, container: Container) -> LoadedSection:  # holds-lock: _io_lock
+        container_id = container.container_id
         cached = self._last_loaded
-        if cached is not None and cached[0] == container.container_id:
+        if cached is not None and cached[0] == container_id:
             return cached[1]
-        if self._codec is not None:
-            remembered = self._decompressed.get(container.container_id)
-            if remembered is not None:
-                # Decompressed-LRU hit: the codec already ran for this
-                # container; neither a spill load nor a decompression happens.
-                self._decompressed.move_to_end(container.container_id)
-                self._last_loaded = (container.container_id, remembered)
-                return remembered
-        stored = self._map_spill_file(container)
-        payload: PayloadSection
-        if self._codec is None:
-            # Raw spill: serve the map itself; chunk reads slice windows out
-            # of it (mmap slices return bytes), never copying the whole file.
-            payload = stored
+        held = self._decompressed.get(container_id)
+        section: LoadedSection
+        if held is not None:
+            # Decompressed-LRU hit: the codec already ran for this container;
+            # neither a spill load nor a decompression happens.
+            self._decompressed.move_to_end(container_id)
+            section = held[1]
         else:
+            section = self._read_spill_file(container)
+            self.spill_loads += 1
+        if self._codec is not None and not isinstance(section, list):
+            # First read since the seal or the load: split once, so every
+            # later read of this container is list slices, not copies.
+            section = container.split_section(section)
+            self._remember_decompressed(container_id, section, container.used)
+        self._last_loaded = (container_id, section)
+        return section
+
+    def _read_spill_file(self, container: Container) -> PayloadSection:  # holds-lock: _io_lock
+        """The spill file's data section -- the map itself for a raw spill,
+        else decompressed -- checked against the container's length."""
+        payload = stored = self._map_spill_file(container)
+        if self._codec is not None:
             try:
-                section = self._codec.decompress(stored, container.used)
+                payload = self._codec.decompress(stored, container.used)
             except CompressionError as exc:
                 raise ContainerNotFoundError(
                     f"spill file for container {container.container_id} cannot "
@@ -661,8 +680,6 @@ class FileContainerBackend(ContainerBackend):
             finally:
                 if isinstance(stored, mmap.mmap):
                     stored.close()
-            self._remember_decompressed(container.container_id, section)
-            payload = section
         found = len(payload)
         if found != container.used:
             if isinstance(payload, mmap.mmap):
@@ -672,22 +689,22 @@ class FileContainerBackend(ContainerBackend):
                 f"expected {container.used} bytes, found {found} "
                 f"({self.spill_path(container.container_id)})"
             )
-        self.spill_loads += 1
-        self._last_loaded = (container.container_id, payload)
         return payload
 
-    def _remember_decompressed(self, container_id: int, section: bytes) -> None:  # holds-lock: _io_lock
-        """LRU-cache a decompressed data section within the byte budget."""
-        if len(section) > self._decompressed_capacity:
+    def _remember_decompressed(
+        self, container_id: int, section: LoadedSection, size: int
+    ) -> None:  # holds-lock: _io_lock
+        """LRU-cache a decompressed data section of ``size`` raw bytes within
+        the byte budget."""
+        if size > self._decompressed_capacity:
             return
         previous = self._decompressed.pop(container_id, None)
         if previous is not None:
-            self._decompressed_bytes -= len(previous)
-        self._decompressed[container_id] = section
-        self._decompressed_bytes += len(section)
+            self._decompressed_bytes -= previous[0]
+        self._decompressed[container_id] = (size, section)
+        self._decompressed_bytes += size
         while self._decompressed_bytes > self._decompressed_capacity:
-            _, evicted = self._decompressed.popitem(last=False)
-            self._decompressed_bytes -= len(evicted)
+            self._decompressed_bytes -= self._decompressed.popitem(last=False)[1][0]
 
     # ------------------------------------------------------------------ #
     # lifecycle

@@ -11,7 +11,10 @@ Where a container's data section lives is a backend decision (see
 evicts the payload of sealed containers to a file and reloads it on demand.
 Either way containers are only ever read or written as whole units, so
 disk-access accounting done at container granularity is faithful to the
-paper's design.  The metadata section always stays resident.
+paper's design.  The metadata section always stays resident.  A compressed
+spill is split into per-chunk payloads once, at its first read after the
+seal or the load, and its backend keeps that list in its decompressed LRU:
+every later read of the container is list slices, as for a resident one.
 
 A resident data section is held as the list of (immutable) chunk payloads in
 append order rather than one contiguous buffer: appending a batch of unique
@@ -50,6 +53,11 @@ PayloadSection = Union[bytes, mmap.mmap]
 or an ``mmap`` over the spill file so restore windows slice pages lazily
 instead of copying the whole file.  Both slice to ``bytes``, which is all the
 read path ever does with one."""
+
+LoadedSection = Union[PayloadSection, List[bytes]]
+"""What a backend loader serves for an evicted container: a
+:data:`PayloadSection`, or the section already split into per-chunk payloads
+aligned with the metadata section (a compressed spill after its first read)."""
 
 SectionBuffer = Union[bytes, memoryview, mmap.mmap]
 """Any buffer a data section -- raw or stored -- may arrive in where it is
@@ -146,7 +154,7 @@ class Container:
     _lengths: List[int] = field(default_factory=list, repr=False)
     _index_of: Dict[bytes, int] = field(default_factory=dict, repr=False)
     _used: int = field(default=0, repr=False)
-    _loader: Optional[Callable[["Container"], PayloadSection]] = field(default=None, repr=False)
+    _loader: Optional[Callable[["Container"], LoadedSection]] = field(default=None, repr=False)
     _stored: Optional[StoredForm] = field(default=None, repr=False)
 
     @classmethod
@@ -156,7 +164,7 @@ class Container:
         capacity: int,
         stream_id: int,
         entries: Sequence[ContainerMetadataEntry],
-        loader: Optional[Callable[["Container"], PayloadSection]] = None,
+        loader: Optional[Callable[["Container"], LoadedSection]] = None,
         parts: Optional[List[bytes]] = None,
         stored: Optional[StoredForm] = None,
     ) -> "Container":
@@ -297,16 +305,16 @@ class Container:
 
     def evict_payload(
         self,
-        loader: Callable[["Container"], PayloadSection],
+        loader: Callable[["Container"], LoadedSection],
         stored: Optional[StoredForm] = None,
     ) -> None:
         """Drop the in-RAM data section, reloading through ``loader`` on reads.
 
         Only sealed (immutable) containers may be evicted; the metadata
         section stays resident so fingerprint prefetching needs no payload I/O.
-        The loader returns the contiguous data section as any
-        :data:`PayloadSection` -- ``bytes``, or an ``mmap`` of the spill file
-        whose windows the read path slices without a whole-file copy.
+        The loader returns the data section as any :data:`LoadedSection` --
+        ``bytes``, an ``mmap`` of the spill file whose windows the read path
+        slices without a whole-file copy, or per-chunk payloads.
         """
         if not self.sealed:
             # A lifecycle violation, not a capacity condition: callers
@@ -325,18 +333,32 @@ class Container:
 
         Resident containers return ``bytes``; an evicted one returns whatever
         its backend loader serves (possibly an ``mmap`` view of the spill
-        file).  Either way the result slices to ``bytes``, which is the only
-        operation the chunk read path performs."""
+        file), joined if the backend serves it split."""
         # Read _parts once: a concurrent seal+evict may null it between a
         # check and a use, and the loader path below handles that correctly.
         parts = self._parts
-        if parts is not None:
-            return b"".join(parts)
+        if parts is None:
+            loaded = self.load_section()
+            if not isinstance(loaded, list):
+                return loaded
+            parts = loaded
+        return b"".join(parts)
+
+    def load_section(self) -> LoadedSection:
+        """An evicted container's data section, as its backend loader serves
+        it (one loader call)."""
         if self._loader is None:
             raise ContainerNotFoundError(
                 f"container {self.container_id} payload was evicted with no loader"
             )
         return self._loader(self)
+
+    def split_section(self, section: PayloadSection) -> List[bytes]:
+        """``section`` (this container's contiguous data section) cut into
+        per-chunk payloads aligned with the metadata section."""
+        offsets = self._offsets
+        ends = map(add, offsets, self._lengths)
+        return list(map(section.__getitem__, map(slice, offsets, ends)))
 
     def contains(self, fingerprint: bytes) -> bool:
         return fingerprint in self._index_of
@@ -348,33 +370,38 @@ class Container:
         A restore asks for runs of chunks in the order they were appended, so
         the run is matched with one index probe and one list compare (by
         identity, element by element, for the fingerprint objects recipes
-        share with the container) and served as one slice of the resident
-        parts, or as slices of the data section, loaded through the backend
-        once.  A run that does not match -- a repeat, a reordering, a chunk
-        missing or skipped -- is resolved chunk by chunk instead.
+        share with the container) and served as one slice of the per-chunk
+        parts -- resident, or split by the backend -- or as slices of a raw
+        spill's map, loaded through the backend once.  A run that does not
+        match -- a repeat, a reordering, a chunk missing or skipped -- is
+        resolved chunk by chunk instead.
         """
         count = len(fingerprints)
         start = self._index_of.get(fingerprints[0]) if count else None
         if start is not None and self._fingerprints[start:start + count] == fingerprints:
             parts = self._parts
             if parts is None:
-                section = self.payload_bytes()
-                starts = self._offsets[start:start + count]
-                ends = map(add, starts, self._lengths[start:start + count])
-                return list(map(section.__getitem__, map(slice, starts, ends)))
+                section = self.load_section()
+                if not isinstance(section, list):
+                    starts = self._offsets[start:start + count]
+                    ends = map(add, starts, self._lengths[start:start + count])
+                    return list(map(section.__getitem__, map(slice, starts, ends)))
+                parts = section
             run = parts[start:start + count]
             if len(run) == count:  # else an append is still publishing the run's tail
                 return run
         positions = list(map(self._index_of.get, fingerprints))
         parts = self._parts
-        if parts is not None:
-            return [None if p is None else parts[p] for p in positions]
-        if positions.count(None) == count:
-            return [None] * count
-        section = self.payload_bytes()
-        offsets, lengths = self._offsets, self._lengths
-        return [None if p is None else section[offsets[p]:offsets[p] + lengths[p]]
-                for p in positions]
+        if parts is None:
+            if positions.count(None) == count:
+                return [None] * count
+            section = self.load_section()
+            if not isinstance(section, list):
+                offsets, lengths = self._offsets, self._lengths
+                return [None if p is None else section[offsets[p]:offsets[p] + lengths[p]]
+                        for p in positions]
+            parts = section
+        return [None if p is None else parts[p] for p in positions]
 
     def metadata_section(self) -> List[ContainerMetadataEntry]:
         """The metadata section as rows (built per call), what a prefetch

@@ -1,6 +1,7 @@
 """Tests for repro.cluster.replication (mirroring, failover reads, policy)."""
 
 import random
+import zlib
 
 import pytest
 
@@ -239,13 +240,13 @@ class TestFailoverReads:
         session_id = framework.backup(edited).session_id
         cluster = framework.cluster
         sections_served = []
-        payload_bytes = Container.payload_bytes
+        load_section = Container.load_section
 
         def counted(container):
             sections_served.append(container)
-            return payload_bytes(container)
+            return load_section(container)
 
-        monkeypatch.setattr(Container, "payload_bytes", counted)
+        monkeypatch.setattr(Container, "load_section", counted)
         for down in cluster.nodes:
             replicas = cluster.node(1 - down.node_id).replica_store
             cluster.mark_node_down(down.node_id)
@@ -312,6 +313,34 @@ class TestFailoverReads:
             assert framework.restore(session_id, path) == payload
         assert framework.cluster.describe()["failover_reads"] > 0
         framework.close()
+
+    def test_short_compressed_section_fails_over(self, tmp_path):
+        # Node 0's spill file becomes a valid zlib stream one byte short.  The
+        # read that finds it must not leave the short section in the
+        # decompressed LRU: the retry would read it from there and the
+        # restore would fail its length check instead of failing over.
+        settings = dict(
+            num_nodes=2, container_compression="zlib", replication_factor=2,
+            storage_dir=str(tmp_path),
+        )
+        framework = SigmaDedupe(**settings)
+        data = random.Random(3).randbytes(3 << 20)
+        exported = framework.director.export_session(
+            framework.backup([("big", data)]).session_id
+        )
+        framework.close()
+        # Reopened: the sealing framework would serve every read from the
+        # raw sections its seals admitted to the LRU, never the files.
+        revived = SigmaDedupe(**settings)
+        revived.recover_storage()
+        session = revived.director.import_session(exported)
+        spills = list((tmp_path / "node-0").glob("*.cdata"))
+        assert spills
+        for spill in spills:
+            spill.write_bytes(zlib.compress(zlib.decompress(spill.read_bytes())[:-1]))
+        assert revived.restore(session.session_id, "big") == data
+        assert revived.cluster.describe()["failover_reads"] > 0
+        revived.close()
 
     def test_stale_replica_plane_cleared_and_remirrored(self, tmp_path):
         framework = make_framework(tmp_path)

@@ -200,6 +200,30 @@ class TestReadFaults:
         framework.close()
 
 
+    def test_read_faults_fire_on_a_decompressed_lru_hit(self, tmp_path):
+        # After a first restore every compressed container is served from the
+        # part list its backend's LRU keeps, yet each read still passes the
+        # read-fault hook: a cached container fails like a cold one.
+        framework = make_framework(tmp_path, container_compression="zlib")
+        files = corpus()
+        report = framework.backup(files)
+        for path, payload in files:
+            assert framework.restore(report.session_id, path) == payload
+        held = [
+            section
+            for node in framework.cluster.nodes
+            for _size, section in node.container_backend._decompressed.values()
+        ]
+        assert held and all(isinstance(section, list) for section in held)
+        plan = FaultPlan(seed=1, read_error_probability=1.0)
+        plan.install(framework)
+        with pytest.raises(InjectedReadError):
+            framework.restore(report.session_id, files[0][0])
+        seen = plan.describe()
+        assert seen["injected_read_errors"] == seen["reads_seen"] > 0
+        assert all(node.container_backend.spill_loads == 0 for node in framework.cluster.nodes)
+        framework.close()
+
     def test_replicated_ingest_reads_no_primary_spill_file(self, tmp_path):
         # Mirroring exports the stored section raw: it is not a load, so it
         # neither counts as one nor consumes a read-fault draw -- every

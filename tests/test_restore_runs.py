@@ -15,7 +15,9 @@ what they count and how they fail:
 * a fingerprint missing from its container (``ChunkNotFoundError``);
 * a recipe length off by one at position k (exactly k chunks yielded and
   counted, then ``RestoreIntegrityError``);
-* resident, raw ``mmap`` spill and zlib spill containers;
+* resident, raw ``mmap`` spill and zlib spill containers -- a zlib spill
+  served, after its first read, from the part list its backend split it
+  into;
 * a node marked down under replication 2 (reads fail over to the replica).
 
 A final test asserts, by counter, that every branch was reached; which
@@ -47,6 +49,7 @@ BRANCHES = (
     "matched_run_resident",
     "matched_run_spilled",
     "fallback",
+    "revisit_split_container",
     "repeat_in_run",
     "prefix_only_run",
     "run_straddles_window",
@@ -76,6 +79,14 @@ class CountingIndex:
         return self.index.get(fingerprint, default)
 
 
+def holds_split(container):
+    """Whether the backend of an evicted container already holds its section
+    split into per-chunk payloads (a zlib spill read before)."""
+    backend = getattr(container._loader, "__self__", None)
+    held = getattr(backend, "_decompressed", {}).get(container.container_id)
+    return held is not None and isinstance(held[1], list)
+
+
 @pytest.fixture(scope="module", autouse=True)
 def observed_container_reads():
     """Count which branch each container read takes, from the index probes
@@ -84,6 +95,7 @@ def observed_container_reads():
 
     def read_chunks(self, fingerprints):
         resident = self._parts is not None
+        revisit = not resident and holds_split(self)
         index = self._index_of
         self._index_of = counting = CountingIndex(index)
         try:
@@ -94,6 +106,8 @@ def observed_container_reads():
                 REACHED["matched_run_resident" if resident else "matched_run_spilled"] += 1
             elif counting.probes > 1:
                 REACHED["fallback"] += 1
+            if counting.probes and revisit:
+                REACHED["revisit_split_container"] += 1
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Container, "read_chunks", read_chunks)

@@ -2,6 +2,7 @@
 
 import mmap
 import os
+import zlib
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,21 @@ COMPRESSIBLE = b"".join(
 
 def record(data: bytes) -> ChunkRecord:
     return ChunkRecord(fingerprint=fingerprint_of(data), length=len(data), data=data)
+
+
+def cold_store(tmp_path, chunks, capacity, **options):
+    """``chunks`` sealed into zlib spills, then the backend reopened through
+    journal replay: its decompressed LRU starts empty (the sealing backend's
+    holds every section its seals admitted)."""
+    backend = FileContainerBackend(tmp_path, compression="zlib")
+    store = ContainerStore(container_capacity=capacity, backend=backend)
+    ids = store.store_chunks(chunks)
+    store.flush()
+    backend.close()
+    reopened = FileContainerBackend.recover(tmp_path, **options)
+    cold = ContainerStore(container_capacity=capacity, backend=reopened)
+    cold.adopt_recovered(reopened.last_recovery)
+    return reopened, cold, ids
 
 
 class TestRegistry:
@@ -387,19 +403,39 @@ class TestCompressedSpill:
         assert list(backend._decompressed) == [max(ids)]
 
     def test_decompressed_sections_cached_across_windows(self, tmp_path):
-        backend = FileContainerBackend(tmp_path, compression="zlib")
-        store = ContainerStore(container_capacity=256, backend=backend)
         chunks = self._compressible_records()
-        ids = store.store_chunks(chunks)
-        store.flush()
-        backend.close()
         # A reopened backend starts cold; the decompressed-section LRU must
         # keep each container to a single spill load instead of one per visit.
-        reopened = FileContainerBackend.recover(tmp_path)
-        cold = ContainerStore(container_capacity=256, backend=reopened)
-        cold.adopt_recovered(reopened.last_recovery)
+        reopened, cold, ids = cold_store(tmp_path, chunks, 256)
         self._interleaved_reads(cold, chunks, ids)
         assert reopened.spill_loads == len(set(ids))
+
+    def test_split_lists_stay_within_the_budget(self, tmp_path):
+        # Two 256-byte chunks per container and a budget of three containers;
+        # five containers are read, one after another.
+        chunks = [record(deterministic_bytes(32, seed=i) * 8) for i in range(10)]
+        backend, store, ids = cold_store(
+            tmp_path, chunks, 512, decompressed_cache_bytes=3 * 512
+        )
+        containers = sorted(set(ids))
+        assert len(containers) == 5
+        for count, container_id in enumerate(containers, 1):
+            wanted = [chunk for chunk, cid in zip(chunks, ids) if cid == container_id]
+            got = store.read_chunks(
+                [container_id] * len(wanted), [chunk.fingerprint for chunk in wanted]
+            )
+            assert got == [chunk.data for chunk in wanted]
+            assert store.resident_payload_bytes == 0
+            # At most three split lists, the least recently read out first.
+            held = backend._decompressed
+            assert list(held) == containers[max(0, count - 3):count]
+            assert [section for _size, section in held.values()] == [
+                [chunk.data for chunk, cid in zip(chunks, ids) if cid == held_id]
+                for held_id in held
+            ]
+            assert backend._decompressed_bytes == 512 * len(held)
+        backend.close()
+        assert not backend._decompressed and backend._last_loaded is None
 
 
 class TestCompressedSpillCrashes:
@@ -429,12 +465,23 @@ class TestCompressedSpillCrashes:
             store.read_chunks([container_id], [chunk.fingerprint])[0]
 
     def test_wrong_decompressed_length_raises_truncated(self, tmp_path):
-        import zlib
-
         backend, store, chunk, container_id = self._spilled(tmp_path, "zlib")
         backend.spill_path(container_id).write_bytes(zlib.compress(b"tiny"))
         with pytest.raises(ContainerNotFoundError, match="truncated"):
             store.read_chunks([container_id], [chunk.fingerprint])[0]
+
+    def test_short_section_is_never_cached(self, tmp_path):
+        # A valid stream one byte short fails its length check, and that check
+        # runs before the LRU admits the section: the retry a failover makes
+        # fails again instead of reading the short section from the cache.
+        chunk = record(deterministic_bytes(40, seed=5))
+        backend, store, (container_id,) = cold_store(tmp_path, [chunk], 64)
+        backend.spill_path(container_id).write_bytes(zlib.compress(chunk.data[:-1]))
+        for _attempt in range(2):
+            with pytest.raises(ContainerNotFoundError, match="truncated"):
+                store.read_chunks([container_id], [chunk.fingerprint])
+        assert not backend._decompressed
+        backend.close()
 
     def test_missing_compressed_file_raises_container_not_found(self, tmp_path):
         backend, store, chunk, container_id = self._spilled(tmp_path, "zlib")
