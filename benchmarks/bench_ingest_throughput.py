@@ -57,8 +57,8 @@ in MB/s over the same synthetic payload:
   by (node, container), one load per distinct container per window) and
   through the streamed iterator;
 * **restore_compressed** -- the same two-generation interleaved session over a
-  compressible payload, batched restore on uncompressed (mmap-sliced) vs
-  compressed spill files, with the raw/stored spill byte totals recorded as
+  compressible payload, batched restore on uncompressed vs compressed spill
+  files, with the raw/stored spill byte totals recorded as
   ``spill_bytes`` so the compression win is visible in the JSON;
 * **recovery** -- the durability plane: ``journal-replay`` is the disaster
   path in MB/s (reopen a replicated spill tree cold: manifest-journal replay,
@@ -797,8 +797,8 @@ def run(scale: str) -> Dict:
         }
 
         # Compressed spill: the same interleaved two-generation session over a
-        # compressible payload, batched restore on raw (mmap-sliced) vs
-        # compressed spill files, plus the raw/stored spill byte totals.
+        # compressible payload, batched restore on raw vs compressed spill
+        # files, plus the raw/stored spill byte totals.
         codec = resolve_compression("auto")
         compressible = compressible_bytes(generator, total_bytes // 2)
         plain_framework, plain_session, plain_logical = build_restore_session(

@@ -115,8 +115,8 @@ STREAMING_MODULES: FrozenSet[str] = frozenset(
         "workloads/mail.py",
         "workloads/web.py",
         "workloads/trace.py",
-        # The spill plane: codecs and the mmap-backed file backend handle one
-        # bounded container data section at a time, never a whole stream.
+        # The spill plane: codecs and the file backend handle one bounded
+        # container data section at a time, never a whole stream.
         "storage/compression.py",
         "storage/backends.py",
         # The durability plane: journal replay, offline recovery, replica

@@ -78,11 +78,3 @@ class RabinRollingHash:
     def window_full(self) -> bool:
         """True once at least ``window_size`` bytes have been consumed."""
         return self._filled >= self.window_size
-
-
-def hash_window(data: bytes) -> int:
-    """Hash a complete window of bytes in one shot (used by tests)."""
-    value = 0
-    for byte in data[-RABIN_WINDOW_SIZE:]:
-        value = ((value * _MULTIPLIER) + byte) & _MASK64
-    return value

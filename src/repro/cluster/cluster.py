@@ -301,7 +301,7 @@ class DedupeCluster(ClusterView):
         return recoveries
 
     def close(self) -> None:
-        """Release every node's backend resources (spill mmaps, temp dirs)."""
+        """Release every node's backend resources (spill caches, temp dirs)."""
         for handle in self._handles:
             handle.close()
 
@@ -388,9 +388,6 @@ class DedupeCluster(ClusterView):
 
     def storage_usages(self) -> List[int]:
         return [int(entry["stored_bytes"]) for entry in self.node_describes()]
-
-    def storage_usage_mean(self) -> float:
-        return mean(self.storage_usages())
 
     def storage_usage_stddev(self) -> float:
         return population_stddev(self.storage_usages())

@@ -99,10 +99,6 @@ class MessageCounter:
         with self._lock:
             return self.counts.get(message_type, 0)
 
-    def wire_message_count(self, message_type: MessageType) -> int:
-        with self._lock:
-            return self.wire_messages.get(message_type, 0)
-
     def wire_bytes(self, message_type: MessageType) -> int:
         with self._lock:
             return self.bytes_by_type.get(message_type, 0)

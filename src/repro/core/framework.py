@@ -281,7 +281,7 @@ class SigmaDedupe:
         )
 
     def close(self) -> None:
-        """Release node backend resources (spill mmaps, temp directories)."""
+        """Release node backend resources (spill caches, temp directories)."""
         self.cluster.close()
 
     def __enter__(self) -> "SigmaDedupe":

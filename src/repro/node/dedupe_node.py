@@ -98,7 +98,7 @@ class NodeConfig:
         Spill compression codec for disk-backed backends (``"none"``,
         ``"zlib"``, ``"zstd"`` or ``"auto"``).  ``None`` defers to the
         ``REPRO_CONTAINER_COMPRESSION`` environment variable, falling back to
-        uncompressed (mmap-served) spill files.
+        uncompressed spill files.
     """
 
     container_capacity: int = DEFAULT_CONTAINER_CAPACITY
@@ -652,7 +652,7 @@ class DedupeNode:
         }
 
     def close(self) -> None:
-        """Release backend resources (spill mmaps, temp dirs, replica spill)."""
+        """Release backend resources (spill caches, temp dirs, replica spill)."""
         self.container_backend.close()
         replica_store = self.replica_store
         if replica_store is not None:

@@ -15,10 +15,9 @@ section lives:
   plus indexes, not by the stored data.
 
 The file backend optionally compresses each spilled data section (see
-:mod:`repro.storage.compression`): raw spill files are read back through
-``mmap`` so restore windows slice pages instead of copying whole ``.cdata``
-files, and compressed ones are decompressed and split into per-chunk payloads
-once per container, so every later read of it is list slices.
+:mod:`repro.storage.compression`).  Raw or compressed, a spill file is read
+back, decoded and split into per-chunk payloads once per container, so every
+later read of it is list slices.
 
 The file backend is also **crash consistent**: every seal appends a
 checksummed record to a per-directory ``manifest.jsonl`` journal (see
@@ -48,7 +47,6 @@ the whole test suite on the spill-to-disk backend); compression is the
 
 from __future__ import annotations
 
-import mmap
 import os
 import tempfile
 import zlib
@@ -72,7 +70,6 @@ from repro.storage.container import (
     Container,
     ContainerMetadataEntry,
     LoadedSection,
-    PayloadSection,
     SectionBuffer,
     StoredForm,
     StoredSection,
@@ -88,12 +85,11 @@ ENV_CONTAINER_BACKEND = "REPRO_CONTAINER_BACKEND"
 """Environment variable naming the default container backend for nodes."""
 
 DEFAULT_DECOMPRESSED_CACHE_BYTES = 32 * 1024 * 1024
-"""Default budget for the compressed file backend's decompressed-section LRU
-(8 default-capacity containers).  Raw spill files need no such cache -- their
-``mmap`` pages live in the kernel page cache -- but a compressed section costs
-a real decompression to rebuild, and fragmented restores revisit the same
-container across many read windows.  Seals admit their raw section too, which
-the container's first read splits in place."""
+"""Default budget for the file backend's LRU of split data sections (8
+default-capacity containers): fragmented restores revisit the same container
+across many read windows, and a section costs a file read, a decode and a
+split to rebuild.  Seals under a codec admit their raw section too, which the
+container's first read splits in place."""
 
 
 class SpillFaultHook(Protocol):
@@ -145,8 +141,6 @@ class ContainerBackend(ABC):
         The resident form: the contiguous data section under codec
         ``"none"``, with its CRC taken here."""
         blob = container.payload_bytes()
-        if not isinstance(blob, bytes):
-            blob = blob[:]
         return StoredSection(
             capacity=container.capacity,
             stream_id=container.stream_id,
@@ -257,14 +251,14 @@ class FileContainerBackend(ContainerBackend):
         Registered codec name (``"none"``, ``"zlib"``, ``"zstd"``, ``"auto"``)
         applied to every spilled data section.  ``None`` defers to the
         ``REPRO_CONTAINER_COMPRESSION`` environment variable, falling back to
-        ``"none"`` -- raw spill files, read back as ``mmap`` page slices.
+        ``"none"`` -- raw spill files.
     decompressed_cache_bytes:
-        Budget for the decompressed-section LRU used when a codec is active:
-        a container is decompressed once, split once into per-chunk
-        ``bytes`` and the list cached, so a fragmented restore that revisits
-        the container across many read windows pays the codec and the copy
-        once, not once per window: every read is list slices.  The LRU is
-        **write-through**: ``on_seal`` admits the raw section it has just
+        Budget for the LRU of split data sections: a container's spill file
+        is read, decoded and split once into per-chunk ``bytes`` and the list
+        cached, so a fragmented restore that revisits the container across
+        many read windows pays the read, the codec and the copy once, not
+        once per window: every read is list slices.  Under a codec the LRU
+        is **write-through**: ``on_seal`` admits the raw section it has just
         compressed (by reference, within the same budget), so a restore that
         follows an ingest reads the most recently sealed containers without
         running the codec at all; the first read splits that section.  A
@@ -277,14 +271,9 @@ class FileContainerBackend(ContainerBackend):
         page cache outlives the process -- and ``fsync`` per seal is what
         power-loss durability costs, not what the crash tests need.
 
-    Concurrency contract: loads are serialized by an internal lock, and a
-    returned :data:`PayloadSection` stays valid for as long as its caller
-    holds it.  Restores slice it outside any lock, so a load that displaces
-    an ``mmap`` from the one-slot buffer never closes it: the map is
-    released by reference counting when its last reader drops it (a raw
-    spill's slices are ``bytes`` copies, so no chunk pins a spill file).  A
-    split list is never mutated, and eviction or ``close()`` only drops the
-    backend's references to it.
+    Loads are serialized by an internal lock.  A split list is never
+    mutated, and eviction or ``close()`` only drops the backend's references
+    to it, so restores read it outside any lock.
     """
 
     name = "file"
@@ -317,20 +306,14 @@ class FileContainerBackend(ContainerBackend):
         ``compression == "none"``, smaller when a codec is active) -- the
         ``spill_bytes_stored`` metric the ingest bench records."""
         self.spill_loads = 0
-        """Spill files actually read back from disk (one-slot buffer hits do
-        not count) -- the metric the batched restore path minimises."""
+        """Spill files actually read back from disk (LRU hits do not count)
+        -- the metric the batched restore path minimises."""
         self._io_lock: GuardLock = guarded_lock("FileContainerBackend._io_lock")
-        # One-slot read buffer: consecutive chunk reads from the same sealed
-        # container (the common restore pattern) reload its file only once
-        # while keeping resident payload bounded to a single container.  A
-        # displaced entry is dropped, not closed (see the class docstring's
-        # concurrency contract).
-        self._last_loaded: Optional[Tuple[int, LoadedSection]] = None  # guarded-by: _io_lock
-        # Decompressed-section LRU (compressed spills only) of (raw bytes,
-        # section), filled by seals and by loads: byte-bounded so resident
-        # decompressed payload never exceeds the configured budget.  A
-        # section is a seal's joined bytes until its first read splits it.
-        self._decompressed: "OrderedDict[int, Tuple[int, LoadedSection]]" = (  # guarded-by: _io_lock
+        # LRU of (raw bytes, section), filled by loads and by codec seals:
+        # byte-bounded so resident split payload never exceeds the
+        # configured budget.  A section is a seal's joined bytes until its
+        # first read splits it.
+        self._decompressed: "OrderedDict[int, Tuple[int, bytes | LoadedSection]]" = (  # guarded-by: _io_lock
             OrderedDict()
         )
         self._decompressed_bytes = 0  # guarded-by: _io_lock
@@ -356,7 +339,7 @@ class FileContainerBackend(ContainerBackend):
         stored = StoredForm(self.compression, len(blob), zlib.crc32(blob))
         self._persist(container, blob, stored)
         container.evict_payload(self._load, stored)
-        if self._codec is not None and isinstance(section, bytes):
+        if self._codec is not None:
             # Write-through: a container is most likely to be restored soon
             # after it was written, and its raw section is in hand right now.
             with self._io_lock:
@@ -421,7 +404,7 @@ class FileContainerBackend(ContainerBackend):
     def export_stored(self, container: Container) -> StoredSection:
         """The container's spill file, read raw, with the CRC its seal
         recorded -- not a load: no codec, no ``spill_loads``, no read-fault
-        hook, and the one-slot buffer and decompressed LRU are left alone.
+        hook, and the LRU is left alone.
         Damage to the file since the seal is for the adopter's CRC check to
         find, so the CRC is never recomputed here."""
         if self._closed:
@@ -614,23 +597,6 @@ class FileContainerBackend(ContainerBackend):
     # read path
     # ------------------------------------------------------------------ #
 
-    def _map_spill_file(self, container: Container) -> PayloadSection:
-        """``mmap`` the spill file (``bytes`` only for the empty-file case)."""
-        path = self.spill_path(container.container_id)
-        try:
-            with open(path, "rb") as handle:
-                try:
-                    return mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-                except ValueError:
-                    # A zero-length file cannot be mapped; an empty section is
-                    # still a valid (degenerate) spill.
-                    return handle.read()
-        except OSError as exc:
-            raise ContainerNotFoundError(
-                f"spill file for container {container.container_id} is missing "
-                f"or unreadable: {path}"
-            ) from exc
-
     def _load(self, container: Container) -> LoadedSection:
         if self._closed:
             raise StorageError("file backend is closed")
@@ -643,59 +609,66 @@ class FileContainerBackend(ContainerBackend):
 
     def _load_locked(self, container: Container) -> LoadedSection:  # holds-lock: _io_lock
         container_id = container.container_id
-        cached = self._last_loaded
-        if cached is not None and cached[0] == container_id:
-            return cached[1]
         held = self._decompressed.get(container_id)
-        section: LoadedSection
-        if held is not None:
-            # Decompressed-LRU hit: the codec already ran for this container;
-            # neither a spill load nor a decompression happens.
-            self._decompressed.move_to_end(container_id)
-            section = held[1]
-        else:
+        if held is None:
             section = self._read_spill_file(container)
             self.spill_loads += 1
-        if self._codec is not None and not isinstance(section, list):
-            # First read since the seal or the load: split once, so every
-            # later read of this container is list slices, not copies.
-            section = container.split_section(section)
-            self._remember_decompressed(container_id, section, container.used)
-        self._last_loaded = (container_id, section)
+        else:
+            self._decompressed.move_to_end(container_id)
+            cached = held[1]
+            if isinstance(cached, list):
+                return cached
+            # A seal's write-through bytes: split once, so every later read
+            # of this container is list slices, not copies.
+            section = container.split_section(cached)
+        self._remember_decompressed(container_id, section, container.used)
         return section
 
-    def _read_spill_file(self, container: Container) -> PayloadSection:  # holds-lock: _io_lock
-        """The spill file's data section -- the map itself for a raw spill,
-        else decompressed -- checked against the container's length."""
-        payload = stored = self._map_spill_file(container)
-        if self._codec is not None:
-            try:
-                payload = self._codec.decompress(stored, container.used)
-            except CompressionError as exc:
-                raise ContainerNotFoundError(
-                    f"spill file for container {container.container_id} cannot "
-                    f"be decompressed ({self.compression}): "
-                    f"{self.spill_path(container.container_id)}"
-                ) from exc
-            finally:
-                if isinstance(stored, mmap.mmap):
-                    stored.close()
-        found = len(payload)
-        if found != container.used:
-            if isinstance(payload, mmap.mmap):
-                payload.close()
+    def _read_spill_file(self, container: Container) -> LoadedSection:  # holds-lock: _io_lock
+        """The spill file's data section, decoded, checked against the
+        container's length and split into per-chunk payloads.  The file is
+        mapped only as the input of the decode and the split: the map is
+        closed before this returns."""
+        import mmap
+
+        path = self.spill_path(container.container_id)
+        stored: "bytes | mmap.mmap" = b""
+        try:
+            with open(path, "rb") as handle:
+                try:
+                    stored = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+                except ValueError:
+                    pass  # a zero-length file cannot be mapped: an empty section
+        except OSError as exc:
             raise ContainerNotFoundError(
-                f"spill file for container {container.container_id} is truncated: "
-                f"expected {container.used} bytes, found {found} "
-                f"({self.spill_path(container.container_id)})"
-            )
-        return payload
+                f"spill file for container {container.container_id} is missing "
+                f"or unreadable: {path}"
+            ) from exc
+        try:
+            payload = stored
+            if self._codec is not None:
+                try:
+                    payload = self._codec.decompress(stored, container.used)
+                except CompressionError as exc:
+                    raise ContainerNotFoundError(
+                        f"spill file for container {container.container_id} cannot "
+                        f"be decompressed ({self.compression}): {path}"
+                    ) from exc
+            if len(payload) != container.used:
+                raise ContainerNotFoundError(
+                    f"spill file for container {container.container_id} is truncated: "
+                    f"expected {container.used} bytes, found {len(payload)} ({path})"
+                )
+            return container.split_section(payload)
+        finally:
+            if isinstance(stored, mmap.mmap):
+                stored.close()
 
     def _remember_decompressed(
-        self, container_id: int, section: LoadedSection, size: int
+        self, container_id: int, section: "bytes | LoadedSection", size: int
     ) -> None:  # holds-lock: _io_lock
-        """LRU-cache a decompressed data section of ``size`` raw bytes within
-        the byte budget."""
+        """LRU-cache a data section of ``size`` raw bytes, joined or split,
+        within the byte budget."""
         if size > self._decompressed_capacity:
             return
         previous = self._decompressed.pop(container_id, None)
@@ -711,15 +684,12 @@ class FileContainerBackend(ContainerBackend):
     # ------------------------------------------------------------------ #
 
     def close(self) -> None:
-        """Release the one-slot ``mmap`` (to reference counting, like any
-        displaced map), the decompressed LRU and any private temporary
-        directory.  Idempotent; loads after close raise
-        :class:`~repro.errors.StorageError`."""
+        """Release the LRU and any private temporary directory.  Idempotent;
+        loads after close raise :class:`~repro.errors.StorageError`."""
         if self._closed:
             return
         self._closed = True
         with self._io_lock:
-            self._last_loaded = None
             self._decompressed.clear()
             self._decompressed_bytes = 0
         if self._tmpdir is not None:

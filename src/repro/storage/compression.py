@@ -7,8 +7,7 @@ shrink, and a restore pays one decompression per container which the batched
 
 Codecs are selected by registered name:
 
-* ``"none"`` (default) -- raw spill files, read back through ``mmap`` so
-  restore windows slice pages instead of copying whole ``.cdata`` files;
+* ``"none"`` (default) -- raw spill files;
 * ``"zlib"`` -- deflate in the zlib stream format, always available: through
   libdeflate where the host has it, else the stdlib :mod:`zlib`
   (:func:`codec_status` says which; each decodes the other's blobs);
@@ -78,8 +77,8 @@ class CompressionCodec:
 class NullCodec(CompressionCodec):
     """Identity codec: spill files hold the raw data section.
 
-    The file backend never actually routes bytes through this class -- a raw
-    spill file is served straight off its ``mmap`` -- but registering it keeps
+    The file backend never routes bytes through this class -- a raw spill
+    file is split straight from the file -- but registering it keeps
     ``"none"`` a first-class codec name with the full interface.
     """
 
@@ -293,8 +292,8 @@ def resolve_compression(name: Optional[str]) -> str:
 def build_codec(name: Optional[str]) -> Optional[CompressionCodec]:
     """Instantiate the codec for a compression knob value.
 
-    Returns ``None`` for ``"none"``: the file backend treats "no codec" as
-    the signal to serve raw spill files straight off their ``mmap``.
+    Returns ``None`` for ``"none"``: callers skip the codec call, which
+    would be the identity.
     """
     resolved = resolve_compression(name)
     if resolved == NullCodec.name:

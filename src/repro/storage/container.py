@@ -11,10 +11,11 @@ Where a container's data section lives is a backend decision (see
 evicts the payload of sealed containers to a file and reloads it on demand.
 Either way containers are only ever read or written as whole units, so
 disk-access accounting done at container granularity is faithful to the
-paper's design.  The metadata section always stays resident.  A compressed
-spill is split into per-chunk payloads once, at its first read after the
-seal or the load, and its backend keeps that list in its decompressed LRU:
-every later read of the container is list slices, as for a resident one.
+paper's design.  The metadata section always stays resident.  An evicted
+container is served as per-chunk payloads, raw spill or compressed: its
+backend splits the data section once, at the first read after the seal or
+the load, and keeps that list in its LRU, so every later read of the
+container is list slices, as for a resident one.
 
 A resident data section is held as the list of (immutable) chunk payloads in
 append order rather than one contiguous buffer: appending a batch of unique
@@ -48,21 +49,14 @@ DEFAULT_CONTAINER_CAPACITY = 4 * 1024 * 1024
 """Default container data-section capacity in bytes (4 MiB, a common choice in
 container-based dedup stores such as DDFS)."""
 
-PayloadSection = Union[bytes, mmap.mmap]
-"""A contiguous container data section as backends serve it: plain ``bytes``,
-or an ``mmap`` over the spill file so restore windows slice pages lazily
-instead of copying the whole file.  Both slice to ``bytes``, which is all the
-read path ever does with one."""
-
-LoadedSection = Union[PayloadSection, List[bytes]]
-"""What a backend loader serves for an evicted container: a
-:data:`PayloadSection`, or the section already split into per-chunk payloads
-aligned with the metadata section (a compressed spill after its first read)."""
+LoadedSection = List[bytes]
+"""What a backend loader serves for an evicted container: its data section
+split into per-chunk payloads aligned with the metadata section."""
 
 SectionBuffer = Union[bytes, memoryview, mmap.mmap]
 """Any buffer a data section -- raw or stored -- may arrive in where it is
-only compressed, checksummed or written out: a :data:`PayloadSection`, or a
-wire frame's ``memoryview``."""
+only compressed, decompressed, checksummed or written out: ``bytes``, a
+wire frame's ``memoryview``, or a spill file's ``mmap``."""
 
 
 class ContainerMetadataEntry(NamedTuple):
@@ -312,9 +306,8 @@ class Container:
 
         Only sealed (immutable) containers may be evicted; the metadata
         section stays resident so fingerprint prefetching needs no payload I/O.
-        The loader returns the data section as any :data:`LoadedSection` --
-        ``bytes``, an ``mmap`` of the spill file whose windows the read path
-        slices without a whole-file copy, or per-chunk payloads.
+        The loader returns the data section as per-chunk payloads (a
+        :data:`LoadedSection`).
         """
         if not self.sealed:
             # A lifecycle violation, not a capacity condition: callers
@@ -327,22 +320,13 @@ class Container:
         self._stored = stored
         self._parts = None
 
-    def payload_bytes(self) -> PayloadSection:
+    def payload_bytes(self) -> bytes:
         """The whole data section in its contiguous on-disk layout (loading it
-        back if evicted).
-
-        Resident containers return ``bytes``; an evicted one returns whatever
-        its backend loader serves (possibly an ``mmap`` view of the spill
-        file), joined if the backend serves it split."""
+        back if evicted)."""
         # Read _parts once: a concurrent seal+evict may null it between a
         # check and a use, and the loader path below handles that correctly.
         parts = self._parts
-        if parts is None:
-            loaded = self.load_section()
-            if not isinstance(loaded, list):
-                return loaded
-            parts = loaded
-        return b"".join(parts)
+        return b"".join(self.load_section() if parts is None else parts)
 
     def load_section(self) -> LoadedSection:
         """An evicted container's data section, as its backend loader serves
@@ -353,7 +337,7 @@ class Container:
             )
         return self._loader(self)
 
-    def split_section(self, section: PayloadSection) -> List[bytes]:
+    def split_section(self, section: "bytes | mmap.mmap") -> List[bytes]:
         """``section`` (this container's contiguous data section) cut into
         per-chunk payloads aligned with the metadata section."""
         offsets = self._offsets
@@ -371,22 +355,16 @@ class Container:
         the run is matched with one index probe and one list compare (by
         identity, element by element, for the fingerprint objects recipes
         share with the container) and served as one slice of the per-chunk
-        parts -- resident, or split by the backend -- or as slices of a raw
-        spill's map, loaded through the backend once.  A run that does not
-        match -- a repeat, a reordering, a chunk missing or skipped -- is
-        resolved chunk by chunk instead.
+        parts -- resident, or split by the backend and loaded through it
+        once.  A run that does not match -- a repeat, a reordering, a chunk
+        missing or skipped -- is resolved chunk by chunk instead.
         """
         count = len(fingerprints)
         start = self._index_of.get(fingerprints[0]) if count else None
         if start is not None and self._fingerprints[start:start + count] == fingerprints:
             parts = self._parts
             if parts is None:
-                section = self.load_section()
-                if not isinstance(section, list):
-                    starts = self._offsets[start:start + count]
-                    ends = map(add, starts, self._lengths[start:start + count])
-                    return list(map(section.__getitem__, map(slice, starts, ends)))
-                parts = section
+                parts = self.load_section()
             run = parts[start:start + count]
             if len(run) == count:  # else an append is still publishing the run's tail
                 return run
@@ -395,12 +373,7 @@ class Container:
         if parts is None:
             if positions.count(None) == count:
                 return [None] * count
-            section = self.load_section()
-            if not isinstance(section, list):
-                offsets, lengths = self._offsets, self._lengths
-                return [None if p is None else section[offsets[p]:offsets[p] + lengths[p]]
-                        for p in positions]
-            parts = section
+            parts = self.load_section()
         return [None if p is None else parts[p] for p in positions]
 
     def metadata_section(self) -> List[ContainerMetadataEntry]:

@@ -8,8 +8,6 @@ The submodules are intentionally small and dependency-free:
   the load-balance metrics.
 * :mod:`repro.utils.lru` -- a doubly-linked-list LRU used by the chunk
   fingerprint cache.
-* :mod:`repro.utils.bloom` -- a counting-free Bloom filter used by the DDFS
-  RAM-usage comparison model.
 * :mod:`repro.utils.striped_lock` -- striped locking used by the parallel
   similarity index.
 * :mod:`repro.utils.buffers` -- borrowing a buffer in place for a
@@ -18,7 +16,6 @@ The submodules are intentionally small and dependency-free:
 
 from repro.utils.hashing import digest_bytes, digest_hex, digest_to_int, fingerprint_mod
 from repro.utils.lru import LRUCache
-from repro.utils.bloom import BloomFilter
 from repro.utils.striped_lock import StripedLock
 from repro.utils.units import KiB, MiB, GiB, format_bytes, parse_size
 from repro.utils.stats import mean, population_stddev, coefficient_of_variation
@@ -29,7 +26,6 @@ __all__ = [
     "digest_to_int",
     "fingerprint_mod",
     "LRUCache",
-    "BloomFilter",
     "StripedLock",
     "KiB",
     "MiB",

@@ -223,8 +223,8 @@ class TestFailoverReads:
     def test_failover_restore_loads_each_replica_container_once(self, tmp_path, monkeypatch):
         # Raw spill files and a second, edited generation: its recipes
         # alternate between old and new containers, so a replica read per
-        # chunk would reload a spill file at every alternation (and take a
-        # loader call per chunk even where the one-slot buffer hides it).
+        # chunk would take a loader call per chunk (and reload a spill file
+        # at every alternation the LRU does not hold).
         framework = make_framework(
             tmp_path, num_nodes=2, container_compression="none",
             node_config=NodeConfig(container_capacity=8192),
@@ -314,13 +314,15 @@ class TestFailoverReads:
         assert framework.cluster.describe()["failover_reads"] > 0
         framework.close()
 
-    def test_short_compressed_section_fails_over(self, tmp_path):
-        # Node 0's spill file becomes a valid zlib stream one byte short.  The
-        # read that finds it must not leave the short section in the
-        # decompressed LRU: the retry would read it from there and the
-        # restore would fail its length check instead of failing over.
+    @pytest.mark.parametrize("compression", ["none", "zlib"])
+    def test_short_compressed_section_fails_over(self, tmp_path, compression):
+        # Node 0's spill file becomes one byte short: a raw file truncated,
+        # or a valid zlib stream of a section one byte short.  The read that
+        # finds it must not leave a split list in the LRU: the retry would
+        # read it from there and the restore would fail its length check
+        # instead of failing over.
         settings = dict(
-            num_nodes=2, container_compression="zlib", replication_factor=2,
+            num_nodes=2, container_compression=compression, replication_factor=2,
             storage_dir=str(tmp_path),
         )
         framework = SigmaDedupe(**settings)
@@ -337,7 +339,11 @@ class TestFailoverReads:
         spills = list((tmp_path / "node-0").glob("*.cdata"))
         assert spills
         for spill in spills:
-            spill.write_bytes(zlib.compress(zlib.decompress(spill.read_bytes())[:-1]))
+            stored = spill.read_bytes()
+            spill.write_bytes(
+                stored[:-1] if compression == "none"
+                else zlib.compress(zlib.decompress(stored)[:-1])
+            )
         assert revived.restore(session.session_id, "big") == data
         assert revived.cluster.describe()["failover_reads"] > 0
         revived.close()

@@ -22,20 +22,27 @@ from repro.node.dedupe_node import DedupeNode, NodeConfig
 from tests.oracles import PerChunkRestore
 
 
+CONTAINER_CAPACITY = 32 * 1024
+
+
+def make_framework(storage_dir=None, container_compression=None):
+    return SigmaDedupe(
+        num_nodes=3,
+        routing="sigma",
+        chunker="gear",
+        superchunk_size=16 * 1024,
+        node_config=NodeConfig(container_capacity=CONTAINER_CAPACITY),
+        storage_dir=storage_dir,
+        container_compression=container_compression,
+    )
+
+
 def build_framework(storage_dir=None, seed=2024, generations=3, num_files=4,
                     container_compression=None):
     """A multi-generation session mix whose later recipes interleave containers:
     unchanged chunks resolve to old generations' sealed containers while edits
     land in fresh ones, exactly the pattern batched restore wins on."""
-    framework = SigmaDedupe(
-        num_nodes=3,
-        routing="sigma",
-        chunker="gear",
-        superchunk_size=16 * 1024,
-        node_config=NodeConfig(container_capacity=32 * 1024),
-        storage_dir=storage_dir,
-        container_compression=container_compression,
-    )
+    framework = make_framework(storage_dir, container_compression)
     rng = random.Random(seed)
     files = [
         (f"data/file-{index}.bin", rng.randbytes(40 * 1024 + index * 1111))
@@ -113,23 +120,32 @@ class TestRestoreEquivalence:
             batched, _ = restore_all(framework, report.session_id, "batched")
             assert per_chunk == batched
 
-    def test_batched_path_loads_strictly_fewer_spill_files(self, tmp_path):
-        # Raw spills pinned: with a codec active, the decompressed-section
-        # LRU would satisfy the second restore without any spill load at all,
-        # and this test counts raw load accounting.
-        framework, sessions, _ = build_framework(
-            storage_dir=str(tmp_path), seed=16, container_compression="none"
+    @pytest.mark.parametrize("compression", ["none", "zlib"])
+    def test_batched_path_loads_strictly_fewer_spill_files(self, tmp_path, compression):
+        # Each path restores through its own cold framework, reopened over the
+        # same spill directory with an LRU of one container: the per-chunk
+        # path reloads a container at every alternation between containers,
+        # the batched path once per container and window.
+        framework, sessions, expected = build_framework(
+            storage_dir=str(tmp_path), seed=16, container_compression=compression
         )
-        session_id = sessions[-1].session_id
+        exported = framework.director.export_session(sessions[-1].session_id)
+        framework.close()
 
-        before = spill_loads(framework)
-        restore_all(framework, session_id, "per-chunk")
-        per_chunk_loads = spill_loads(framework) - before
+        def cold_loads(mode):
+            revived = make_framework(str(tmp_path), compression)
+            revived.recover_storage()
+            for node in revived.cluster.nodes:
+                node.container_backend._decompressed_capacity = CONTAINER_CAPACITY
+            session_id = revived.director.import_session(exported).session_id
+            restored, _ = restore_all(revived, session_id, mode)
+            assert restored == expected
+            loads = spill_loads(revived)
+            revived.close()
+            return loads
 
-        before = spill_loads(framework)
-        restore_all(framework, session_id, "batched")
-        batched_loads = spill_loads(framework) - before
-
+        per_chunk_loads = cold_loads("per-chunk")
+        batched_loads = cold_loads("batched")
         assert batched_loads > 0
         assert batched_loads < per_chunk_loads
 

@@ -1,11 +1,10 @@
-"""Concurrent restores against one raw (``mmap``-served) spill node.
+"""Concurrent restores against one spill node, raw and zlib.
 
-Restores slice a loaded data section outside any lock.  A load on another
-thread that displaces that section from the backend's one-slot buffer must
-not close the ``mmap`` under the slicer: each thread below restores its own
-file, so every window reloads a container another thread just displaced,
-and 1 KiB chunks read back in both orders make each container's reads a long
-stretch of slicing, run-wise and chunk by chunk.
+Restores read a loaded data section -- the part list the backend's LRU
+holds -- outside any lock, while loads on other threads read, split and
+admit containers under it: each thread below restores its own file, and
+1 KiB chunks read back in both orders make each container's reads a long
+stretch of list reads, run-wise and chunk by chunk.
 """
 
 import random
@@ -57,7 +56,7 @@ def test_concurrent_restores_on_one_spill_node(tmp_path, fast_switching, compres
                 if framework.restore(session_id, path) != expected[path]:
                     failures.append(f"{path}: restored bytes differ")
                     return
-        except Exception as exc:  # a bare ValueError here is the bug
+        except Exception as exc:  # any exception here is the bug
             failures.append(f"{path}: {type(exc).__name__}: {exc}")
 
     threads = [

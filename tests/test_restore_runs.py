@@ -15,9 +15,8 @@ what they count and how they fail:
 * a fingerprint missing from its container (``ChunkNotFoundError``);
 * a recipe length off by one at position k (exactly k chunks yielded and
   counted, then ``RestoreIntegrityError``);
-* resident, raw ``mmap`` spill and zlib spill containers -- a zlib spill
-  served, after its first read, from the part list its backend split it
-  into;
+* resident, raw spill and zlib spill containers -- a spill served, after
+  its first read, from the part list its backend split it into;
 * a node marked down under replication 2 (reads fail over to the replica).
 
 A final test asserts, by counter, that every branch was reached; which

@@ -1,6 +1,5 @@
 """Tests for repro.storage.backends (pluggable container storage)."""
 
-import mmap
 import os
 import zlib
 from pathlib import Path
@@ -48,11 +47,11 @@ def record(data: bytes) -> ChunkRecord:
     return ChunkRecord(fingerprint=fingerprint_of(data), length=len(data), data=data)
 
 
-def cold_store(tmp_path, chunks, capacity, **options):
-    """``chunks`` sealed into zlib spills, then the backend reopened through
-    journal replay: its decompressed LRU starts empty (the sealing backend's
-    holds every section its seals admitted)."""
-    backend = FileContainerBackend(tmp_path, compression="zlib")
+def cold_store(tmp_path, chunks, capacity, compression="zlib", **options):
+    """``chunks`` sealed into spills under ``compression``, then the backend
+    reopened through journal replay: its LRU starts empty (a sealing zlib
+    backend's holds every section its seals admitted)."""
+    backend = FileContainerBackend(tmp_path, compression=compression)
     store = ContainerStore(container_capacity=capacity, backend=backend)
     ids = store.store_chunks(chunks)
     store.flush()
@@ -363,16 +362,6 @@ class TestCompressedSpill:
         store.flush()
         assert backend.spilled_bytes_stored == backend.spilled_bytes == 40
 
-    def test_raw_spill_served_through_mmap(self, tmp_path):
-        backend = FileContainerBackend(tmp_path, compression="none")
-        store = ContainerStore(container_capacity=64, backend=backend)
-        chunk = record(deterministic_bytes(40, seed=10))
-        container_id = store.store_chunk(chunk)
-        store.flush()
-        container = store.get(container_id)
-        assert isinstance(container.payload_bytes(), mmap.mmap)
-        assert store.read_chunks([container_id], [chunk.fingerprint])[0] == chunk.data
-
     def _interleaved_reads(self, store, chunks, ids):
         # An interleaved read pattern revisits each sealed container many
         # times.
@@ -402,20 +391,25 @@ class TestCompressedSpill:
         assert backend._decompressed_bytes <= 256
         assert list(backend._decompressed) == [max(ids)]
 
-    def test_decompressed_sections_cached_across_windows(self, tmp_path):
+    @pytest.mark.parametrize("compression", ["none", "zlib"])
+    def test_decompressed_sections_cached_across_windows(self, tmp_path, compression):
         chunks = self._compressible_records()
-        # A reopened backend starts cold; the decompressed-section LRU must
-        # keep each container to a single spill load instead of one per visit.
-        reopened, cold, ids = cold_store(tmp_path, chunks, 256)
+        # A reopened backend starts cold; the LRU must keep each container to
+        # a single spill load instead of one per visit.
+        reopened, cold, ids = cold_store(tmp_path, chunks, 256, compression)
         self._interleaved_reads(cold, chunks, ids)
         assert reopened.spill_loads == len(set(ids))
+        # One read form, whatever the codec: per-chunk payloads.
+        section = cold.get(ids[0]).load_section()
+        assert isinstance(section, list) and set(map(type, section)) == {bytes}
 
-    def test_split_lists_stay_within_the_budget(self, tmp_path):
+    @pytest.mark.parametrize("compression", ["none", "zlib"])
+    def test_split_lists_stay_within_the_budget(self, tmp_path, compression):
         # Two 256-byte chunks per container and a budget of three containers;
         # five containers are read, one after another.
         chunks = [record(deterministic_bytes(32, seed=i) * 8) for i in range(10)]
         backend, store, ids = cold_store(
-            tmp_path, chunks, 512, decompressed_cache_bytes=3 * 512
+            tmp_path, chunks, 512, compression, decompressed_cache_bytes=3 * 512
         )
         containers = sorted(set(ids))
         assert len(containers) == 5
@@ -435,7 +429,7 @@ class TestCompressedSpill:
             ]
             assert backend._decompressed_bytes == 512 * len(held)
         backend.close()
-        assert not backend._decompressed and backend._last_loaded is None
+        assert not backend._decompressed
 
 
 class TestCompressedSpillCrashes:
@@ -470,13 +464,17 @@ class TestCompressedSpillCrashes:
         with pytest.raises(ContainerNotFoundError, match="truncated"):
             store.read_chunks([container_id], [chunk.fingerprint])[0]
 
-    def test_short_section_is_never_cached(self, tmp_path):
-        # A valid stream one byte short fails its length check, and that check
-        # runs before the LRU admits the section: the retry a failover makes
-        # fails again instead of reading the short section from the cache.
+    @pytest.mark.parametrize("compression", ["none", "zlib"])
+    def test_short_section_is_never_cached(self, tmp_path, compression):
+        # A raw file or a valid stream one byte short fails its length check,
+        # and that check runs before the LRU admits the split list: the retry
+        # a failover makes fails again instead of reading it from the cache.
         chunk = record(deterministic_bytes(40, seed=5))
-        backend, store, (container_id,) = cold_store(tmp_path, [chunk], 64)
-        backend.spill_path(container_id).write_bytes(zlib.compress(chunk.data[:-1]))
+        backend, store, (container_id,) = cold_store(tmp_path, [chunk], 64, compression)
+        short = chunk.data[:-1]
+        backend.spill_path(container_id).write_bytes(
+            short if compression == "none" else zlib.compress(short)
+        )
         for _attempt in range(2):
             with pytest.raises(ContainerNotFoundError, match="truncated"):
                 store.read_chunks([container_id], [chunk.fingerprint])
