@@ -391,6 +391,67 @@ class TestCompressedSpill:
         assert backend._decompressed_bytes <= 256
         assert list(backend._decompressed) == [max(ids)]
 
+    def test_write_through_bytes_split_on_first_read(self, tmp_path):
+        backend = FileContainerBackend(tmp_path, compression="zlib")
+        store = ContainerStore(container_capacity=512, backend=backend)
+        chunks = self._compressible_records()[:2]
+        ids = store.store_chunks(chunks)
+        store.flush()
+        (container_id,) = set(ids)
+        # The seal admitted its joined section; the first read splits it in
+        # place, and every later read returns that same list.
+        assert backend._decompressed[container_id][1] == COMPRESSIBLE[:512]
+        section = store.get(container_id).load_section()
+        assert section == [chunk.data for chunk in chunks]
+        assert backend._decompressed[container_id][1] is section
+        assert store.get(container_id).load_section() is section
+        assert backend.spill_loads == 0
+
+    def test_raw_seal_admits_nothing(self, tmp_path):
+        # Write-through is codec-only: a raw spill's first read goes to the
+        # file (the page cache holds it), and that read admits the split list.
+        backend = FileContainerBackend(tmp_path, compression="none")
+        store = ContainerStore(container_capacity=256, backend=backend)
+        chunks = self._compressible_records()
+        ids = store.store_chunks(chunks)
+        store.flush()
+        assert not backend._decompressed and backend._decompressed_bytes == 0
+        self._interleaved_reads(store, chunks, ids)
+        assert backend.spill_loads == len(set(ids))
+        assert sorted(backend._decompressed) == sorted(set(ids))
+
+    @pytest.mark.parametrize("compression", ["none", "zlib"])
+    def test_spill_map_closed_before_the_load_returns(self, tmp_path, monkeypatch, compression):
+        import mmap
+
+        opened = []
+
+        class TrackedMap(mmap.mmap):
+            def __new__(cls, *args, **kwargs):
+                made = super().__new__(cls, *args, **kwargs)
+                opened.append(made)
+                return made
+
+        chunks = self._compressible_records()
+        _backend, cold, ids = cold_store(tmp_path, chunks, 256, compression)
+        monkeypatch.setattr(mmap, "mmap", TrackedMap)
+        self._interleaved_reads(cold, chunks, ids)
+        assert len(opened) == len(set(ids))
+        assert all(made.closed for made in opened)
+
+    @pytest.mark.parametrize("compression", ["none", "zlib"])
+    def test_split_list_outlives_its_spill_file(self, tmp_path, compression):
+        # The list holds copies, not views of the closed map: once loaded, a
+        # container reads from the LRU even with its spill file gone.
+        chunks = self._compressible_records()
+        backend, cold, ids = cold_store(tmp_path, chunks, 256, compression)
+        self._interleaved_reads(cold, chunks, ids)
+        loads = backend.spill_loads
+        for container_id in set(ids):
+            backend.spill_path(container_id).unlink()
+        self._interleaved_reads(cold, chunks, ids)
+        assert backend.spill_loads == loads
+
     @pytest.mark.parametrize("compression", ["none", "zlib"])
     def test_decompressed_sections_cached_across_windows(self, tmp_path, compression):
         chunks = self._compressible_records()
@@ -477,6 +538,22 @@ class TestCompressedSpillCrashes:
         )
         for _attempt in range(2):
             with pytest.raises(ContainerNotFoundError, match="truncated"):
+                store.read_chunks([container_id], [chunk.fingerprint])
+        assert not backend._decompressed
+        backend.close()
+
+    @pytest.mark.parametrize(
+        "compression, error",
+        [("none", "truncated"), ("zlib", "cannot be decompressed")],
+    )
+    def test_empty_spill_file_fails_every_read(self, tmp_path, compression, error):
+        # A zero-length file cannot be mapped; it reads as an empty section,
+        # which fails its length check (raw) or its decode (zlib).
+        chunk = record(deterministic_bytes(40, seed=5))
+        backend, store, (container_id,) = cold_store(tmp_path, [chunk], 64, compression)
+        backend.spill_path(container_id).write_bytes(b"")
+        for _attempt in range(2):
+            with pytest.raises(ContainerNotFoundError, match=error):
                 store.read_chunks([container_id], [chunk.fingerprint])
         assert not backend._decompressed
         backend.close()
