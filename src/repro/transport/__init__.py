@@ -10,15 +10,15 @@ RPC handle:
 * :mod:`repro.transport.wire` -- the wire format (JSON header + out-of-band
   payload frames) and the one encoder, sender and receiver both ends use.
 * :mod:`repro.transport.worker` -- the per-node worker process: one
-  :class:`~repro.node.dedupe_node.DedupeNode` serving its one unix-socket
-  connection in a blocking loop, strictly in arrival order.
+  :class:`~repro.node.dedupe_node.DedupeNode` serving its end of a socket
+  pair in a blocking loop, strictly in arrival order.
 * :mod:`repro.transport.proxy` -- :class:`~repro.transport.proxy.NodeProxy`,
-  the RPC node handle: one pipelined connection to one worker; every request
-  goes on the wire when it is sent.
+  the RPC node handle over any connected stream socket: one pipelined
+  connection to one worker; every request goes on the wire when it is sent.
 * :mod:`repro.transport.cluster` --
   :class:`~repro.transport.cluster.TransportCluster`, the ``DedupeCluster``
-  subclass that opens proxies instead of in-process handles and owns the
-  workers' lifecycle.
+  subclass that hands each worker one end of a ``socket.socketpair()``,
+  wraps the other end in a proxy and owns the workers' lifecycle.
 
 Select with ``SigmaDedupe(transport="process")``; results are
 byte-identical to the in-process default (see
@@ -27,10 +27,9 @@ byte-identical to the in-process default (see
 
 from repro.transport.cluster import TransportCluster
 from repro.transport.proxy import NodeProxy, PendingBackup, PendingCall
-from repro.transport.worker import ENV_WORKER_MARKER, NodeWorker, WorkerSpec, node_worker_main
+from repro.transport.worker import NodeWorker, WorkerSpec, node_worker_main
 
 __all__ = [
-    "ENV_WORKER_MARKER",
     "NodeProxy",
     "NodeWorker",
     "PendingBackup",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import shutil
+import socket
 import tempfile
 import time
 from dataclasses import replace
@@ -20,11 +21,11 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.analysis.runtime import GuardLock, guarded_lock
 from repro.cluster.cluster import RETRYABLE_READ_ERRORS, DedupeCluster
-from repro.errors import NodeUnavailableError, RpcDroppedError, TransportError
+from repro.errors import RpcDroppedError, TransportError
 from repro.fingerprint.handprint import DEFAULT_HANDPRINT_SIZE, Handprint
 from repro.node.dedupe_node import NodeConfig, resolve_container_backend
 from repro.transport.proxy import NodeProxy, PendingBackup, PendingCall, pack_handprint
-from repro.transport.worker import ENV_WORKER_MARKER, WorkerSpec, node_worker_main
+from repro.transport.worker import WorkerSpec, node_worker_main
 
 __all__ = [
     "NodeProxy",
@@ -41,7 +42,8 @@ REAP_TIMEOUT_SECONDS = 5.0
 
 
 def _reap(process: Any) -> None:
-    """Wait for a worker to exit (it does, on shutdown or EOF), then escalate."""
+    """Wait for a worker to exit (it does on EOF, once its proxy is closed),
+    then escalate."""
     process.join(timeout=REAP_TIMEOUT_SECONDS)
     if process.is_alive():
         process.terminate()
@@ -56,7 +58,8 @@ class TransportCluster(DedupeCluster):
 
     Accepts the configuration surface of
     :class:`~repro.cluster.cluster.DedupeCluster`; construction spawns one
-    worker per node and connects a :class:`NodeProxy` to each.
+    worker per node, each holding one end of a socket pair, and wraps the
+    other end in a :class:`NodeProxy`.
     """
 
     transport = "process"
@@ -78,6 +81,7 @@ class TransportCluster(DedupeCluster):
         self._closed = False  # guarded-by: _lock
         self._runtime_dir: str  # claimed by _open_nodes, once the config is valid
         self.node_proxies: List[NodeProxy] = []
+        self._workers: Dict[int, Any] = {}  # node id -> its multiprocessing.Process
         super().__init__(*args, **kwargs)
 
     # ------------------------------------------------------------------ #
@@ -104,27 +108,29 @@ class TransportCluster(DedupeCluster):
             raise
 
     def _spawn_worker(self, node_id: int) -> NodeProxy:
-        socket_path = os.path.join(self._runtime_dir, f"node-{node_id}.sock")
         spec = WorkerSpec(
-            node_id=node_id,
-            socket_path=socket_path,
-            node_config=self._node_config,
-            replicate=self._replicate,
+            node_id=node_id, node_config=self._node_config, replicate=self._replicate
         )
-        # The marker rides in the child's initial environment (and therefore
-        # /proc/<pid>/environ) so the CI teardown check can spot orphans.
-        os.environ[ENV_WORKER_MARKER] = os.environ.get(ENV_WORKER_MARKER, "1")
-        process = self._mp_context.Process(
-            target=node_worker_main, args=(spec,), daemon=True,
-            name=f"repro-node-worker-{node_id}",
-        )
-        process.start()
-        proxy = NodeProxy(
-            node_id, socket_path, process, self.messages,
-            consult_fault=self._consult_rpc_fault,
-        )
-        proxy.connect()
-        return proxy
+        parent_end, child_end = socket.socketpair()
+        try:
+            process = self._mp_context.Process(
+                target=node_worker_main, args=(spec, child_end, parent_end),
+                daemon=True, name=f"repro-node-worker-{node_id}",
+            )
+            process.start()
+        except BaseException:
+            parent_end.close()
+            raise
+        finally:
+            child_end.close()
+        self._workers[node_id] = process
+        try:
+            return NodeProxy(
+                node_id, parent_end, self.messages, consult_fault=self._consult_rpc_fault
+            )
+        except TransportError:
+            process.terminate()  # it never answered: no graceful exit to wait for
+            raise
 
     def _proxy(self, node_id: int) -> NodeProxy:
         self.handle(node_id)  # bounds check
@@ -132,7 +138,8 @@ class TransportCluster(DedupeCluster):
 
     def worker_process(self, node_id: int) -> Any:
         """The worker's ``multiprocessing.Process`` (tests SIGKILL it)."""
-        return self._proxy(node_id).process
+        self.handle(node_id)  # bounds check
+        return self._workers[node_id]
 
     def restart_node(self, node_id: int, recover: bool = True) -> Dict[str, int]:
         """Respawn a dead (or killed) worker over the same storage directory.
@@ -142,9 +149,8 @@ class TransportCluster(DedupeCluster):
         replication plane then re-mirrors its recovered seals and re-pushes
         its predecessors' containers into its (wiped) replica store.
         """
-        old = self._proxy(node_id)
-        old.close()
-        _reap(old.process)
+        self._proxy(node_id).close()
+        _reap(self._workers[node_id])
         proxy = self._spawn_worker(node_id)
         self.node_proxies[node_id] = proxy
         summary: Dict[str, int] = {}
@@ -157,20 +163,16 @@ class TransportCluster(DedupeCluster):
         return summary
 
     def close(self) -> None:
-        """Shut workers down, reap the processes, remove the runtime dir."""
+        """Close every proxy (each worker exits on the EOF), reap the
+        processes, remove the runtime dir."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
         for proxy in self.node_proxies:
-            if proxy.connected:
-                try:
-                    proxy.call("shutdown")
-                except (NodeUnavailableError, TransportError):
-                    pass
             proxy.close()
-        for proxy in self.node_proxies:
-            _reap(proxy.process)
+        for process in self._workers.values():
+            _reap(process)
         shutil.rmtree(self._runtime_dir, ignore_errors=True)
 
     def _consult_rpc_fault(self, node_id: int, op: str) -> None:

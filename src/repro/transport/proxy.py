@@ -1,12 +1,12 @@
 """`NodeProxy`: the RPC :class:`~repro.cluster.handle.NodeHandle`.
 
-The parent side of one worker process (:mod:`repro.transport.worker`): one
-blocking socket with FIFO request pipelining -- requests may be *sent* ahead
-(``send`` returns a :class:`PendingCall`), responses are matched back in
-order.  Combined with the worker's in-order dispatch this yields per-node
-sequential consistency, which is what keeps process-transport results
-byte-identical to in-process execution (see the worker module docstring for
-the full argument).
+The parent side of one worker (:mod:`repro.transport.worker`): any one
+connected blocking stream socket, with FIFO request pipelining -- requests
+may be *sent* ahead (``send`` returns a :class:`PendingCall`), responses are
+matched back in order.  Combined with the worker's in-order dispatch this
+yields per-node sequential consistency, which is what keeps
+process-transport results byte-identical to in-process execution (see the
+worker module docstring for the full argument).
 
 Crash detection is structural: a SIGKILLed worker surfaces as a lost
 connection, which the proxy converts to
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import socket
 import threading
-import time
 from typing import Any, Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from repro.analysis.runtime import GuardLock, guarded_lock
@@ -31,8 +30,8 @@ from repro.fingerprint.handprint import Handprint
 from repro.node.dedupe_node import SuperChunkBackupResult
 from repro.transport import wire
 
-CONNECT_TIMEOUT_SECONDS = 15.0
-"""How long a proxy waits for its worker to bind its socket at startup."""
+START_TIMEOUT_SECONDS = 15.0
+"""How long a proxy waits for its worker's first answer (the start ``ping``)."""
 
 _OP_MESSAGE_TYPES: Dict[str, MessageType] = {
     "probe": MessageType.PRE_ROUTING,
@@ -135,51 +134,37 @@ class NodeProxy:
     def __init__(
         self,
         node_id: int,
-        socket_path: str,
-        process: Any,
+        sock: socket.socket,
         messages: MessageCounter,
         consult_fault: Optional[Callable[[int, str], None]] = None,
     ):
+        """Wrap ``sock``, connected to node ``node_id``'s worker, and wait
+        (at most :data:`START_TIMEOUT_SECONDS`) for the worker to answer a
+        ``ping``.  A worker that dies or hangs before answering raises
+        :class:`~repro.errors.TransportError`; the socket is closed then."""
         self.node_id = node_id
-        self.socket_path = socket_path
-        self.process = process
         self.messages = messages
         self._consult_fault = consult_fault
         self.down = False  # client-side mirror of mark_down
-        self._sock: Optional[socket.socket] = None
+        self._sock: Optional[socket.socket] = sock
         self._send_lock: GuardLock = guarded_lock(f"NodeProxy{node_id}._send_lock")
         self._next_id = 0  # guarded-by: _send_lock
         self._recv_cond = threading.Condition()
         self._responses: Dict[int, Response] = {}  # guarded-by: _recv_cond
         self._receiving = False  # guarded-by: _recv_cond
         self._dead: Optional[str] = None  # guarded-by: _recv_cond
+        sock.settimeout(START_TIMEOUT_SECONDS)
+        try:
+            self.call("ping")
+        except NodeUnavailableError as exc:
+            raise TransportError(
+                f"worker for node {node_id} never answered its start ping: {exc}"
+            ) from exc
+        sock.settimeout(None)
 
     # ------------------------------------------------------------------ #
     # connection lifecycle
     # ------------------------------------------------------------------ #
-
-    def connect(self, timeout: float = CONNECT_TIMEOUT_SECONDS) -> None:
-        """Connect to the worker's socket, waiting for it to bind."""
-        deadline = time.monotonic() + timeout
-        last_error: Optional[Exception] = None
-        while time.monotonic() < deadline:
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            try:
-                sock.connect(self.socket_path)
-            except (FileNotFoundError, ConnectionRefusedError, OSError) as exc:
-                sock.close()
-                last_error = exc
-                if not self.process.is_alive():
-                    break
-                time.sleep(0.005)
-                continue
-            self._sock = sock
-            self.call("ping")
-            return
-        raise TransportError(
-            f"worker for node {self.node_id} never bound {self.socket_path} "
-            f"(alive={self.process.is_alive()}): {last_error}"
-        )
 
     @property
     def connected(self) -> bool:

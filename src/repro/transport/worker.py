@@ -1,12 +1,14 @@
-"""The node worker: one ``DedupeNode`` per OS process, served over a socket.
+"""The node worker: one ``DedupeNode`` served over one connected socket.
 
 ``node_worker_main`` is the process entry point (picklable for the ``spawn``
 start method): it builds the node (and, with replication enabled, its
-:class:`~repro.cluster.replication.ReplicaStore`) inside the worker process,
-binds the spec's unix socket, accepts the parent's one connection and answers
-its RPCs with the same blocking framing the parent uses
+:class:`~repro.cluster.replication.ReplicaStore`) inside the worker process
+and answers the RPCs arriving on its end of the socket pair the parent made,
+with the same blocking framing the parent uses
 (:func:`~repro.transport.wire.recv_message` /
-:func:`~repro.transport.wire.send_message`).
+:func:`~repro.transport.wire.send_message`).  :class:`NodeWorker` itself
+serves any connected stream socket, so the same loop runs on a thread over
+a socket pair in tests.
 
 **FIFO dispatch is the correctness keystone.**  The parent holds exactly one
 connection per worker, and this loop decodes and executes its requests
@@ -22,11 +24,11 @@ Requests run inline, one at a time: with a single connection there is
 nothing to keep responsive while the node's data plane executes, and inline
 execution is what makes FIFO trivial rather than queued.
 
-The worker exits on ``shutdown``, when the parent's connection reaches EOF,
-on a train it cannot decode, and when no parent connects within
-:data:`~repro.transport.proxy.CONNECT_TIMEOUT_SECONDS` -- a vanished parent
-(SIGKILL, test crash) must never leave orphan workers behind (the CI teardown
-check asserts exactly this).
+The worker exits when its connection reaches EOF -- the parent closed its
+end, or died (SIGKILL, test crash) and the kernel closed it -- and on a
+train it cannot decode.  EOF is the one stop signal: a vanished parent must
+never leave orphan workers behind (the CI teardown check asserts exactly
+this).
 """
 
 from __future__ import annotations
@@ -44,47 +46,36 @@ from repro.errors import (
     WireProtocolError,
 )
 
-ENV_WORKER_MARKER = "REPRO_TRANSPORT_WORKER"
-"""Set in every worker's initial environment (visible in ``/proc/<pid>/environ``)
-so the CI teardown check can find orphaned workers by inspection even though
-forked children share the parent's command line."""
-
 
 @dataclass
 class WorkerSpec:
     """Everything a worker process needs to host its node (picklable)."""
 
     node_id: int
-    socket_path: str
     node_config: Any  # NodeConfig; typed loosely to keep the spawn import light
     replicate: bool = False
 
 
-def node_worker_main(spec: WorkerSpec) -> None:
-    """Process entry point: host ``spec.node_id`` behind ``spec.socket_path``."""
+def node_worker_main(
+    spec: WorkerSpec, connection: socket.socket, parent_end: socket.socket
+) -> None:
+    """Process entry point: host ``spec.node_id`` on ``connection``, the
+    worker's end of the pair whose other end, ``parent_end``, the parent
+    keeps."""
+    # A forked child inherits the parent's end; holding it would keep the
+    # connection open after the parent dies, so that death would never
+    # reach this worker as EOF.
+    parent_end.close()
     # Imports happen in the worker so a ``spawn``-started child pays them
     # here, not at module pickle time.
     from repro.cluster.replication import host_node
-    from repro.transport import proxy
 
-    node = host_node(spec.node_id, spec.node_config, spec.replicate)
-    try:
-        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as listener:
-            try:
-                os.unlink(spec.socket_path)
-            except FileNotFoundError:
-                pass
-            listener.bind(spec.socket_path)
-            listener.listen(1)
-            listener.settimeout(proxy.CONNECT_TIMEOUT_SECONDS)
-            try:
-                connection, _address = listener.accept()
-            except socket.timeout:
-                return  # nobody came for this node
-        with connection:
+    with connection:
+        node = host_node(spec.node_id, spec.node_config, spec.replicate)
+        try:
             NodeWorker(node).serve(connection)
-    finally:
-        node.close()
+        finally:
+            node.close()
 
 
 class NodeWorker:
@@ -94,7 +85,7 @@ class NodeWorker:
         self.node = node
 
     def serve(self, connection: socket.socket) -> None:
-        """Answer requests until ``shutdown``, EOF or an undecodable train."""
+        """Answer requests until EOF or an undecodable train."""
         while True:
             try:
                 header, frames, _nbytes = wire.recv_message(connection)
@@ -107,8 +98,6 @@ class NodeWorker:
             try:
                 wire.send_message(connection, response_header, response_frames)
             except ConnectionLostError:
-                return
-            if header.get("op") == "shutdown":
                 return
 
     # ------------------------------------------------------------------ #
@@ -342,8 +331,3 @@ class NodeWorker:
         self, header: Dict[str, Any], frames: List[memoryview]
     ) -> Tuple[Dict[str, Any], List[wire.Buffer]]:
         return {"ok": True, "describe": self.node.describe()}, []
-
-    def _op_shutdown(
-        self, header: Dict[str, Any], frames: List[memoryview]
-    ) -> Tuple[Dict[str, Any], List[wire.Buffer]]:
-        return {"ok": True}, []

@@ -24,7 +24,6 @@ READERS = {
     "REPRO_TEARDOWN_TOKEN": {"repro.parallel.shm.segment_tag"},
     "CC": {"repro.chunking.accel._compile"},
     "XDG_CACHE_HOME": {"repro.chunking.accel._load"},
-    "REPRO_TRANSPORT_WORKER": {"repro.transport.cluster.TransportCluster._spawn_worker"},
 }
 
 

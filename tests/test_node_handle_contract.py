@@ -1,15 +1,17 @@
-"""The `NodeHandle` contract, over both handles.
+"""The `NodeHandle` contract, over every handle.
 
 The cluster core is written once against
 :class:`~repro.cluster.handle.NodeHandle`; this suite replays one
-super-chunk sequence through the in-process handle and through the RPC
-handle and requires the same answers from every operation of the protocol --
+super-chunk sequence through the in-process handle, through the RPC handle
+to worker processes and through the RPC handle to nodes served on threads
+(:class:`~tests.helpers.ThreadCarrier`), and requires the same answers from
+every operation of the protocol --
 the stores, the routing queries, restore reads over the two read columns
 (container ids given, missing or mixed, and empty columns), an export ->
 store_replica -> replica_read round trip with its misses, recovery and
 ``describe`` -- and :class:`~repro.errors.ValidationError` for read columns of
 unequal length, and :class:`~repro.errors.NodeUnavailableError` from a node
-that is marked down or whose worker is dead.  (The Hypothesis cross-transport
+that is marked down or whose worker is dead (or whose serving end is closed).  (The Hypothesis cross-transport
 suites remain the end-to-end reference; this is the per-operation one.)
 """
 
@@ -23,9 +25,9 @@ from repro.cluster.cluster import DedupeCluster
 from repro.errors import NodeUnavailableError, ReproError
 from repro.node.dedupe_node import NodeConfig
 from repro.transport import TransportCluster
-from tests.helpers import superchunk_from_seeds
+from tests.helpers import ThreadCarrier, superchunk_from_seeds
 
-KINDS = {"inproc": DedupeCluster, "process": TransportCluster}
+KINDS = {"inproc": DedupeCluster, "process": TransportCluster, "thread": ThreadCarrier}
 
 # Three super-chunks: fresh data, a half-duplicate, an exact repeat.  With
 # 2 KiB containers the sequence seals several containers before the flush.
@@ -133,11 +135,12 @@ def observations(tmp_path_factory):
     return {kind: observe(kind, tmp_path_factory.mktemp(kind)) for kind in KINDS}
 
 
-def test_both_handles_give_the_same_answers(observations):
-    inproc, process = observations["inproc"], observations["process"]
-    assert set(inproc) == set(process)
+@pytest.mark.parametrize("kind", ["process", "thread"])
+def test_rpc_handles_give_the_in_process_answers(observations, kind):
+    inproc, rpc = observations["inproc"], observations[kind]
+    assert set(inproc) == set(rpc)
     for operation in inproc:
-        assert process[operation] == inproc[operation], operation
+        assert rpc[operation] == inproc[operation], operation
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -187,15 +190,24 @@ def kill_worker(cluster):
     assert not process.is_alive()
 
 
+def close_worker_end(carrier):
+    carrier.kill(0)
+
+
+DEAD = (kill_worker, close_worker_end)
+
 UNAVAILABLE = [
     ("inproc", lambda cluster: cluster.handle(0).mark_down()),
     ("process", lambda cluster: cluster.handle(0).mark_down()),
     ("process", kill_worker),
+    ("thread", close_worker_end),
 ]
 
 
 @pytest.mark.parametrize(
-    "kind, take_down", UNAVAILABLE, ids=["inproc-down", "process-down", "process-dead"]
+    "kind, take_down",
+    UNAVAILABLE,
+    ids=["inproc-down", "process-down", "process-dead", "thread-dead"],
 )
 def test_a_down_or_dead_node_is_unavailable(tmp_path, kind, take_down):
     cluster = open_cluster(kind, tmp_path)
@@ -212,7 +224,7 @@ def test_a_down_or_dead_node_is_unavailable(tmp_path, kind, take_down):
         with pytest.raises(NodeUnavailableError):
             handle.backup(superchunk).result()
         assert handle.is_down
-        if take_down is not kill_worker:
+        if take_down not in DEAD:
             handle.mark_up()
             assert not handle.is_down
             assert handle.read_chunks(fingerprints, container_ids) == [

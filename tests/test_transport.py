@@ -46,6 +46,7 @@ from repro.routing import ALL_SCHEMES
 from repro.storage.backends import CONTAINER_BACKENDS, ENV_CONTAINER_BACKEND
 from repro.storage.compression import COMPRESSION_CODECS, ENV_CONTAINER_COMPRESSION
 from repro.transport import TransportCluster, WorkerSpec, node_worker_main, proxy, wire
+from repro.transport import cluster as transport_cluster
 from repro.transport.cluster import REAP_TIMEOUT_SECONDS
 from repro.utils.hashing import SUPPORTED_ALGORITHMS
 from tests.helpers import chunk_records_from_seeds, superchunk_from_seeds
@@ -207,7 +208,7 @@ class TestTransportCluster:
 
     def test_close_reaps_workers_and_runtime_dir(self):
         cluster = TransportCluster(num_nodes=2)
-        processes = [proxy.process for proxy in cluster.node_proxies]
+        processes = [cluster.worker_process(node_id) for node_id in range(2)]
         runtime_dir = cluster._runtime_dir
         cluster.close()
         assert not os.path.exists(runtime_dir)
@@ -235,8 +236,8 @@ class TestWorkerExit:
             node_proxy._sock.sendall(wire.PREFIX.pack(0xFFFFFFF0, 0))
             with pytest.raises(NodeUnavailableError):
                 node_proxy.call("ping")
-            node_proxy.process.join(timeout=1.0)
-            assert node_proxy.process.exitcode == 0
+            cluster.worker_process(0).join(timeout=1.0)
+            assert cluster.worker_process(0).exitcode == 0
             assert cluster.node_proxies[1].call("ping")[0]["ok"]
         finally:
             started = time.monotonic()
@@ -244,24 +245,109 @@ class TestWorkerExit:
             elapsed = time.monotonic() - started
         assert elapsed < REAP_TIMEOUT_SECONDS / 5
 
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="patches the timeout in the parent for a forked child",
-    )
-    def test_worker_nobody_connects_to_exits_after_connect_timeout(self, tmp_path):
-        spec = WorkerSpec(
-            node_id=0, socket_path=str(tmp_path / "w.sock"), node_config=NodeConfig()
+    def test_worker_exits_once_the_parent_end_closes(self):
+        # The worker closes its inherited copy of the parent's end first:
+        # otherwise closing the parent's end would never reach it as EOF.
+        parent_end, child_end = socket.socketpair()
+        spec = WorkerSpec(node_id=0, node_config=NodeConfig())
+        process = multiprocessing.get_context(transport_cluster.START_METHOD).Process(
+            target=node_worker_main, args=(spec, child_end, parent_end), daemon=True
         )
-        with mock.patch.object(proxy, "CONNECT_TIMEOUT_SECONDS", 0.2):
-            process = multiprocessing.get_context("fork").Process(
-                target=node_worker_main, args=(spec,), daemon=True
-            )
-            process.start()
+        process.start()
+        child_end.close()
+        with parent_end:
+            wire.send_message(parent_end, {"op": "ping", "id": 0})
+            assert wire.recv_message(parent_end)[0]["ok"]
         process.join(timeout=REAP_TIMEOUT_SECONDS)
         if process.is_alive():
             process.kill()
             process.join()
         assert process.exitcode == 0
+
+
+fork_only = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="patches host_node in the parent for a forked child",
+)
+
+
+def hang(*args, **kwargs):
+    time.sleep(60)
+
+
+def fail(*args, **kwargs):
+    raise RuntimeError("node cannot be built")
+
+
+class TestWorkerStart:
+    """Each worker gets one end of a socket pair: no socket path to outgrow,
+    and one bounded wait, for the first ``ping``, before a start fails."""
+
+    def test_long_tempdir_backs_up_and_restores(self, tmp_path, monkeypatch):
+        long_dir = tmp_path / ("d" * (101 - len(str(tmp_path))))
+        long_dir.mkdir()
+        assert len(str(long_dir)) > 100
+        monkeypatch.setattr(tempfile, "tempdir", str(long_dir))
+        files = [("a", bytes(range(256)) * 64), ("b", b"sigma" * 5000)]
+        with SigmaDedupe(num_nodes=2, transport="process", container_backend="file") as framework:
+            assert framework.cluster._runtime_dir.startswith(str(long_dir))
+            session_id = framework.backup(files).session_id
+            assert framework.restore_session(session_id) == files
+
+    @fork_only
+    def test_hung_worker_fails_start_within_the_deadline(self, monkeypatch):
+        monkeypatch.setattr("repro.cluster.replication.host_node", hang)
+        monkeypatch.setattr(proxy, "START_TIMEOUT_SECONDS", 0.5)
+        started = time.monotonic()
+        with pytest.raises(TransportError, match="node 0"):
+            TransportCluster(num_nodes=2)
+        assert time.monotonic() - started < 0.5 + 1.0
+        assert not workers_alive()
+
+    @fork_only
+    def test_failed_worker_fails_start_at_once(self, monkeypatch):
+        monkeypatch.setattr("repro.cluster.replication.host_node", fail)
+        started = time.monotonic()
+        with pytest.raises(TransportError, match="node 0"):
+            TransportCluster(num_nodes=2)
+        assert time.monotonic() - started < proxy.START_TIMEOUT_SECONDS / 3
+        assert not workers_alive()
+
+    def test_spawned_workers_back_up_restore_and_restart(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(transport_cluster, "START_METHOD", "spawn")
+        cluster = TransportCluster(
+            num_nodes=2, node_config=spill_config(tmp_path), replication_factor=2
+        )
+        try:
+            assert cluster._mp_context.get_start_method() == "spawn"
+            stored = ingest_tracked(cluster, [[1, 2, 3, 4], [5, 6, 7, 8]])
+            for node_id in range(2):
+                requests = [
+                    (fingerprint, value[1])
+                    for fingerprint, value in stored.items()
+                    if value[0] == node_id
+                ]
+                expected = [value[2] for value in stored.values() if value[0] == node_id]
+                assert cluster.read_chunks(node_id, requests) == expected
+            victim = next(iter(stored.values()))[0]
+            assert cluster.restart_node(victim)["recovered_chunks"] > 0
+            requests = [
+                (fingerprint, value[1]) for fingerprint, value in stored.items()
+                if value[0] == victim
+            ]
+            expected = [value[2] for value in stored.values() if value[0] == victim]
+            assert cluster.read_chunks(victim, requests) == expected
+            assert cluster.replication.failover_reads == 0
+        finally:
+            cluster.close()
+
+
+def workers_alive():
+    return [
+        child
+        for child in multiprocessing.active_children()
+        if child.name.startswith("repro-node-worker")
+    ]
 
 
 # ------------------------------------------------------------------ #
@@ -328,11 +414,7 @@ def test_rejected_config_leaves_nothing_behind(cluster_type, rejected):
             SigmaDedupe(**{**settings_, **keywords})
         assert os.listdir(storage_dir) == []
     assert set(glob.glob(runtime_dirs)) == before
-    assert not [
-        child
-        for child in multiprocessing.active_children()
-        if child.name.startswith("repro-node-worker")
-    ]
+    assert not workers_alive()
 
 
 # ------------------------------------------------------------------ #

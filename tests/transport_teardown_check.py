@@ -8,20 +8,22 @@ token, then audits the machine for anything they leaked:
   or ``/proc/<pid>/environ`` carries the token.  Forked workers inherit the
   pytest process's exec-time snapshot, so the token is planted in *both* the
   command line (visible in forked children) and the environment (visible in
-  spawned children); the ``REPRO_TRANSPORT_WORKER`` marker is reported too
-  when it identifies a worker directly.
-* **runtime directories** -- leftover ``repro-transport-*`` trees (worker
-  sockets and auto-claimed storage) under the temp dir.
+  spawned children).
+* **runtime directories** -- leftover ``repro-transport-*`` trees
+  (auto-claimed storage) under the temp dir.
 * **shared memory** -- a ``/dev/shm`` diff against the pre-run snapshot, plus
   a token-specific sweep: the shm lane pool embeds ``sha1(token)[:8]`` in
   every segment name (``repro-shm-<tag>-*``), so segments leaked by process
   front-end lanes are attributed to this run even on a busy host.  The sweep
   retries briefly -- unlinks ride the resource tracker, which runs a beat
   behind process exit.
-* **crash path** -- a separate leg SIGKILLs a process holding a live lane
+* **crash paths** -- a separate leg SIGKILLs a process holding a live lane
   pool (slabs mapped, results unreleased) and asserts every tagged segment
   still vanishes: lane processes notice the dead parent and exit, and the
-  shared resource tracker unlinks the registered slabs behind them.
+  shared resource tracker unlinks the registered slabs behind them.  A
+  second leg SIGKILLs a process holding a three-node ``TransportCluster``
+  with one worker restarted and asserts no tagged process survives: every
+  worker reads EOF once the dead parent's ends of its socket pairs close.
 
 Exits non-zero on test failure or any leak, printing what leaked.  Run it
 from the repository root:
@@ -31,6 +33,7 @@ from the repository root:
 
 import glob
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -46,7 +49,6 @@ SUITES = [
     "tests/test_shm_lanes.py",
     "tests/test_process_executor_properties.py",
 ]
-WORKER_MARKER = b"REPRO_TRANSPORT_WORKER"
 # Resource-tracker unlinks trail process exit; poll this long before calling
 # a tagged segment leaked.
 SHM_SWEEP_SECONDS = 20.0
@@ -70,6 +72,22 @@ pool = ShmLanePool(config=config, workers=2)
 handles = [pool.submit(os.urandom(1 << 18)) for _ in range(2)]
 for handle in handles:
     handle.wait()
+print("CRASH-READY", flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+# The transport crash leg: three workers, one of them killed and restarted
+# (so it was forked last and inherited the others' parent ends), then the
+# holder dies by SIGKILL.  No worker may outlive it.
+TRANSPORT_CRASH_SCRIPT = r"""
+import os, signal
+from repro.transport import TransportCluster
+
+cluster = TransportCluster(num_nodes=3)
+victim = cluster.worker_process(1)
+os.kill(victim.pid, signal.SIGKILL)
+victim.join()
+cluster.restart_node(1, recover=False)
 print("CRASH-READY", flush=True)
 os.kill(os.getpid(), signal.SIGKILL)
 """
@@ -118,8 +136,7 @@ def tagged_processes(token):
             except OSError:
                 continue
         if needle in blob:
-            marked = WORKER_MARKER in blob
-            tagged.append((pid, marked))
+            tagged.append(pid)
     return tagged
 
 
@@ -138,25 +155,62 @@ def wait_tagged_processes_gone(token, timeout=SHM_SWEEP_SECONDS):
     return orphans
 
 
+def run_crash_script(script, env):
+    """Run ``script`` in a child that SIGKILLs itself once it prints
+    CRASH-READY; return the failures (an empty list when it did).  Output
+    goes to a file, not a pipe: an orphan holding the pipe would stall the
+    check instead of failing it."""
+    with tempfile.TemporaryFile() as output:
+        returncode = subprocess.run(
+            [sys.executable, "-c", script], env=env, stdout=output
+        ).returncode
+        output.seek(0)
+        ready = b"CRASH-READY" in output.read()
+    if returncode != -signal.SIGKILL:
+        return [
+            f"crash child exited {returncode} instead of dying by "
+            "SIGKILL (the leg never exercised the crash path)"
+        ]
+    if not ready:
+        return ["crash child died before its resources were live"]
+    return []
+
+
 def crash_leg(env, tag):
     """SIGKILL a process holding a live lane pool; the tagged segments must
     still converge to zero (lanes exit on the dead parent, the shared
     resource tracker unlinks the slabs)."""
     print("[teardown-check] crash leg: SIGKILL a process holding a lane pool")
-    result = subprocess.run(
-        [sys.executable, "-c", CRASH_SCRIPT], env=env, stdout=subprocess.PIPE
-    )
-    if result.returncode != -signal.SIGKILL:
-        return [
-            f"crash child exited {result.returncode} instead of dying by "
-            "SIGKILL (the leg never exercised the crash path)"
-        ]
-    if b"CRASH-READY" not in result.stdout:
-        return ["crash child died before its lane pool was live"]
+    failures = run_crash_script(CRASH_SCRIPT, env)
+    if failures:
+        return failures
     leaked = wait_lane_segments_gone(tag)
     if leaked:
         return [f"crash path leaked shm lane segments: {leaked}"]
     return []
+
+
+def transport_crash_leg(env, token):
+    """SIGKILL a process holding a transport cluster with a restarted worker;
+    every worker must exit on its own.  Survivors are reported, then killed.
+    The dead holder's runtime dir lands in a private temp dir, removed here."""
+    print("[teardown-check] crash leg: SIGKILL a process holding a transport cluster")
+    private_tmp = tempfile.mkdtemp(prefix="repro-teardown-tmp-")
+    try:
+        failures = run_crash_script(TRANSPORT_CRASH_SCRIPT, {**env, "TMPDIR": private_tmp})
+        if failures:
+            return failures
+        orphans = wait_tagged_processes_gone(token)
+        for pid in orphans:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        if orphans:
+            return [f"transport crash path orphaned workers: pids {orphans}"]
+        return []
+    finally:
+        shutil.rmtree(private_tmp, ignore_errors=True)
 
 
 def main():
@@ -194,10 +248,8 @@ def main():
 
     failures = []
     orphans = wait_tagged_processes_gone(token)
-    if orphans:
-        for pid, marked in orphans:
-            kind = "worker (marker present)" if marked else "process"
-            failures.append(f"orphaned {kind} pid {pid} still carries the run token")
+    for pid in orphans:
+        failures.append(f"orphaned process pid {pid} still carries the run token")
     leaked_dirs = runtime_dirs() - dirs_before
     if leaked_dirs:
         failures.append(f"leaked runtime dirs: {sorted(leaked_dirs)}")
@@ -211,6 +263,7 @@ def main():
         failures.append(f"leaked /dev/shm entries: {sorted(leaked_shm)}")
 
     failures.extend(crash_leg(env, tag))
+    failures.extend(transport_crash_leg(env, token))
 
     if failures:
         for failure in failures:
