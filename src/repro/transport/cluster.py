@@ -42,8 +42,7 @@ REAP_TIMEOUT_SECONDS = 5.0
 
 
 def _reap(process: Any) -> None:
-    """Wait for a worker to exit (it does on EOF, once its proxy is closed),
-    then escalate."""
+    """Wait for a worker to exit (it does on EOF), then escalate."""
     process.join(timeout=REAP_TIMEOUT_SECONDS)
     if process.is_alive():
         process.terminate()

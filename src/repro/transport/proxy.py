@@ -138,10 +138,9 @@ class NodeProxy:
         messages: MessageCounter,
         consult_fault: Optional[Callable[[int, str], None]] = None,
     ):
-        """Wrap ``sock``, connected to node ``node_id``'s worker, and wait
-        (at most :data:`START_TIMEOUT_SECONDS`) for the worker to answer a
-        ``ping``.  A worker that dies or hangs before answering raises
-        :class:`~repro.errors.TransportError`; the socket is closed then."""
+        """Wrap ``sock``, connected to node ``node_id``'s worker, and wait up to
+        :data:`START_TIMEOUT_SECONDS` for its first ``ping`` answer; a worker
+        that dies or hangs first raises :class:`~repro.errors.TransportError`."""
         self.node_id = node_id
         self.messages = messages
         self._consult_fault = consult_fault
@@ -183,10 +182,11 @@ class NodeProxy:
             self._sock = None
             self._recv_cond.notify_all()
         if sock is not None:
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover
+            try:  # EOF for the worker even while forked siblings hold copies of this end
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:  # pragma: no cover - the peer is already gone
                 pass
+            sock.close()
 
     def _dead_reason(self) -> Optional[str]:
         with self._recv_cond:

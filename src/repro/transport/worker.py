@@ -24,11 +24,11 @@ Requests run inline, one at a time: with a single connection there is
 nothing to keep responsive while the node's data plane executes, and inline
 execution is what makes FIFO trivial rather than queued.
 
-The worker exits when its connection reaches EOF -- the parent closed its
-end, or died (SIGKILL, test crash) and the kernel closed it -- and on a
-train it cannot decode.  EOF is the one stop signal: a vanished parent must
-never leave orphan workers behind (the CI teardown check asserts exactly
-this).
+The worker exits when its connection reaches EOF -- the parent's proxy shut
+its end down, or the parent died (SIGKILL, test crash) and every copy of
+its end closed -- and on a train it cannot decode.  EOF is the one stop
+signal: a vanished parent must never leave orphan workers behind (the CI
+teardown check asserts exactly this).
 """
 
 from __future__ import annotations

@@ -141,3 +141,4 @@ class ThreadCarrier:
             handle.close()
         for thread in self._threads:
             thread.join(timeout=5.0)
+            assert not thread.is_alive()

@@ -6,6 +6,9 @@ Covers the three layers of :mod:`repro.transport`:
 * the :class:`~repro.transport.cluster.TransportCluster` RPC surface against
   live worker processes, including wire-level message accounting and the
   pipelined send path;
+* the start path: each worker on one end of a socket pair (any ``TMPDIR``,
+  ``fork`` or ``spawn``), one bounded wait for its first answer, and exit
+  on EOF;
 * the lifecycle acceptance path: a SIGKILLed worker is detected as a lost
   connection, restore reads fail over to ring replicas under the
   :class:`~repro.cluster.replication.FailoverPolicy`, and the restarted
@@ -245,6 +248,20 @@ class TestWorkerExit:
             elapsed = time.monotonic() - started
         assert elapsed < REAP_TIMEOUT_SECONDS / 5
 
+    def test_restarting_a_live_worker_ends_it_on_eof(self):
+        # Workers forked after node 0's hold copies of the parent's end of
+        # its pair; closing the proxy must still reach node 0 as EOF.
+        cluster = TransportCluster(num_nodes=3)
+        try:
+            old = cluster.worker_process(0)
+            started = time.monotonic()
+            cluster.restart_node(0, recover=False)
+            assert time.monotonic() - started < REAP_TIMEOUT_SECONDS / 5
+            assert old.exitcode == 0
+            assert cluster.node_proxies[0].call("ping")[0]["ok"]
+        finally:
+            cluster.close()
+
     def test_worker_exits_once_the_parent_end_closes(self):
         # The worker closes its inherited copy of the parent's end first:
         # otherwise closing the parent's end would never reach it as EOF.
@@ -284,9 +301,8 @@ class TestWorkerStart:
     and one bounded wait, for the first ``ping``, before a start fails."""
 
     def test_long_tempdir_backs_up_and_restores(self, tmp_path, monkeypatch):
-        long_dir = tmp_path / ("d" * (101 - len(str(tmp_path))))
+        long_dir = tmp_path / ("d" * 100)
         long_dir.mkdir()
-        assert len(str(long_dir)) > 100
         monkeypatch.setattr(tempfile, "tempdir", str(long_dir))
         files = [("a", bytes(range(256)) * 64), ("b", b"sigma" * 5000)]
         with SigmaDedupe(num_nodes=2, transport="process", container_backend="file") as framework:
@@ -321,22 +337,16 @@ class TestWorkerStart:
         try:
             assert cluster._mp_context.get_start_method() == "spawn"
             stored = ingest_tracked(cluster, [[1, 2, 3, 4], [5, 6, 7, 8]])
-            for node_id in range(2):
-                requests = [
-                    (fingerprint, value[1])
-                    for fingerprint, value in stored.items()
-                    if value[0] == node_id
-                ]
-                expected = [value[2] for value in stored.values() if value[0] == node_id]
-                assert cluster.read_chunks(node_id, requests) == expected
+
+            def read_back():
+                for node_id in range(2):
+                    requests, expected = reads_of(stored, node_id)
+                    assert cluster.read_chunks(node_id, requests) == expected
+
+            read_back()
             victim = next(iter(stored.values()))[0]
             assert cluster.restart_node(victim)["recovered_chunks"] > 0
-            requests = [
-                (fingerprint, value[1]) for fingerprint, value in stored.items()
-                if value[0] == victim
-            ]
-            expected = [value[2] for value in stored.values() if value[0] == victim]
-            assert cluster.read_chunks(victim, requests) == expected
+            read_back()
             assert cluster.replication.failover_reads == 0
         finally:
             cluster.close()
@@ -444,6 +454,16 @@ def ingest_tracked(cluster, seeds_groups, length=256):
             )
     cluster.flush()
     return stored
+
+
+def reads_of(stored, node_id):
+    """The ``(fingerprint, container id)`` requests for ``node_id``'s tracked
+    chunks, and the data they must return."""
+    mine = [(fingerprint, value) for fingerprint, value in stored.items() if value[0] == node_id]
+    return (
+        [(fingerprint, value[1]) for fingerprint, value in mine],
+        [value[2] for _fingerprint, value in mine],
+    )
 
 
 class TestWorkerCrashFailover:
