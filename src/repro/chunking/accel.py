@@ -8,6 +8,7 @@ the host C compiler into ``$XDG_CACHE_HOME/repro`` (else ``~/.cache/repro``) and
 called through :mod:`ctypes`, which releases the GIL for the whole scan.  The
 library is module state: forked lanes and node workers inherit the mapping,
 and chunkers stay picklable because they hold no handle themselves.
+:func:`compiled` builds any source this way (the VM image generator too).
 
 For :meth:`~repro.chunking.base.Chunker.committed_segments` the same call also
 hashes each chunk it commits, through the EVP entry points of the libcrypto
@@ -116,8 +117,8 @@ class _Evp(ctypes.Structure):
     ]
 
 
-def _compile(path: str) -> Optional[str]:
-    """Build the kernel at ``path`` with ``$CC``, else the first installed of
+def _compile(path: str, source: bytes) -> Optional[str]:
+    """Build ``source`` at ``path`` with ``$CC``, else the first installed of
     ``sysconfig``'s ``CC`` and ``cc`` (temp file + ``os.replace``: a racing
     process only ever sees a whole library); the failure reason, or None."""
     candidates = (sysconfig.get_config_var("CC"), "cc")
@@ -129,7 +130,7 @@ def _compile(path: str) -> Optional[str]:
     os.close(handle)
     command = [*shlex.split(compiler), "-O3", "-shared", "-fPIC", "-x", "c", "-", "-o", scratch]
     try:
-        done = subprocess.run(command, input=_SOURCE, capture_output=True, timeout=120)
+        done = subprocess.run(command, input=source, capture_output=True, timeout=120)
         if done.returncode:
             stderr = done.stderr.decode(errors="replace").strip()
             return f"{compiler} exited with status {done.returncode}: {stderr}"
@@ -140,29 +141,33 @@ def _compile(path: str) -> Optional[str]:
             os.unlink(scratch)
 
 
-def _bind(path: str) -> Any:
-    kernel = ctypes.CDLL(path).gear_cut_digest
-    size, word, pointer = ctypes.c_size_t, ctypes.c_uint64, ctypes.c_void_p
-    sizes, words = ctypes.POINTER(size), ctypes.POINTER(word)
-    kernel.restype = size
-    kernel.argtypes = [
-        pointer, size, size, words, word, word, *[size] * 3, sizes, size,
-        pointer, ctypes.POINTER(_Evp), pointer,
-    ]
-    return kernel
+@functools.lru_cache(maxsize=None)
+def _kernel() -> Tuple[Any, str]:
+    """``(kernel function or None, library path or failure reason)``."""
+    kernel, detail = compiled("gear", _SOURCE, "gear_cut_digest")
+    if kernel is not None:
+        size, word, pointer = ctypes.c_size_t, ctypes.c_uint64, ctypes.c_void_p
+        sizes, words = ctypes.POINTER(size), ctypes.POINTER(word)
+        kernel.restype = size
+        kernel.argtypes = [
+            pointer, size, size, words, word, word, *[size] * 3, sizes, size,
+            pointer, ctypes.POINTER(_Evp), pointer,
+        ]
+    return kernel, detail
 
 
 @functools.lru_cache(maxsize=None)  # per process; forked lanes and workers inherit it
-def _kernel() -> Tuple[Any, str]:
-    """``(kernel function or None, library path or failure reason)``."""
+def compiled(stem: str, source: bytes, symbol: str) -> Tuple[Any, str]:
+    """``(C function `symbol` of `source` or None, library path or failure reason)``:
+    built once per (source, platform) as ``<stem>-<key>.so``, as the module docstring says."""
     try:
-        return _load()
+        return _load(stem, source, symbol)
     except (OSError, subprocess.SubprocessError) as error:  # unrunnable $CC, no temp dir
         return None, f"kernel build failed: {error}"
 
 
-def _load() -> Tuple[Any, str]:
-    key = hashlib.sha256(_SOURCE + sysconfig.get_platform().encode()).hexdigest()[:16]
+def _load(stem: str, source: bytes, symbol: str) -> Tuple[Any, str]:
+    key = hashlib.sha256(source + sysconfig.get_platform().encode()).hexdigest()[:16]
     home = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
     cache = os.path.join(home, "repro")
     try:
@@ -175,16 +180,16 @@ def _load() -> Tuple[Any, str]:
     # No usable cache: build in a private directory removed before returning
     # (an unlinked library stays mapped), so nothing is left in the temp dir.
     directory = cache if cached else tempfile.mkdtemp(prefix="repro-kernel-")
-    path = os.path.join(directory, f"gear-{key}.so")
+    path = os.path.join(directory, f"{stem}-{key}.so")
     try:
-        reason = None if os.path.exists(path) else _compile(path)
+        reason = None if os.path.exists(path) else _compile(path, source)
         for rebuild in (True, False):
             if reason is None:
                 try:
-                    return _bind(path), path
+                    return getattr(ctypes.CDLL(path), symbol), path
                 except (OSError, AttributeError) as error:
                     # A truncated or foreign-architecture entry is rebuilt once.
-                    reason = _compile(path) if rebuild else f"cannot load {path}: {error}"
+                    reason = _compile(path, source) if rebuild else f"cannot load {path}: {error}"
         return None, reason
     finally:
         if not cached:

@@ -30,7 +30,7 @@ import zlib
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import CompressionError
-from repro.utils.buffers import borrowed, c_api
+from repro.utils.buffers import Output, borrowed
 
 if TYPE_CHECKING:
     from repro.storage.container import SectionBuffer
@@ -157,36 +157,6 @@ def _deflaters(library: Any) -> _Deflaters:
     return deflaters
 
 
-_new_bytes = c_api("PyBytes_FromStringAndSize", [ctypes.c_void_p, ctypes.c_ssize_t], ctypes.c_void_p)
-_bytes_data = c_api("PyBytes_AsString", [ctypes.c_void_p], ctypes.c_void_p)
-_resize_bytes = c_api("_PyBytes_Resize", [ctypes.POINTER(ctypes.c_void_p), ctypes.c_ssize_t], ctypes.c_int)
-_decref = c_api("Py_DecRef", [ctypes.c_void_p], None)
-
-
-class _Output:
-    """A fresh ``bytes`` object for C to write at ``address``, which
-    ``finish(size)`` shrinks where it lies and returns: outputs are never
-    copied.  Only ``raw`` reaches it until then, so writing and resizing it
-    are sound; an unfinished one is freed on exit."""
-
-    __slots__ = ("raw", "address")
-
-    def __init__(self, capacity: int) -> None:
-        self.raw = ctypes.c_void_p(_new_bytes(None, capacity))
-        self.address: int = _bytes_data(self.raw)
-
-    def __enter__(self) -> "_Output":
-        return self
-
-    def finish(self, size: int) -> bytes:
-        _resize_bytes(ctypes.byref(self.raw), size)  # on failure: freed, ``raw`` NULL
-        finished: bytes = ctypes.cast(self.raw, ctypes.py_object).value  # a reference of its own
-        return finished
-
-    def __exit__(self, *exc_info: Any) -> None:
-        _decref(self.raw)
-
-
 class ZlibCodec(CompressionCodec):
     """Deflate at a speed-biased level in the zlib stream format: through
     libdeflate where it can be bound (:func:`codec_status`), else the stdlib
@@ -205,7 +175,7 @@ class ZlibCodec(CompressionCodec):
         compressor = _deflaters(library).compressor
         with borrowed(section) as view:
             bound = library.libdeflate_zlib_compress_bound(compressor, view.len)
-            with _Output(bound) as out:
+            with Output(bound) as out:
                 # Never 0 (failure): the output holds the bound.
                 return out.finish(library.libdeflate_zlib_compress(
                     compressor, view.buf, view.len, out.address, bound))
@@ -221,7 +191,7 @@ class ZlibCodec(CompressionCodec):
                 raise CompressionError(f"zlib spill blob inflates past {expected_size} bytes")
             return section
         decompressor, size = _deflaters(library).decompressor, ctypes.c_size_t()
-        with borrowed(blob) as view, _Output(expected_size) as out:
+        with borrowed(blob) as view, Output(expected_size) as out:
             failed = library.libdeflate_zlib_decompress(
                 decompressor, view.buf, view.len, out.address, expected_size, ctypes.byref(size))
             if failed:  # 1: bad data; 3: inflates past expected_size

@@ -1,8 +1,9 @@
-"""Borrowing a buffer's bytes in place for a :mod:`ctypes` call.
+"""Borrowing a buffer's bytes in place for a :mod:`ctypes` call, and
+:class:`Output`, a fresh ``bytes`` for C to write into.
 
 The one way ``src/`` hands a Python buffer to C: the compiled gear scan
 (:mod:`repro.chunking.accel`) and the libdeflate spill codec
-(:mod:`repro.storage.compression`) both read their input through it.
+(:mod:`repro.storage.compression`) read through it; the codec and the VM block generator write to an Output.
 """
 
 from __future__ import annotations
@@ -19,6 +20,36 @@ def c_api(name: str, argtypes: List[Any], restype: Any) -> Any:
     call = ctypes.pythonapi[name]
     call.argtypes, call.restype = argtypes, restype
     return call
+
+
+_new_bytes = c_api("PyBytes_FromStringAndSize", [ctypes.c_void_p, ctypes.c_ssize_t], ctypes.c_void_p)
+_bytes_data = c_api("PyBytes_AsString", [ctypes.c_void_p], ctypes.c_void_p)
+_resize_bytes = c_api("_PyBytes_Resize", [ctypes.POINTER(ctypes.c_void_p), ctypes.c_ssize_t], ctypes.c_int)
+_decref = c_api("Py_DecRef", [ctypes.c_void_p], None)
+
+
+class Output:
+    """A fresh ``bytes`` object for C to write at ``address``, which
+    ``finish(size)`` shrinks where it lies and returns: outputs are never
+    copied.  Only ``raw`` reaches it until then, so writing and resizing it
+    are sound; an unfinished one is freed on exit."""
+
+    __slots__ = ("raw", "address")
+
+    def __init__(self, capacity: int) -> None:
+        self.raw = ctypes.c_void_p(_new_bytes(None, capacity))
+        self.address: int = _bytes_data(self.raw)
+
+    def __enter__(self) -> "Output":
+        return self
+
+    def finish(self, size: int) -> bytes:
+        _resize_bytes(ctypes.byref(self.raw), size)  # on failure: freed, ``raw`` NULL
+        finished: bytes = ctypes.cast(self.raw, ctypes.py_object).value  # a reference of its own
+        return finished
+
+    def __exit__(self, *exc_info: Any) -> None:
+        _decref(self.raw)
 
 
 class _PyBuffer(ctypes.Structure):

@@ -178,6 +178,8 @@ class SyntheticWorkload(ContentWorkload):
             raise WorkloadError("files_per_generation must be >= 1")
         if file_size < 1:
             raise WorkloadError("file_size must be >= 1")
+        if not 0.0 <= change_fraction <= 1.0:
+            raise WorkloadError("change_fraction must be within [0, 1]")
         self.num_generations = num_generations
         self.files_per_generation = files_per_generation
         self.file_size = file_size

@@ -119,7 +119,7 @@ class VersionedSourceWorkload(ContentWorkload):
         evolved = dict(tree)
         paths = sorted(evolved.keys())
         # Localised edits to a fraction of files.
-        num_changed = max(1, int(len(paths) * self.change_fraction))
+        num_changed = max(1, int(len(paths) * self.change_fraction)) if self.change_fraction else 0
         for _ in range(num_changed):
             path = rng.choice(paths)
             evolved[path] += 1

@@ -64,6 +64,15 @@ class TestVersionedSourceWorkload:
         with pytest.raises(WorkloadError):
             VersionedSourceWorkload(change_fraction=2.0)
 
+    def test_zero_fractions_keep_the_tree_and_its_contents(self):
+        workload = VersionedSourceWorkload(
+            num_versions=3, files_per_version=15, change_fraction=0.0, churn_fraction=0.0
+        )
+        trees = [
+            {file.path: file.data for file in snapshot.files} for snapshot in workload.snapshots()
+        ]
+        assert trees[0] == trees[1] == trees[2]
+
     def test_has_file_metadata(self):
         assert VersionedSourceWorkload().has_file_metadata is True
 
@@ -107,3 +116,20 @@ class TestVMBackupWorkload:
             VMBackupWorkload(base_image_size=100)
         with pytest.raises(WorkloadError):
             VMBackupWorkload(size_skew=0.5)
+
+    @pytest.mark.parametrize("change_fraction", [-0.5, 1.01, 7.0])
+    def test_change_fraction_out_of_range(self, change_fraction):
+        with pytest.raises(WorkloadError):
+            VMBackupWorkload(change_fraction=change_fraction)
+
+    def test_zero_change_fraction_keeps_every_image(self):
+        workload = VMBackupWorkload(
+            num_backups=3, num_vms=2, base_image_size=64 * 1024, change_fraction=0.0
+        )
+        images = [[file.data for file in snapshot.files] for snapshot in workload.snapshots()]
+        assert images[0] == images[1] == images[2]
+
+    def test_full_change_fraction_is_accepted(self):
+        workload = VMBackupWorkload(num_backups=2, num_vms=1, base_image_size=8192, change_fraction=1.0)
+        first, second = ([file.data for file in snapshot.files] for snapshot in workload.snapshots())
+        assert first != second

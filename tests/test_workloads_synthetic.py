@@ -124,6 +124,18 @@ class TestSyntheticWorkload:
         with pytest.raises(WorkloadError):
             SyntheticWorkload(file_size=0)
 
+    @pytest.mark.parametrize("change_fraction", [-0.5, 1.5, 7.0])
+    def test_change_fraction_out_of_range_fails_at_construction(self, change_fraction):
+        with pytest.raises(WorkloadError):
+            SyntheticWorkload(change_fraction=change_fraction)
+
+    def test_zero_change_fraction_keeps_every_file(self):
+        workload = SyntheticWorkload(
+            num_generations=3, files_per_generation=2, file_size=4096, change_fraction=0.0
+        )
+        payloads = [[file.data for file in snapshot.files] for snapshot in workload.snapshots()]
+        assert payloads[0] == payloads[1] == payloads[2]
+
     def test_describe(self):
         workload = SyntheticWorkload(num_generations=2, files_per_generation=3, file_size=1024)
         info = workload.describe()
