@@ -109,6 +109,7 @@ STREAMING_MODULES: FrozenSet[str] = frozenset(
         "parallel/shm.py",
         "cluster/client.py",
         "workloads/base.py",
+        "workloads/mersenne.py",
         "workloads/synthetic.py",
         "workloads/versioned_source.py",
         "workloads/vm_images.py",

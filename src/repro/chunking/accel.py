@@ -8,7 +8,7 @@ the host C compiler into ``$XDG_CACHE_HOME/repro`` (else ``~/.cache/repro``) and
 called through :mod:`ctypes`, which releases the GIL for the whole scan.  The
 library is module state: forked lanes and node workers inherit the mapping,
 and chunkers stay picklable because they hold no handle themselves.
-:func:`compiled` builds any source this way (the VM image generator too).
+:func:`compiled` builds any source this way (the Mersenne Twister too).
 
 For :meth:`~repro.chunking.base.Chunker.committed_segments` the same call also
 hashes each chunk it commits, through the EVP entry points of the libcrypto
@@ -144,7 +144,8 @@ def _compile(path: str, source: bytes) -> Optional[str]:
 @functools.lru_cache(maxsize=None)
 def _kernel() -> Tuple[Any, str]:
     """``(kernel function or None, library path or failure reason)``."""
-    kernel, detail = compiled("gear", _SOURCE, "gear_cut_digest")
+    kernels, detail = compiled("gear", _SOURCE, "gear_cut_digest")
+    kernel = kernels and kernels[0]
     if kernel is not None:
         size, word, pointer = ctypes.c_size_t, ctypes.c_uint64, ctypes.c_void_p
         sizes, words = ctypes.POINTER(size), ctypes.POINTER(word)
@@ -157,16 +158,16 @@ def _kernel() -> Tuple[Any, str]:
 
 
 @functools.lru_cache(maxsize=None)  # per process; forked lanes and workers inherit it
-def compiled(stem: str, source: bytes, symbol: str) -> Tuple[Any, str]:
-    """``(C function `symbol` of `source` or None, library path or failure reason)``:
-    built once per (source, platform) as ``<stem>-<key>.so``, as the module docstring says."""
+def compiled(stem: str, source: bytes, *symbols: str) -> Tuple[Any, str]:
+    """``(the C functions `symbols` of `source`, in order, or None, library path or failure
+    reason)``: built once per (source, platform) as ``<stem>-<key>.so``, as the module docstring says."""
     try:
-        return _load(stem, source, symbol)
+        return _load(stem, source, symbols)
     except (OSError, subprocess.SubprocessError) as error:  # unrunnable $CC, no temp dir
         return None, f"kernel build failed: {error}"
 
 
-def _load(stem: str, source: bytes, symbol: str) -> Tuple[Any, str]:
+def _load(stem: str, source: bytes, symbols: Tuple[str, ...]) -> Tuple[Any, str]:
     key = hashlib.sha256(source + sysconfig.get_platform().encode()).hexdigest()[:16]
     home = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
     cache = os.path.join(home, "repro")
@@ -186,7 +187,8 @@ def _load(stem: str, source: bytes, symbol: str) -> Tuple[Any, str]:
         for rebuild in (True, False):
             if reason is None:
                 try:
-                    return getattr(ctypes.CDLL(path), symbol), path
+                    library = ctypes.CDLL(path)
+                    return tuple(getattr(library, symbol) for symbol in symbols), path
                 except (OSError, AttributeError) as error:
                     # A truncated or foreign-architecture entry is rebuilt once.
                     reason = _compile(path, source) if rebuild else f"cannot load {path}: {error}"

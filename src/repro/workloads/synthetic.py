@@ -19,6 +19,11 @@ from repro.workloads.base import (
     ContentWorkload,
     WorkloadFile,
 )
+from repro.workloads.mersenne import randbytes
+
+#: The shortest draw made in C, where it overtakes ``random.Random.randbytes``
+#: with a margin (``docs/runs/PR-33.md`` has the table that timed both sides).
+_KERNEL_MIN = 32 * 1024
 
 
 class SyntheticDataGenerator:
@@ -26,7 +31,9 @@ class SyntheticDataGenerator:
 
     ``seed`` may be any value :class:`random.Random` accepts (int or str);
     string seeds let workload generators derive independent per-file streams
-    such as ``f"{seed}:{path}"``.
+    such as ``f"{seed}:{path}"``.  Draws of ``_KERNEL_MIN`` bytes or more continue
+    its state in C, the same bytes (:func:`~repro.workloads.mersenne.randbytes`,
+    not atomic): a generator belongs to one thread.
     """
 
     def __init__(self, seed: "int | str" = 2012):
@@ -39,7 +46,9 @@ class SyntheticDataGenerator:
             raise WorkloadError("length must be non-negative")
         if length == 0:
             return b""
-        return self._rng.randbytes(length)
+        if length < _KERNEL_MIN:
+            return self._rng.randbytes(length)
+        return randbytes(self._rng, length)
 
     def unique_byte_blocks(
         self, length: int, block_size: int = DEFAULT_STREAM_BLOCK_SIZE
@@ -56,7 +65,8 @@ class SyntheticDataGenerator:
             raise WorkloadError("block_size must be >= 1")
         remaining = length
         while remaining > 0:
-            block = self._rng.randbytes(min(block_size, remaining))
+            size = min(block_size, remaining)
+            block = self._rng.randbytes(size) if size < _KERNEL_MIN else randbytes(self._rng, size)
             remaining -= len(block)
             yield block
 

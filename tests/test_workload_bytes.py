@@ -1,26 +1,26 @@
 """The content workloads' bytes, pinned.
 
 Golden sha256 digests, recorded from the pure-Python generators before the
-compiled VM block generator existed, hold every content generator to its
-bytes.  The compiled generator (``mt_blocks``) is held to
-``random.Random(seed).randbytes`` for any str seed and every partial last
-word, and the VM stream must be the same bytes without it.
+compiled Mersenne Twister existed, hold every content generator to its bytes,
+with and without it.  Its two entry points are held to ``random.Random``:
+``seeded_blocks`` to ``random.Random(seed).randbytes`` for any str seed and
+every partial last word, ``randbytes`` to ``rng.randbytes`` from any state,
+in bytes and in the state it leaves.
 """
 
-import ctypes
 import hashlib
-import itertools
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.utils.buffers import Output
-from repro.workloads import vm_images
+from repro.errors import WorkloadError
+from repro.workloads import mersenne
 from repro.workloads.base import DEFAULT_STREAM_BLOCK_SIZE
-from repro.workloads.synthetic import SyntheticWorkload
+from repro.workloads.mersenne import generator_status
+from repro.workloads.synthetic import _KERNEL_MIN, SyntheticDataGenerator, SyntheticWorkload
 from repro.workloads.versioned_source import VersionedSourceWorkload
-from repro.workloads.vm_images import VM_BLOCK_SIZE, VMBackupWorkload, generator_status
+from repro.workloads.vm_images import VM_BLOCK_SIZE, VMBackupWorkload
 
 requires_generator = pytest.mark.skipif(not generator_status()[0], reason=generator_status()[1])
 
@@ -55,6 +55,12 @@ GOLDEN = {
         lambda: SyntheticWorkload(num_generations=3, files_per_generation=3, file_size=5000, seed=7),
         "6329f1b5c277e5a5619dd32a3d58f0acc44c5582f808216b8fac3cb998801d12",
     ),
+    # Files above the cut-over whose 256-byte edits are below it: each
+    # ``evolve`` chain draws on both paths.
+    "synthetic-large": (
+        lambda: SyntheticWorkload(num_generations=3, files_per_generation=2, file_size=100_003, seed=11),
+        "a3c565399bb16d7608a2f5e39ab85f4981885c77acdd91a583afd0749cc90d0a",
+    ),
     "versioned-source": (
         lambda: VersionedSourceWorkload(num_versions=3, files_per_version=12, mean_file_size=2048, seed=5),
         "fa945a83d6b87796c3779c31714601e7cdae3d25ac31d063ef5fa6264058227c",
@@ -64,10 +70,26 @@ GOLDEN = {
 }
 
 
+def fresh_full_file():
+    """The first ``fresh_full`` input of the system benchmark (seed 2012)."""
+    return SyntheticDataGenerator("2012:fresh_full:0").unique_bytes(8 << 20)
+
+
+def block_stream():
+    # 3 MiB + 5 bytes in 1 MiB blocks: the last block ends on a partial word.
+    return b"".join(SyntheticDataGenerator("blocks").unique_byte_blocks(3 * (1 << 20) + 5, 1 << 20))
+
+
+BUFFERS = {
+    "fresh-full-8mib": (fresh_full_file, "7a8c3fc98310586a7ed565391dc93db45416041d3255b35cb472f6741eed2c12"),
+    "blocks-3mib+5": (block_stream, "384bd2c0a238ebc27824e3b699d3df183004698b83f453a00415fc49c70a1773"),
+}
+
+
 @pytest.fixture
 def no_generator(monkeypatch):
-    """The VM workload as on a host where ``mt_blocks`` cannot be built."""
-    monkeypatch.setattr(vm_images, "_generator", lambda: (None, "forced unavailable"))
+    """The content generators as on a host where the kernel cannot be built."""
+    monkeypatch.setattr(mersenne, "_kernels", lambda: (None, "forced unavailable"))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -76,10 +98,19 @@ def test_generator_bytes_are_pinned(name):
     assert workload_digest(factory()) == expected
 
 
-@pytest.mark.parametrize("name", ["vm-fleet", "vm-pair"])
-def test_vm_bytes_are_pinned_without_the_compiled_generator(name, no_generator):
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_generator_bytes_are_pinned_without_the_compiled_generator(name, no_generator):
     factory, expected = GOLDEN[name]
     assert workload_digest(factory()) == expected
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "fallback"])
+@pytest.mark.parametrize("name", sorted(BUFFERS))
+def test_benchmark_scale_buffers_are_pinned(name, compiled, monkeypatch):
+    if not compiled:
+        monkeypatch.setattr(mersenne, "_kernels", lambda: (None, "forced unavailable"))
+    factory, expected = BUFFERS[name]
+    assert hashlib.sha256(factory()).hexdigest() == expected
 
 
 def images(workload):
@@ -88,7 +119,7 @@ def images(workload):
 
 def test_vm_stream_is_the_same_without_the_generator_in_4k_blocks(monkeypatch):
     compiled = images(vm_fleet())
-    monkeypatch.setattr(vm_images, "_generator", lambda: (None, "forced unavailable"))
+    monkeypatch.setattr(mersenne, "_kernels", lambda: (None, "forced unavailable"))
     assert images(vm_fleet()) == compiled
     for entry in next(vm_fleet().snapshots()).files:
         sizes = [len(block) for block in entry.source()]
@@ -105,15 +136,6 @@ def test_vm_images_stream_in_batches_that_iter_blocks_passes_through():
             assert all(len(batch) == DEFAULT_STREAM_BLOCK_SIZE for batch in batches[:-1])
             assert sum(map(len, batches)) == entry.size
             assert list(entry.iter_blocks()) == batches  # not re-sliced
-
-
-def generate(seeds, block_size, length):
-    """``mt_blocks`` over one batch: block ``b`` from ``seeds[b]``."""
-    keys = [seed.encode() + hashlib.sha512(seed.encode()).digest() for seed in seeds]
-    ends = (ctypes.c_size_t * len(keys))(*itertools.accumulate(map(len, keys)))
-    with Output(length) as out:
-        vm_images._generator()[0](b"".join(keys), ends, len(keys), block_size, length, out.address)
-        return out.finish(length)
 
 
 def reference(seeds, block_size, length):
@@ -136,19 +158,108 @@ class TestCompiledGenerator:
     @example(seed="∑-Dedupe", length=4099)
     @settings(max_examples=300, deadline=None)
     def test_one_block_equals_random_randbytes(self, seed, length):
-        assert generate([seed], length, length) == random.Random(seed).randbytes(length)
+        assert mersenne.seeded_blocks([seed], length, length) == random.Random(seed).randbytes(length)
 
     @given(seeds=st.lists(st.text(max_size=40), min_size=1, max_size=4), block_size=lengths, data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_a_batch_equals_one_random_per_block(self, seeds, block_size, data):
         last = data.draw(st.integers(min_value=0, max_value=block_size))
         length = (len(seeds) - 1) * block_size + last
-        assert generate(seeds, block_size, length) == reference(seeds, block_size, length)
+        assert mersenne.seeded_blocks(seeds, block_size, length) == reference(seeds, block_size, length)
 
     def test_status_names_the_cached_library(self):
         available, detail = generator_status()
-        assert available and detail.endswith(".so") and "mt-blocks-" in detail
+        assert available and detail.endswith(".so") and "mersenne-" in detail
 
 
 def test_status_says_why_when_the_generator_is_unavailable(no_generator):
     assert generator_status() == (False, "forced unavailable")
+
+
+def drawn(seed, draws, odd):
+    """A ``random.Random(seed)`` after ``draws`` ``random()`` calls (two words
+    each) and, if ``odd``, one more word: its index at any offset."""
+    rng = random.Random(seed)
+    for _ in range(draws):
+        rng.random()
+    if odd:
+        rng.getrandbits(32)
+    return rng
+
+
+seeds = st.one_of(st.integers(), st.text(max_size=12), st.binary(max_size=12))
+# Around the cut-over, and around whole twists (624 words = 2 496 bytes).
+cut_over_lengths = st.sampled_from([_KERNEL_MIN - 1, _KERNEL_MIN, _KERNEL_MIN + 1])
+twist_lengths = st.builds(lambda k, d: max(1, 2496 * k + d), st.integers(0, 40), st.integers(-3, 3))
+
+
+@requires_generator
+class TestCompiledRandbytes:
+    @given(seed=seeds, draws=st.integers(0, 700), odd=st.booleans(), length=st.one_of(cut_over_lengths, twist_lengths))
+    @example(seed=2012, draws=312, odd=False, length=_KERNEL_MIN)  # index exactly 624
+    @example(seed="x", draws=311, odd=True, length=2497)  # index 623: a twist after one word
+    @example(seed=b"", draws=0, odd=False, length=1)
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_continues_random_randbytes(self, seed, draws, odd, length):
+        kernel, reference = drawn(seed, draws, odd), drawn(seed, draws, odd)
+        assert mersenne.randbytes(kernel, length) == reference.randbytes(length)
+        assert kernel.getstate() == reference.getstate()
+        assert kernel.randrange(10**12) == reference.randrange(10**12)
+        assert kernel.random() == reference.random()
+
+    @given(seed=seeds, draws=st.integers(0, 700), length=cut_over_lengths)
+    @settings(max_examples=30, deadline=None)
+    def test_unique_bytes_equals_random_randbytes_around_the_cut_over(self, seed, draws, length):
+        generator, reference = SyntheticDataGenerator(seed), drawn(seed, draws, False)
+        for _ in range(draws):
+            generator.random()
+        assert generator.unique_bytes(length) == reference.randbytes(length)
+        assert generator._rng.getstate() == reference.getstate()
+        follower = SyntheticDataGenerator(seed)
+        follower._rng.setstate(reference.getstate())
+        data = reference.randbytes(3000)
+        assert generator.evolve(data, 0.1) == follower.evolve(data, 0.1)
+        assert generator.random() == follower.random()
+
+
+@pytest.mark.parametrize("length", [_KERNEL_MIN - 1, _KERNEL_MIN, 3 * _KERNEL_MIN + 3])
+def test_unique_bytes_are_the_same_without_the_kernel(length, no_generator):
+    generator = SyntheticDataGenerator("fallback")
+    reference = random.Random("fallback")
+    assert generator.unique_bytes(length) == reference.randbytes(length)
+    assert generator._rng.getstate() == reference.getstate()
+
+
+def raised(call):
+    try:
+        call()
+    except Exception as error:  # noqa: BLE001 - the error itself is the result
+        return type(error), str(error)
+    return None
+
+
+def parent_unique_bytes(length):
+    """``unique_bytes`` as it was before the kernel: ``random.Random.randbytes``."""
+    if length < 0:
+        raise WorkloadError("length must be non-negative")
+    return random.Random(1).randbytes(length) if length else b""
+
+
+def parent_unique_byte_blocks(length, block_size):
+    if length < 0:
+        raise WorkloadError("length must be non-negative")
+    rng, remaining = random.Random(1), length
+    while remaining > 0:
+        block = rng.randbytes(min(block_size, remaining))
+        remaining -= len(block)
+        yield block
+
+
+@pytest.mark.parametrize(
+    "length", [-1, -_KERNEL_MIN, 1.5, float(_KERNEL_MIN), float(4 * _KERNEL_MIN) + 0.5, "4", None]
+)
+def test_bad_lengths_raise_what_random_randbytes_raised(length):
+    error = raised(lambda: SyntheticDataGenerator(1).unique_bytes(length))
+    assert error is not None and error == raised(lambda: parent_unique_bytes(length))
+    blocks_error = raised(lambda: list(SyntheticDataGenerator(1).unique_byte_blocks(length, _KERNEL_MIN)))
+    assert blocks_error == raised(lambda: list(parent_unique_byte_blocks(length, _KERNEL_MIN)))
