@@ -118,7 +118,6 @@ from repro.core.framework import SigmaDedupe
 from repro.core.partitioner import PartitionerConfig, StreamPartitioner
 from repro.fingerprint.fingerprinter import Fingerprinter
 from repro.node.dedupe_node import NodeConfig
-from repro.storage.compression import resolve_compression
 from repro.workloads.synthetic import SyntheticDataGenerator
 
 AVERAGE_CHUNK_SIZE = 4096
@@ -799,7 +798,7 @@ def run(scale: str) -> Dict:
         # Compressed spill: the same interleaved two-generation session over a
         # compressible payload, batched restore on raw vs compressed spill
         # files, plus the raw/stored spill byte totals.
-        codec = resolve_compression("auto")
+        codec = "zlib"
         compressible = compressible_bytes(generator, total_bytes // 2)
         plain_framework, plain_session, plain_logical = build_restore_session(
             str(Path(spill_dir) / "restore-plain"), compressible, compression="none"

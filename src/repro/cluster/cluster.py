@@ -277,11 +277,7 @@ class DedupeCluster(ClusterView):
     def mark_node_up(self, node_id: int) -> None:
         self.handle(node_id).mark_up()
 
-    def recover_storage(
-        self,
-        handprint_size: int = DEFAULT_HANDPRINT_SIZE,
-        verify_data: bool = True,
-    ) -> List[NodeRecovery]:
+    def recover_storage(self, handprint_size: int = DEFAULT_HANDPRINT_SIZE) -> List[NodeRecovery]:
         """Replay every node's manifest journal and rebuild its indexes.
 
         The whole-cluster disaster path: construct a fresh cluster over the
@@ -291,9 +287,7 @@ class DedupeCluster(ClusterView):
         the seal log and are re-mirrored immediately, restoring the
         replication invariant for recovered data.
         """
-        recovering = [
-            handle.recover(handprint_size, verify_data) for handle in self._handles
-        ]
+        recovering = [handle.recover(handprint_size) for handle in self._handles]
         recoveries = [recovery.result() for recovery in recovering]
         replication = self.replication
         if replication is not None:

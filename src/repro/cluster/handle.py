@@ -85,7 +85,7 @@ class NodeHandle(Protocol):
     # What a caller overlaps with other work:
     def backup(self, superchunk: SuperChunk) -> Pending[SuperChunkBackupResult]: ...
     def flush(self) -> Pending[None]: ...
-    def recover(self, handprint_size: int, verify_data: bool) -> Pending[NodeRecovery]: ...
+    def recover(self, handprint_size: int) -> Pending[NodeRecovery]: ...
     def describe(self) -> Pending[Dict[str, float]]: ...
     def store_replica(self, origin: int, container_id: int, exported: Any) -> Pending[None]: ...
 
@@ -157,8 +157,8 @@ class LocalNodeHandle:
         self.local_node.flush()
         return Completed(None)
 
-    def recover(self, handprint_size: int, verify_data: bool) -> Completed[NodeRecovery]:
-        return Completed(self.local_node.recover_storage(handprint_size, verify_data))
+    def recover(self, handprint_size: int) -> Completed[NodeRecovery]:
+        return Completed(self.local_node.recover_storage(handprint_size))
 
     def describe(self) -> Completed[Dict[str, float]]:
         return Completed(self.local_node.describe())

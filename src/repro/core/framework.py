@@ -89,7 +89,7 @@ class SigmaDedupe:
         wins): the backend (``"memory"`` keeps sealed containers resident,
         ``"file"`` spills their data sections to disk), where disk-backed
         backends write (one ``node-<id>`` subdirectory per node) and the
-        spill codec (``"none"``, ``"zlib"``, ``"zstd"`` or ``"auto"``).
+        spill codec (``"none"`` or ``"zlib"``).
         Unset values resolve through
         :func:`~repro.node.dedupe_node.resolve_container_backend` and
         :func:`~repro.storage.compression.resolve_compression`.
@@ -264,7 +264,7 @@ class SigmaDedupe:
     # recovery & lifecycle
     # ------------------------------------------------------------------ #
 
-    def recover_storage(self, verify_data: bool = True) -> List[NodeRecovery]:
+    def recover_storage(self) -> List[NodeRecovery]:
         """Replay every node's manifest journal and rebuild its indexes.
 
         The disaster path after a hard kill: construct a fresh framework
@@ -275,10 +275,7 @@ class SigmaDedupe:
         in-process, or as flat summary dicts over the process transport
         (recovery details stay in the worker).
         """
-        return self.cluster.recover_storage(
-            handprint_size=self._partitioner_config.handprint_size,
-            verify_data=verify_data,
-        )
+        return self.cluster.recover_storage(handprint_size=self._partitioner_config.handprint_size)
 
     def close(self) -> None:
         """Release node backend resources (spill caches, temp directories)."""

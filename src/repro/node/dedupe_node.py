@@ -82,8 +82,6 @@ class NodeConfig:
         Data-section capacity of each container.
     cache_capacity_containers:
         How many containers' fingerprints the chunk fingerprint cache holds.
-    similarity_index_locks:
-        Number of lock stripes in the similarity index.
     enable_disk_index:
         When ``False`` the node runs in "similarity-index-only" mode, the
         approximate-deduplication ablation of Figure 5(b).
@@ -95,15 +93,13 @@ class NodeConfig:
         ``node-<id>`` subdirectory so container files never collide; ``None``
         lets the backend create a private temporary directory.
     container_compression:
-        Spill compression codec for disk-backed backends (``"none"``,
-        ``"zlib"``, ``"zstd"`` or ``"auto"``).  ``None`` defers to the
-        ``REPRO_CONTAINER_COMPRESSION`` environment variable, falling back to
-        uncompressed spill files.
+        Spill compression codec for disk-backed backends (``"none"`` or
+        ``"zlib"``).  ``None`` defers to the ``REPRO_CONTAINER_COMPRESSION``
+        environment variable, falling back to uncompressed spill files.
     """
 
     container_capacity: int = DEFAULT_CONTAINER_CAPACITY
     cache_capacity_containers: int = DEFAULT_CACHE_CAPACITY_CONTAINERS
-    similarity_index_locks: int = 1024
     enable_disk_index: bool = True
     container_backend: Optional[str] = None
     storage_dir: Optional[str] = None
@@ -159,7 +155,7 @@ class DedupeNode:
     def __init__(self, node_id: int, config: Optional[NodeConfig] = None):
         self.node_id = node_id
         self.config = config or NodeConfig()
-        self.similarity_index = SimilarityIndex(num_locks=self.config.similarity_index_locks)
+        self.similarity_index = SimilarityIndex()
         self.fingerprint_cache = ChunkFingerprintCache(  # guarded-by: _plane_lock
             self.config.cache_capacity_containers
         )
@@ -577,11 +573,7 @@ class DedupeNode:
     # crash recovery (the disaster path)
     # ------------------------------------------------------------------ #
 
-    def recover_storage(
-        self,
-        handprint_size: int = DEFAULT_HANDPRINT_SIZE,
-        verify_data: bool = True,
-    ) -> SpillRecovery:
+    def recover_storage(self, handprint_size: int = DEFAULT_HANDPRINT_SIZE) -> SpillRecovery:
         """Reopen this node's spill directory after a hard kill.
 
         Replays the file backend's manifest journal into the (empty)
@@ -598,7 +590,7 @@ class DedupeNode:
                 "has no journal to recover from"
             )
         with self._plane_lock:
-            recovery = backend.replay_journal(verify_data=verify_data)
+            recovery = backend.replay_journal()
             self.container_store.adopt_recovered(recovery)
             self._rebuild_indexes_locked(handprint_size)
         return recovery
@@ -625,7 +617,7 @@ class DedupeNode:
     def _rebuild_indexes_locked(self, handprint_size: int) -> Dict[str, int]:  # holds-lock: _plane_lock
         assert_owned(self._plane_lock, "DedupeNode._rebuild_indexes_locked")
         disk_index = DiskChunkIndex(enabled=self.config.enable_disk_index)
-        similarity = SimilarityIndex(num_locks=self.config.similarity_index_locks)
+        similarity = SimilarityIndex()
         cache = ChunkFingerprintCache(self.config.cache_capacity_containers)
         container_ids = sorted(self.container_store.container_ids())
         cache_seed_ids = set(container_ids[-self.config.cache_capacity_containers:])

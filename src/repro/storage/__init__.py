@@ -18,8 +18,8 @@ Implements the data structures of Figure 3 of the paper:
 * :mod:`~repro.storage.backends` -- pluggable backends deciding where sealed
   containers' data sections live: resident in RAM (default) or spilled to
   disk files with only metadata kept resident.
-* :mod:`~repro.storage.compression` -- spill-plane codecs (``none``/``zlib``/
-  optional ``zstd``) the file backend compresses sealed data sections with.
+* :mod:`~repro.storage.compression` -- the spill-plane codecs (``none`` or
+  ``zlib``) the file backend compresses sealed data sections with.
 """
 
 from repro.storage.backends import (
@@ -35,7 +35,6 @@ from repro.storage.compression import (
     build_codec,
     codec_status,
     resolve_compression,
-    zstd_available,
 )
 from repro.storage.container import Container, ContainerMetadataEntry
 from repro.storage.container_store import ContainerStore
@@ -60,5 +59,4 @@ __all__ = [
     "build_container_backend",
     "codec_status",
     "resolve_compression",
-    "zstd_available",
 ]

@@ -65,7 +65,7 @@ from repro.errors import (
     SimulatedCrashError,
     StorageError,
 )
-from repro.storage.compression import NullCodec, build_codec, resolve_compression
+from repro.storage.compression import build_codec, resolve_compression
 from repro.storage.container import (
     Container,
     ContainerMetadataEntry,
@@ -144,7 +144,7 @@ class ContainerBackend(ABC):
         return StoredSection(
             capacity=container.capacity,
             stream_id=container.stream_id,
-            stored=StoredForm(NullCodec.name, len(blob), zlib.crc32(blob)),
+            stored=StoredForm("none", len(blob), zlib.crc32(blob)),
             entries=container.metadata_section(),
             blob=blob,
         )
@@ -248,10 +248,10 @@ class FileContainerBackend(ContainerBackend):
         private temporary directory is created and removed when the backend
         is garbage-collected or closed.
     compression:
-        Registered codec name (``"none"``, ``"zlib"``, ``"zstd"``, ``"auto"``)
-        applied to every spilled data section.  ``None`` defers to the
-        ``REPRO_CONTAINER_COMPRESSION`` environment variable, falling back to
-        ``"none"`` -- raw spill files.
+        Registered codec name (``"none"`` or ``"zlib"``) applied to every
+        spilled data section.  ``None`` defers to the
+        ``REPRO_CONTAINER_COMPRESSION`` environment variable, falling back
+        to ``"none"`` -- raw spill files.
     decompressed_cache_bytes:
         Budget for the LRU of split data sections: a container's spill file
         is read, decoded and split once into per-chunk ``bytes`` and the list
@@ -466,7 +466,6 @@ class FileContainerBackend(ContainerBackend):
         storage_dir: "str | Path",
         compression: Optional[str] = None,
         decompressed_cache_bytes: int = DEFAULT_DECOMPRESSED_CACHE_BYTES,
-        verify_data: bool = True,
     ) -> "FileContainerBackend":
         """Reopen a spill directory after a hard kill.
 
@@ -484,20 +483,19 @@ class FileContainerBackend(ContainerBackend):
             compression=compression,
             decompressed_cache_bytes=decompressed_cache_bytes,
         )
-        backend.replay_journal(verify_data=verify_data)
+        backend.replay_journal()
         return backend
 
-    def replay_journal(self, verify_data: bool = True) -> SpillRecovery:
+    def replay_journal(self) -> SpillRecovery:
         """Replay the manifest journal and garbage-collect the directory.
 
         Accepts the journal's longest valid record prefix (later duplicates
         of a container id win -- replica re-mirroring overwrites in place),
-        verifies each referenced spill file (existence, exact stored length,
-        and -- with ``verify_data`` -- the recorded CRC), deletes every
-        ``.cdata`` file no surviving record references, truncates the journal
-        back to its valid prefix, and resets the spill counters to the
-        recovered reality.  Returns (and stores as ``last_recovery``) the
-        :class:`SpillRecovery`.
+        verifies each referenced spill file (existence, exact stored length
+        and the recorded CRC), deletes every ``.cdata`` file no surviving
+        record references, truncates the journal back to its valid prefix,
+        and resets the spill counters to the recovered reality.  Returns (and
+        stores as ``last_recovery``) the :class:`SpillRecovery`.
         """
         if self._closed:
             raise RecoveryError("cannot replay the journal of a closed backend")
@@ -523,8 +521,7 @@ class FileContainerBackend(ContainerBackend):
             record = by_id[container_id]
             stored_length = int(record["stored_length"])
             path = self.spill_path(container_id)
-            if not self._spill_file_intact(path, stored_length,
-                                           int(record["stored_crc"]), verify_data):
+            if not self._spill_file_intact(path, stored_length, int(record["stored_crc"])):
                 recovery.records_dropped += 1
                 path.unlink(missing_ok=True)
                 continue
@@ -572,15 +569,11 @@ class FileContainerBackend(ContainerBackend):
         return recovery
 
     @staticmethod
-    def _spill_file_intact(
-        path: Path, stored_length: int, stored_crc: int, verify_data: bool
-    ) -> bool:
+    def _spill_file_intact(path: Path, stored_length: int, stored_crc: int) -> bool:
         try:
             if path.stat().st_size != stored_length:
                 return False
-            if verify_data:
-                return zlib.crc32(path.read_bytes()) == stored_crc
-            return True
+            return zlib.crc32(path.read_bytes()) == stored_crc
         except OSError:
             return False
 

@@ -7,14 +7,13 @@ shrink, and a restore pays one decompression per container which the batched
 
 Codecs are selected by registered name:
 
-* ``"none"`` (default) -- raw spill files;
+* ``"none"`` (default) -- raw spill files, no codec;
 * ``"zlib"`` -- deflate in the zlib stream format, always available: through
   libdeflate where the host has it, else the stdlib :mod:`zlib`
-  (:func:`codec_status` says which; each decodes the other's blobs);
-* ``"zstd"`` -- the optional ``zstandard`` module (never a hard dependency;
-  selecting it without the module raises
-  :class:`~repro.errors.CompressionError` at configuration time);
-* ``"auto"`` -- ``"zstd"`` when the module is importable, else ``"zlib"``.
+  (:func:`codec_status` says which; each decodes the other's blobs).
+
+Any other name raises :class:`~repro.errors.CompressionError` at
+configuration time.
 
 One codec compresses one bounded container data section (4 MiB by default)
 at a time; nothing here ever touches a whole backup stream.
@@ -35,24 +34,11 @@ from repro.utils.buffers import Output, borrowed
 if TYPE_CHECKING:
     from repro.storage.container import SectionBuffer
 
-try:  # optional accelerator, never a hard dependency
-    import zstandard as _zstandard
-except ImportError:  # pragma: no cover - exercised by the zstd-absent CI leg
-    _zstandard = None
-
 ENV_CONTAINER_COMPRESSION = "REPRO_CONTAINER_COMPRESSION"
 """Environment variable naming the default spill compression codec."""
 
-#: Speed-biased levels: the spill plane sits on the ingest hot path, so both
-#: codecs run at their fastest meaningful setting (zlib 1, zstd 3 -- the
-#: zstandard default, which is already far faster than zlib).
+#: Speed-biased level: the spill plane sits on the ingest hot path.
 _ZLIB_LEVEL = 1
-_ZSTD_LEVEL = 3
-
-
-def zstd_available() -> bool:
-    """Whether the optional ``zstandard`` module is importable here."""
-    return _zstandard is not None
 
 
 class CompressionCodec:
@@ -72,23 +58,6 @@ class CompressionCodec:
 
     def decompress(self, blob: "SectionBuffer", expected_size: int) -> bytes:
         raise NotImplementedError
-
-
-class NullCodec(CompressionCodec):
-    """Identity codec: spill files hold the raw data section.
-
-    The file backend never routes bytes through this class -- a raw spill
-    file is split straight from the file -- but registering it keeps
-    ``"none"`` a first-class codec name with the full interface.
-    """
-
-    name = "none"
-
-    def compress(self, section: "SectionBuffer") -> bytes:
-        return section if type(section) is bytes else bytes(section)
-
-    def decompress(self, blob: "SectionBuffer", expected_size: int) -> bytes:
-        return blob if type(blob) is bytes else bytes(blob)
 
 
 class _DlInfo(ctypes.Structure):  # ``Dl_info``, as ``dladdr`` fills it in
@@ -199,62 +168,26 @@ class ZlibCodec(CompressionCodec):
             return out.finish(size.value)
 
 
-class ZstdCodec(CompressionCodec):
-    """Optional zstandard codec (importable ``zstandard`` module required)."""
-
-    name = "zstd"
-
-    def __init__(self) -> None:
-        if _zstandard is None:
-            raise CompressionError(
-                "compression codec 'zstd' requires the optional 'zstandard' "
-                "module, which is not installed (use 'zlib' or 'auto')"
-            )
-        # One context each per codec instance, not per call.  A context is
-        # single-threaded; the file backend calls ``compress`` under its
-        # store's seal lock and ``decompress`` under its own I/O lock.
-        self._compressor = _zstandard.ZstdCompressor(level=_ZSTD_LEVEL)
-        self._decompressor = _zstandard.ZstdDecompressor()
-
-    def compress(self, section: "SectionBuffer") -> bytes:
-        compressed: bytes = self._compressor.compress(section)
-        return compressed
-
-    def decompress(self, blob: "SectionBuffer", expected_size: int) -> bytes:
-        try:
-            section: bytes = self._decompressor.decompress(
-                blob, max_output_size=expected_size
-            )
-            return section
-        except _zstandard.ZstdError as exc:
-            raise CompressionError(f"zstd spill blob is corrupt: {exc}") from exc
-
-
-COMPRESSION_CODECS: Dict[str, Callable[[], CompressionCodec]] = {
-    NullCodec.name: NullCodec,
+COMPRESSION_CODECS: Dict[str, Optional[Callable[[], CompressionCodec]]] = {
+    "none": None,
     ZlibCodec.name: ZlibCodec,
-    ZstdCodec.name: ZstdCodec,
 }
-"""Registry of compression codec constructors by name (``"auto"`` resolves
-through :func:`resolve_compression` before reaching this registry)."""
+"""Registry of compression codec constructors by name; ``"none"`` has none."""
 
 
 def resolve_compression(name: Optional[str]) -> str:
     """Resolve a compression knob value to a concrete registered codec name.
 
     ``None`` defers to the :data:`ENV_CONTAINER_COMPRESSION` environment
-    variable, falling back to ``"none"``; ``"auto"`` picks ``"zstd"`` when the
-    module is importable and ``"zlib"`` otherwise.  The result is always a
-    key of :data:`COMPRESSION_CODECS` (or a :class:`CompressionError`).
+    variable, falling back to ``"none"``.  The result is always a key of
+    :data:`COMPRESSION_CODECS` (or a :class:`CompressionError`).
     """
     if name is None:
         name = os.environ.get(ENV_CONTAINER_COMPRESSION) or "none"
-    if name == "auto":
-        return "zstd" if zstd_available() else "zlib"
     if name not in COMPRESSION_CODECS:
         raise CompressionError(
             f"unknown compression codec {name!r}; expected one of "
-            f"{sorted(COMPRESSION_CODECS) + ['auto']}"
+            f"{sorted(COMPRESSION_CODECS)}"
         )
     return name
 
@@ -265,7 +198,5 @@ def build_codec(name: Optional[str]) -> Optional[CompressionCodec]:
     Returns ``None`` for ``"none"``: callers skip the codec call, which
     would be the identity.
     """
-    resolved = resolve_compression(name)
-    if resolved == NullCodec.name:
-        return None
-    return COMPRESSION_CODECS[resolved]()
+    constructor = COMPRESSION_CODECS[resolve_compression(name)]
+    return None if constructor is None else constructor()

@@ -6,9 +6,9 @@ directory (one ``node-<id>`` subdirectory per node, each optionally holding a
 ``manifest.jsonl`` -- and replays every journal it finds.  Replay is the same
 crash-consistency pass the in-process path runs
 (:meth:`~repro.storage.backends.FileContainerBackend.replay_journal`): torn
-journal tails are truncated away, orphaned and corrupt ``.cdata`` files are
-unlinked, and what remains is the exact set of fully-acknowledged sealed
-containers.
+journal tails are truncated away, orphaned ``.cdata`` files and those whose
+length or CRC disagrees with their record are unlinked, and what remains is
+the exact set of fully-acknowledged sealed containers.
 
 This is storage-only triage.  It does not rebuild node indexes or director
 recipes; use :meth:`repro.core.framework.SigmaDedupe.recover_storage` for the
@@ -45,11 +45,9 @@ def discover_planes(storage_dir: Path) -> Iterator[Path]:
                 yield child
 
 
-def recover_plane(
-    plane_dir: Path, verify_data: bool = True
-) -> Tuple[Path, SpillRecovery]:
+def recover_plane(plane_dir: Path) -> Tuple[Path, SpillRecovery]:
     """Replay one plane's journal and release the backend immediately."""
-    backend = FileContainerBackend.recover(plane_dir, verify_data=verify_data)
+    backend = FileContainerBackend.recover(plane_dir)
     try:
         recovery = backend.last_recovery
         if recovery is None:  # pragma: no cover - recover() always sets it
@@ -59,14 +57,9 @@ def recover_plane(
         backend.close()
 
 
-def recover_tree(
-    storage_dir: Path, verify_data: bool = True
-) -> List[Tuple[Path, SpillRecovery]]:
+def recover_tree(storage_dir: Path) -> List[Tuple[Path, SpillRecovery]]:
     """Replay every plane under ``storage_dir``; see :func:`discover_planes`."""
-    return [
-        recover_plane(plane_dir, verify_data=verify_data)
-        for plane_dir in discover_planes(storage_dir)
-    ]
+    return [recover_plane(plane_dir) for plane_dir in discover_planes(storage_dir)]
 
 
 def _format_report(plane_dir: Path, recovery: SpillRecovery) -> str:
@@ -85,19 +78,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Replay spill manifest journals after a crash.",
     )
     parser.add_argument("storage_dir", type=Path, help="framework or backend storage directory")
-    parser.add_argument(
-        "--no-verify-data",
-        action="store_true",
-        help="skip per-spill-file checksum verification (size check only)",
-    )
     options = parser.parse_args(argv)
     if not options.storage_dir.is_dir():
         print(f"error: {options.storage_dir} is not a directory", file=sys.stderr)
         return 2
     try:
-        reports = recover_tree(
-            options.storage_dir, verify_data=not options.no_verify_data
-        )
+        reports = recover_tree(options.storage_dir)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -36,8 +36,9 @@ class SimilarityIndex:
     Parameters
     ----------
     num_locks:
-        Number of lock stripes protecting the hash buckets (Figure 4(b) studies
-        how this number affects parallel lookup throughput).
+        Number of lock stripes protecting the hash buckets.  Every node runs
+        the default; Figure 4(b) sweeps this number to study how it affects
+        parallel lookup throughput.
     entry_size_bytes:
         Assumed RAM footprint per entry, for the RAM-usage accounting.
     """

@@ -154,7 +154,7 @@ class TransportCluster(DedupeCluster):
         self.node_proxies[node_id] = proxy
         summary: Dict[str, int] = {}
         if recover:
-            summary = proxy.recover(DEFAULT_HANDPRINT_SIZE, True).result()
+            summary = proxy.recover(DEFAULT_HANDPRINT_SIZE).result()
         replication = self.replication
         if replication is not None:
             replication.sync_node(node_id)

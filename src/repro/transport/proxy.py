@@ -373,11 +373,11 @@ class NodeProxy:
     def flush(self) -> PendingCall:
         return self.send("flush", decode=_no_value)
 
-    def recover(self, handprint_size: int, verify_data: bool) -> PendingCall:
+    def recover(self, handprint_size: int) -> PendingCall:
         """Resolves to the worker's flat recovery summary."""
         return self.send(
             "recover",
-            {"handprint_size": handprint_size, "verify_data": verify_data},
+            {"handprint_size": handprint_size},
             decode=lambda reply, _frames: dict(reply.get("summary", {})),
         )
 

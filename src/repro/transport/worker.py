@@ -313,10 +313,7 @@ class NodeWorker:
     def _op_recover(
         self, header: Dict[str, Any], frames: List[memoryview]
     ) -> Tuple[Dict[str, Any], List[wire.Buffer]]:
-        recovery = self.node.recover_storage(
-            handprint_size=int(header.get("handprint_size", 8)),
-            verify_data=bool(header.get("verify_data", True)),
-        )
+        recovery = self.node.recover_storage(handprint_size=int(header.get("handprint_size", 8)))
         summary = {
             "containers": len(recovery.containers),
             "recovered_bytes": recovery.recovered_bytes,

@@ -95,35 +95,22 @@ class SyntheticDataGenerator:
         if not data or num_edits <= 0:
             return data
         buffer = bytearray(data)
-        for _ in range(num_edits):
-            if len(buffer) <= edit_size:
-                offset = 0
-                size = len(buffer)
-            else:
-                offset = self._rng.randrange(0, len(buffer) - edit_size)
-                size = edit_size
-            buffer[offset:offset + size] = self.unique_bytes(size)
+        self._overwrite(buffer, num_edits, edit_size)
         return bytes(buffer)
 
     def mutate_insert(self, data: bytes, num_inserts: int, insert_size: int) -> bytes:
         """Insert ``num_inserts`` new spans at random offsets (shifts content)."""
         if num_inserts <= 0:
             return data
-        buffer = bytes(data)
-        for _ in range(num_inserts):
-            offset = self._rng.randrange(0, len(buffer) + 1) if buffer else 0
-            buffer = buffer[:offset] + self.unique_bytes(insert_size) + buffer[offset:]
-        return buffer
+        buffer = bytearray(data)
+        self._insert(buffer, num_inserts, insert_size)
+        return bytes(buffer)
 
     def mutate_delete(self, data: bytes, num_deletes: int, delete_size: int) -> bytes:
         """Delete ``num_deletes`` spans at random offsets."""
-        buffer = bytes(data)
-        for _ in range(num_deletes):
-            if len(buffer) <= delete_size:
-                break
-            offset = self._rng.randrange(0, len(buffer) - delete_size)
-            buffer = buffer[:offset] + buffer[offset + delete_size:]
-        return buffer
+        buffer = bytearray(data)
+        self._delete(buffer, num_deletes, delete_size)
+        return bytes(buffer)
 
     def evolve(self, data: bytes, change_fraction: float, edit_size: int = 256) -> bytes:
         """Produce the "next version" of ``data`` with roughly
@@ -133,14 +120,39 @@ class SyntheticDataGenerator:
         if not data or change_fraction == 0.0:
             return data
         num_edits = max(1, int(len(data) * change_fraction / max(edit_size, 1)))
-        mutated = self.mutate_overwrite(data, num_edits, edit_size)
+        buffer = bytearray(data)  # the one copy every edit lands in
+        self._overwrite(buffer, num_edits, edit_size)
         # A small amount of insertion/deletion exercises shift-sensitivity of
         # fixed-size chunking versus CDC.
         if self._rng.random() < 0.5:
-            mutated = self.mutate_insert(mutated, 1, edit_size)
+            self._insert(buffer, 1, edit_size)
         else:
-            mutated = self.mutate_delete(mutated, 1, edit_size)
-        return mutated
+            self._delete(buffer, 1, edit_size)
+        return bytes(buffer)
+
+    # In-place edits of one buffer; the public forms above copy around them.
+
+    def _overwrite(self, buffer: bytearray, num_edits: int, edit_size: int) -> None:
+        for _ in range(num_edits):
+            if len(buffer) <= edit_size:
+                offset = 0
+                size = len(buffer)
+            else:
+                offset = self._rng.randrange(0, len(buffer) - edit_size)
+                size = edit_size
+            buffer[offset:offset + size] = self.unique_bytes(size)
+
+    def _insert(self, buffer: bytearray, num_inserts: int, insert_size: int) -> None:
+        for _ in range(num_inserts):
+            offset = self._rng.randrange(0, len(buffer) + 1) if buffer else 0
+            buffer[offset:offset] = self.unique_bytes(insert_size)
+
+    def _delete(self, buffer: bytearray, num_deletes: int, delete_size: int) -> None:
+        for _ in range(num_deletes):
+            if len(buffer) <= delete_size:
+                break
+            offset = self._rng.randrange(0, len(buffer) - delete_size)
+            del buffer[offset:offset + delete_size]
 
 
 class SyntheticWorkload(ContentWorkload):

@@ -119,7 +119,7 @@ def observe(kind, storage_dir):
     revived = open_cluster(kind, storage_dir)
     try:
         origin = revived.handle(0)
-        recovery = origin.recover(4, True).result()
+        recovery = origin.recover(4).result()
         if isinstance(recovery, dict):  # a worker's flat summary
             seen["recovered"] = (recovery["containers"], recovery["recovered_bytes"])
         else:

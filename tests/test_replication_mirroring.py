@@ -19,11 +19,11 @@ from repro.core.framework import SigmaDedupe
 from repro.errors import RpcDroppedError, SimulatedCrashError, StorageError
 from repro.faults import FaultPlan
 from repro.node.dedupe_node import NodeConfig
-from repro.storage.compression import build_codec, zstd_available
+from repro.storage.compression import build_codec
 from repro.storage.journal import MANIFEST_NAME, ManifestJournal
 from tests.helpers import superchunk_from_seeds
 
-CODECS = ["none", "zlib"] + (["zstd"] if zstd_available() else [])
+CODECS = ["none", "zlib"]
 TRANSPORTS = ["inproc", "process"]
 
 

@@ -23,19 +23,18 @@ from repro.storage.compression import (
     ENV_CONTAINER_COMPRESSION,
     build_codec,
     resolve_compression,
-    zstd_available,
 )
 from repro.storage.container_store import ContainerStore
 from repro.storage.journal import MANIFEST_NAME, ManifestJournal
 from tests.helpers import deterministic_bytes, fingerprint_of, superchunk_from_seeds
 
-#: Codec names usable on this host ("none" always; "zstd" only with the
-#: optional zstandard module installed).
-AVAILABLE_CODECS = [
-    name
-    for name in sorted(COMPRESSION_CODECS)
-    if name != "zstd" or zstd_available()
-]
+#: Every codec name; each is usable on every host.
+AVAILABLE_CODECS = sorted(COMPRESSION_CODECS)
+
+#: Names outside the registry that a configuration may still carry: each is
+#: refused with a message naming the two codecs.
+RETIRED_CODECS = ["auto", "zstd"]
+NAMES_BOTH_CODECS = r"expected one of \['none', 'zlib'\]"
 
 #: A payload real codecs compress well: unique 32-byte spans, each repeated.
 COMPRESSIBLE = b"".join(
@@ -208,18 +207,14 @@ BACKEND_PRECEDENCE = [
     pytest.param("memory", None, True, "memory", id="keyword-beats-storage-dir"),
 ]
 
-AUTO_CODEC = "zstd" if zstd_available() else "zlib"
-
 #: Compression: the explicit keyword, then REPRO_CONTAINER_COMPRESSION, then
-#: "none"; "auto" is zstd, or zlib without the zstandard module.
+#: "none".
 #: Row: (container_compression=, REPRO_CONTAINER_COMPRESSION, codec).
 COMPRESSION_PRECEDENCE = [
     pytest.param(None, None, "none", id="default"),
     pytest.param("zlib", None, "zlib", id="keyword"),
     pytest.param(None, "zlib", "zlib", id="environment"),
     pytest.param("none", "zlib", "none", id="keyword-beats-environment"),
-    pytest.param("auto", None, AUTO_CODEC, id="keyword-auto"),
-    pytest.param(None, "auto", AUTO_CODEC, id="environment-auto"),
 ]
 
 
@@ -279,6 +274,19 @@ class TestStorageSettingPrecedence:
         )
         assert codec == expected
 
+    @pytest.mark.parametrize("name", RETIRED_CODECS)
+    def test_retired_codec_is_refused_before_any_node_or_directory(
+        self, monkeypatch, tmp_path, transport, name
+    ):
+        storage_dir = tmp_path / "storage"
+        with pytest.raises(CompressionError, match=NAMES_BOTH_CODECS):
+            SigmaDedupe(num_nodes=2, storage_dir=str(storage_dir),
+                        container_compression=name, transport=transport)
+        monkeypatch.setenv(ENV_CONTAINER_COMPRESSION, name)
+        with pytest.raises(CompressionError, match=NAMES_BOTH_CODECS):
+            SigmaDedupe(num_nodes=2, storage_dir=str(storage_dir), transport=transport)
+        assert not storage_dir.exists()
+
 
 class TestNodeDirectories:
     def test_nodes_get_disjoint_directories(self, tmp_path):
@@ -290,10 +298,12 @@ class TestNodeDirectories:
 
 class TestCompressionCodecs:
     def test_registry_names(self):
-        assert set(COMPRESSION_CODECS) == {"none", "zlib", "zstd"}
+        assert set(COMPRESSION_CODECS) == {"none", "zlib"}
 
-    def test_auto_picks_an_available_codec(self):
-        assert resolve_compression("auto") == ("zstd" if zstd_available() else "zlib")
+    @pytest.mark.parametrize("name", RETIRED_CODECS)
+    def test_retired_codec_names_are_refused(self, name):
+        with pytest.raises(CompressionError, match=NAMES_BOTH_CODECS):
+            resolve_compression(name)
 
     def test_unknown_codec_raises(self):
         with pytest.raises(CompressionError, match="unknown compression codec"):
@@ -301,11 +311,6 @@ class TestCompressionCodecs:
 
     def test_none_codec_builds_to_no_op(self):
         assert build_codec("none") is None
-
-    @pytest.mark.skipif(zstd_available(), reason="zstandard module installed")
-    def test_zstd_without_module_raises(self):
-        with pytest.raises(CompressionError, match="zstd"):
-            build_codec("zstd")
 
     @pytest.mark.parametrize("name", [n for n in AVAILABLE_CODECS if n != "none"])
     def test_roundtrip_and_shrink(self, name):

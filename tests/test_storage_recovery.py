@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.superchunk import SuperChunk
-from repro.errors import ContainerNotFoundError, RecoveryError, StorageError
+from repro.errors import CompressionError, ContainerNotFoundError, RecoveryError, StorageError
 from repro.fingerprint.fingerprinter import ChunkRecord
 from repro.node.dedupe_node import DedupeNode, NodeConfig
 from repro.storage import recovery as recovery_cli
@@ -20,6 +20,23 @@ def make_node(tmp_path, node_id: int = 0, **overrides) -> DedupeNode:
         **overrides,
     )
     return DedupeNode(node_id, config=config)
+
+
+def empty_record(codec: str) -> bytes:
+    """One encoded journal record of an empty container under ``codec``."""
+    return encode_record(
+        {
+            "v": 1,
+            "container_id": 0,
+            "stream_id": 0,
+            "capacity": 16,
+            "used": 0,
+            "codec": codec,
+            "stored_length": 0,
+            "stored_crc": 0,
+            "chunks": [],
+        }
+    )
 
 
 def ingest(node: DedupeNode, groups) -> dict:
@@ -121,13 +138,7 @@ class TestBackendReplay:
         data[0] ^= 0xFF
         target.write_bytes(bytes(data))  # same size, different content
 
-        # Size-only verification cannot see the flip ...
-        backend = FileContainerBackend.recover(plane, verify_data=False)
-        assert backend.last_recovery.records_dropped == 0
-        assert len(backend.last_recovery.containers) == 1
-        backend.close()
-
-        # ... the CRC check drops the record, and the repair rewrites the
+        # The CRC check drops the record, and the repair rewrites the
         # journal so the next replay is clean rather than re-dropping.
         backend = FileContainerBackend.recover(plane)
         assert backend.last_recovery.records_dropped == 1
@@ -148,6 +159,11 @@ class TestBackendReplay:
             for fingerprint in container.fingerprints():
                 assert container.read_chunks([fingerprint])[0] == expected[fingerprint]
         backend.close()
+
+    def test_journal_naming_a_retired_codec_is_refused(self, tmp_path):
+        ManifestJournal(tmp_path / MANIFEST_NAME).append_raw(empty_record("zstd"))
+        with pytest.raises(CompressionError, match=r"\['none', 'zlib'\]"):
+            FileContainerBackend.recover(tmp_path)
 
     def test_codec_mismatch_raises_recovery_error(self, tmp_path):
         node = make_node(tmp_path, container_compression="zlib")
@@ -313,21 +329,7 @@ class TestRecoveryCli:
         self.build_tree(tmp_path)
         replica_dir = tmp_path / "node-0" / "replicas"
         replica_dir.mkdir()
-        ManifestJournal(replica_dir / MANIFEST_NAME).append_raw(
-            encode_record(
-                {
-                    "v": 1,
-                    "container_id": 0,
-                    "stream_id": 0,
-                    "capacity": 16,
-                    "used": 0,
-                    "codec": "none",
-                    "stored_length": 0,
-                    "stored_crc": 0,
-                    "chunks": [],
-                }
-            )
-        )
+        ManifestJournal(replica_dir / MANIFEST_NAME).append_raw(empty_record("none"))
         planes = list(recovery_cli.discover_planes(tmp_path))
         assert replica_dir in planes
 
@@ -342,3 +344,9 @@ class TestRecoveryCli:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert recovery_cli.main([str(empty)]) == 1
+
+    def test_main_has_no_size_only_mode(self, tmp_path):
+        self.build_tree(tmp_path)
+        with pytest.raises(SystemExit) as exited:
+            recovery_cli.main(["--no-verify-data", str(tmp_path)])
+        assert exited.value.code == 2

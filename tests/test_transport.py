@@ -380,14 +380,12 @@ def environment(variable, values, error):
     return values.map(lambda value: ({}, {variable: value}, error))
 
 
-CODEC_NAMES = [*COMPRESSION_CODECS, "auto"]
-
 rejected_settings = st.one_of(
     keyword("routing", names_outside(ALL_SCHEMES), ValidationError),
     keyword("parallel_executor", names_outside(EXECUTORS), ValidationError),
     keyword("fingerprint_algorithm", names_outside(SUPPORTED_ALGORITHMS), FingerprintError),
     keyword("container_backend", names_outside(CONTAINER_BACKENDS), StorageError),
-    keyword("container_compression", names_outside(CODEC_NAMES), CompressionError),
+    keyword("container_compression", names_outside(COMPRESSION_CODECS), CompressionError),
     keyword("num_nodes", st.integers(max_value=0), ValidationError),
     keyword("workers", st.integers(max_value=0), ValidationError),
     keyword("pipeline_depth", st.integers(max_value=0), ValidationError),
@@ -402,7 +400,7 @@ rejected_settings = st.one_of(
         ValidationError,
     ),
     environment(ENV_CONTAINER_BACKEND, names_outside(CONTAINER_BACKENDS), StorageError),
-    environment(ENV_CONTAINER_COMPRESSION, names_outside(CODEC_NAMES), CompressionError),
+    environment(ENV_CONTAINER_COMPRESSION, names_outside(COMPRESSION_CODECS), CompressionError),
 )
 
 

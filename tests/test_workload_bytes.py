@@ -86,6 +86,32 @@ BUFFERS = {
 }
 
 
+def evolve_chain(seed, size, change_fraction, edit_size, generations=6):
+    """sha256 over each generation of an ``evolve`` chain, then one more draw
+    (the RNG state the chain leaves)."""
+    generator = SyntheticDataGenerator(seed)
+    data = generator.unique_bytes(size)
+    digest = hashlib.sha256()
+    for _ in range(generations):
+        data = generator.evolve(data, change_fraction, edit_size)
+        digest.update(f"{len(data)}\0".encode() + data)
+    digest.update(repr(generator.random()).encode())
+    return digest.hexdigest()
+
+
+# ``generations_spill``-shaped chains (1 MiB, 32 KiB edits, 10% change), each
+# taking both the insert and the delete branch; and a buffer shorter than its
+# edits, where an overwrite covers it whole and a delete draws nothing.
+EVOLVE_CHAINS = {
+    "spill-shape-0": (("evolve:0", 1 << 20, 0.1, 32 << 10),
+                      "ffdafeb851f28509296b50593ad58fb549b6dd2ecd951bc73dc9ad5c29701d44"),
+    "spill-shape-1": (("evolve:1", 1 << 20, 0.1, 32 << 10),
+                      "7e06005ecb6cf5e1ba0d74d3e128ffde7bdd6c8856779f13277c6a3dce211e59"),
+    "shorter-than-edits": (("small:1", 200, 0.5, 256),
+                           "c99c679f4262fa207828c533df2cdfdfc6602cd895f42484bedb2ea7df7a6b10"),
+}
+
+
 @pytest.fixture
 def no_generator(monkeypatch):
     """The content generators as on a host where the kernel cannot be built."""
@@ -111,6 +137,15 @@ def test_benchmark_scale_buffers_are_pinned(name, compiled, monkeypatch):
         monkeypatch.setattr(mersenne, "_kernels", lambda: (None, "forced unavailable"))
     factory, expected = BUFFERS[name]
     assert hashlib.sha256(factory()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "fallback"])
+@pytest.mark.parametrize("name", sorted(EVOLVE_CHAINS))
+def test_evolve_chains_are_pinned(name, compiled, monkeypatch):
+    if not compiled:
+        monkeypatch.setattr(mersenne, "_kernels", lambda: (None, "forced unavailable"))
+    args, expected = EVOLVE_CHAINS[name]
+    assert evolve_chain(*args) == expected
 
 
 def images(workload):
