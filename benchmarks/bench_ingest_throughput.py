@@ -36,8 +36,8 @@ in MB/s over the same synthetic payload:
   k+1..k+K's routing with k's store -- one batched routing probe per
   super-chunk instead of the seed's c+N+c sequential round-trips;
 * **handoff_end_to_end** -- the full stack in one row: 4 shm lane processes
-  feeding 4 node worker processes, lane payload memoryviews joined straight
-  into the wire train, so payload bytes are copied once in the parent;
+  feeding 4 node worker processes; the parent copies each payload out of its
+  lane's slab as ``bytes`` and once more into the wire train;
 * **stage_breakdown** (own top-level block) -- measured per-stage time
   attribution over the same payload: the chunk scan, record build (digest
   + record construction), node plane and wire, each with seconds / MB/s /
@@ -286,9 +286,8 @@ def measure_transport_end_to_end(
     pipelined stores, so routing of super-chunks k+1..k+K overlaps the store
     of k inside the workers.  With ``lanes``/``executor="process"`` the
     chunk+fingerprint front end additionally fans out across shared-memory
-    lane processes whose payload views are joined straight into the wire
-    train (the lane->worker hand-off: payload bytes are copied once in the
-    parent).
+    lane processes; the parent copies each payload out of its lane's slab
+    as ``bytes``, then into the wire train.
     """
     logical = sum(len(data) for _, data in files)
     best = 0.0
@@ -747,10 +746,10 @@ def run(scale: str) -> Dict:
             for workers in TRANSPORT_WORKERS
         }
 
-        # The full stack: shm lane processes feeding node worker processes,
-        # lane payload views joined straight into the wire train (payload
-        # bytes are copied once in the parent).  Informational row -- the scaling gates
-        # below run on the single-axis rows, where regressions localise.
+        # The full stack: shm lane processes feeding node worker processes
+        # (payloads copied out of the slabs as bytes, then into the wire
+        # train).  Informational row -- the scaling gates below run on the
+        # single-axis rows, where regressions localise.
         results["handoff_end_to_end"] = {
             "lanes-4-workers-4": {
                 "mb_per_s": round(

@@ -15,7 +15,7 @@ Quick start::
     report = framework.backup([("doc.txt", b"hello world" * 1000)])
     data = framework.restore(report.session_id, "doc.txt")
 
-Package layout (see ``DESIGN.md`` for the full inventory):
+Package layout:
 
 * :mod:`repro.chunking` -- static, CDC and TTTD chunkers.
 * :mod:`repro.fingerprint` -- chunk fingerprints, handprints, resemblance.

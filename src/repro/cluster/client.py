@@ -132,19 +132,7 @@ class BackupClient:
         for (identical output either way)."""
         if self.workers <= 1:
             return self.partitioner.partition_files(files, stream_id=stream_id)
-        # Direct lane->wire hand-off: shared-memory process lanes may hand
-        # payloads over as zero-copy memoryview slices of their slabs, all
-        # the way to the wire train, unless the cluster's nodes keep the
-        # payload objects they are given (then the lanes must copy out to
-        # bytes).
-        hand_off = (
-            self.parallel_executor == "process" and not self.cluster.retains_payloads
-        )
-        engine = ParallelIngestEngine(
-            workers=self.workers,
-            executor=self.parallel_executor,
-            payload_views=hand_off,
-        )
+        engine = ParallelIngestEngine(workers=self.workers, executor=self.parallel_executor)
         return engine.partition_files(self.partitioner.config, files, stream_id=stream_id)
 
     def backup_files(

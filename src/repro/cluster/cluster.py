@@ -130,10 +130,6 @@ class DedupeCluster(ClusterView):
     transport = "inproc"
     """Where the nodes run (``"process"`` in the transport subclass)."""
 
-    retains_payloads = True
-    """Containers hold the payload objects a store hands them, so ingest lanes
-    must hand over ``bytes``, never views of a buffer they will reuse."""
-
     retryable_read_errors = RETRYABLE_READ_ERRORS
 
     def __init__(

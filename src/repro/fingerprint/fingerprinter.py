@@ -46,7 +46,6 @@ def records_from_ends(
     ends: Sequence[int],
     digests: bytes,
     keep_data: bool = True,
-    copy: bool = True,
     start: int = 0,
     base: int = 0,
 ) -> List[ChunkRecord]:
@@ -55,18 +54,15 @@ def records_from_ends(
     Chunk ``i`` is ``view[ends[i-1]:ends[i]]`` (from ``start`` for the first)
     at stream offset ``base`` plus its begin, and its fingerprint is the
     ``i``-th equal share of ``digests``.  One tight loop off the shared
-    memoryview, positional record construction; the retained payload is the
-    only per-chunk allocation besides the record (``copy=False`` keeps it a
-    zero-copy slice of ``view``).
+    memoryview, positional record construction; the retained payload (a
+    ``bytes`` copy) is the only per-chunk allocation besides the record.
     """
     size = len(digests) // len(ends) if ends else 0
     records: List[ChunkRecord] = []
     append = records.append
     at = 0
     for end in ends:
-        payload: Any = None
-        if keep_data:
-            payload = bytes(view[start:end]) if copy else view[start:end]
+        payload: Any = bytes(view[start:end]) if keep_data else None
         append(_new_record((digests[at:at + size], end - start, base + start, payload)))
         at += size
         start = end
@@ -84,24 +80,20 @@ def records_from_packed(
     data: "bytes | bytearray | memoryview",
     packed: "bytes | memoryview",
     keep_data: bool = True,
-    copy: bool = True,
 ) -> List[ChunkRecord]:
     """Rebuild full :class:`ChunkRecord` lists from a packed lane reply
     (:meth:`Fingerprinter.fingerprint_packed`).
 
     ``data`` is the same buffer the lane chunked (typically the parent's view
-    of the shared-memory slab).  With ``copy=True`` payloads are materialised
-    as ``bytes``; with ``copy=False`` they stay zero-copy ``memoryview``
-    slices of ``data`` -- only safe while the underlying slab region is
-    guaranteed untouched (the engine's hand-off mode enforces that with its
-    reuse frontier).
+    of the shared-memory slab); payloads are copied out of it as ``bytes``,
+    so the records outlive the buffer.
     """
     head = memoryview(packed)
     count, digest_size = _PACK_HEAD.unpack_from(head, 0)
     ends = Struct(f"!{count}Q").unpack_from(head, _PACK_HEAD.size)
     blob_base = _PACK_HEAD.size + 8 * count
     digests = bytes(head[blob_base:blob_base + count * digest_size])
-    return records_from_ends(memoryview(data), ends, digests, keep_data, copy)
+    return records_from_ends(memoryview(data), ends, digests, keep_data)
 
 
 class Fingerprinter:
@@ -147,7 +139,7 @@ class Fingerprinter:
             data = (data,)
         for view, start, cuts, base, digests in chunker.committed_segments(data, self.algorithm):
             digests = self._run_digests(view, cuts, start, digests)
-            yield from records_from_ends(view, cuts, digests, keep_data, True, start, base)
+            yield from records_from_ends(view, cuts, digests, keep_data, start, base)
 
     def _run_digests(
         self, view: memoryview, cuts: "List[int]", start: int, digests: Optional[bytes]

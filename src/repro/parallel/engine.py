@@ -34,7 +34,7 @@ import os
 import threading
 from collections import deque
 from queue import Empty, Full, Queue
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.partitioner import FilePayload, PartitionerConfig, StreamPartitioner
 from repro.core.superchunk import SuperChunk
@@ -153,18 +153,11 @@ class ParallelIngestEngine:
         slab once, lanes chunk and fingerprint in place, and only compact
         ``(offsets, fingerprints)`` replies cross the pipe, so the per-chunk
         Python bookkeeping scales past the GIL without ever pickling payload
-        bytes.
+        bytes.  Under either executor every record that leaves a lane owns
+        its payload ``bytes``.
     batch_bytes / queue_depth:
         Bounded-queue sizing; the per-lane buffered payload is about
         ``batch_bytes * queue_depth``.
-    payload_views:
-        Process executor only: hand payloads out as zero-copy ``memoryview``
-        slices of the shared slab instead of ``bytes`` copies.  Safe only
-        when every consumer is done with a super-chunk's payloads before the
-        engine has advanced one full super-chunk past it -- true for the
-        synchronous-send transport wire path (the lane->wire hand-off), not
-        for consumers that retain payload references (the in-process node
-        plane stores them).
     """
 
     def __init__(
@@ -173,7 +166,6 @@ class ParallelIngestEngine:
         executor: str = "thread",
         batch_bytes: int = DEFAULT_BATCH_BYTES,
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
-        payload_views: bool = False,
     ):
         if executor not in EXECUTORS:
             raise ValidationError(f"executor must be one of {list(EXECUTORS)}, got {executor!r}")
@@ -181,13 +173,10 @@ class ParallelIngestEngine:
             raise ValidationError("batch_bytes must be positive")
         if queue_depth < 1:
             raise ValidationError("queue_depth must be positive")
-        if payload_views and executor != "process":
-            raise ValidationError("payload_views requires the process executor")
         self.workers = resolve_workers(workers)
         self.executor = executor
         self.batch_bytes = batch_bytes
         self.queue_depth = queue_depth
-        self.payload_views = payload_views
 
     # ------------------------------------------------------------------ #
     # deterministic single-stream mode
@@ -209,30 +198,30 @@ class ParallelIngestEngine:
         to what the serial partitioner would produce.
         """
         sequencer = StreamPartitioner(config)
-        pairs = self.iter_file_records(files, lambda: StreamPartitioner(config))
+        pairs = self.iter_file_records(config, files)
         return sequencer.partition_file_records(pairs, stream_id=stream_id)
 
     def iter_file_records(
         self,
+        config: PartitionerConfig,
         files: Iterable[Tuple[str, FilePayload]],
-        partitioner_factory: Callable[[], StreamPartitioner],
     ) -> Iterator[Tuple[str, Iterator[ChunkRecord]]]:
         """Yield ``(path, record_iterator)`` pairs in file order.
 
         Up to ``workers`` files are chunked and fingerprinted concurrently,
-        each lane owning its own partitioner; records surface in file order
-        regardless of lane completion order.  Each record iterator must be
-        consumed before the next pair is requested (any leftover is drained
-        automatically, exactly like ``itertools.groupby``).
+        each lane owning its own partitioner over ``config``; records surface
+        in file order regardless of lane completion order.  Each record
+        iterator must be consumed before the next pair is requested (any
+        leftover is drained automatically, exactly like ``itertools.groupby``).
         """
         if self.executor == "process":
-            return self._process_iter_file_records(files, partitioner_factory)
-        return self._thread_iter_file_records(files, partitioner_factory)
+            return self._process_iter_file_records(config, files)
+        return self._thread_iter_file_records(config, files)
 
     def _thread_iter_file_records(
         self,
+        config: PartitionerConfig,
         files: Iterable[Tuple[str, FilePayload]],
-        partitioner_factory: Callable[[], StreamPartitioner],
     ) -> Iterator[Tuple[str, Iterator[ChunkRecord]]]:
         workers = self.workers
         work: Queue = Queue(maxsize=workers)
@@ -261,7 +250,7 @@ class ParallelIngestEngine:
                     _put_cancellable(work, _END_OF_INPUT, cancelled)
 
         def lane() -> None:
-            partitioner = partitioner_factory()
+            partitioner = StreamPartitioner(config)
             batch_limit = self.batch_bytes
             while not cancelled.is_set():
                 task = _get_cancellable(work, cancelled)
@@ -329,35 +318,19 @@ class ParallelIngestEngine:
 
     def _process_iter_file_records(
         self,
+        config: PartitionerConfig,
         files: Iterable[Tuple[str, FilePayload]],
-        partitioner_factory: Callable[[], StreamPartitioner],
     ) -> Iterator[Tuple[str, Iterator[ChunkRecord]]]:
         """Shared-memory process lanes with the same admission/order contract
         as the thread path: up to ``workers + 1`` files in flight, results
-        surfaced strictly in file order.
-
-        In hand-off mode (``payload_views``) records carry zero-copy slab
-        slices; a file's slab region is only reused once the consumer has
-        drained records one full super-chunk *past* that file's end.  The
-        re-sequencer flushes a super-chunk as soon as its pending bytes reach
-        ``superchunk_size`` -- and the transport wire path puts every flushed
-        super-chunk's payload on the wire synchronously before pulling the
-        next record -- so by the time the frontier passes, no live reader of
-        the region can remain.
-        """
+        surfaced strictly in file order.  A file's records copy their
+        payloads out of the slab, and its slot is released before they are
+        yielded."""
         from repro.parallel.shm import PendingChunkFile, ShmLanePool
 
-        config = partitioner_factory().config
-        keep_data = config.keep_chunk_data
-        hand_off = self.payload_views and keep_data
-        reuse_guard = config.superchunk_size
         pool = ShmLanePool(config=config, workers=self.workers)
         try:
             pending: "deque[Tuple[str, PendingChunkFile]]" = deque()
-            # Hand-off mode: (handle, frontier) pairs whose slab regions stay
-            # pinned until the consumer is `frontier` cumulative bytes in.
-            pinned: "deque[Tuple[PendingChunkFile, int]]" = deque()
-            consumed = 0
             source = iter(files)
             exhausted = False
             while True:
@@ -372,16 +345,8 @@ class ParallelIngestEngine:
                     break
                 path, handle = pending.popleft()
                 view, packed = handle.wait()
-                records = records_from_packed(
-                    view, packed, keep_data=keep_data, copy=not hand_off
-                )
-                if hand_off:
-                    while pinned and pinned[0][1] <= consumed:
-                        pinned.popleft()[0].release()
-                    consumed += view.nbytes
-                    pinned.append((handle, consumed + reuse_guard))
-                else:
-                    handle.release()
+                records = records_from_packed(view, packed, config.keep_chunk_data)
+                handle.release()
                 yield path, iter(records)
         finally:
             pool.close()

@@ -13,15 +13,14 @@ that affordable:
 * Only a compact packed reply -- ``(end_offsets_u64, fingerprints_blob)``,
   ~28 bytes per chunk -- crosses the command pipe back.  Payload bytes are
   never pickled, in either direction.
-* The parent re-slices payloads off the same slab view
-  (:func:`~repro.fingerprint.fingerprinter.records_from_packed`), either as
-  ``bytes`` copies (safe everywhere) or as zero-copy ``memoryview`` slices
-  for the engine's direct lane->wire hand-off mode.
+* The parent copies each chunk's payload off the same slab view as
+  ``bytes`` (:func:`~repro.fingerprint.fingerprinter.records_from_packed`)
+  and releases the slot: no record keeps a view of a slab.
 
 Slabs hold two fixed slots each, which matches the engine's admission bound
-(at most two files in flight per lane); payloads that do not fit a slot --
-or arrive while hand-off pinning keeps both slots busy -- ride a dedicated
-one-shot segment instead, so submission never blocks and never copies twice.
+(at most two files in flight per lane); payloads that do not fit a slot ride
+a dedicated one-shot segment instead, so submission never blocks and never
+copies twice.
 
 Hygiene: segment names carry a tag derived from ``REPRO_TEARDOWN_TOKEN`` so
 the CI teardown audit can attribute leaks; the parent's resource-tracker
@@ -209,10 +208,9 @@ class PendingChunkFile:
     """One submitted file: resolves to ``(payload_view, packed_reply)``.
 
     ``wait()`` blocks for the lane's reply (FIFO per lane, matching the
-    pool's round-robin submission order); ``release()`` returns the slab slot
-    (or unlinks the dedicated segment) for reuse -- the caller decides when,
-    which is what lets the engine's hand-off mode defer reuse behind its
-    send frontier.
+    pool's round-robin submission order); ``release()`` ends the payload
+    view and returns the slab slot (or unlinks the dedicated segment) for
+    reuse.  The pool releases every handle still outstanding when it closes.
     """
 
     __slots__ = ("_pool", "_lane", "_slot", "_segment", "_view", "_released")
@@ -231,6 +229,7 @@ class PendingChunkFile:
         self._segment = segment
         self._view = view
         self._released = False
+        pool._outstanding.add(self)
 
     def wait(self) -> Tuple[memoryview, bytes]:
         """Block for the lane's packed reply; raises what the lane raised."""
@@ -250,9 +249,7 @@ class PendingChunkFile:
         if self._released:
             return
         self._released = True
-        # Payload record views are independent slices of the base buffer, so
-        # dropping this handle's view never invalidates them; it just stops
-        # pinning the slab mapping once those records die too.
+        self._pool._outstanding.discard(self)
         self._view.release()
         if self._slot is not None:
             self._slot.free = True
@@ -265,9 +262,8 @@ class ShmLanePool:
 
     Single-consumer by design: one thread (the engine's re-sequencing
     generator) submits and waits, so no parent-side locking is needed.
-    ``close()`` is idempotent and always unlinks every segment it created --
-    with live payload memoryviews still outstanding the mappings stay valid
-    (``close`` on those is best-effort) but the names never leak.
+    ``close()`` is idempotent, releases every outstanding handle and unlinks
+    and unmaps every segment it created.
     """
 
     def __init__(
@@ -292,6 +288,7 @@ class ShmLanePool:
         self._next_lane = 0
         self._closed = False
         self._segments: Set[SharedMemory] = set()
+        self._outstanding: Set[PendingChunkFile] = set()
         self.workers = workers
         self.slot_bytes = slot_bytes
         self.lanes: List[_Lane] = []
@@ -346,8 +343,13 @@ class ShmLanePool:
         return shm
 
     def _release_segment(self, segment: SharedMemory) -> None:
+        """Unlink one segment's name, then unmap it."""
         self._segments.discard(segment)
-        _unlink_then_close(segment)
+        try:
+            segment.unlink()
+        except FileNotFoundError:
+            pass
+        segment.close()
 
     # ------------------------------------------------------------------ #
     # submission
@@ -428,12 +430,10 @@ class ShmLanePool:
     # ------------------------------------------------------------------ #
 
     def close(self) -> None:
-        """Stop the lanes and unlink every segment (idempotent, best-effort).
+        """Stop the lanes, then unlink and unmap every segment (idempotent).
 
-        Unlinking always succeeds (names never leak, which is what the CI
-        teardown audit checks); ``close`` of a mapping with live exported
-        payload views raises ``BufferError`` and is deliberately tolerated --
-        the mapping dies with its last view.
+        Every payload view the pool handed out is released first, so no
+        exported view pins a mapping and every ``close`` of one succeeds.
         """
         if self._closed:
             return
@@ -455,37 +455,10 @@ class ShmLanePool:
                 lane.conn.close()
             except OSError:  # pragma: no cover - close never matters
                 pass
-        for segment in list(self._segments):
-            self._segments.discard(segment)
-            _unlink_then_close(segment)
+        for handle in list(self._outstanding):
+            handle.release()
         for lane in self.lanes:
-            try:
-                lane.buf.release()
-            except BufferError:  # pragma: no cover - slices outlive the base view
-                pass
-            _unlink_then_close(lane.shm)
+            lane.buf.release()
+        for segment in list(self._segments):
+            self._release_segment(segment)
 
-
-def _unlink_then_close(segment: SharedMemory) -> None:
-    """Unlink unconditionally, then close if no exported views pin the map."""
-    try:
-        segment.unlink()
-    except FileNotFoundError:
-        pass
-    try:
-        segment.close()
-    except BufferError:
-        # Live payload memoryviews still reference the mapping (hand-off mode
-        # records outliving the pool).  The name is already gone; detach the
-        # internals so ``__del__`` does not retry the doomed close -- the
-        # managed buffer keeps the mapping alive exactly until the last view
-        # dies, at which point the mmap deallocates and unmaps itself.
-        segment._buf = None  # type: ignore[attr-defined]
-        segment._mmap = None  # type: ignore[attr-defined]
-        fd = getattr(segment, "_fd", -1)
-        if fd >= 0:
-            try:
-                os.close(fd)
-            except OSError:  # pragma: no cover - already closed elsewhere
-                pass
-            segment._fd = -1  # type: ignore[attr-defined]

@@ -20,7 +20,7 @@ from repro.simulation.comparison import (
     run_scheme,
     single_node_deduplication_ratio,
 )
-from repro.simulation.experiment import ExperimentConfig, standard_workload
+from repro.simulation.experiment import standard_workload
 
 __all__ = [
     "ClusterSimulator",
@@ -30,6 +30,5 @@ __all__ = [
     "compare_schemes",
     "build_scheme",
     "single_node_deduplication_ratio",
-    "ExperimentConfig",
     "standard_workload",
 ]

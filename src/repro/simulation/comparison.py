@@ -38,15 +38,10 @@ PAPER_CLUSTER_SIZES = (1, 2, 4, 8, 16, 32, 64, 128)
 TraceSource = Union[Sequence[TraceSnapshot], Workload]
 
 
-def _fresh_snapshots(trace: TraceSource, workers: Optional[int] = None) -> Iterable[TraceSnapshot]:
-    """A fresh single-pass snapshot iterable over ``trace``.
-
-    ``workers`` fans the chunk+fingerprint work of a workload replay across
-    that many parallel ingest lanes (identical trace, in order); it has no
-    effect on already-materialised snapshot sequences.
-    """
+def _fresh_snapshots(trace: TraceSource) -> Iterable[TraceSnapshot]:
+    """A fresh single-pass snapshot iterable over ``trace``."""
     if isinstance(trace, Workload):
-        return iter_trace_snapshots(trace, workers=workers)
+        return iter_trace_snapshots(trace)
     return trace
 
 
@@ -74,11 +69,9 @@ def build_scheme(name: str, **kwargs) -> RoutingScheme:
     return scheme_class(**kwargs)
 
 
-def single_node_deduplication_ratio(
-    snapshots: "TraceSource | Iterable[TraceSnapshot]", workers: Optional[int] = None
-) -> float:
+def single_node_deduplication_ratio(snapshots: "TraceSource | Iterable[TraceSnapshot]") -> float:
     """The exact single-node DR of a trace (the EDR normalisation baseline)."""
-    stats = trace_statistics(_fresh_snapshots(snapshots, workers=workers))
+    stats = trace_statistics(_fresh_snapshots(snapshots))
     return stats["deduplication_ratio"]
 
 
@@ -89,7 +82,6 @@ def run_scheme(
     superchunk_size: int = DEFAULT_SUPERCHUNK_SIZE,
     handprint_size: int = DEFAULT_HANDPRINT_SIZE,
     single_node_dr: Optional[float] = None,
-    workers: Optional[int] = None,
 ) -> SimulationResult:
     """Run one scheme at one cluster size over a trace.
 
@@ -97,14 +89,12 @@ def run_scheme(
     fresh lazy trace) or a one-shot snapshot iterator.  With an iterator,
     pass ``single_node_dr`` explicitly to keep the run single-pass; without
     it the iterator is materialised so the baseline ratio can be computed.
-    ``workers`` runs workload replays through the parallel ingest engine's
-    lanes (same trace, chunked concurrently).
     """
     if isinstance(scheme, str):
         scheme = build_scheme(scheme)
     if single_node_dr is None:
         snapshots = _as_replayable(snapshots)
-        single_node_dr = single_node_deduplication_ratio(snapshots, workers=workers)
+        single_node_dr = single_node_deduplication_ratio(snapshots)
     simulator = ClusterSimulator(
         num_nodes=num_nodes,
         routing_scheme=scheme,
@@ -112,7 +102,7 @@ def run_scheme(
         handprint_size=handprint_size,
     )
     return simulator.run(
-        _fresh_snapshots(snapshots, workers=workers),
+        _fresh_snapshots(snapshots),
         single_node_deduplication_ratio=single_node_dr,
     )
 
@@ -124,16 +114,12 @@ def compare_schemes(
     superchunk_size: int = DEFAULT_SUPERCHUNK_SIZE,
     handprint_size: int = DEFAULT_HANDPRINT_SIZE,
     skip_unsupported: bool = True,
-    workers: Optional[int] = None,
 ) -> List[SimulationResult]:
     """Sweep schemes x cluster sizes over one trace.
 
     ``snapshots`` may be a materialised sequence (chunked once, replayed from
     memory) or a :class:`~repro.workloads.base.Workload` (each run replays a
     fresh lazy trace generation-by-generation, never materialising it).
-    With a workload, ``workers`` fans each replay's chunk+fingerprint work
-    across that many parallel ingest lanes, which is where the sweep's
-    re-chunking CPU cost concentrates.
 
     ``schemes`` may mix registered names and pre-configured scheme instances
     (useful when a baseline needs non-default parameters, e.g. a different
@@ -147,7 +133,7 @@ def compare_schemes(
         has_file_metadata = snapshots.has_file_metadata
     else:
         has_file_metadata = all(snapshot.has_file_metadata for snapshot in snapshots)
-    single_node_dr = single_node_deduplication_ratio(snapshots, workers=workers)
+    single_node_dr = single_node_deduplication_ratio(snapshots)
     results: List[SimulationResult] = []
     for scheme in schemes:
         scheme_instance = build_scheme(scheme) if isinstance(scheme, str) else scheme
@@ -165,7 +151,6 @@ def compare_schemes(
                 superchunk_size=superchunk_size,
                 handprint_size=handprint_size,
                 single_node_dr=single_node_dr,
-                workers=workers,
             )
             results.append(result)
     return results

@@ -3,13 +3,10 @@
 The paper's datasets are hundreds of gigabytes; a pure-Python reproduction
 replays scaled-down equivalents.  ``standard_workload(name, scale)`` returns
 the four Table 2 workloads at three deterministic scales so every benchmark
-uses the same inputs and the EXPERIMENTS.md numbers are reproducible.
+uses the same inputs and its numbers are reproducible.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Dict, Sequence
 
 from repro.errors import SimulationError
 from repro.workloads.base import Workload
@@ -70,25 +67,3 @@ def standard_workload(name: str, scale: str = "small") -> Workload:
         return WebWorkload(**params)
     raise SimulationError(f"unknown workload {name!r}; expected linux, vm, mail or web")
 
-
-@dataclass
-class ExperimentConfig:
-    """Configuration of one reproduction experiment (one figure or table).
-
-    Attributes mirror the per-experiment index of DESIGN.md section 3 so a
-    bench can be described declaratively and then executed.
-    """
-
-    experiment_id: str
-    description: str
-    workloads: Sequence[str] = ("linux",)
-    scale: str = "small"
-    cluster_sizes: Sequence[int] = (1, 2, 4, 8, 16, 32, 64, 128)
-    schemes: Sequence[str] = ("sigma", "stateful", "stateless", "extreme_binning")
-    superchunk_size: int = 1024 * 1024
-    handprint_size: int = 8
-    chunk_size: int = 4096
-    parameters: Dict[str, object] = field(default_factory=dict)
-
-    def build_workloads(self) -> Dict[str, Workload]:
-        return {name: standard_workload(name, self.scale) for name in self.workloads}

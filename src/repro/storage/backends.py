@@ -285,15 +285,16 @@ class FileContainerBackend(ContainerBackend):
         decompressed_cache_bytes: int = DEFAULT_DECOMPRESSED_CACHE_BYTES,
         fsync: bool = False,
     ):
+        # A refused codec raises before anything exists on disk.
+        self.compression = resolve_compression(compression)
+        self._codec = build_codec(self.compression)
         self._tmpdir: Optional[tempfile.TemporaryDirectory] = None
         if storage_dir is None:
             self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-containers-")
             storage_dir = self._tmpdir.name
         self.storage_dir = Path(storage_dir)
         self.storage_dir.mkdir(parents=True, exist_ok=True)
-        self.compression = resolve_compression(compression)
         self.fsync = fsync
-        self._codec = build_codec(self.compression)
         self.journal = ManifestJournal(self.storage_dir / MANIFEST_NAME)
         self.last_recovery: Optional[SpillRecovery] = None
         self._fault_hook: Optional[SpillFaultHook] = None

@@ -63,10 +63,6 @@ class TransportCluster(DedupeCluster):
 
     transport = "process"
 
-    retains_payloads = False
-    """The synchronous wire send guarantees the kernel owns the bytes before
-    any slab region is reused, so lanes may hand over zero-copy slab views."""
-
     retryable_read_errors = RETRYABLE_READ_ERRORS + (RpcDroppedError,)
     """The in-process retryables plus injected RPC drops: a dropped read
     request is retried under the same bounded-backoff policy as a faulty

@@ -13,8 +13,7 @@ The paper evaluates on two real datasets and two traces (Table 2):
   :class:`~repro.workloads.web.WebWorkload`.
 
 Every generator is deterministic given its seed, sized for laptop-scale runs,
-and documents which property of the original dataset it preserves (see
-``DESIGN.md`` section 2 for the substitution rationale).
+and its docstring says which property of the original dataset it preserves.
 """
 
 from repro.workloads.base import (

@@ -79,7 +79,6 @@ def iter_trace_snapshots(
     workload: Workload,
     chunker: Optional[Chunker] = None,
     fingerprint_algorithm: str = "sha1",
-    workers: Optional[int] = None,
 ) -> Iterator[TraceSnapshot]:
     """Lazily convert a workload into chunk-level trace snapshots.
 
@@ -90,23 +89,8 @@ def iter_trace_snapshots(
     :meth:`~repro.workloads.base.WorkloadFile.iter_blocks`, so no file
     payload -- let alone a whole trace -- is ever buffered; only the
     (payload-free) chunk metadata of the current snapshot is held.
-
-    With ``workers > 1`` the chunk+fingerprint work of content files fans out
-    across that many parallel ingest lanes (files surface in order, so the
-    trace is identical to the serial one); trace workloads have no such work
-    and are unaffected.
     """
     chunker = chunker or StaticChunker(4096)
-    if workers is not None and workers > 1:
-        return _iter_trace_snapshots_parallel(
-            workload, chunker, fingerprint_algorithm, workers
-        )
-    return _iter_trace_snapshots_serial(workload, chunker, fingerprint_algorithm)
-
-
-def _iter_trace_snapshots_serial(
-    workload: Workload, chunker: Chunker, fingerprint_algorithm: str
-) -> Iterator[TraceSnapshot]:
     fingerprinter = Fingerprinter(fingerprint_algorithm)
     for snapshot in workload.snapshots():
         trace_files: List[TraceFile] = []
@@ -131,57 +115,10 @@ def _iter_trace_snapshots_serial(
         )
 
 
-def _iter_trace_snapshots_parallel(
-    workload: Workload, chunker: Chunker, fingerprint_algorithm: str, workers: int
-) -> Iterator[TraceSnapshot]:
-    """Engine-backed trace generation: content files chunked across lanes."""
-    from repro.core.partitioner import PartitionerConfig, StreamPartitioner
-    from repro.core.superchunk import DEFAULT_SUPERCHUNK_SIZE
-    from repro.parallel.engine import ParallelIngestEngine
-
-    config = PartitionerConfig(
-        chunker=chunker,
-        superchunk_size=max(DEFAULT_SUPERCHUNK_SIZE, chunker.average_chunk_size),
-        fingerprint_algorithm=fingerprint_algorithm,
-        keep_chunk_data=False,
-    )
-    engine = ParallelIngestEngine(workers=workers)
-    for snapshot in workload.snapshots():
-        files = list(snapshot.files)
-        pairs = engine.iter_file_records(
-            ((file.path, file.iter_blocks()) for file in files if not file.chunks),
-            lambda: StreamPartitioner(config),
-        )
-        try:
-            trace_files: List[TraceFile] = []
-            for file in files:
-                if file.chunks:
-                    records: Iterable = file.chunks
-                else:
-                    _path, records = next(pairs)
-                trace_files.append(
-                    TraceFile(
-                        path=file.path,
-                        chunks=[
-                            TraceChunk(fingerprint=record.fingerprint, length=record.length)
-                            for record in records
-                        ],
-                    )
-                )
-        finally:
-            pairs.close()
-        yield TraceSnapshot(
-            label=snapshot.label,
-            files=trace_files,
-            has_file_metadata=workload.has_file_metadata,
-        )
-
-
 def materialize_workload(
     workload: Workload,
     chunker: Optional[Chunker] = None,
     fingerprint_algorithm: str = "sha1",
-    workers: Optional[int] = None,
 ) -> List[TraceSnapshot]:
     """Convert a workload into a fully buffered list of trace snapshots.
 
@@ -190,10 +127,7 @@ def materialize_workload(
     """
     return list(
         iter_trace_snapshots(
-            workload,
-            chunker=chunker,
-            fingerprint_algorithm=fingerprint_algorithm,
-            workers=workers,
+            workload, chunker=chunker, fingerprint_algorithm=fingerprint_algorithm
         )
     )
 

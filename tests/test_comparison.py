@@ -12,7 +12,7 @@ from repro.simulation.comparison import (
     run_scheme,
     single_node_deduplication_ratio,
 )
-from repro.simulation.experiment import ExperimentConfig, standard_workload
+from repro.simulation.experiment import standard_workload
 from repro.workloads.mail import MailWorkload
 from repro.workloads.trace import materialize_workload
 from repro.workloads.versioned_source import VersionedSourceWorkload
@@ -165,10 +165,3 @@ class TestExperimentPresets:
         tiny = standard_workload("mail", "tiny").describe()
         small = standard_workload("mail", "small").describe()
         assert small["logical_bytes"] > tiny["logical_bytes"]
-
-    def test_experiment_config_builds_workloads(self):
-        config = ExperimentConfig(
-            experiment_id="fig8", description="EDR", workloads=("mail", "web"), scale="tiny"
-        )
-        workloads = config.build_workloads()
-        assert set(workloads) == {"mail", "web"}

@@ -10,13 +10,20 @@ observable surface -- backup reports, cluster describe, per-node describes
 (including message counters), restored bytes -- must match exactly: slab
 placement, lane scheduling, the packed reply codec and the windowed send
 path are not allowed to change a single observable byte.
+
+The last two tests pin what lanes hand the process transport: records that
+own their payload ``bytes``, and no shared memory beyond the lane slabs.
 """
+
+import random
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.cluster import DedupeCluster
 from repro.core.framework import SigmaDedupe
 from repro.node.dedupe_node import NodeConfig
+from repro.parallel.shm import DEFAULT_SLOT_BYTES, ShmLanePool
 
 
 @st.composite
@@ -120,14 +127,13 @@ class TestProcessExecutorProperties:
         sessions=backup_workload(),
         pipeline_depth=st.sampled_from([1, 4]),
     )
-    def test_full_handoff_stack_is_byte_identical_to_serial(
+    def test_lanes_over_process_transport_are_byte_identical_to_serial(
         self, sessions, pipeline_depth
     ):
-        """Lanes + process transport: slab views reach the wire train with
-        no copy out to bytes, and the windowed pipeline changes nothing
+        """Lanes + process transport + the windowed pipeline change nothing
         observable."""
         serial = run_session(sessions, "memory")
-        handoff = run_session(
+        stacked = run_session(
             sessions,
             "memory",
             transport="process",
@@ -135,7 +141,73 @@ class TestProcessExecutorProperties:
             executor="process",
             pipeline_depth=pipeline_depth,
         )
-        assert handoff["reports"] == serial["reports"]
-        assert handoff["cluster_describe"] == serial["cluster_describe"]
-        assert handoff["node_describes"] == serial["node_describes"]
-        assert handoff["restored"] == serial["restored"]
+        assert stacked["reports"] == serial["reports"]
+        assert stacked["cluster_describe"] == serial["cluster_describe"]
+        assert stacked["node_describes"] == serial["node_describes"]
+        assert stacked["restored"] == serial["restored"]
+
+
+def lanes_into_process_transport(sessions):
+    """Back up ``sessions`` through 2 shm lanes into a 2-worker process
+    transport, the ``process_planes`` benchmark's stack; return the restores."""
+    framework = SigmaDedupe(
+        num_nodes=2,
+        routing="sigma",
+        chunker="gear",
+        transport="process",
+        workers=2,
+        parallel_executor="process",
+        pipeline_depth=4,
+    )
+    try:
+        reports = [framework.backup(files) for files in sessions]
+        return [dict(framework.restore_session(report.session_id)) for report in reports]
+    finally:
+        framework.close()
+
+
+def evolved_sessions(file_count, file_size, seed=11):
+    """Two sessions of unique files, the second with 10% of each file rewritten."""
+    rng = random.Random(seed)
+    first = [(f"vm/disk-{index}.img", rng.randbytes(file_size)) for index in range(file_count)]
+    second = []
+    for path, data in first:
+        edited = bytearray(data)
+        for _ in range(10):
+            at = rng.randrange(0, file_size - file_size // 100)
+            edited[at:at + file_size // 100] = rng.randbytes(file_size // 100)
+        second.append((path, bytes(edited)))
+    return [first, second]
+
+
+def test_lanes_hand_the_wire_owned_bytes(monkeypatch):
+    payload_types = set()
+    send = DedupeCluster.backup_superchunk_send
+
+    def spy(self, superchunk, decision=None):
+        payload_types.update(type(chunk.data) for chunk in superchunk.chunks)
+        return send(self, superchunk, decision)
+
+    monkeypatch.setattr(DedupeCluster, "backup_superchunk_send", spy)
+    sessions = evolved_sessions(file_count=4, file_size=256 * 1024)
+    restored = lanes_into_process_transport(sessions)
+    assert payload_types == {bytes}
+    assert restored == [dict(files) for files in sessions]
+
+
+def test_lanes_create_no_segment_beyond_their_slabs(monkeypatch):
+    created = []
+    create = ShmLanePool._create_segment
+
+    def spy(self, size):
+        created.append(size)
+        return create(self, size)
+
+    monkeypatch.setattr(ShmLanePool, "_create_segment", spy)
+    sessions = evolved_sessions(file_count=6, file_size=4 * 1024 * 1024)
+    restored = lanes_into_process_transport(sessions)
+    # One pool per session, one two-slot slab per lane, and nothing else:
+    # every file fits a slot, and a slot is free again as soon as its
+    # file's records have copied their payloads out.
+    assert created == [2 * DEFAULT_SLOT_BYTES] * 4
+    assert restored == [dict(files) for files in sessions]

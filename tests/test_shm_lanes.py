@@ -4,8 +4,8 @@ The pool's contract: payload bytes are written once into a per-lane slab (or
 a dedicated one-shot segment when the slabs are full/too small), lanes chunk
 and fingerprint in place and reply with the packed ``(offsets, fingerprints)``
 codec only, slots become reusable on ``release()``, and ``close()`` is
-idempotent and never leaks a ``/dev/shm`` name -- even with live payload
-views outstanding or a dead lane.
+idempotent, releases the views of handles still outstanding, and never leaks
+a ``/dev/shm`` name or a mapping -- even with a dead lane.
 """
 
 import hashlib
@@ -183,3 +183,17 @@ class TestShmLanePool:
         assert shm_names(tag) == set()
         with pytest.raises(ParallelLaneError):
             pool.submit(b"after close")
+
+    def test_close_releases_outstanding_views_and_unmaps_every_segment(self):
+        pool = ShmLanePool(config=lane_config(), workers=2, slot_bytes=SLOT_BYTES)
+        segments = [lane.shm for lane in pool.lanes]
+        slotted = pool.submit(payload_bytes(SLOT_BYTES))
+        view, _packed = slotted.wait()
+        oversize = pool.submit(payload_bytes(SLOT_BYTES * 4))
+        oversize.wait()
+        segments.append(oversize._segment)
+        pool.close()
+        with pytest.raises(ValueError):
+            view.nbytes  # released: no view outlives the pool
+        # Every mapping is closed, none merely detached behind a live view.
+        assert [(shm.buf, shm._mmap) for shm in segments] == [(None, None)] * len(segments)

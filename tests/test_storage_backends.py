@@ -610,6 +610,13 @@ class TestCompressionSelection:
         with pytest.raises(CompressionError, match="unknown compression codec"):
             FileContainerBackend(tmp_path, compression="lz77")
 
+    @pytest.mark.parametrize("name", ["zstd", "lz77"])
+    def test_refused_codec_leaves_no_directory_behind(self, tmp_path, name):
+        storage_dir = tmp_path / "new" / "spill"
+        with pytest.raises(CompressionError):
+            FileContainerBackend(storage_dir, compression=name)
+        assert not (tmp_path / "new").exists()
+
     def test_framework_roundtrip_with_compression(self, tmp_path):
         framework = SigmaDedupe(
             num_nodes=2,
