@@ -2,7 +2,7 @@
 
 Algorithm 1 step 3 discounts each candidate's resemblance by its relative
 storage usage so that capacity stays balanced (Theorem 2 argues the balance is
-then global).  DESIGN.md calls this design choice out for ablation: this bench
+then global).  This bench ablates that design choice: it
 runs Sigma-Dedupe with the discount enabled (the paper's design) and disabled
 (route purely by resemblance) on the Linux and VM workloads and reports the
 effect on storage balance and on the effective deduplication ratio.

@@ -82,7 +82,7 @@ def test_fig4a_chunking_and_fingerprinting_throughput(benchmark):
     # Unlike the paper's C++ prototype, aggregate pure-Python fingerprinting
     # throughput does NOT scale with the number of threads (the per-chunk
     # Python overhead is GIL-bound even though hashlib releases the GIL while
-    # hashing), so no thread-scaling assertion is made here; the deviation is
-    # recorded in EXPERIMENTS.md.  What must hold at every stream count is
+    # hashing), so no thread-scaling assertion is made here; this comment is
+    # where the deviation is recorded.  What must hold at every stream count is
     # that the system keeps fingerprinting at a usable rate.
     assert all(sha1 > 1.0 for _, _, _, sha1, _ in rows)

@@ -5,18 +5,20 @@ module:
 
 * builds its workload through :func:`repro.simulation.experiment.standard_workload`
   at the scale selected by the ``REPRO_BENCH_SCALE`` environment variable
-  (``tiny`` / ``small`` / ``medium``; default ``small``), so results recorded
-  in EXPERIMENTS.md are reproducible;
+  (``tiny`` / ``small`` / ``medium``; default ``small``), so a recorded
+  table can be regenerated at the scale it names (README "Benchmarks");
 * prints the regenerated rows/series with :func:`repro.metrics.report.format_table`
   and also writes them to ``benchmarks/results/<name>.txt``;
 * wraps its key operation in the pytest-benchmark fixture so
-  ``pytest benchmarks/ --benchmark-only`` both regenerates the data and reports
-  the wall-clock cost.
+  ``pytest benchmarks/bench_*.py --benchmark-only`` both regenerates the data
+  and reports the wall-clock cost (the files must be named: their
+  ``bench_`` prefix keeps a plain ``pytest benchmarks/`` from collecting
+  them).
 
-Scaled-down parameters (documented in EXPERIMENTS.md): the cluster experiments
-use 1 KB static chunks and 64-256 KB super-chunks so that the number of
-super-chunks stays much larger than the cluster size on laptop-scale datasets,
-preserving the paper's ratio-of-units-to-nodes rather than its absolute sizes.
+Scaled-down parameters: the cluster experiments use 1 KB static chunks and
+64-256 KB super-chunks so that the number of super-chunks stays much larger
+than the cluster size on laptop-scale datasets, preserving the paper's
+ratio-of-units-to-nodes rather than its absolute sizes.
 """
 
 from __future__ import annotations

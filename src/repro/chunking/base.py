@@ -6,7 +6,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple
 
-from repro.errors import ChunkingError
 
 #: Committed chunks per run of :meth:`Chunker.committed_segments`: large enough
 #: to amortise the per-run Python overhead of its consumers, small enough that
@@ -71,10 +70,6 @@ class Chunker(ABC):
         """
         for chunk in self.chunk(data):
             yield chunk.offset + len(chunk.data)
-
-    def chunk_all(self, data: bytes) -> List[RawChunk]:
-        """Return all chunks of ``data`` as a list (convenience wrapper)."""
-        return list(self.chunk(data))
 
     def committed_segments(
         self, blocks: "Iterable[bytes | bytearray | memoryview]", digest: Optional[str] = None
@@ -181,16 +176,3 @@ class Chunker(ABC):
     @abstractmethod
     def average_chunk_size(self) -> int:
         """The nominal/average chunk size in bytes for this configuration."""
-
-    def validate_roundtrip(self, data: bytes) -> None:
-        """Raise :class:`ChunkingError` unless the chunks reassemble ``data``.
-
-        Used by tests and by callers that want a cheap sanity check on new
-        chunker configurations.
-        """
-        reassembled = b"".join(chunk.data for chunk in self.chunk(data))
-        if reassembled != data:
-            raise ChunkingError(
-                f"{type(self).__name__} did not partition the stream losslessly: "
-                f"{len(reassembled)} bytes reassembled from {len(data)} input bytes"
-            )

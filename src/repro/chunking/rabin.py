@@ -67,14 +67,3 @@ class RabinRollingHash:
             self._filled += 1
         self.value = ((self.value * _MULTIPLIER) + byte - self._out_table[outgoing]) & _MASK64
         return self.value
-
-    def update_bytes(self, data: bytes) -> int:
-        """Slide every byte of ``data`` through the window, return the final hash."""
-        for byte in data:
-            self.update(byte)
-        return self.value
-
-    @property
-    def window_full(self) -> bool:
-        """True once at least ``window_size`` bytes have been consumed."""
-        return self._filled >= self.window_size

@@ -61,17 +61,6 @@ class ClientBackupReport:
     superchunks_routed: int = 0
     per_node_superchunks: Dict[int, int] = field(default_factory=dict)
 
-    @property
-    def bandwidth_saved_bytes(self) -> int:
-        """Bytes that did not cross the network thanks to source deduplication."""
-        return self.logical_bytes - self.transferred_bytes
-
-    @property
-    def bandwidth_saving_ratio(self) -> float:
-        if self.logical_bytes == 0:
-            return 0.0
-        return self.bandwidth_saved_bytes / self.logical_bytes
-
 
 class BackupClient:
     """A source-deduplicating backup client attached to a cluster and director.
@@ -224,18 +213,6 @@ class BackupClient:
         self.cluster.flush()
         self.director.close_session(session.session_id)
         return report
-
-    def backup_bytes(
-        self,
-        path: str,
-        data: bytes,
-        session_label: str = "",
-        stream_id: int = 0,
-    ) -> ClientBackupReport:
-        """Convenience wrapper to back up a single in-memory object."""
-        return self.backup_files(
-            [(path, data)], session_label=session_label, stream_id=stream_id
-        )
 
     def backup_stream(
         self,

@@ -54,11 +54,17 @@ fail over -- a replica would return the same wrong answer."""
 
 class ClusterFaultHook(Protocol):
     """What a fault plan exposes to the cluster's read plane (node-down
-    windows); behind an ``if hook is not None`` guard like every hook site."""
+    windows, and RPC drops and delays on the process transport); behind an
+    ``if hook is not None`` guard like every hook site."""
 
     def node_is_down(self, node_id: int) -> bool:
         """Consulted once per cluster read operation; ticks the plan's
         operation clock and reports whether ``node_id`` is dark."""
+
+    def rpc_fault(self, node_id: int, op: str) -> float:
+        """Consulted once per read-plane RPC a ``TransportCluster`` sends;
+        returns the send delay in seconds or raises
+        :class:`~repro.errors.RpcDroppedError`."""
 
 
 class PendingStore:
@@ -378,9 +384,6 @@ class DedupeCluster(ClusterView):
 
     def storage_usages(self) -> List[int]:
         return [int(entry["stored_bytes"]) for entry in self.node_describes()]
-
-    def storage_usage_stddev(self) -> float:
-        return population_stddev(self.storage_usages())
 
     def describe(self) -> Dict[str, float]:
         """Cluster-wide summary used by examples and reports."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.runtime import GuardLock, guarded_lock
 from repro.cluster.recipe import FileRecipe
@@ -92,10 +92,6 @@ class Director:
         with self._lock:
             return list(self._sessions.values())
 
-    def sessions_for_client(self, client_id: str) -> List[BackupSession]:
-        with self._lock:
-            return [s for s in self._sessions.values() if s.client_id == client_id]
-
     # ------------------------------------------------------------------ #
     # recipe management
     # ------------------------------------------------------------------ #
@@ -127,17 +123,6 @@ class Director:
         if recipe is None:
             raise RecipeError(f"no recipe for {path!r} in session {session_id}")
         return recipe
-
-    def has_recipe(self, session_id: str, path: str) -> bool:
-        with self._lock:
-            return session_id in self._recipes and path in self._recipes[session_id]
-
-    def iter_recipes(self, session_id: str) -> Iterator[FileRecipe]:
-        # Snapshot under the lock so iteration never races a concurrent
-        # record_file_chunks inserting into the same session.
-        with self._lock:
-            self.get_session(session_id)
-            return iter(list(self._recipes[session_id].values()))
 
     def files_in_session(self, session_id: str) -> List[str]:
         return list(self.get_session(session_id).file_paths)
@@ -241,18 +226,6 @@ class Director:
     # ------------------------------------------------------------------ #
     # statistics
     # ------------------------------------------------------------------ #
-
-    def total_logical_bytes(self, session_id: Optional[str] = None) -> int:
-        """Logical bytes recorded in recipes (one session, or all sessions)."""
-        with self._lock:
-            if session_id is not None:
-                self.get_session(session_id)
-                return sum(recipe.logical_size for recipe in self._recipes[session_id].values())
-            return sum(
-                recipe.logical_size
-                for recipes in self._recipes.values()
-                for recipe in recipes.values()
-            )
 
     def file_count(self) -> int:
         with self._lock:

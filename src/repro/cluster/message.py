@@ -135,43 +135,6 @@ class MessageCounter:
         with self._lock:
             return sum(self.bytes_by_type.values())
 
-    def merge(self, other: "MessageCounter") -> "MessageCounter":
-        # The two locks are taken one after the other, never nested, so two
-        # threads merging in opposite directions cannot deadlock.
-        with self._lock:
-            merged_counts = dict(self.counts)
-            merged_wire = dict(self.wire_messages)
-            merged_bytes = dict(self.bytes_by_type)
-        with other._lock:
-            other_counts = dict(other.counts)
-            other_wire = dict(other.wire_messages)
-            other_bytes = dict(other.bytes_by_type)
-        for message_type, count in other_counts.items():
-            merged_counts[message_type] = merged_counts.get(message_type, 0) + count
-        for message_type, count in other_wire.items():
-            merged_wire[message_type] = merged_wire.get(message_type, 0) + count
-        for message_type, count in other_bytes.items():
-            merged_bytes[message_type] = merged_bytes.get(message_type, 0) + count
-        return MessageCounter(
-            counts=merged_counts,
-            wire_messages=merged_wire,
-            bytes_by_type=merged_bytes,
-        )
-
     def as_dict(self) -> Dict[str, int]:
         with self._lock:
             return {message_type.value: count for message_type, count in self.counts.items()}
-
-    def wire_as_dict(self) -> Dict[str, Dict[str, int]]:
-        """The wire dimension for reports: per-type message and byte totals."""
-        with self._lock:
-            return {
-                "messages": {
-                    message_type.value: count
-                    for message_type, count in self.wire_messages.items()
-                },
-                "bytes": {
-                    message_type.value: count
-                    for message_type, count in self.bytes_by_type.items()
-                },
-            }

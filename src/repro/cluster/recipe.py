@@ -70,10 +70,6 @@ class FileRecipe:
         self.node_ids.extend(node_ids)
         self.container_ids.extend(container_ids)
 
-    def nodes_involved(self) -> List[int]:
-        """Distinct node ids holding at least one chunk of this file."""
-        return list(dict.fromkeys(self.node_ids))
-
     def validate(self) -> None:
         """Raise :class:`RecipeError` if the recipe is structurally broken."""
         fingerprints, lengths = self.fingerprints, self.lengths

@@ -22,7 +22,7 @@ all still raises :class:`~repro.errors.ChunkNotFoundError`), and
 from __future__ import annotations
 
 from operator import length_hint
-from typing import Dict, Iterator, Tuple
+from typing import Iterator, Tuple
 
 from repro.cluster.cluster import DedupeCluster
 from repro.cluster.director import Director
@@ -142,20 +142,3 @@ class RestoreManager:
         """Yield ``(path, data)`` for every file of a backup session."""
         for path in self.director.files_in_session(session_id):
             yield path, self.restore_file(session_id, path)
-
-    def verify_session(self, session_id: str, originals: Dict[str, bytes]) -> bool:
-        """Restore every file and compare against the provided originals.
-
-        Returns ``True`` when every file matches and the session holds every
-        path of ``originals`` (a lost file is a mismatch); raises
-        ``RecipeError`` when a file of the session is missing from
-        ``originals``.
-        """
-        restored = set()
-        for path, data in self.restore_session(session_id):
-            if path not in originals:
-                raise RecipeError(f"no original provided for restored file {path!r}")
-            if originals[path] != data:
-                return False
-            restored.add(path)
-        return restored == originals.keys()

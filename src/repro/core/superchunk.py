@@ -92,9 +92,5 @@ class SuperChunk:
         node plane all read it; callers must not mutate it)."""
         return list(map(_FINGERPRINT, self.chunks))
 
-    @property
-    def distinct_fingerprints(self) -> int:
-        return len(set(self.fingerprints))
-
     def __len__(self) -> int:
         return len(self.chunks)

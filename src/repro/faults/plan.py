@@ -281,10 +281,6 @@ class FaultPlan:
                 for window in self.node_down_windows
             )
 
-    # ------------------------------------------------------------------ #
-    # TransportFaultHook protocol
-    # ------------------------------------------------------------------ #
-
     def rpc_fault(self, node_id: int, op: str) -> float:
         """Tick the RPC clock for one read-plane RPC; returns the injected
         send delay in seconds, raising :class:`~repro.errors.RpcDroppedError`

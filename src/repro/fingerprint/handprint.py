@@ -60,10 +60,6 @@ class Handprint:
     def as_set(self) -> FrozenSet[bytes]:
         return frozenset(self.representative_fingerprints)
 
-    def overlap(self, other: "Handprint") -> int:
-        """Number of representative fingerprints shared with ``other``."""
-        return len(self.as_set() & other.as_set())
-
     def __iter__(self):
         return iter(self.representative_fingerprints)
 
@@ -155,23 +151,3 @@ def probability_handprints_intersect(resemblance: float, handprint_size: int) ->
     if handprint_size < 1:
         raise ValidationError("handprint_size must be >= 1")
     return 1.0 - (1.0 - resemblance) ** handprint_size
-
-
-def resemblance_from_counts(shared: int, total_a: int, total_b: int) -> float:
-    """Jaccard resemblance from intersection/sizes (inclusion-exclusion helper)."""
-    if shared < 0 or total_a < 0 or total_b < 0:
-        raise ValidationError("counts must be non-negative")
-    union = total_a + total_b - shared
-    if union <= 0:
-        return 1.0
-    return shared / union
-
-
-def handprint_sampling_rate(handprint_size: int, chunks_per_superchunk: int) -> float:
-    """The handprint-sampling rate defined in Section 4.3.
-
-    ``handprint size / total number of chunk fingerprints in a super-chunk``.
-    """
-    if chunks_per_superchunk <= 0:
-        raise ValidationError("chunks_per_superchunk must be positive")
-    return handprint_size / chunks_per_superchunk

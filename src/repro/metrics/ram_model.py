@@ -87,17 +87,6 @@ class RamUsageModel:
         """A flat in-RAM chunk index (the structure everyone is avoiding)."""
         return self.total_chunks * self.index_entry_bytes
 
-    def sigma_fraction_of_full_index(self) -> float:
-        """Sigma's similarity index as a fraction of the full chunk index.
-
-        With the paper's parameters this is 1/32: 8 entries per 256-chunk
-        super-chunk.
-        """
-        full = self.full_chunk_index_bytes()
-        if full == 0:
-            return 0.0
-        return self.sigma_similarity_index_bytes() / full
-
     def summary_gib(self) -> dict:
         """All four figures in GiB, ready for the benchmark table."""
         return {

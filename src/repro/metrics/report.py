@@ -7,7 +7,7 @@ easy-to-diff output.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Sequence, Union
+from typing import Iterable, List, Sequence, Union
 
 Cell = Union[str, int, float]
 
@@ -57,13 +57,3 @@ def format_table(
     for row in rendered_rows:
         lines.append(render_row(row))
     return "\n".join(lines)
-
-
-def format_records(records: Sequence[Mapping[str, Cell]], title: str = "") -> str:
-    """Render a list of homogeneous dicts as a table (keys of the first record
-    define the column order)."""
-    if not records:
-        return title or "(no records)"
-    headers = list(records[0].keys())
-    rows = [[record.get(header, "") for header in headers] for record in records]
-    return format_table(headers, rows, title=title)

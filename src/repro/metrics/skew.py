@@ -21,8 +21,6 @@ class StorageSkew:
         ``alpha / (alpha + sigma)`` = ``1 / (1 + cv)``.
     max_over_mean:
         How much fuller the fullest node is than the average node.
-    balance_factor:
-        ``alpha / (alpha + sigma)``, in (0, 1]; 1.0 means perfectly balanced.
     """
 
     mean_bytes: float
@@ -30,12 +28,6 @@ class StorageSkew:
     coefficient_of_variation: float
     max_over_mean: float
     min_over_mean: float
-
-    @property
-    def balance_factor(self) -> float:
-        if self.mean_bytes + self.stddev_bytes == 0:
-            return 1.0
-        return self.mean_bytes / (self.mean_bytes + self.stddev_bytes)
 
 
 def storage_skew(storage_usages: Sequence[float]) -> StorageSkew:

@@ -654,11 +654,6 @@ class DedupeNode:
     # reporting
     # ------------------------------------------------------------------ #
 
-    @property
-    def ram_usage_bytes(self) -> int:
-        """Similarity-index RAM footprint (the paper's RAM-usage comparison)."""
-        return self.similarity_index.size_in_bytes
-
     def describe(self) -> Dict[str, float]:
         """A flat summary combining stats with storage/cache counters.
 

@@ -52,37 +52,6 @@ class NodeStats:
     def total_chunks(self) -> int:
         return self.duplicate_chunks + self.unique_chunks
 
-    @property
-    def duplicate_chunk_ratio(self) -> float:
-        total = self.total_chunks
-        if total == 0:
-            return 0.0
-        return self.duplicate_chunks / total
-
-    def merge(self, other: "NodeStats") -> "NodeStats":
-        """Return a new NodeStats that is the sum of ``self`` and ``other``."""
-        merged = NodeStats(
-            logical_bytes=self.logical_bytes + other.logical_bytes,
-            physical_bytes=self.physical_bytes + other.physical_bytes,
-            duplicate_chunks=self.duplicate_chunks + other.duplicate_chunks,
-            unique_chunks=self.unique_chunks + other.unique_chunks,
-            duplicate_bytes=self.duplicate_bytes + other.duplicate_bytes,
-            superchunks_received=self.superchunks_received + other.superchunks_received,
-            resemblance_queries=self.resemblance_queries + other.resemblance_queries,
-            intra_node_lookup_messages=(
-                self.intra_node_lookup_messages + other.intra_node_lookup_messages
-            ),
-            cache_hits=self.cache_hits + other.cache_hits,
-            cache_misses=self.cache_misses + other.cache_misses,
-            disk_index_lookups=self.disk_index_lookups + other.disk_index_lookups,
-            disk_index_hits=self.disk_index_hits + other.disk_index_hits,
-            container_prefetches=self.container_prefetches + other.container_prefetches,
-        )
-        merged.extra = dict(self.extra)
-        for key, value in other.extra.items():
-            merged.extra[key] = merged.extra.get(key, 0.0) + value
-        return merged
-
     def as_dict(self) -> Dict[str, float]:
         """Flatten to a plain dict for report tables."""
         return {

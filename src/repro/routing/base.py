@@ -40,13 +40,6 @@ class ClusterView(ABC):
         fingerprints of a super-chunk and queries every node.
         """
 
-    def average_storage_usage(self) -> float:
-        """Mean physical usage across all nodes (0.0 for an empty cluster)."""
-        if self.num_nodes == 0:
-            return 0.0
-        total = sum(self.node_storage_usage(node_id) for node_id in range(self.num_nodes))
-        return total / self.num_nodes
-
     def routing_probe(
         self, candidate_nodes: Sequence[int], handprint
     ) -> "tuple[List[int], List[int]]":

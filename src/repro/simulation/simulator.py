@@ -202,9 +202,6 @@ class ClusterSimulator(ClusterView):
         self.units_routed = 0
         self.chunk_count = 0
         self._logical_bytes = 0
-        # Cache of the total usage so average_storage_usage is O(1); updated on
-        # every backup instead of recomputed per routing decision.
-        self._total_physical = 0
 
     # ------------------------------------------------------------------ #
     # ClusterView interface
@@ -220,11 +217,6 @@ class ClusterSimulator(ClusterView):
 
     def node_storage_usage(self, node_id: int) -> int:
         return self._nodes[node_id].physical_bytes
-
-    def average_storage_usage(self) -> float:
-        if not self._nodes:
-            return 0.0
-        return self._total_physical / len(self._nodes)
 
     def resemblance_query(self, node_id: int, handprint) -> int:
         return self._nodes[node_id].resemblance_count(handprint)
@@ -288,12 +280,10 @@ class ClusterSimulator(ClusterView):
             )
             self.messages.record(MessageType.AFTER_ROUTING, len(chunks))
             node = self._nodes[decision.target_node]
-            before = node.physical_bytes
             if getattr(self.routing_scheme, "intra_node_dedup", "exact") == "bin":
                 node.backup_unit_binned(chunks, representative=superchunk.handprint.champion)
             else:
                 node.backup_unit(chunks, handprint=superchunk.handprint)
-            self._total_physical += node.physical_bytes - before
             self.units_routed += 1
             self.chunk_count += len(chunks)
             self._logical_bytes += superchunk.logical_size

@@ -385,12 +385,6 @@ class Container:
         """All chunk fingerprints stored in this container, in append order."""
         return list(self._fingerprints)
 
-    def metadata_size_bytes(self, entry_size: int = 40) -> int:
-        """Approximate size of the metadata section (40 B per entry by default,
-        the per-entry size the paper's RAM estimate assumes)."""
-        return self.chunk_count * entry_size
-
-
 K = TypeVar("K", bound=Hashable)
 R = TypeVar("R")
 

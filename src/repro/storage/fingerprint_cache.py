@@ -208,7 +208,3 @@ class ChunkFingerprintCache:
     @property
     def cached_containers(self) -> int:
         return len(self._containers)
-
-    @property
-    def cached_fingerprints(self) -> int:
-        return len(self._fingerprint_to_container)

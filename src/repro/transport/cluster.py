@@ -173,10 +173,10 @@ class TransportCluster(DedupeCluster):
     def _consult_rpc_fault(self, node_id: int, op: str) -> None:
         """Tick the installed plan's RPC clock for one read-plane request: the
         plan may delay the send or drop it (``RpcDroppedError``)."""
-        fault = getattr(self._fault_hook, "rpc_fault", None)
-        if fault is None:
+        hook = self._fault_hook
+        if hook is None:
             return
-        delay = fault(node_id, op)
+        delay = hook.rpc_fault(node_id, op)
         if delay > 0:
             time.sleep(delay)
 

@@ -14,15 +14,14 @@ The submodules are intentionally small and dependency-free:
   :mod:`ctypes` call (the gear kernel and the libdeflate codec).
 """
 
-from repro.utils.hashing import digest_bytes, digest_hex, digest_to_int, fingerprint_mod
+from repro.utils.hashing import digest_bytes, digest_to_int, fingerprint_mod
 from repro.utils.lru import LRUCache
 from repro.utils.striped_lock import StripedLock
-from repro.utils.units import KiB, MiB, GiB, format_bytes, parse_size
+from repro.utils.units import KiB, MiB, GiB, format_bytes
 from repro.utils.stats import mean, population_stddev, coefficient_of_variation
 
 __all__ = [
     "digest_bytes",
-    "digest_hex",
     "digest_to_int",
     "fingerprint_mod",
     "LRUCache",
@@ -31,7 +30,6 @@ __all__ = [
     "MiB",
     "GiB",
     "format_bytes",
-    "parse_size",
     "mean",
     "population_stddev",
     "coefficient_of_variation",

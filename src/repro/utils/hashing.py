@@ -57,11 +57,6 @@ def digest_bytes(data: bytes, algorithm: str = "sha1") -> bytes:
     return digest_constructor(algorithm)(data).digest()
 
 
-def digest_hex(data: bytes, algorithm: str = "sha1") -> str:
-    """Return the hexadecimal digest of ``data`` under ``algorithm``."""
-    return digest_constructor(algorithm)(data).hexdigest()
-
-
 def digest_to_int(fingerprint: bytes) -> int:
     """Interpret a fingerprint as a big-endian unsigned integer."""
     if not fingerprint:

@@ -94,10 +94,6 @@ class LRUCache(Generic[K, V]):
             if self._on_evict is not None:
                 self._on_evict(evicted_key, evicted_value)
 
-    def remove(self, key: K) -> Optional[V]:
-        """Remove and return an entry, or ``None`` if absent."""
-        return self._entries.pop(key, None)
-
     def clear(self) -> None:
         """Drop all entries (statistics are preserved)."""
         self._entries.clear()

@@ -8,7 +8,7 @@ avoid a numpy dependency inside the core library.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 from repro.errors import ValidationError
 
 
@@ -62,16 +62,6 @@ def percentile(values: Sequence[float], fraction: float) -> float:
         return 0.0
     rank = min(len(ordered) - 1, max(0, int(math.ceil(fraction * len(ordered))) - 1))
     return ordered[rank]
-
-
-def running_totals(values: Iterable[float]) -> List[float]:
-    """Cumulative sums of ``values`` (useful for plotting growth curves)."""
-    totals: List[float] = []
-    acc = 0.0
-    for value in values:
-        acc += value
-        totals.append(acc)
-    return totals
 
 
 class SnapshotCounter:

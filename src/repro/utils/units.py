@@ -1,55 +1,11 @@
-"""Byte-size constants, parsing and formatting helpers."""
+"""Byte-size constants and formatting."""
 
 from __future__ import annotations
-from repro.errors import ValidationError
 
 KiB = 1024
 MiB = 1024 * KiB
 GiB = 1024 * MiB
 TiB = 1024 * GiB
-
-_SUFFIXES = {
-    "b": 1,
-    "kb": KiB,
-    "kib": KiB,
-    "k": KiB,
-    "mb": MiB,
-    "mib": MiB,
-    "m": MiB,
-    "gb": GiB,
-    "gib": GiB,
-    "g": GiB,
-    "tb": TiB,
-    "tib": TiB,
-    "t": TiB,
-}
-
-
-def parse_size(text: str) -> int:
-    """Parse a human-readable size such as ``"4KB"`` or ``"1.5 MiB"`` to bytes.
-
-    Uses binary (1024-based) multipliers for every suffix, matching how the
-    paper quotes chunk and super-chunk sizes (4KB chunks, 1MB super-chunks).
-    """
-    if isinstance(text, (int, float)):
-        return int(text)
-    stripped = text.strip().lower().replace(" ", "")
-    if not stripped:
-        raise ValidationError("empty size string")
-    number_part = stripped
-    suffix = ""
-    for i, char in enumerate(stripped):
-        if char.isalpha():
-            number_part = stripped[:i]
-            suffix = stripped[i:]
-            break
-    if not number_part:
-        raise ValidationError(f"size string has no numeric part: {text!r}")
-    value = float(number_part)
-    if suffix and suffix not in _SUFFIXES:
-        raise ValidationError(f"unknown size suffix {suffix!r} in {text!r}")
-    multiplier = _SUFFIXES.get(suffix, 1)
-    return int(value * multiplier)
 
 
 def format_bytes(num_bytes: float) -> str:

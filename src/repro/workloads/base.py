@@ -165,10 +165,6 @@ class Workload(ABC):
     def snapshots(self) -> Iterator[BackupSnapshot]:
         """Yield the backup snapshots (generations) of this workload in order."""
 
-    def total_logical_bytes(self) -> int:
-        """Total bytes across all snapshots (one streaming pass, no buffering)."""
-        return sum(snapshot.logical_bytes for snapshot in self.snapshots())
-
     def describe(self) -> dict:
         """Workload characteristics row (the shape of Table 2).
 

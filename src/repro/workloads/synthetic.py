@@ -70,13 +70,6 @@ class SyntheticDataGenerator:
             remaining -= len(block)
             yield block
 
-    def redundant_bytes(self, length: int, block: bytes) -> bytes:
-        """Return ``length`` bytes made of repetitions of ``block`` (fully redundant)."""
-        if not block:
-            raise WorkloadError("block must be non-empty")
-        repeats = length // len(block) + 1
-        return (block * repeats)[:length]
-
     def choice(self, options):
         return self._rng.choice(options)
 
@@ -90,28 +83,6 @@ class SyntheticDataGenerator:
     # mutations
     # ------------------------------------------------------------------ #
 
-    def mutate_overwrite(self, data: bytes, num_edits: int, edit_size: int) -> bytes:
-        """Overwrite ``num_edits`` spans of ``edit_size`` bytes at random offsets."""
-        if not data or num_edits <= 0:
-            return data
-        buffer = bytearray(data)
-        self._overwrite(buffer, num_edits, edit_size)
-        return bytes(buffer)
-
-    def mutate_insert(self, data: bytes, num_inserts: int, insert_size: int) -> bytes:
-        """Insert ``num_inserts`` new spans at random offsets (shifts content)."""
-        if num_inserts <= 0:
-            return data
-        buffer = bytearray(data)
-        self._insert(buffer, num_inserts, insert_size)
-        return bytes(buffer)
-
-    def mutate_delete(self, data: bytes, num_deletes: int, delete_size: int) -> bytes:
-        """Delete ``num_deletes`` spans at random offsets."""
-        buffer = bytearray(data)
-        self._delete(buffer, num_deletes, delete_size)
-        return bytes(buffer)
-
     def evolve(self, data: bytes, change_fraction: float, edit_size: int = 256) -> bytes:
         """Produce the "next version" of ``data`` with roughly
         ``change_fraction`` of its bytes affected by edits."""
@@ -121,18 +92,18 @@ class SyntheticDataGenerator:
             return data
         num_edits = max(1, int(len(data) * change_fraction / max(edit_size, 1)))
         buffer = bytearray(data)  # the one copy every edit lands in
-        self._overwrite(buffer, num_edits, edit_size)
+        self.mutate_overwrite(buffer, num_edits, edit_size)
         # A small amount of insertion/deletion exercises shift-sensitivity of
         # fixed-size chunking versus CDC.
         if self._rng.random() < 0.5:
-            self._insert(buffer, 1, edit_size)
+            self.mutate_insert(buffer, 1, edit_size)
         else:
-            self._delete(buffer, 1, edit_size)
+            self.mutate_delete(buffer, 1, edit_size)
         return bytes(buffer)
 
-    # In-place edits of one buffer; the public forms above copy around them.
-
-    def _overwrite(self, buffer: bytearray, num_edits: int, edit_size: int) -> None:
+    def mutate_overwrite(self, buffer: bytearray, num_edits: int, edit_size: int) -> None:
+        """Overwrite ``num_edits`` spans of ``edit_size`` bytes at random
+        offsets, in place."""
         for _ in range(num_edits):
             if len(buffer) <= edit_size:
                 offset = 0
@@ -142,12 +113,15 @@ class SyntheticDataGenerator:
                 size = edit_size
             buffer[offset:offset + size] = self.unique_bytes(size)
 
-    def _insert(self, buffer: bytearray, num_inserts: int, insert_size: int) -> None:
+    def mutate_insert(self, buffer: bytearray, num_inserts: int, insert_size: int) -> None:
+        """Insert ``num_inserts`` new spans at random offsets, in place
+        (shifts content)."""
         for _ in range(num_inserts):
             offset = self._rng.randrange(0, len(buffer) + 1) if buffer else 0
             buffer[offset:offset] = self.unique_bytes(insert_size)
 
-    def _delete(self, buffer: bytearray, num_deletes: int, delete_size: int) -> None:
+    def mutate_delete(self, buffer: bytearray, num_deletes: int, delete_size: int) -> None:
+        """Delete ``num_deletes`` spans at random offsets, in place."""
         for _ in range(num_deletes):
             if len(buffer) <= delete_size:
                 break

@@ -40,16 +40,6 @@ class TraceFile:
     def logical_size(self) -> int:
         return sum(chunk.length for chunk in self.chunks)
 
-    @property
-    def min_fingerprint(self) -> Optional[bytes]:
-        """The file's minimum chunk fingerprint (Extreme Binning's feature)."""
-        if not self.chunks:
-            return None
-        return min(
-            (chunk.fingerprint for chunk in self.chunks),
-            key=lambda fp: int.from_bytes(fp, "big"),
-        )
-
 
 @dataclass
 class TraceSnapshot:

@@ -9,15 +9,16 @@ from tests.helpers import deterministic_bytes
 class TestContentDefinedChunker:
     def test_roundtrip(self):
         data = deterministic_bytes(50_000, seed=1)
-        ContentDefinedChunker(average_size=1024).validate_roundtrip(data)
+        chunker = ContentDefinedChunker(average_size=1024)
+        assert b"".join(chunk.data for chunk in chunker.chunk(data)) == data
 
     def test_empty_input(self):
-        assert ContentDefinedChunker(average_size=1024).chunk_all(b"") == []
+        assert list(ContentDefinedChunker(average_size=1024).chunk(b"")) == []
 
     def test_chunk_size_bounds(self):
         chunker = ContentDefinedChunker(average_size=1024, min_size=256, max_size=4096)
         data = deterministic_bytes(100_000, seed=2)
-        chunks = chunker.chunk_all(data)
+        chunks = list(chunker.chunk(data))
         # Every chunk except the last respects min and max bounds.
         for chunk in chunks[:-1]:
             assert 256 <= chunk.length <= 4096
@@ -26,7 +27,7 @@ class TestContentDefinedChunker:
     def test_average_size_roughly_respected(self):
         chunker = ContentDefinedChunker(average_size=1024)
         data = deterministic_bytes(200_000, seed=3)
-        chunks = chunker.chunk_all(data)
+        chunks = list(chunker.chunk(data))
         observed_average = len(data) / len(chunks)
         # Random data should land within a factor of ~3 of the target average.
         assert 1024 / 3 < observed_average < 1024 * 3
@@ -51,7 +52,7 @@ class TestContentDefinedChunker:
 
     def test_offsets_are_consistent(self):
         data = deterministic_bytes(20_000, seed=6)
-        chunks = ContentDefinedChunker(average_size=1024).chunk_all(data)
+        chunks = list(ContentDefinedChunker(average_size=1024).chunk(data))
         position = 0
         for chunk in chunks:
             assert chunk.offset == position
@@ -75,7 +76,7 @@ class TestContentDefinedChunker:
         # Constant data never triggers a hash boundary, so only the max-size
         # rule cuts chunks.
         chunker = ContentDefinedChunker(average_size=1024, min_size=256, max_size=2048)
-        chunks = chunker.chunk_all(b"\x00" * 10_000)
+        chunks = list(chunker.chunk(b"\x00" * 10_000))
         for chunk in chunks[:-1]:
             assert chunk.length == 2048
 
@@ -105,7 +106,7 @@ class TestDivisorCalibration:
         # within +/-15% of the configured average (the seed missed by ~ -25%).
         data = deterministic_bytes(2_000_000, seed=77)
         chunker = ContentDefinedChunker(average_size=4096)
-        chunks = chunker.chunk_all(data)
+        chunks = list(chunker.chunk(data))
         observed = len(data) / len(chunks)
         assert abs(observed - 4096) / 4096 < 0.15
 

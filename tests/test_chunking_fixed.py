@@ -9,32 +9,32 @@ from tests.helpers import deterministic_bytes
 class TestStaticChunker:
     def test_exact_multiple(self):
         data = deterministic_bytes(4096 * 4, seed=1)
-        chunks = StaticChunker(4096).chunk_all(data)
+        chunks = list(StaticChunker(4096).chunk(data))
         assert len(chunks) == 4
         assert all(chunk.length == 4096 for chunk in chunks)
 
     def test_trailing_partial_chunk(self):
         data = deterministic_bytes(4096 + 100, seed=2)
-        chunks = StaticChunker(4096).chunk_all(data)
+        chunks = list(StaticChunker(4096).chunk(data))
         assert len(chunks) == 2
         assert chunks[-1].length == 100
 
     def test_empty_input(self):
-        assert StaticChunker(4096).chunk_all(b"") == []
+        assert list(StaticChunker(4096).chunk(b"")) == []
 
     def test_input_smaller_than_chunk(self):
-        chunks = StaticChunker(4096).chunk_all(b"tiny")
+        chunks = list(StaticChunker(4096).chunk(b"tiny"))
         assert len(chunks) == 1
         assert chunks[0].data == b"tiny"
 
     def test_offsets_are_cumulative(self):
         data = deterministic_bytes(1000, seed=3)
-        chunks = StaticChunker(256).chunk_all(data)
+        chunks = list(StaticChunker(256).chunk(data))
         assert [chunk.offset for chunk in chunks] == [0, 256, 512, 768]
 
     def test_roundtrip(self):
         data = deterministic_bytes(10_000, seed=4)
-        StaticChunker(300).validate_roundtrip(data)
+        assert b"".join(chunk.data for chunk in StaticChunker(300).chunk(data)) == data
 
     def test_average_chunk_size_property(self):
         assert StaticChunker(8192).average_chunk_size == 8192
@@ -45,8 +45,8 @@ class TestStaticChunker:
 
     def test_identical_data_identical_chunks(self):
         data = deterministic_bytes(5000, seed=5)
-        a = StaticChunker(512).chunk_all(data)
-        b = StaticChunker(512).chunk_all(data)
+        a = list(StaticChunker(512).chunk(data))
+        b = list(StaticChunker(512).chunk(data))
         assert [c.data for c in a] == [c.data for c in b]
 
     def test_shift_sensitivity(self):

@@ -21,15 +21,15 @@ class TestGearTable:
 class TestGearChunker:
     def test_roundtrip(self):
         data = deterministic_bytes(50_000, seed=1)
-        GearChunker(average_size=1024).validate_roundtrip(data)
+        assert b"".join(chunk.data for chunk in GearChunker(average_size=1024).chunk(data)) == data
 
     def test_empty_input(self):
-        assert GearChunker(average_size=1024).chunk_all(b"") == []
+        assert list(GearChunker(average_size=1024).chunk(b"")) == []
 
     def test_chunk_size_bounds(self):
         chunker = GearChunker(average_size=1024, min_size=256, max_size=4096)
         data = deterministic_bytes(100_000, seed=2)
-        chunks = chunker.chunk_all(data)
+        chunks = list(chunker.chunk(data))
         for chunk in chunks[:-1]:
             assert 256 < chunk.length <= 4096
         assert chunks[-1].length <= 4096
@@ -61,7 +61,7 @@ class TestGearChunker:
         # Constant data: GEAR[0] has a non-zero high bit pattern with
         # overwhelming probability, so boundaries come only from max_size.
         chunker = GearChunker(average_size=1024, min_size=256, max_size=2048)
-        chunks = chunker.chunk_all(b"\x00" * 10_000)
+        chunks = list(chunker.chunk(b"\x00" * 10_000))
         assert b"".join(c.data for c in chunks) == b"\x00" * 10_000
         for chunk in chunks[:-1]:
             assert chunk.length <= 2048
@@ -86,7 +86,7 @@ class TestGearChunker:
     def test_short_input_is_single_chunk(self):
         chunker = GearChunker(average_size=4096)
         data = deterministic_bytes(chunker.min_size - 1, seed=9)
-        chunks = chunker.chunk_all(data)
+        chunks = list(chunker.chunk(data))
         assert len(chunks) == 1
         assert chunks[0].data == data
 
@@ -118,6 +118,6 @@ class TestNormalizedChunking:
     def test_realized_mean_within_tolerance(self):
         data = deterministic_bytes(2_000_000, seed=8)
         chunker = GearChunker(average_size=4096)
-        chunks = chunker.chunk_all(data)
+        chunks = list(chunker.chunk(data))
         observed = len(data) / len(chunks)
         assert abs(observed - 4096) / 4096 < 0.15

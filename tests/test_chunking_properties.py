@@ -28,7 +28,7 @@ class TestStaticChunkerProperties:
     @given(data=binary_data, chunk_size=st.integers(min_value=1, max_value=4096))
     @settings(max_examples=50, deadline=None)
     def test_roundtrip(self, data, chunk_size):
-        chunks = StaticChunker(chunk_size).chunk_all(data)
+        chunks = list(StaticChunker(chunk_size).chunk(data))
         assert b"".join(c.data for c in chunks) == data
 
     @given(data=binary_data, chunk_size=st.integers(min_value=1, max_value=4096))
@@ -40,7 +40,7 @@ class TestStaticChunkerProperties:
     @given(data=binary_data, chunk_size=st.integers(min_value=1, max_value=4096))
     @settings(max_examples=50, deadline=None)
     def test_chunk_count(self, data, chunk_size):
-        chunks = StaticChunker(chunk_size).chunk_all(data)
+        chunks = list(StaticChunker(chunk_size).chunk(data))
         expected = (len(data) + chunk_size - 1) // chunk_size
         assert len(chunks) == expected
 
@@ -50,7 +50,7 @@ class TestCDCProperties:
     @settings(max_examples=30, deadline=None)
     def test_roundtrip(self, data):
         chunker = ContentDefinedChunker(average_size=512, min_size=64, max_size=2048)
-        chunks = chunker.chunk_all(data)
+        chunks = list(chunker.chunk(data))
         assert b"".join(c.data for c in chunks) == data
 
     @given(data=binary_data)
@@ -76,7 +76,7 @@ class TestGearProperties:
     @settings(max_examples=30, deadline=None)
     def test_roundtrip(self, data):
         chunker = GearChunker(average_size=512, min_size=64, max_size=2048)
-        chunks = chunker.chunk_all(data)
+        chunks = list(chunker.chunk(data))
         assert b"".join(c.data for c in chunks) == data
 
     @given(data=binary_data)
@@ -102,14 +102,14 @@ class TestTTTDProperties:
     @settings(max_examples=30, deadline=None)
     def test_roundtrip(self, data):
         chunker = TTTDChunker(min_size=64, backup_mean=128, main_mean=256, max_size=1024)
-        chunks = chunker.chunk_all(data)
+        chunks = list(chunker.chunk(data))
         assert b"".join(c.data for c in chunks) == data
 
     @given(data=st.binary(min_size=1, max_size=20_000))
     @settings(max_examples=30, deadline=None)
     def test_size_bounds(self, data):
         chunker = TTTDChunker(min_size=64, backup_mean=128, main_mean=256, max_size=1024)
-        chunks = chunker.chunk_all(data)
+        chunks = list(chunker.chunk(data))
         for chunk in chunks[:-1]:
             assert chunk.length <= 1024
         if chunks:
@@ -374,6 +374,6 @@ class TestMeanChunkSizeTolerance:
             ContentDefinedChunker(average_size=2048),
             GearChunker(average_size=2048),
         ):
-            chunks = chunker.chunk_all(data)
+            chunks = list(chunker.chunk(data))
             observed = len(data) / len(chunks)
             assert abs(observed - 2048) / 2048 < 0.15, (type(chunker).__name__, observed)

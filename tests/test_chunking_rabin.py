@@ -14,39 +14,38 @@ class TestRollingHash:
         data = deterministic_bytes(200, seed=1)
         h1 = RabinRollingHash()
         h2 = RabinRollingHash()
-        assert h1.update_bytes(data) == h2.update_bytes(data)
+        for byte in data:
+            h1.update(byte)
+            h2.update(byte)
+        assert h1.value == h2.value
 
     def test_different_input_different_hash(self):
         h1 = RabinRollingHash()
         h2 = RabinRollingHash()
-        v1 = h1.update_bytes(deterministic_bytes(100, seed=1))
-        v2 = h2.update_bytes(deterministic_bytes(100, seed=2))
-        assert v1 != v2
+        for byte in deterministic_bytes(100, seed=1):
+            h1.update(byte)
+        for byte in deterministic_bytes(100, seed=2):
+            h2.update(byte)
+        assert h1.value != h2.value
 
     def test_window_property(self):
         # After the window is full, the hash depends only on the last
         # window_size bytes: two streams with the same suffix converge.
         suffix = deterministic_bytes(RABIN_WINDOW_SIZE, seed=7)
         h1 = RabinRollingHash()
-        h1.update_bytes(deterministic_bytes(100, seed=1) + suffix)
+        for byte in deterministic_bytes(100, seed=1) + suffix:
+            h1.update(byte)
         h2 = RabinRollingHash()
-        h2.update_bytes(deterministic_bytes(300, seed=2) + suffix)
+        for byte in deterministic_bytes(300, seed=2) + suffix:
+            h2.update(byte)
         assert h1.value == h2.value
-
-    def test_window_full_flag(self):
-        hasher = RabinRollingHash(window_size=8)
-        assert not hasher.window_full
-        hasher.update_bytes(b"\x01" * 7)
-        assert not hasher.window_full
-        hasher.update(1)
-        assert hasher.window_full
 
     def test_reset_clears_state(self):
         hasher = RabinRollingHash()
-        hasher.update_bytes(b"some data here")
+        for byte in b"some data here":
+            hasher.update(byte)
         hasher.reset()
         assert hasher.value == 0
-        assert not hasher.window_full
 
     def test_custom_window_size(self):
         hasher = RabinRollingHash(window_size=16)
@@ -58,8 +57,8 @@ class TestRollingHash:
 
     def test_value_fits_in_64_bits(self):
         hasher = RabinRollingHash()
-        value = hasher.update_bytes(deterministic_bytes(1000, seed=3))
-        assert 0 <= value < (1 << 64)
+        for byte in deterministic_bytes(1000, seed=3):
+            assert 0 <= hasher.update(byte) < (1 << 64)
 
     def test_single_byte_update_returns_value(self):
         hasher = RabinRollingHash()

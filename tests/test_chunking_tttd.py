@@ -14,18 +14,19 @@ class TestTTTDChunker:
 
     def test_roundtrip(self):
         data = deterministic_bytes(120_000, seed=1)
-        TTTDChunker().validate_roundtrip(data)
+        assert b"".join(chunk.data for chunk in TTTDChunker().chunk(data)) == data
 
     def test_roundtrip_small_input(self):
-        TTTDChunker().validate_roundtrip(deterministic_bytes(100, seed=2))
+        data = deterministic_bytes(100, seed=2)
+        assert b"".join(chunk.data for chunk in TTTDChunker().chunk(data)) == data
 
     def test_empty_input(self):
-        assert TTTDChunker().chunk_all(b"") == []
+        assert list(TTTDChunker().chunk(b"")) == []
 
     def test_min_and_max_bounds(self):
         chunker = TTTDChunker(min_size=512, backup_mean=1024, main_mean=2048, max_size=8192)
         data = deterministic_bytes(200_000, seed=3)
-        chunks = chunker.chunk_all(data)
+        chunks = list(chunker.chunk(data))
         for chunk in chunks[:-1]:
             assert 512 <= chunk.length <= 8192
 
@@ -51,14 +52,14 @@ class TestTTTDChunker:
         # chunks at exactly the maximum threshold on random data.
         data = deterministic_bytes(200_000, seed=6)
         chunker = TTTDChunker(min_size=512, backup_mean=1024, main_mean=2048, max_size=4096)
-        chunks = chunker.chunk_all(data)
+        chunks = list(chunker.chunk(data))
         at_max = sum(1 for chunk in chunks[:-1] if chunk.length == 4096)
         assert at_max < len(chunks) / 2
 
     def test_average_size_within_factor_of_main_mean(self):
         data = deterministic_bytes(300_000, seed=7)
         chunker = TTTDChunker(min_size=512, backup_mean=1024, main_mean=2048, max_size=8192)
-        chunks = chunker.chunk_all(data)
+        chunks = list(chunker.chunk(data))
         observed = len(data) / len(chunks)
         assert 2048 / 3 < observed < 2048 * 3
 

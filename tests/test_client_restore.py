@@ -8,18 +8,19 @@ from repro.cluster.cluster import DedupeCluster
 from repro.cluster.director import Director
 from repro.cluster.restore import RestoreManager
 from repro.core.partitioner import PartitionerConfig
-from repro.errors import RecipeError
 from repro.routing.stateless import StatelessRouting
 from tests.helpers import deterministic_bytes
 
 
-def make_stack(num_nodes=4, routing=None):
+def make_stack(num_nodes=4, routing=None, **client_options):
     cluster = DedupeCluster(num_nodes=num_nodes, routing_scheme=routing)
     director = Director()
     config = PartitionerConfig(
         chunker=StaticChunker(256), superchunk_size=2048, handprint_size=4
     )
-    client = BackupClient("client-a", cluster, director, partitioner_config=config)
+    client = BackupClient(
+        "client-a", cluster, director, partitioner_config=config, **client_options
+    )
     restore = RestoreManager(cluster, director)
     return cluster, director, client, restore
 
@@ -32,8 +33,17 @@ def sample_files(seed_base=0, count=5, size=3000):
 
 
 class TestBackupRestoreRoundtrip:
-    def test_every_file_restores_identically(self):
-        _, _, client, restore = make_stack()
+    @pytest.mark.parametrize(
+        "lanes",
+        [
+            {},
+            dict(workers=2, parallel_executor="thread"),
+            dict(workers=2, parallel_executor="process"),
+        ],
+        ids=["serial", "thread-lanes", "process-lanes"],
+    )
+    def test_every_file_restores_identically(self, lanes):
+        _, _, client, restore = make_stack(**lanes)
         files = sample_files()
         report = client.backup_files(files)
         for path, original in files:
@@ -45,25 +55,6 @@ class TestBackupRestoreRoundtrip:
         report = client.backup_files(files)
         restored = dict(restore.restore_session(report.session_id))
         assert restored == dict(files)
-
-    def test_verify_session(self):
-        _, _, client, restore = make_stack()
-        files = sample_files(count=3)
-        report = client.backup_files(files)
-        assert restore.verify_session(report.session_id, dict(files))
-
-    def test_verify_session_detects_lost_file(self):
-        _, _, client, restore = make_stack()
-        files = sample_files(count=2)
-        report = client.backup_files(files[:1])
-        assert not restore.verify_session(report.session_id, dict(files))
-
-    def test_verify_session_missing_original_raises(self):
-        _, _, client, restore = make_stack()
-        files = sample_files(count=2)
-        report = client.backup_files(files)
-        with pytest.raises(RecipeError):
-            restore.verify_session(report.session_id, {})
 
     def test_roundtrip_with_stateless_routing(self):
         _, _, client, restore = make_stack(routing=StatelessRouting())
@@ -104,7 +95,7 @@ class TestClientReports:
         second = client.backup_files(files)
         assert second.transferred_bytes < first.transferred_bytes
         assert second.duplicate_chunks > 0
-        assert second.bandwidth_saving_ratio > 0.9
+        assert second.transferred_bytes < 0.1 * second.logical_bytes
 
     def test_files_backed_up_count(self):
         _, _, client, _ = make_stack()
@@ -121,9 +112,3 @@ class TestClientReports:
         files = sample_files(count=5)
         report = client.backup_files(files)
         assert set(director.files_in_session(report.session_id)) == {p for p, _ in files}
-
-    def test_backup_bytes_convenience(self):
-        _, _, client, restore = make_stack()
-        data = deterministic_bytes(4096, seed=123)
-        report = client.backup_bytes("single.bin", data)
-        assert restore.restore_file(report.session_id, "single.bin") == data

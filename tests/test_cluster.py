@@ -89,12 +89,6 @@ class TestClusterViewInterface:
         assert usages[result.node_id] == superchunk.logical_size
         assert sum(usages) == superchunk.logical_size
 
-    def test_average_storage_usage(self):
-        cluster = DedupeCluster(4)
-        superchunk = superchunk_from_seeds(range(10))
-        cluster.backup_superchunk(superchunk)
-        assert cluster.average_storage_usage() == pytest.approx(superchunk.logical_size / 4)
-
     def test_resemblance_query_delegates_to_node(self):
         cluster = DedupeCluster(2)
         superchunk = superchunk_from_seeds(range(20), handprint_size=8)

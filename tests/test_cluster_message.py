@@ -34,19 +34,6 @@ class TestMessageCounter:
         assert counter.inter_node_total == 50
         assert counter.total == 150
 
-    def test_merge(self):
-        a = MessageCounter()
-        a.record(MessageType.PRE_ROUTING, 1)
-        b = MessageCounter()
-        b.record(MessageType.PRE_ROUTING, 2)
-        b.record(MessageType.AFTER_ROUTING, 3)
-        merged = a.merge(b)
-        assert merged.pre_routing == 3
-        assert merged.after_routing == 3
-        # originals untouched
-        assert a.pre_routing == 1
-        assert b.pre_routing == 2
-
     def test_as_dict(self):
         counter = MessageCounter()
         counter.record(MessageType.PRE_ROUTING, 2)

@@ -272,9 +272,9 @@ class TestFailoverReads:
         framework = make_framework(tmp_path, replication_factor=1)
         session_id, files = backup_corpus(framework)
         used = {
-            location.node_id
-            for recipe in framework.director.iter_recipes(session_id)
-            for location in recipe
+            node_id
+            for path in framework.director.files_in_session(session_id)
+            for node_id in framework.director.get_recipe(session_id, path).node_ids
         }
         framework.cluster.mark_node_down(next(iter(used)))
         with pytest.raises(NodeUnavailableError):

@@ -147,12 +147,6 @@ class TestCounters:
         assert summary["containers"] >= 1
         assert summary["similarity_index_entries"] > 0
 
-    def test_ram_usage_is_similarity_index_size(self):
-        node = DedupeNode(0)
-        node.backup_superchunk(superchunk_from_seeds(range(20), handprint_size=8))
-        assert node.ram_usage_bytes == node.similarity_index.size_in_bytes
-        assert node.ram_usage_bytes == 8 * 40
-
     def test_flush_seals_containers(self):
         node = DedupeNode(0)
         node.backup_superchunk(superchunk_from_seeds(range(4)))

@@ -1,9 +1,11 @@
 """Tests for repro.faults (deterministic crash/fault injection)."""
 
+import inspect
 import random
 
 import pytest
 
+from repro.cluster.cluster import ClusterFaultHook
 from repro.core.framework import SigmaDedupe
 from repro.errors import (
     FaultInjectionError,
@@ -13,6 +15,7 @@ from repro.errors import (
 )
 from repro.faults import KILL_PHASES, FaultPlan, NodeDownWindow
 from repro.node.dedupe_node import DedupeNode, NodeConfig
+from repro.storage.backends import SpillFaultHook
 from repro.storage.journal import MANIFEST_NAME
 from tests.helpers import superchunk_from_seeds
 
@@ -31,6 +34,24 @@ def make_framework(tmp_path, **overrides):
 def corpus(num_files=3, file_size=6000, seed=23):
     rng = random.Random(seed)
     return [(f"file-{i}", rng.randbytes(file_size)) for i in range(num_files)]
+
+
+@pytest.mark.parametrize("protocol", [ClusterFaultHook, SpillFaultHook])
+def test_plan_implements_every_hook_method(protocol):
+    """The hook sites call the protocol's methods directly, so the plan must
+    carry each one with the protocol's parameters."""
+    methods = [
+        name
+        for name, member in vars(protocol).items()
+        if inspect.isfunction(member) and not name.startswith("_")
+    ]
+    assert methods
+    for name in methods:
+        expected = inspect.signature(getattr(protocol, name)).parameters
+        actual = inspect.signature(getattr(FaultPlan, name)).parameters
+        assert [(p.name, p.kind, p.default) for p in actual.values()] == [
+            (p.name, p.kind, p.default) for p in expected.values()
+        ], name
 
 
 class TestPlanValidation:
@@ -278,9 +299,9 @@ class TestNodeDownWindows:
         report = framework.backup(files)
         used = sorted(
             {
-                location.node_id
-                for recipe in framework.director.iter_recipes(report.session_id)
-                for location in recipe
+                node_id
+                for path in framework.director.files_in_session(report.session_id)
+                for node_id in framework.director.get_recipe(report.session_id, path).node_ids
             }
         )
         plan = FaultPlan(

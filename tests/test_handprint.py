@@ -6,10 +6,8 @@ from repro.fingerprint.handprint import (
     Handprint,
     compute_handprint,
     estimate_resemblance,
-    handprint_sampling_rate,
     jaccard_resemblance,
     probability_handprints_intersect,
-    resemblance_from_counts,
 )
 from tests.helpers import synthetic_fingerprint
 
@@ -56,22 +54,6 @@ class TestComputeHandprint:
     def test_order_insensitive(self):
         fps = fingerprints("a", "b", "c", "d")
         assert compute_handprint(fps, 2) == compute_handprint(list(reversed(fps)), 2)
-
-
-class TestHandprintOverlap:
-    def test_identical_handprints_full_overlap(self):
-        handprint = compute_handprint(fingerprints(*range(20)), handprint_size=8)
-        assert handprint.overlap(handprint) == 8
-
-    def test_disjoint_handprints(self):
-        a = compute_handprint(fingerprints("a1", "a2", "a3"), handprint_size=3)
-        b = compute_handprint(fingerprints("b1", "b2", "b3"), handprint_size=3)
-        assert a.overlap(b) == 0
-
-    def test_partial_overlap(self):
-        a = compute_handprint(fingerprints("s1", "s2", "s3", "s4"), handprint_size=4)
-        b = compute_handprint(fingerprints("s1", "s2", "x", "y"), handprint_size=4)
-        assert 1 <= a.overlap(b) <= 2
 
 
 class TestJaccardResemblance:
@@ -155,21 +137,3 @@ class TestBroderBound:
             probability_handprints_intersect(1.5, 8)
         with pytest.raises(ValueError):
             probability_handprints_intersect(0.5, 0)
-
-
-class TestHelpers:
-    def test_resemblance_from_counts(self):
-        assert resemblance_from_counts(5, 10, 10) == pytest.approx(1 / 3)
-        assert resemblance_from_counts(0, 0, 0) == 1.0
-
-    def test_resemblance_from_counts_invalid(self):
-        with pytest.raises(ValueError):
-            resemblance_from_counts(-1, 2, 2)
-
-    def test_sampling_rate(self):
-        # Paper: handprint 8 over a 1 MB / 4 KB super-chunk (256 chunks) = 1/32.
-        assert handprint_sampling_rate(8, 256) == pytest.approx(1 / 32)
-
-    def test_sampling_rate_invalid(self):
-        with pytest.raises(ValueError):
-            handprint_sampling_rate(8, 0)

@@ -30,9 +30,6 @@ class TestPaperNumbers:
     def test_sigma_about_32_gb(self):
         assert self.model.sigma_similarity_index_bytes() / GiB == pytest.approx(32, rel=0.05)
 
-    def test_sigma_is_one_thirtysecond_of_full_index(self):
-        assert self.model.sigma_fraction_of_full_index() == pytest.approx(1 / 32)
-
     def test_ordering_matches_paper(self):
         # Sigma < DDFS < Extreme Binning for the paper's parameters.
         sigma = self.model.sigma_similarity_index_bytes()

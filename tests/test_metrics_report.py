@@ -1,6 +1,6 @@
 """Tests for repro.metrics.report."""
 
-from repro.metrics.report import format_records, format_table
+from repro.metrics.report import format_table
 
 
 class TestFormatTable:
@@ -36,20 +36,3 @@ class TestFormatTable:
         lines = table.splitlines()
         widths = {len(line) for line in lines}
         assert len(widths) == 1  # all lines equal width
-
-
-class TestFormatRecords:
-    def test_records_to_table(self):
-        records = [{"scheme": "sigma", "edr": 0.9}, {"scheme": "stateless", "edr": 0.5}]
-        table = format_records(records)
-        assert "sigma" in table
-        assert "stateless" in table
-        assert "edr" in table
-
-    def test_empty_records(self):
-        assert format_records([], title="empty") == "empty"
-
-    def test_missing_key_rendered_blank(self):
-        records = [{"a": 1, "b": 2}, {"a": 3}]
-        table = format_records(records)
-        assert table  # renders without raising

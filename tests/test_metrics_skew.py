@@ -11,41 +11,22 @@ class TestStorageSkew:
         assert skew.coefficient_of_variation == 0.0
         assert skew.max_over_mean == pytest.approx(1.0)
         assert skew.min_over_mean == pytest.approx(1.0)
-        assert skew.balance_factor == pytest.approx(1.0)
 
     def test_fully_skewed(self):
         skew = storage_skew([300, 0, 0])
         assert skew.max_over_mean == pytest.approx(3.0)
         assert skew.min_over_mean == 0.0
-        assert skew.balance_factor < 0.5
 
     def test_known_values(self):
         skew = storage_skew([2, 4, 4, 4, 5, 5, 7, 9])
         assert skew.mean_bytes == pytest.approx(5.0)
         assert skew.stddev_bytes == pytest.approx(2.0)
         assert skew.coefficient_of_variation == pytest.approx(0.4)
-        assert skew.balance_factor == pytest.approx(5 / 7)
 
     def test_empty(self):
         skew = storage_skew([])
         assert skew.mean_bytes == 0.0
-        assert skew.balance_factor == 1.0
 
     def test_all_zero(self):
         skew = storage_skew([0, 0, 0, 0])
         assert skew.coefficient_of_variation == 0.0
-        assert skew.balance_factor == 1.0
-
-    def test_balance_factor_matches_edr_penalty(self):
-        # balance_factor is exactly the alpha / (alpha + sigma) penalty of Eq. 7.
-        usages = [10, 20, 30, 40]
-        skew = storage_skew(usages)
-        alpha = sum(usages) / len(usages)
-        sigma = skew.stddev_bytes
-        assert skew.balance_factor == pytest.approx(alpha / (alpha + sigma))
-
-    def test_more_imbalance_lower_balance_factor(self):
-        even = storage_skew([50, 50, 50, 50]).balance_factor
-        mild = storage_skew([40, 60, 45, 55]).balance_factor
-        severe = storage_skew([200, 0, 0, 0]).balance_factor
-        assert even >= mild >= severe

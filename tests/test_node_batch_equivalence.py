@@ -60,7 +60,7 @@ def node_state(node: DedupeNode) -> dict:
         "cache_hits": node.fingerprint_cache.hits,
         "cache_misses": node.fingerprint_cache.misses,
         "cache_prefetches": node.fingerprint_cache.prefetches,
-        "cached_fingerprints": node.fingerprint_cache.cached_fingerprints,
+        "cached_fingerprints": dict(node.fingerprint_cache._fingerprint_to_container),
         "disk_index_len": len(node.disk_index),
         "disk_index_lookups": node.disk_index.lookups,
         "disk_index_hits": node.disk_index.lookup_hits,

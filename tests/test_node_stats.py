@@ -1,7 +1,5 @@
 """Tests for repro.node.stats."""
 
-import pytest
-
 from repro.node.stats import NodeStats
 
 
@@ -20,37 +18,6 @@ class TestDerivedMetrics:
     def test_total_chunks(self):
         stats = NodeStats(duplicate_chunks=3, unique_chunks=7)
         assert stats.total_chunks == 10
-
-    def test_duplicate_chunk_ratio(self):
-        stats = NodeStats(duplicate_chunks=3, unique_chunks=7)
-        assert stats.duplicate_chunk_ratio == pytest.approx(0.3)
-
-    def test_duplicate_chunk_ratio_empty(self):
-        assert NodeStats().duplicate_chunk_ratio == 0.0
-
-
-class TestMerge:
-    def test_merge_sums_counters(self):
-        a = NodeStats(logical_bytes=100, physical_bytes=50, unique_chunks=2, duplicate_chunks=1)
-        b = NodeStats(logical_bytes=200, physical_bytes=70, unique_chunks=3, duplicate_chunks=4)
-        merged = a.merge(b)
-        assert merged.logical_bytes == 300
-        assert merged.physical_bytes == 120
-        assert merged.unique_chunks == 5
-        assert merged.duplicate_chunks == 5
-
-    def test_merge_does_not_mutate_inputs(self):
-        a = NodeStats(logical_bytes=100)
-        b = NodeStats(logical_bytes=50)
-        a.merge(b)
-        assert a.logical_bytes == 100
-        assert b.logical_bytes == 50
-
-    def test_merge_extra_dict(self):
-        a = NodeStats(extra={"x": 1.0})
-        b = NodeStats(extra={"x": 2.0, "y": 5.0})
-        merged = a.merge(b)
-        assert merged.extra == {"x": 3.0, "y": 5.0}
 
 
 class TestAsDict:

@@ -87,9 +87,3 @@ class TestReading:
         for i in range(3):
             container.append(record(bytes([i]) * 8))
         assert container.chunk_count == 3
-
-    def test_metadata_size_bytes(self):
-        container = Container(container_id=0, capacity=1000)
-        for i in range(4):
-            container.append(record(bytes([i]) * 8))
-        assert container.metadata_size_bytes(entry_size=40) == 160

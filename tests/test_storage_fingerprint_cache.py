@@ -31,12 +31,6 @@ class TestPrefetch:
         assert cache.is_container_cached(5)
         assert not cache.is_container_cached(6)
 
-    def test_cached_fingerprints_count(self):
-        cache = ChunkFingerprintCache(capacity_containers=4)
-        cache.prefetch_container(0, fps("a", 7))
-        assert cache.cached_fingerprints == 7
-        assert cache.cached_containers == 1
-
 
 class TestEviction:
     def test_lru_container_evicted(self):
@@ -224,6 +218,6 @@ class TestBatchOperations:
         batched.add_fingerprints(7, fingerprints)
         for fp in fingerprints:
             sequential.add_fingerprint(7, fp)
-        assert batched.cached_fingerprints == sequential.cached_fingerprints
+        assert batched._fingerprint_to_container == sequential._fingerprint_to_container
         assert list(batched._containers) == list(sequential._containers)
         assert all(batched.peek(fp) == 7 for fp in fingerprints)

@@ -169,27 +169,27 @@ class TestClientStreamedVsBuffered:
 
 
 class TestBackupStream:
-    def test_backup_stream_matches_backup_bytes(self):
+    def test_backup_stream_matches_backup_files(self):
         data = deterministic_bytes(10_000, seed=5)
         _, _, stream_client, stream_restore = make_stack()
-        _, _, bytes_client, bytes_restore = make_stack()
+        _, _, files_client, files_restore = make_stack()
 
         stream_report = stream_client.backup_stream(
             iter(data[offset:offset + 512] for offset in range(0, len(data), 512)),
             path="volume.img",
         )
-        bytes_report = bytes_client.backup_bytes("volume.img", data)
+        files_report = files_client.backup_files([("volume.img", data)])
 
-        assert report_stats(stream_report) == report_stats(bytes_report)
+        assert report_stats(stream_report) == report_stats(files_report)
         assert stream_restore.restore_file(stream_report.session_id, "volume.img") == data
-        assert bytes_restore.restore_file(bytes_report.session_id, "volume.img") == data
+        assert files_restore.restore_file(files_report.session_id, "volume.img") == data
 
-    def test_backup_bytes_threads_stream_id(self):
+    def test_client_threads_stream_id(self):
         data = deterministic_bytes(3000, seed=6)
         cluster, _, client, _ = make_stack()
         partitioned = partition(client.partitioner, data, stream_id=7)
         assert all(sc.stream_id == 7 for sc in partitioned)
-        # The client-level wrappers must propagate the same stream id all the
+        # Both client entry points must propagate the same stream id all the
         # way to the routed super-chunks (spied at the cluster boundary so the
         # contract holds for serial and parallel ingest alike).
         seen = []
@@ -200,7 +200,7 @@ class TestBackupStream:
             return original(superchunk, decision)
 
         cluster.backup_superchunk_send = spy
-        client.backup_bytes("a.bin", data, stream_id=7)
+        client.backup_files([("a.bin", data)], stream_id=7)
         client.backup_stream(iter([data]), path="b.bin", stream_id=9)
         assert sorted(set(seen)) == [7, 9]
 
@@ -301,7 +301,6 @@ class TestWorkloadSources:
         assert info["snapshots"] == len(snapshots)
         assert info["files"] == sum(snapshot.file_count for snapshot in snapshots)
         assert info["logical_bytes"] == sum(snapshot.logical_bytes for snapshot in snapshots)
-        assert workload.total_logical_bytes() == info["logical_bytes"]
 
 
 class TestTraceStreaming:

@@ -41,11 +41,6 @@ class TestSuperChunkAccessors:
         superchunk = SuperChunk.from_chunks(records)
         assert superchunk.fingerprints == [record.fingerprint for record in records]
 
-    def test_distinct_fingerprints(self):
-        records = chunk_records_from_seeds([1, 1, 2, 2, 3])
-        superchunk = SuperChunk.from_chunks(records)
-        assert superchunk.distinct_fingerprints == 3
-
     def test_fingerprints_column_is_built_once(self):
         records = chunk_records_from_seeds(range(4))
         built = SuperChunk.from_chunks(records)
@@ -70,4 +65,4 @@ class TestSuperChunkAccessors:
     def test_similar_content_overlapping_handprint(self):
         a = superchunk_from_seeds(range(0, 40))
         b = superchunk_from_seeds(range(5, 45))
-        assert a.handprint.overlap(b.handprint) > 0
+        assert a.handprint.as_set() & b.handprint.as_set()

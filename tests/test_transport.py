@@ -165,14 +165,13 @@ class TestTransportCluster:
         small_cluster.backup_superchunk(superchunk)
         small_cluster.flush()
         messages = small_cluster.messages
-        wire_dimension = messages.wire_as_dict()
         # Every RPC is two wire messages (request + response), each with
         # nonzero framing bytes; the backup op carries the chunk payloads.
         assert messages.total_wire_messages >= 4
         assert messages.total_wire_bytes > superchunk.logical_size
-        assert wire_dimension["messages"]["after_routing"] == 2
-        assert wire_dimension["bytes"]["after_routing"] > superchunk.logical_size
-        assert wire_dimension["messages"]["control"] >= 2  # ping + flush
+        assert messages.wire_messages[MessageType.AFTER_ROUTING] == 2
+        assert messages.wire_bytes(MessageType.AFTER_ROUTING) > superchunk.logical_size
+        assert messages.wire_messages[MessageType.CONTROL] >= 2  # ping + flush
         # The logical dimension stays what the in-process cluster records.
         assert messages.get(MessageType.AFTER_ROUTING) == superchunk.chunk_count
 
@@ -187,7 +186,6 @@ class TestTransportCluster:
             small_cluster.describe,
             small_cluster.node_describes,
             small_cluster.storage_usages,
-            small_cluster.storage_usage_stddev,
             lambda: small_cluster.cluster_deduplication_ratio,
             lambda: small_cluster.logical_bytes,
             lambda: small_cluster.physical_bytes,

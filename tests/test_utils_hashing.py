@@ -9,7 +9,6 @@ from repro.utils.hashing import (
     SUPPORTED_ALGORITHMS,
     digest_bytes,
     digest_constructor,
-    digest_hex,
     digest_to_int,
     fingerprint_mod,
 )
@@ -70,16 +69,6 @@ class TestDigestBytes:
 
     def test_digest_length_md5(self):
         assert len(digest_bytes(b"x", "md5")) == 16
-
-
-class TestDigestHex:
-    def test_hex_matches_bytes(self):
-        data = b"payload"
-        assert digest_hex(data, "sha1") == digest_bytes(data, "sha1").hex()
-
-    def test_unknown_algorithm_raises(self):
-        with pytest.raises(FingerprintError):
-            digest_hex(b"data", "whirlpool")
 
 
 class TestDigestToInt:

@@ -38,13 +38,6 @@ class TestBasicOperations:
         with pytest.raises(ValueError):
             LRUCache(capacity=0)
 
-    def test_remove(self):
-        cache = LRUCache(capacity=2)
-        cache.put("a", 1)
-        assert cache.remove("a") == 1
-        assert cache.remove("a") is None
-        assert "a" not in cache
-
     def test_clear(self):
         cache = LRUCache(capacity=2)
         cache.put("a", 1)

@@ -1,7 +1,5 @@
 """Tests for repro.utils.stats."""
 
-import math
-
 import pytest
 
 from repro.utils.stats import (
@@ -10,7 +8,6 @@ from repro.utils.stats import (
     mean,
     percentile,
     population_stddev,
-    running_totals,
 )
 
 
@@ -77,16 +74,3 @@ class TestPercentile:
     def test_out_of_range_raises(self):
         with pytest.raises(ValueError):
             percentile([1], 1.5)
-
-
-class TestRunningTotals:
-    def test_simple(self):
-        assert running_totals([1, 2, 3]) == [1, 3, 6]
-
-    def test_empty(self):
-        assert running_totals([]) == []
-
-    def test_monotone_for_positive_inputs(self):
-        totals = running_totals([0.5, 1.5, 2.0, 0.1])
-        assert totals == sorted(totals)
-        assert math.isclose(totals[-1], 4.1)

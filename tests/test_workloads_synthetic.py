@@ -32,39 +32,33 @@ class TestSyntheticDataGenerator:
         with pytest.raises(WorkloadError):
             SyntheticDataGenerator().unique_bytes(-1)
 
-    def test_redundant_bytes(self):
-        generator = SyntheticDataGenerator()
-        data = generator.redundant_bytes(100, b"abcd")
-        assert len(data) == 100
-        assert data.startswith(b"abcdabcd")
-
-    def test_redundant_bytes_empty_block_raises(self):
-        with pytest.raises(WorkloadError):
-            SyntheticDataGenerator().redundant_bytes(10, b"")
-
     def test_mutate_overwrite_preserves_length(self):
         generator = SyntheticDataGenerator(seed=3)
         data = generator.unique_bytes(10_000)
-        mutated = generator.mutate_overwrite(data, num_edits=5, edit_size=128)
+        mutated = bytearray(data)
+        generator.mutate_overwrite(mutated, num_edits=5, edit_size=128)
         assert len(mutated) == len(data)
         assert mutated != data
 
     def test_mutate_overwrite_keeps_most_content(self):
         generator = SyntheticDataGenerator(seed=4)
         data = generator.unique_bytes(50_000)
-        mutated = generator.mutate_overwrite(data, num_edits=2, edit_size=256)
+        mutated = bytearray(data)
+        generator.mutate_overwrite(mutated, num_edits=2, edit_size=256)
         differing = sum(1 for a, b in zip(data, mutated) if a != b)
         assert differing <= 2 * 256
 
     def test_mutate_insert_grows(self):
         generator = SyntheticDataGenerator(seed=5)
-        data = generator.unique_bytes(1000)
-        assert len(generator.mutate_insert(data, 2, 50)) == 1100
+        data = bytearray(generator.unique_bytes(1000))
+        generator.mutate_insert(data, 2, 50)
+        assert len(data) == 1100
 
     def test_mutate_delete_shrinks(self):
         generator = SyntheticDataGenerator(seed=6)
-        data = generator.unique_bytes(1000)
-        assert len(generator.mutate_delete(data, 2, 50)) == 900
+        data = bytearray(generator.unique_bytes(1000))
+        generator.mutate_delete(data, 2, 50)
+        assert len(data) == 900
 
     def test_evolve_zero_change_is_identity(self):
         generator = SyntheticDataGenerator(seed=7)

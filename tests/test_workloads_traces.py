@@ -124,17 +124,6 @@ class TestTraceTooling:
         assert stats["unique_bytes"] == 8192
         assert stats["deduplication_ratio"] == pytest.approx(2.0)
 
-    def test_trace_file_min_fingerprint(self):
-        chunks = [TraceChunk(synthetic_fingerprint(str(i)), 100) for i in range(5)]
-        file = TraceFile(path="f", chunks=chunks)
-        expected = min(
-            (c.fingerprint for c in chunks), key=lambda fp: int.from_bytes(fp, "big")
-        )
-        assert file.min_fingerprint == expected
-
-    def test_trace_file_min_fingerprint_empty(self):
-        assert TraceFile(path="f").min_fingerprint is None
-
     def test_trace_snapshot_all_chunks_order(self):
         file_a = TraceFile(path="a", chunks=[TraceChunk(synthetic_fingerprint("1"), 10)])
         file_b = TraceFile(path="b", chunks=[TraceChunk(synthetic_fingerprint("2"), 10)])
