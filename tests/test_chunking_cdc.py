@@ -101,6 +101,10 @@ class TestDivisorCalibration:
             chunker = ContentDefinedChunker(average_size=average)
             assert abs(chunker.average_chunk_size - average) <= 1
 
+    def test_chunker_cuts_with_the_solved_divisor(self):
+        chunker = ContentDefinedChunker(average_size=4096)
+        assert chunker.divisor == solve_divisor(4096, chunker.min_size, chunker.max_size)
+
     def test_realized_mean_within_tolerance_on_random_data(self):
         # Statistical regression: ~500 chunks of seeded random data must land
         # within +/-15% of the configured average (the seed missed by ~ -25%).

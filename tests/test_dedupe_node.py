@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.superchunk import SuperChunk
-from repro.errors import ChunkNotFoundError
+from repro.errors import ChunkNotFoundError, StorageError
 from repro.node.dedupe_node import DedupeNode, NodeConfig
 from tests.helpers import chunk_records_from_seeds, superchunk_from_seeds
 
@@ -128,6 +128,24 @@ class TestRestore:
         node = DedupeNode(0)
         with pytest.raises(ChunkNotFoundError):
             node.read_chunks([b"\x00" * 20], [None])[0]
+
+
+class TestWithoutReplicaStore:
+    """A node outside a replicated cluster mirrors nothing."""
+
+    def test_replica_reads_find_nothing(self):
+        node = DedupeNode(0)
+        assert node.replica_read(1, [b"\x01" * 20, b"\x02" * 20], [0, 0]) == [None, None]
+        assert node.replica_stats() == (0, 0)
+
+    def test_storing_a_replica_raises(self):
+        source = DedupeNode(1)
+        result = source.backup_superchunk(superchunk_from_seeds(range(5)))
+        container_id = next(iter(result.chunk_locations.values()))
+        source.flush()
+        section = source.export_container(container_id)
+        with pytest.raises(StorageError, match="hosts no replica store"):
+            DedupeNode(0).store_replica(1, container_id, section)
 
 
 class TestCounters:

@@ -69,6 +69,15 @@ class TestPlanValidation:
         with pytest.raises(ValidationError):
             NodeDownWindow(-1, 0, 1)
 
+    @pytest.mark.parametrize(
+        "schedule",
+        [dict(drop_rpc=[0]), dict(delay_rpc=[(0, 0.1)]), dict(delay_rpc=[(1, -0.5)])],
+        ids=["drop-index-0", "delay-index-0", "negative-delay"],
+    )
+    def test_bad_rpc_schedules_rejected(self, schedule):
+        with pytest.raises(ValidationError, match="1-based"):
+            FaultPlan(**schedule)
+
     def test_install_rejects_unknown_targets(self):
         with pytest.raises(FaultInjectionError):
             FaultPlan().install(object())

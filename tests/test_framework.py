@@ -3,6 +3,7 @@
 import pytest
 
 from repro import SigmaDedupe
+from repro.errors import RecipeError
 from repro.chunking.fixed import StaticChunker
 from repro.routing.stateless import StatelessRouting
 from tests.helpers import deterministic_bytes
@@ -52,6 +53,32 @@ class TestBackupRestore:
         files = [("x", deterministic_bytes(1000, seed=3)), ("y", deterministic_bytes(1500, seed=4))]
         report = framework.backup(files)
         assert dict(framework.restore_session(report.session_id)) == dict(files)
+
+    def test_iter_restore_file_yields_the_file_chunk_by_chunk(self):
+        framework = small_framework()
+        data = deterministic_bytes(20_000, seed=9)
+        report = framework.backup([("big", data)])
+        pieces = list(framework.iter_restore_file(report.session_id, "big"))
+        assert [len(piece) for piece in pieces] == [256] * 78 + [32]
+        assert b"".join(pieces) == data
+
+    def test_iter_restore_file_of_unknown_path_raises_before_reading(self):
+        framework = small_framework()
+        report = framework.backup([("a", deterministic_bytes(1000, seed=10))])
+        with pytest.raises(RecipeError, match="no recipe"):
+            framework.iter_restore_file(report.session_id, "ghost")
+
+    def test_restore_from_unknown_session_raises(self):
+        framework = small_framework()
+        framework.backup([("a", deterministic_bytes(1000, seed=11))])
+        with pytest.raises(RecipeError, match="unknown backup session"):
+            framework.restore("session-000404", "a")
+
+    def test_restore_session_of_empty_backup_is_empty(self):
+        framework = small_framework()
+        report = framework.backup([])
+        assert report.files == 0
+        assert framework.restore_session(report.session_id) == []
 
     def test_repeated_backup_improves_dedup_ratio(self):
         framework = small_framework()

@@ -261,3 +261,8 @@ class TestProcessExecutor:
     def test_invalid_executor_rejected(self):
         with pytest.raises(ValueError):
             ParallelIngestEngine(workers=2, executor="fiber")
+
+    @pytest.mark.parametrize("bound", ["batch_bytes", "queue_depth"])
+    def test_nonpositive_bounds_rejected(self, bound):
+        with pytest.raises(ValueError, match=f"{bound} must be positive"):
+            ParallelIngestEngine(workers=2, **{bound: 0})

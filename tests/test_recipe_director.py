@@ -98,6 +98,12 @@ class TestDirectorSessions:
         with pytest.raises(RecipeError):
             Director().get_session("nope")
 
+    def test_sessions_keep_each_client_in_open_order(self):
+        director = Director()
+        for client in ("alpha", "beta", "alpha"):
+            director.open_session(client)
+        assert [session.client_id for session in director.sessions()] == ["alpha", "beta", "alpha"]
+
     def test_record_after_close_raises(self):
         director = Director()
         session = director.open_session("c")
@@ -127,6 +133,14 @@ class TestDirectorRecipes:
         session = director.open_session("c")
         with pytest.raises(RecipeError):
             director.get_recipe(session.session_id, "ghost")
+
+    def test_recipe_of_unknown_session_raises(self):
+        with pytest.raises(RecipeError, match="unknown backup session"):
+            Director().get_recipe("session-000404", "f")
+
+    def test_files_in_unknown_session_raises(self):
+        with pytest.raises(RecipeError, match="unknown backup session"):
+            Director().files_in_session("session-000404")
 
     def test_files_in_session(self):
         director = Director()

@@ -209,6 +209,12 @@ class TestRestoreEquivalence:
 
 
 class TestRestoreIntegrity:
+    @pytest.mark.parametrize("batch_chunks", [0, -1])
+    def test_nonpositive_window_rejected(self, batch_chunks):
+        framework = make_framework()
+        with pytest.raises(ValueError, match="batch_chunks must be positive"):
+            RestoreManager(framework.cluster, framework.director, batch_chunks=batch_chunks)
+
     def corrupt_recipe(self, framework, session_id, path, position=0, delta=1):
         recipe = framework.director.get_recipe(session_id, path)
         recipe.lengths[position] += delta

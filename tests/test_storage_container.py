@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.errors import ContainerFullError
+from repro.errors import ContainerFullError, StorageError
 from repro.fingerprint.fingerprinter import ChunkRecord
-from repro.storage.container import Container
+from repro.storage.container import Container, ContainerMetadataEntry
 from tests.helpers import fingerprint_of
 
 
@@ -87,3 +87,28 @@ class TestReading:
         for i in range(3):
             container.append(record(bytes([i]) * 8))
         assert container.chunk_count == 3
+
+
+class TestFromRecovered:
+    ENTRIES = [ContainerMetadataEntry(b"\x01" * 20, 0, 3), ContainerMetadataEntry(b"\x02" * 20, 3, 2)]
+
+    @pytest.mark.parametrize("sources", [{}, dict(parts=[b"abc", b"de"], loader=lambda _: None)])
+    def test_needs_exactly_one_payload_source(self, sources):
+        with pytest.raises(StorageError, match="exactly one"):
+            Container.from_recovered(
+                container_id=0, capacity=100, stream_id=0, entries=self.ENTRIES, **sources
+            )
+
+    def test_parts_must_align_with_entries(self):
+        with pytest.raises(StorageError, match="2 metadata entries but 1 payload parts"):
+            Container.from_recovered(
+                container_id=0, capacity=100, stream_id=0, entries=self.ENTRIES, parts=[b"abc"]
+            )
+
+    def test_parts_rebuild_a_sealed_resident_clone(self):
+        container = Container.from_recovered(
+            container_id=7, capacity=100, stream_id=0, entries=self.ENTRIES, parts=[b"abc", b"de"]
+        )
+        assert container.sealed
+        assert container.used == 5
+        assert container.read_chunks([b"\x02" * 20, b"\x01" * 20]) == [b"de", b"abc"]

@@ -29,7 +29,7 @@ from repro.workloads.trace import (
 )
 from repro.workloads.versioned_source import VersionedSourceWorkload
 from repro.workloads.vm_images import VMBackupWorkload
-from tests.helpers import deterministic_bytes, partition
+from tests.helpers import chunk_records_from_seeds, deterministic_bytes, partition
 
 
 def make_stack(num_nodes=4, chunker=None):
@@ -268,6 +268,29 @@ class TestWorkloadSources:
     def test_data_and_source_are_exclusive(self):
         with pytest.raises(ValueError):
             WorkloadFile(path="bad", data=b"x", source=lambda: iter([b"y"]))
+
+    def test_chunks_and_a_payload_are_exclusive(self):
+        chunks = chunk_records_from_seeds([1, 2])
+        with pytest.raises(ValueError):
+            WorkloadFile(path="bad", data=b"x", chunks=chunks)
+        with pytest.raises(ValueError):
+            WorkloadFile(path="bad", chunks=chunks, source=lambda: iter([b"y"]))
+
+    def test_repr_of_a_hintless_source_never_streams(self):
+        def source():
+            raise AssertionError("repr streamed the source")
+
+        assert repr(WorkloadFile(path="lazy", source=source)) == (
+            "WorkloadFile(path='lazy', source, size=lazy)"
+        )
+
+    def test_iter_blocks_drops_empty_source_blocks(self):
+        file = WorkloadFile(path="gappy", source=lambda: iter([b"", b"ab", b"", b"cde"]))
+        assert list(file.iter_blocks(block_size=2)) == [b"ab", b"cd", b"e"]
+
+    def test_iter_blocks_rejects_a_non_positive_block_size(self):
+        with pytest.raises(ValueError):
+            list(WorkloadFile(path="f", data=b"abc").iter_blocks(block_size=0))
 
     @pytest.mark.parametrize(
         "workload_factory",

@@ -7,7 +7,8 @@ defined in ``src/repro`` is *referenced* when its name appears in ``src/``,
 identifier string (dotted and ``module:name`` strings count part by part).
 Inside ``src/`` a use in the definition's own body, an ``import`` alias and an
 ``__all__`` entry do not count; nothing under ``tests/`` counts.  What is
-unreferenced must sit in :data:`EXEMPT` with its reason.
+unreferenced must sit in :data:`EXEMPT` with its reason, and an entry that no
+longer covers anything unreferenced fails.
 
 A second table, :data:`KNOBS`, names for every keyword with a default on the
 classes in :data:`KNOB_CLASSES` one test or benchmark file whose call passes
@@ -266,8 +267,9 @@ def knob_callers(root, known):
 
 def findings(root, exempt, knob_table, classes=KNOB_CLASSES):
     """Every breach of the census under ``root``: an unreferenced definition
-    or a knob without a listed caller, not in ``exempt``, and an ``exempt``
-    or ``knob_table`` key that names nothing."""
+    or a knob without a listed caller, not in ``exempt``; an ``exempt`` or
+    ``knob_table`` key that names nothing; and an ``exempt`` key all of whose
+    names have since gained a caller."""
     problems = []
     defined = definitions(root)
     known = signatures(root, classes)
@@ -280,20 +282,28 @@ def findings(root, exempt, knob_table, classes=KNOB_CLASSES):
         if key not in declared:
             problems.append(f"KNOBS names no knob: {key}")
 
+    callers = knob_callers(root, known)
+    uncalled = [
+        knob for knob in sorted(declared) if knob_table.get(knob) not in callers.get(knob, ())
+    ]
+    needed = set()
+
     def exempted(name):
-        return any(fnmatch.fnmatchcase(name, key) for key in exempt)
+        keys = {key for key in exempt if fnmatch.fnmatchcase(name, key)}
+        needed.update(keys)
+        return bool(keys)
 
     for name in unreferenced(root):
         if not exempted(name):
             path, line = defined[name]
             problems.append(f"unreferenced: {name} ({path.relative_to(root)}:{line})")
-    callers = knob_callers(root, known)
-    for knob in sorted(declared):
-        if exempted(knob):
-            continue
-        if knob_table.get(knob) not in callers.get(knob, ()):
+    for knob in uncalled:
+        if not exempted(knob):
             listed = sorted(callers.get(knob, ()))
             problems.append(f"no listed call passes {knob} (callers: {listed})")
+    for key in exempt:
+        if key not in needed and any(fnmatch.fnmatchcase(name, key) for name in names):
+            problems.append(f"EXEMPT covers nothing left: {key}")
     return problems
 
 
@@ -374,3 +384,140 @@ def test_fixture_knob_no_call_passes_is_flagged(tmp_path):
     passing = "from repro import Store\nStore('x', capacity=8)\n"
     root = fixture_tree(tmp_path, **{"tests/test_store.py": passing})
     assert findings(root, exempt, table, ("Store",)) == []
+
+
+def test_fixture_attribute_use_clears(tmp_path):
+    demo = "import repro\nstore = repro.Store('x')\nstore.put(1)\n"
+    assert unreferenced(fixture_tree(tmp_path, **{"examples/demo.py": demo})) == ["orphan"]
+
+
+@pytest.mark.parametrize("text", ["orphan", "repro.store.orphan", "repro.store:orphan"])
+def test_fixture_identifier_string_clears(tmp_path, text):
+    """Registries and entry points name definitions by string."""
+    root = fixture_tree(tmp_path, **{"benchmarks/registry.py": f"TARGETS = [{text!r}]\n"})
+    assert "orphan" not in unreferenced(root)
+
+
+@pytest.mark.parametrize("text", ["call orphan() first", "orphan-like", "orphan.v2-draft"])
+def test_fixture_prose_string_does_not_clear(tmp_path, text):
+    root = fixture_tree(tmp_path, **{"benchmarks/notes.py": f"NOTE = {text!r}\n"})
+    assert "orphan" in unreferenced(root)
+
+
+def test_fixture_use_from_a_sibling_definition_clears(tmp_path):
+    """A call from another definition's body counts; the caller is then the
+    one left without a caller."""
+    store = FIXTURE_SOURCE["src/repro/store.py"] + (
+        "\n\ndef sweep():\n    return orphan()\n"
+        "\n\nclass Shelf(Store):\n    def get(self, key):\n        return self.put(key)\n"
+    )
+    root = fixture_tree(tmp_path, **{"src/repro/store.py": store})
+    assert unreferenced(root) == ["Shelf", "Shelf.get", "sweep"]
+
+
+@pytest.mark.parametrize(
+    "declaration",
+    ['__all__: list = ["Store", "orphan"]', '__all__ = []\n__all__ += ["Store", "orphan"]'],
+    ids=["annotated", "augmented"],
+)
+def test_fixture_every_all_form_does_not_count(tmp_path, declaration):
+    init = f"from repro.store import Store, orphan\n{declaration}\n"
+    root = fixture_tree(tmp_path, **{"src/repro/__init__.py": init, "examples/demo.py": ""})
+    assert unreferenced(root) == ["Store", "Store.put", "orphan"]
+
+
+def test_fixture_private_and_nested_definitions_are_not_counted(tmp_path):
+    helpers = (
+        "def _private():\n    pass\n\n\n"
+        "def outer():\n    def inner():\n        pass\n    return inner\n\n\n"
+        "class _Hidden:\n    def _quiet(self):\n        pass\n\n"
+        "    def loud(self):\n        pass\n"
+    )
+    root = fixture_tree(tmp_path, **{"src/repro/helpers.py": helpers})
+    assert set(definitions(root)) == {"Store", "Store.put", "orphan", "outer", "_Hidden.loud"}
+
+
+def test_fixture_exempt_pattern_covers_many_names(tmp_path):
+    exempt = {"Store.*": "reason", "orphan": "reason"}
+    assert findings(fixture_tree(tmp_path), exempt, {}, ()) == []
+
+
+def test_fixture_exempt_key_whose_names_gained_a_caller_fails(tmp_path):
+    exempt = {"Store.put": "reason", "orphan": "reason", "Store": "reason"}
+    assert findings(fixture_tree(tmp_path), exempt, {}, ()) == ["EXEMPT covers nothing left: Store"]
+
+
+def test_fixture_knob_table_key_naming_no_knob_fails(tmp_path):
+    exempt = {"Store.put": "reason", "orphan": "reason", "Store(capacity=)": "reason"}
+    table = {"Store(size=)": "tests/test_store.py"}
+    assert findings(fixture_tree(tmp_path), exempt, table, ("Store",)) == [
+        "KNOBS names no knob: Store(size=)"
+    ]
+
+
+FIXTURE_EXEMPT = {"Store.put": "reason", "orphan": "reason"}
+FIXTURE_KNOBS = {"Store(capacity=)": "tests/test_store.py"}
+
+
+@pytest.mark.parametrize(
+    "test_file",
+    [
+        "from repro import Store\nStore('x', 8)\n",
+        "from repro import Store\n\n\ndef make(**options):\n    return Store('x', **options)\n\n\n"
+        "make(capacity=8)\n",
+        "from repro import Store\n\n\ndef test_store():\n"
+        "    options = dict(capacity=8)\n    Store('x', **options)\n",
+    ],
+    ids=["positional", "forwarder", "dict"],
+)
+def test_fixture_knob_passed_without_its_keyword_counts(tmp_path, test_file):
+    root = fixture_tree(tmp_path, **{"tests/test_store.py": test_file})
+    assert findings(root, FIXTURE_EXEMPT, FIXTURE_KNOBS, ("Store",)) == []
+
+
+def test_fixture_knob_passed_only_by_an_unlisted_file_is_flagged(tmp_path):
+    other = "from repro import Store\nStore('x', capacity=8)\n"
+    root = fixture_tree(tmp_path, **{"tests/test_other.py": other})
+    assert findings(root, FIXTURE_EXEMPT, FIXTURE_KNOBS, ("Store",)) == [
+        "no listed call passes Store(capacity=) (callers: ['tests/test_other.py'])"
+    ]
+
+
+def test_fixture_knob_passed_only_by_an_example_is_flagged(tmp_path):
+    demo = "from repro import Store\nStore('x', capacity=8)\n"
+    table = {"Store(capacity=)": "examples/demo.py"}
+    root = fixture_tree(tmp_path, **{"examples/demo.py": demo})
+    assert findings(root, FIXTURE_EXEMPT, table, ("Store",)) == [
+        "no listed call passes Store(capacity=) (callers: [])"
+    ]
+
+
+def test_fixture_exempt_knob_is_not_flagged(tmp_path):
+    exempt = {**FIXTURE_EXEMPT, "Store(capacity=)": "reason"}
+    assert findings(fixture_tree(tmp_path), exempt, {}, ("Store",)) == []
+
+
+def test_fixture_dataclass_fields_with_a_default_are_knobs(tmp_path):
+    config = (
+        "from dataclasses import dataclass\n\n\n@dataclass\n"
+        "class Config:\n    path: str\n    size: int = 4\n    mode: str = 'r'\n"
+    )
+    root = fixture_tree(tmp_path, **{"src/repro/config.py": config})
+    known = signatures(root, ("Config",))
+    assert known == {"Config": (["path", "size", "mode"], ["size", "mode"])}
+    assert knobs(known) == {"Config(size=)", "Config(mode=)"}
+    test_file = "from repro.config import Config\nConfig('p', 8)\n"
+    root = fixture_tree(tmp_path, **{"tests/test_config.py": test_file})
+    assert knob_callers(root, known) == {"Config(size=)": {"tests/test_config.py"}}
+
+
+def test_fixture_keyword_only_parameters_with_a_default_are_knobs(tmp_path):
+    store = "class Store:\n    def __init__(self, path, *, capacity=4, mode):\n        pass\n"
+    root = fixture_tree(tmp_path, **{"src/repro/store.py": store})
+    assert knobs(signatures(root, ("Store",))) == {"Store(capacity=)"}
+
+
+def test_fixture_import_without_a_use_does_not_clear(tmp_path):
+    """Outside ``src/`` too, an import alone is no use."""
+    root = fixture_tree(tmp_path, **{"benchmarks/use.py": "from repro.store import orphan\n"})
+    assert "orphan" in unreferenced(root)

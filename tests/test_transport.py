@@ -117,6 +117,36 @@ class TestWireProtocol:
                 {"ok": False, "error": "NotARealError", "message": "?"}
             )
 
+    @pytest.mark.parametrize(
+        "header_blob", [b"\xff\xfe", b"{not json", b"[1, 2]"], ids=["utf8", "json", "array"]
+    )
+    def test_undecodable_header_is_rejected(self, header_blob):
+        left, right = socket.socketpair()
+        try:
+            left.sendall(wire.PREFIX.pack(len(header_blob), 0) + header_blob)
+            with pytest.raises(WireProtocolError, match="header"):
+                wire.recv_message(right)
+        finally:
+            left.close()
+            right.close()
+
+    def test_packed_sequence_with_trailing_bytes_is_rejected(self):
+        blob, lengths = wire.pack_bytes_seq([b"ab", b"cd"])
+        with pytest.raises(WireProtocolError):
+            wire.unpack_bytes_seq(blob + b"e", lengths)
+
+    def test_superchunk_train_with_a_wrong_chunk_count_is_rejected(self):
+        records = chunk_records_from_seeds([1, 2], length=64)
+        header, frames = wire.encode_superchunk_frames(records, [records[0].fingerprint])
+        with pytest.raises(WireProtocolError, match="fingerprints for 3 chunks"):
+            wire.decode_superchunk_frames({**header, "chunk_count": 3}, frames)
+
+    def test_superchunk_train_with_a_stray_payload_frame_is_rejected(self):
+        records = chunk_records_from_seeds([1, 2], length=64)
+        header, frames = wire.encode_superchunk_frames(records, [records[0].fingerprint])
+        with pytest.raises(WireProtocolError, match="payload frames"):
+            wire.decode_superchunk_frames(header, [*frames, b"stray"])
+
     def test_oversized_header_is_rejected(self):
         left, right = socket.socketpair()
         try:

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.utils.stats import (
+    SnapshotCounter,
     coefficient_of_variation,
+    count_matched_occurrences,
     max_over_mean,
     mean,
     percentile,
@@ -74,3 +76,32 @@ class TestPercentile:
     def test_out_of_range_raises(self):
         with pytest.raises(ValueError):
             percentile([1], 1.5)
+
+
+class TestSnapshotCounter:
+    def test_adds_and_reads_the_total(self):
+        counter = SnapshotCounter(5)
+        counter.add(3)
+        counter.add(-2)
+        assert counter.value == 6
+        assert int(counter) == 6
+
+    def test_starts_at_zero_and_renders_its_total(self):
+        counter = SnapshotCounter()
+        assert counter.value == 0
+        counter.add(7)
+        assert repr(counter) == "SnapshotCounter(7)"
+
+
+class TestCountMatchedOccurrences:
+    def test_distinct_items_count_the_matched_set(self):
+        items = ["a", "b", "c"]
+        assert count_matched_occurrences(items, set(items), {"a", "c"}) == 2
+
+    def test_repeated_items_count_every_occurrence(self):
+        items = ["a", "b", "a", "a", "c"]
+        assert count_matched_occurrences(items, set(items), {"a", "c"}) == 4
+
+    def test_nothing_matched(self):
+        items = ["a", "a"]
+        assert count_matched_occurrences(items, set(items), set()) == 0
