@@ -20,12 +20,12 @@ from __future__ import annotations
 from typing import List
 
 from benchmarks.common import bench_scale, rows_table, run_once
-from repro.chunking.cdc import ContentDefinedChunker
-from repro.chunking.gear import GearChunker
-from repro.parallel.pipeline import (
+from benchmarks.fig4_streams import (
     measure_chunking_throughput,
     measure_fingerprinting_throughput,
 )
+from repro.chunking.cdc import ContentDefinedChunker
+from repro.chunking.gear import GearChunker
 from repro.workloads.synthetic import SyntheticDataGenerator
 
 STREAM_COUNTS = (1, 2, 4, 8, 16)

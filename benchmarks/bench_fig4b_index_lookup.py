@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import List
 
 from benchmarks.common import bench_scale, rows_table, run_once
-from repro.parallel.pipeline import measure_similarity_index_lookup
+from benchmarks.fig4_streams import measure_similarity_index_lookup
 from tests.helpers import synthetic_fingerprint
 
 LOCK_COUNTS = (1, 16, 256, 1024, 16384, 65536)

@@ -1,8 +1,8 @@
 """Thread-per-stream throughput measurement for the Figure 4 benchmarks.
 
 Reproduces the intra-node parallelism experiments of Section 4.3; the callers
-are ``benchmarks/bench_fig4a_chunking_fingerprinting.py`` and
-``benchmarks/bench_fig4b_index_lookup.py``:
+are ``bench_fig4a_chunking_fingerprinting.py`` and ``bench_fig4b_index_lookup.py``
+beside it:
 
 * Figure 4(a): chunking (CDC) and SHA-1/MD5 fingerprinting throughput at the
   backup client as a function of the number of data streams.

@@ -104,7 +104,6 @@ STREAMING_MODULES: FrozenSet[str] = frozenset(
     {
         "core/partitioner.py",
         "parallel/engine.py",
-        "parallel/pipeline.py",
         # Shared-memory lanes move one bounded slab region per record batch.
         "parallel/shm.py",
         "cluster/client.py",

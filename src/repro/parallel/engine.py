@@ -2,8 +2,9 @@
 
 The CPU cost of ingest is concentrated in the client front end -- the
 content-defined scan and the SHA-1 fingerprint -- while the batched node data
-plane is an order of magnitude faster (see ``BENCH_ingest.json``).  This
-module scales the front end across N worker *lanes* without giving up the
+plane is several times faster (the system benchmark's ``node_plane_replay``
+workload, which skips the front end, ingests ~8x faster than ``fresh_full``;
+run logs under ``docs/runs/``).  This module scales the front end across N worker *lanes* without giving up the
 serial path's exact results:
 
 * Each lane owns its own :class:`~repro.core.partitioner.StreamPartitioner`

@@ -20,9 +20,8 @@ container), :func:`send_message` hands it to the kernel with one
 ``sendall``, and :func:`recv_message` drains a whole train's frames with one
 ``recv_into`` loop into a single buffer it then slices zero-copy.
 
-A shared-memory ring was the measured alternative for the payload plane (see
-the ``wire_payload_plane`` stage of ``benchmarks/bench_ingest_throughput.py``,
-which keeps measuring both); the socket won on this workload -- no ring
+A shared-memory ring was the measured alternative for the payload plane (the
+ROADMAP ledger keeps the result); the socket won on this workload -- no ring
 sizing, no cross-process synchronisation, no segment lifecycle to leak -- and
 is what this module implements.
 

@@ -1,12 +1,12 @@
-"""Tests for repro.parallel.pipeline."""
+"""Tests for the Figure 4 thread-per-stream helpers in benchmarks/fig4_streams.py."""
 
-from repro.chunking.cdc import ContentDefinedChunker
-from repro.chunking.fixed import StaticChunker
-from repro.parallel.pipeline import (
+from benchmarks.fig4_streams import (
     measure_chunking_throughput,
     measure_fingerprinting_throughput,
     measure_similarity_index_lookup,
 )
+from repro.chunking.cdc import ContentDefinedChunker
+from repro.chunking.fixed import StaticChunker
 from tests.helpers import deterministic_bytes, synthetic_fingerprint
 
 

@@ -23,6 +23,7 @@ import signal
 import socket
 import string
 import tempfile
+import threading
 import time
 from unittest import mock
 
@@ -74,6 +75,33 @@ class TestWireProtocol:
         finally:
             left.close()
             right.close()
+
+    def test_back_to_back_trains_larger_than_the_socket_buffer_keep_their_frames(self):
+        """Trains of 64 x 4 KiB frames, sent back to back by a concurrent
+        sender, each arrive whole: partial reads resume where they stopped
+        and never run into the next train."""
+        frames = [bytes([index]) * 4096 for index in range(64)]
+        left, right = socket.socketpair()
+        right.settimeout(30)
+
+        def send_trains():
+            for seq in range(8):
+                wire.send_message(left, {"seq": seq}, frames)
+
+        sender = threading.Thread(target=send_trains)
+        sender.start()
+        try:
+            for seq in range(8):
+                header, received, _ = wire.recv_message(right)
+                assert header == {"seq": seq}
+                assert len(received) == 64
+                assert [bytes(frame) for frame in received] == frames
+            sender.join(timeout=30)
+            assert not sender.is_alive()
+        finally:
+            right.close()
+            sender.join(timeout=30)
+            left.close()
 
     def test_packed_sequences_round_trip(self):
         items = [b"", b"x", b"fingerprint-20-bytes", b"y" * 300]
