@@ -15,9 +15,9 @@ section lives:
   plus indexes, not by the stored data.
 
 The file backend optionally compresses each spilled data section (see
-:mod:`repro.storage.compression`).  Raw or compressed, a spill file is read
-back, decoded and split into per-chunk payloads once per container, so every
-later read of it is list slices.
+:mod:`repro.storage.compression`).  Raw or compressed, a container is served
+from a list of per-chunk payloads -- a compressed seal's own, or its spill
+file read back, decoded and split once -- so every read of it is list slices.
 
 The file backend is also **crash consistent**: every seal appends a
 checksummed record to a per-directory ``manifest.jsonl`` journal (see
@@ -88,8 +88,8 @@ DEFAULT_DECOMPRESSED_CACHE_BYTES = 32 * 1024 * 1024
 """Default budget for the file backend's LRU of split data sections (8
 default-capacity containers): fragmented restores revisit the same container
 across many read windows, and a section costs a file read, a decode and a
-split to rebuild.  Seals under a codec admit their raw section too, which the
-container's first read splits in place."""
+split to rebuild.  Seals under a codec admit the part list the container held
+too, so nothing is split at all for a container read soon after its seal."""
 
 
 class SpillFaultHook(Protocol):
@@ -258,12 +258,13 @@ class FileContainerBackend(ContainerBackend):
         cached, so a fragmented restore that revisits the container across
         many read windows pays the read, the codec and the copy once, not
         once per window: every read is list slices.  Under a codec the LRU
-        is **write-through**: ``on_seal`` admits the raw section it has just
-        compressed (by reference, within the same budget), so a restore that
-        follows an ingest reads the most recently sealed containers without
-        running the codec at all; the first read splits that section.  A
-        section is admitted only after its length checks out, so a damaged
-        spill file fails every read (and so fails over), not just the first.
+        is **write-through**: ``on_seal`` admits the per-chunk payload list
+        the container held until it was evicted (the ingest's own ``bytes``,
+        by reference, within the same budget), so a restore that follows an
+        ingest reads the most recently sealed containers without a file
+        read, a codec call or a split.  A loaded section is admitted only
+        after its length checks out, so a damaged spill file fails every
+        read (and so fails over), not just the first.
     fsync:
         Force every spill file and journal record to stable storage before
         the seal returns.  Off by default: the write ordering (data file
@@ -310,11 +311,10 @@ class FileContainerBackend(ContainerBackend):
         """Spill files actually read back from disk (LRU hits do not count)
         -- the metric the batched restore path minimises."""
         self._io_lock: GuardLock = guarded_lock("FileContainerBackend._io_lock")
-        # LRU of (raw bytes, section), filled by loads and by codec seals:
-        # byte-bounded so resident split payload never exceeds the
-        # configured budget.  A section is a seal's joined bytes until its
-        # first read splits it.
-        self._decompressed: "OrderedDict[int, Tuple[int, bytes | LoadedSection]]" = (  # guarded-by: _io_lock
+        # LRU of (raw bytes, per-chunk payloads), filled by loads and by
+        # codec seals: byte-bounded so resident split payload never exceeds
+        # the configured budget.
+        self._decompressed: "OrderedDict[int, Tuple[int, LoadedSection]]" = (  # guarded-by: _io_lock
             OrderedDict()
         )
         self._decompressed_bytes = 0  # guarded-by: _io_lock
@@ -335,16 +335,17 @@ class FileContainerBackend(ContainerBackend):
     def on_seal(self, container: Container) -> None:
         if self._closed:
             raise StorageError("file backend is closed")
-        section = container.payload_bytes()
-        blob = section if self._codec is None else self._codec.compress(section)
+        blob = container.payload_bytes()
+        if self._codec is not None:
+            blob = self._codec.compress(blob)  # the joined section is dropped here
         stored = StoredForm(self.compression, len(blob), zlib.crc32(blob))
         self._persist(container, blob, stored)
-        container.evict_payload(self._load, stored)
+        parts = container.evict_payload(self._load, stored)
         if self._codec is not None:
             # Write-through: a container is most likely to be restored soon
-            # after it was written, and its raw section is in hand right now.
+            # after it was written, and its per-chunk payloads are in hand.
             with self._io_lock:
-                self._remember_decompressed(container.container_id, section, len(section))
+                self._remember_decompressed(container.container_id, parts, container.used)
 
     def _persist(
         self, container: Container, blob: SectionBuffer, stored: StoredForm
@@ -604,17 +605,11 @@ class FileContainerBackend(ContainerBackend):
     def _load_locked(self, container: Container) -> LoadedSection:  # holds-lock: _io_lock
         container_id = container.container_id
         held = self._decompressed.get(container_id)
-        if held is None:
-            section = self._read_spill_file(container)
-            self.spill_loads += 1
-        else:
+        if held is not None:
             self._decompressed.move_to_end(container_id)
-            cached = held[1]
-            if isinstance(cached, list):
-                return cached
-            # A seal's write-through bytes: split once, so every later read
-            # of this container is list slices, not copies.
-            section = container.split_section(cached)
+            return held[1]
+        section = self._read_spill_file(container)
+        self.spill_loads += 1
         self._remember_decompressed(container_id, section, container.used)
         return section
 
@@ -659,10 +654,10 @@ class FileContainerBackend(ContainerBackend):
                 stored.close()
 
     def _remember_decompressed(
-        self, container_id: int, section: "bytes | LoadedSection", size: int
+        self, container_id: int, section: LoadedSection, size: int
     ) -> None:  # holds-lock: _io_lock
-        """LRU-cache a data section of ``size`` raw bytes, joined or split,
-        within the byte budget."""
+        """LRU-cache a split data section of ``size`` raw bytes within the
+        byte budget."""
         if size > self._decompressed_capacity:
             return
         previous = self._decompressed.pop(container_id, None)

@@ -13,9 +13,10 @@ Either way containers are only ever read or written as whole units, so
 disk-access accounting done at container granularity is faithful to the
 paper's design.  The metadata section always stays resident.  An evicted
 container is served as per-chunk payloads, raw spill or compressed: its
-backend splits the data section once, at the first read after the seal or
-the load, and keeps that list in its LRU, so every later read of the
-container is list slices, as for a resident one.
+backend keeps a list of them in its LRU -- under a codec the very list
+:meth:`Container.evict_payload` hands it at the seal, else the list its
+first load splits from the spill file -- so every read of the container is
+list slices, as for a resident one.
 
 A resident data section is held as the list of (immutable) chunk payloads in
 append order rather than one contiguous buffer: appending a batch of unique
@@ -301,24 +302,27 @@ class Container:
         self,
         loader: Callable[["Container"], LoadedSection],
         stored: Optional[StoredForm] = None,
-    ) -> None:
-        """Drop the in-RAM data section, reloading through ``loader`` on reads.
+    ) -> LoadedSection:
+        """Drop the in-RAM data section, reloading through ``loader`` on reads,
+        and return the per-chunk payloads dropped (never mutated again).
 
-        Only sealed (immutable) containers may be evicted; the metadata
+        Only sealed (immutable) containers may be evicted, once; the metadata
         section stays resident so fingerprint prefetching needs no payload I/O.
         The loader returns the data section as per-chunk payloads (a
         :data:`LoadedSection`).
         """
-        if not self.sealed:
+        parts = self._parts
+        if not self.sealed or parts is None:
             # A lifecycle violation, not a capacity condition: callers
             # handling ContainerFullError as "no room" must not catch this.
             raise StorageError(
-                f"container {self.container_id} must be sealed before its "
-                "payload can be evicted"
+                f"container {self.container_id} must be sealed and resident "
+                "before its payload can be evicted"
             )
         self._loader = loader
         self._stored = stored
         self._parts = None
+        return parts
 
     def payload_bytes(self) -> bytes:
         """The whole data section in its contiguous on-disk layout (loading it

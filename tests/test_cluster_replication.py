@@ -332,7 +332,7 @@ class TestFailoverReads:
         )
         framework.close()
         # Reopened: the sealing framework would serve every read from the
-        # raw sections its seals admitted to the LRU, never the files.
+        # part lists its seals admitted to the LRU, never the files.
         revived = SigmaDedupe(**settings)
         revived.recover_storage()
         session = revived.director.import_session(exported)

@@ -80,10 +80,10 @@ class CountingIndex:
 
 def holds_split(container):
     """Whether the backend of an evicted container already holds its section
-    split into per-chunk payloads (a zlib spill read before)."""
+    split into per-chunk payloads (a zlib seal's own list, or an earlier
+    spill read)."""
     backend = getattr(container._loader, "__self__", None)
-    held = getattr(backend, "_decompressed", {}).get(container.container_id)
-    return held is not None and isinstance(held[1], list)
+    return container.container_id in getattr(backend, "_decompressed", {})
 
 
 @pytest.fixture(scope="module", autouse=True)

@@ -380,7 +380,7 @@ class TestCompressedSpill:
         chunks = self._compressible_records()
         ids = store.store_chunks(chunks)
         store.flush()
-        # on_seal admitted every raw section it compressed: reads that follow
+        # on_seal admitted every container's part list: reads that follow
         # the ingest touch neither the spill files nor the codec.
         self._interleaved_reads(store, chunks, ids)
         assert backend.spill_loads == 0
@@ -396,21 +396,80 @@ class TestCompressedSpill:
         assert backend._decompressed_bytes <= 256
         assert list(backend._decompressed) == [max(ids)]
 
-    def test_write_through_bytes_split_on_first_read(self, tmp_path):
-        backend = FileContainerBackend(tmp_path, compression="zlib")
+    def _sealed_pair(self, tmp_path, **options):
+        """Two 256-byte chunks sealed into one zlib container, with the part
+        list the container held until its seal."""
+        backend = FileContainerBackend(tmp_path, compression="zlib", **options)
         store = ContainerStore(container_capacity=512, backend=backend)
         chunks = self._compressible_records()[:2]
         ids = store.store_chunks(chunks)
-        store.flush()
         (container_id,) = set(ids)
-        # The seal admitted its joined section; the first read splits it in
-        # place, and every later read returns that same list.
-        assert backend._decompressed[container_id][1] == COMPRESSIBLE[:512]
-        section = store.get(container_id).load_section()
-        assert section == [chunk.data for chunk in chunks]
-        assert backend._decompressed[container_id][1] is section
-        assert store.get(container_id).load_section() is section
+        parts = store.get(container_id)._parts
+        store.flush()
+        return backend, store, chunks, container_id, parts
+
+    def test_seal_admits_the_part_list_the_container_held(self, tmp_path):
+        backend, store, chunks, container_id, parts = self._sealed_pair(tmp_path)
+        assert parts == [chunk.data for chunk in chunks]
+        assert backend._decompressed[container_id] == (512, parts)
+        assert backend._decompressed[container_id][1] is parts
+        assert store.get(container_id).load_section() is parts
+
+    def test_restore_after_the_seal_serves_the_ingest_bytes(self, tmp_path):
+        backend, store, chunks, container_id, _parts = self._sealed_pair(tmp_path)
+        got = store.read_chunks([container_id] * 2, [chunk.fingerprint for chunk in chunks])
+        assert all(payload is chunk.data for payload, chunk in zip(got, chunks))
+        # Held by the backend's LRU, not by the container: the list is not
+        # resident payload, and no spill file was read.
         assert backend.spill_loads == 0
+        assert not store.get(container_id).payload_resident
+        assert store.resident_payload_bytes == 0
+
+    def test_close_drops_the_seal_admitted_lists(self, tmp_path):
+        backend, _store, _chunks, _container_id, _parts = self._sealed_pair(tmp_path)
+        assert backend._decompressed
+        backend.close()
+        assert not backend._decompressed and backend._decompressed_bytes == 0
+
+    def test_seal_over_the_budget_is_read_from_its_file(self, tmp_path):
+        backend, store, chunks, container_id, _parts = self._sealed_pair(
+            tmp_path, decompressed_cache_bytes=256
+        )
+        assert not backend._decompressed
+        got = store.read_chunks([container_id] * 2, [chunk.fingerprint for chunk in chunks])
+        assert got == [chunk.data for chunk in chunks]
+        assert backend.spill_loads == 1
+
+    def test_evicted_seal_list_is_reloaded_decoded_and_length_checked(
+        self, tmp_path, monkeypatch
+    ):
+        # A budget of one container: the second seal evicts the first's list.
+        backend = FileContainerBackend(
+            tmp_path, compression="zlib", decompressed_cache_bytes=512
+        )
+        store = ContainerStore(container_capacity=512, backend=backend)
+        chunks = self._compressible_records()[:4]
+        ids = store.store_chunks(chunks)
+        store.flush()
+        first, second = sorted(set(ids))
+        assert list(backend._decompressed) == [second]
+        decoded = []
+        decompress = backend._codec.decompress
+        monkeypatch.setattr(
+            backend._codec, "decompress",
+            lambda data, size: decoded.append(size) or decompress(data, size),
+        )
+        got = store.read_chunks([first] * 2, [chunk.fingerprint for chunk in chunks[:2]])
+        assert got == [chunk.data for chunk in chunks[:2]]
+        assert all(payload is not chunk.data for payload, chunk in zip(got, chunks))
+        assert backend.spill_loads == 1 and decoded == [512]
+        # The reload evicted the second seal's list in turn; a valid stream
+        # one byte short fails its length check on the way back in.
+        assert list(backend._decompressed) == [first]
+        backend.spill_path(second).write_bytes(zlib.compress(chunks[2].data + chunks[3].data[:-1]))
+        with pytest.raises(ContainerNotFoundError, match="truncated"):
+            store.read_chunks([second], [chunks[2].fingerprint])
+        assert list(backend._decompressed) == [first]
 
     def test_raw_seal_admits_nothing(self, tmp_path):
         # Write-through is codec-only: a raw spill's first read goes to the
@@ -582,7 +641,7 @@ class TestCompressedSpillCrashes:
         node.flush()
         node.close()
         # Reopen cold: the node that sealed the containers still holds their
-        # raw sections in its write-through LRU and would never read the files.
+        # part lists in its write-through LRU and would never read the files.
         node = DedupeNode(0, config=config)
         node.recover_storage()
         for name in os.listdir(node.container_backend.storage_dir):
