@@ -12,9 +12,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.analysis.runtime import GuardLock, guarded_lock
 from repro.cluster.recipe import FileRecipe
 from repro.errors import RecipeError
+from repro.utils.guarded_lock import GuardLock, guarded_lock
 
 SESSION_EXPORT_VERSION = 2
 """Schema version of :meth:`Director.export_session` payloads (2: columns)."""

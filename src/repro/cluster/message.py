@@ -28,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict
-from repro.analysis.runtime import GuardLock, guarded_lock
 from repro.errors import ValidationError
+from repro.utils.guarded_lock import GuardLock, guarded_lock
 
 
 class MessageType(Enum):

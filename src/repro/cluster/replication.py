@@ -42,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, cast
 
-from repro.analysis.runtime import GuardLock, guarded_lock
 from repro.cluster.handle import check_reply
 from repro.errors import NodeUnavailableError, RpcDroppedError, ValidationError
 from repro.node.dedupe_node import DedupeNode, NodeConfig
@@ -53,6 +52,7 @@ from repro.storage.backends import (
 )
 from repro.storage.container import Container, StoredSection, read_in_runs
 from repro.storage.journal import MANIFEST_NAME
+from repro.utils.guarded_lock import GuardLock, guarded_lock
 
 if TYPE_CHECKING:
     from repro.cluster.cluster import DedupeCluster
@@ -163,10 +163,6 @@ class ReplicaStore:
             if previous is None:
                 self.replicated_containers += 1
                 self.replicated_bytes += clone.used
-
-    def holds(self, origin_node_id: int, container_id: int) -> bool:
-        with self._lock:
-            return (origin_node_id, container_id) in self._replicas
 
     def container_count(self) -> int:
         with self._lock:

@@ -5,8 +5,8 @@ catch a single base class.  Subsystems raise the most specific subclass that
 applies.  Plain argument validation raises :class:`ValidationError`, which is
 *also* a ``ValueError`` so call sites keep the conventional contract -- but it
 still lands under :class:`ReproError`, and the error-taxonomy checker
-(``python -m repro.analysis --check taxonomy``) enforces that every ``raise``
-in the library constructs a member of this hierarchy.
+(``tests/repo_checks/taxonomy.py``) enforces that every ``raise`` in the
+library constructs a member of this hierarchy.
 """
 
 from __future__ import annotations
@@ -133,11 +133,6 @@ class WorkloadError(ReproError):
 
 class SimulationError(ReproError):
     """Raised when a simulation experiment is misconfigured."""
-
-
-class AnalysisError(ReproError):
-    """Raised when the static-analysis tooling itself is misconfigured
-    (unknown checker name, unreadable source tree, malformed annotation)."""
 
 
 class LockOwnershipError(ReproError):

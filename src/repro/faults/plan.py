@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.runtime import GuardLock, guarded_lock
 from repro.errors import (
     FaultInjectionError,
     InjectedReadError,
@@ -43,6 +42,7 @@ from repro.errors import (
     ValidationError,
 )
 from repro.storage.backends import FileContainerBackend
+from repro.utils.guarded_lock import GuardLock, guarded_lock
 
 if TYPE_CHECKING:
     from repro.storage.container import Container, SectionBuffer

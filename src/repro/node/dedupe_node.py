@@ -33,7 +33,6 @@ from itertools import compress, count, filterfalse, groupby
 from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, cast
 
-from repro.analysis.runtime import GuardLock, assert_owned, guarded_lock
 from repro.core.superchunk import SuperChunk
 from repro.errors import (
     ChunkNotFoundError,
@@ -64,6 +63,7 @@ from repro.storage.fingerprint_cache import (
     ChunkFingerprintCache,
 )
 from repro.storage.similarity_index import SimilarityIndex
+from repro.utils.guarded_lock import GuardLock, assert_owned, guarded_lock
 from repro.utils.stats import count_matched_occurrences
 
 if TYPE_CHECKING:

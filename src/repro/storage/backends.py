@@ -57,7 +57,6 @@ from pathlib import Path
 from types import TracebackType
 from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple, Type
 
-from repro.analysis.runtime import GuardLock, guarded_lock
 from repro.errors import (
     CompressionError,
     ContainerNotFoundError,
@@ -80,6 +79,7 @@ from repro.storage.journal import (
     ManifestJournal,
     encode_record,
 )
+from repro.utils.guarded_lock import GuardLock, guarded_lock
 
 ENV_CONTAINER_BACKEND = "REPRO_CONTAINER_BACKEND"
 """Environment variable naming the default container backend for nodes."""

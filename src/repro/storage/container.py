@@ -226,10 +226,6 @@ class Container:
         while the payload is resident)."""
         return self._stored
 
-    def has_room_for(self, length: int) -> bool:
-        """Whether a chunk of ``length`` bytes fits in the remaining space."""
-        return not self.sealed and length <= self.free
-
     def append(self, chunk: ChunkRecord) -> ContainerMetadataEntry:
         """Append a unique chunk; returns the metadata entry recorded for it.
 

@@ -14,11 +14,11 @@ from bisect import bisect_right
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.runtime import GuardLock, assert_owned, guarded_lock
 from repro.errors import ContainerNotFoundError, RecoveryError, ValidationError
 from repro.fingerprint.fingerprinter import ChunkRecord
 from repro.storage.backends import ContainerBackend, InMemoryBackend, SpillRecovery
 from repro.storage.container import Container, DEFAULT_CONTAINER_CAPACITY, read_in_runs
+from repro.utils.guarded_lock import GuardLock, assert_owned, guarded_lock
 from repro.utils.stats import SnapshotCounter
 
 
@@ -101,33 +101,15 @@ class ContainerStore:
         self._seal(container)
         return container.container_id
 
-    def store_chunk(self, chunk: ChunkRecord, stream_id: int = 0) -> int:
-        """Store a unique chunk into the stream's open container.
-
-        Returns the container id the chunk was written to.  Sealing a full
-        container counts as one container write (the whole unit goes to disk).
-        """
-        with self._lock:
-            if chunk.length > self.container_capacity:
-                return self._store_oversize(chunk, stream_id)
-            container = self._open_by_stream.get(stream_id)
-            if container is None or container.sealed or not container.has_room_for(chunk.length):
-                if container is not None and not container.sealed:
-                    self._seal(container)
-                container = self._allocate(stream_id)
-                self._open_by_stream[stream_id] = container
-            container.append(chunk)
-            self._stored_bytes.add(chunk.length)
-            self._stored_chunks.add(1)
-            return container.container_id
-
     def store_chunks(self, chunks: Sequence[ChunkRecord], stream_id: int = 0) -> List[int]:
         """Store a batch of unique chunks, split into one run per container
         under one lock acquisition.
 
-        Equivalent to calling :meth:`store_chunk` once per chunk in order:
-        identical container ids, contents, seal timing and write accounting --
-        this is the batched append of the node's super-chunk data plane.
+        Equivalent to storing the chunks one at a time in order
+        (``tests/oracles.py``): identical container ids, contents, seal timing
+        and write accounting -- this is the batched append of the node's
+        super-chunk data plane.  Sealing a full container counts as one
+        container write (the whole unit goes to disk).
         Returns the container id of every chunk, aligned with ``chunks``.
         """
         container_ids: List[int] = []

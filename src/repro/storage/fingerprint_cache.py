@@ -54,20 +54,11 @@ class ChunkFingerprintCache:
         self._fingerprint_to_container.update(dict.fromkeys(fingerprint_set, container_id))
         self.prefetches += 1
 
-    def add_fingerprint(self, container_id: int, fingerprint: bytes) -> None:
-        """Add a single fingerprint of a currently-open container to the cache."""
-        existing = self._containers.peek(container_id)
-        if existing is None:
-            existing = set()
-            self._containers.put(container_id, existing)
-        existing.add(fingerprint)
-        self._fingerprint_to_container[fingerprint] = container_id
-
     def add_fingerprints(self, container_id: int, fingerprints: Sequence[bytes]) -> None:
         """Add a batch of fingerprints of one open container in bulk.
 
-        Equivalent to calling :meth:`add_fingerprint` once per fingerprint:
-        the container entry is created (inserted at most-recently-used, with
+        Equivalent to adding them one at a time (``tests/oracles.py``): the
+        container entry is created (inserted at most-recently-used, with
         the same eviction consequences) only if absent.
         """
         if not fingerprints:

@@ -19,13 +19,13 @@ import time
 from dataclasses import replace
 from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.analysis.runtime import GuardLock, guarded_lock
 from repro.cluster.cluster import RETRYABLE_READ_ERRORS, DedupeCluster
 from repro.errors import RpcDroppedError, TransportError
 from repro.fingerprint.handprint import DEFAULT_HANDPRINT_SIZE, Handprint
 from repro.node.dedupe_node import NodeConfig, resolve_container_backend
 from repro.transport.proxy import NodeProxy, PendingBackup, PendingCall, pack_handprint
 from repro.transport.worker import WorkerSpec, node_worker_main
+from repro.utils.guarded_lock import GuardLock, guarded_lock
 
 __all__ = [
     "NodeProxy",

@@ -21,7 +21,6 @@ import socket
 import threading
 from typing import Any, Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
-from repro.analysis.runtime import GuardLock, guarded_lock
 from repro.cluster.handle import IdColumn
 from repro.cluster.message import MessageCounter, MessageType
 from repro.core.superchunk import SuperChunk
@@ -29,6 +28,7 @@ from repro.errors import ConnectionLostError, NodeUnavailableError, TransportErr
 from repro.fingerprint.handprint import Handprint
 from repro.node.dedupe_node import SuperChunkBackupResult
 from repro.transport import wire
+from repro.utils.guarded_lock import GuardLock, guarded_lock
 
 START_TIMEOUT_SECONDS = 15.0
 """How long a proxy waits for its worker's first answer (the start ``ping``)."""

@@ -10,6 +10,8 @@ The submodules are intentionally small and dependency-free:
   fingerprint cache.
 * :mod:`repro.utils.striped_lock` -- striped locking used by the parallel
   similarity index.
+* :mod:`repro.utils.guarded_lock` -- the locks of ``# guarded-by`` classes,
+  ownership-checked under ``REPRO_LOCK_ASSERTS=1``.
 * :mod:`repro.utils.buffers` -- borrowing a buffer in place for a
   :mod:`ctypes` call (the gear kernel and the libdeflate codec).
 """

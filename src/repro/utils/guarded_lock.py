@@ -1,13 +1,13 @@
 """Runtime companion to the static lock-discipline checker.
 
-The static checker proves lock discipline for code it can see; this module
-verifies it while the code actually runs.  With ``REPRO_LOCK_ASSERTS=1`` in
-the environment, the guarded classes construct :class:`OwnershipLock`
-wrappers instead of raw ``threading`` locks.  The wrappers track which thread
-currently owns the lock, and the ``# holds-lock`` methods call
-:func:`assert_owned` on entry -- raising
-:class:`~repro.errors.LockOwnershipError` the moment a caller-holds contract
-is violated under real concurrency.
+The static checker (``tests/repo_checks/lock_discipline.py``) proves lock
+discipline for code it can see; this module verifies it while the code
+actually runs.  With ``REPRO_LOCK_ASSERTS=1`` in the environment, the guarded
+classes construct :class:`OwnershipLock` wrappers instead of raw
+``threading`` locks.  The wrappers track which thread currently owns the
+lock, and the ``# holds-lock`` methods call :func:`assert_owned` on entry --
+raising :class:`~repro.errors.LockOwnershipError` the moment a caller-holds
+contract is violated under real concurrency.
 
 With the variable unset (the default), :func:`guarded_lock` returns the raw
 ``threading`` primitive and :func:`assert_owned` reduces to one ``isinstance``
@@ -37,9 +37,9 @@ class OwnershipLock:
     """A mutex that knows which thread holds it.
 
     Drop-in for ``threading.Lock`` / ``threading.RLock`` (context manager,
-    ``acquire`` / ``release`` / ``locked``) with two additions: the owning
-    thread's ident is tracked, and :meth:`held_by_current_thread` answers the
-    question the debug assertions ask.
+    ``acquire`` / ``release``) with two additions: the owning thread's ident
+    is tracked, and :meth:`held_by_current_thread` answers the question the
+    debug assertions ask.
     """
 
     __slots__ = ("name", "_lock", "_reentrant", "_owner", "_depth")
@@ -78,9 +78,6 @@ class OwnershipLock:
 
     def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
         self.release()
-
-    def locked(self) -> bool:
-        return self._owner is not None
 
     def held_by_current_thread(self) -> bool:
         return self._owner == threading.get_ident()

@@ -10,8 +10,6 @@ key hashed to one stripe.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import Iterator
 from repro.errors import ValidationError
 
 
@@ -64,25 +62,3 @@ class StripedLock:
         """:meth:`lock_for` of the ``bytes`` key whose :func:`stripe_key` is
         ``key`` (same stripe, same caller duties)."""
         return self._locks[key % len(self._locks)]
-
-    @contextmanager
-    def locked(self, key: bytes) -> Iterator[None]:
-        """Context manager acquiring the stripe lock that guards ``key``."""
-        lock = self._locks[self.stripe_for(key)]
-        lock.acquire()
-        self.acquisitions += 1
-        try:
-            yield
-        finally:
-            lock.release()
-
-    @contextmanager
-    def locked_stripe(self, stripe: int) -> Iterator[None]:
-        """Context manager acquiring a specific stripe by index."""
-        lock = self._locks[stripe % len(self._locks)]
-        lock.acquire()
-        self.acquisitions += 1
-        try:
-            yield
-        finally:
-            lock.release()

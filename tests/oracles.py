@@ -10,6 +10,9 @@ kept here, where the equivalence suites use them:
   :func:`per_chunk_plane` swap it in for ``DedupeNode.backup_superchunk``.
 * :class:`PerChunkRestore` -- one cluster read per recipe location, verified
   and counted before it is yielded.
+* :func:`store_chunk` and :func:`add_fingerprint` -- one chunk into a
+  ``ContainerStore``, one fingerprint into a ``ChunkFingerprintCache``: the
+  per-item references ``store_chunks`` and ``add_fingerprints`` meet.
 """
 
 from __future__ import annotations
@@ -24,7 +27,38 @@ from repro.cluster.director import Director
 from repro.cluster.recipe import FileRecipe
 from repro.core.superchunk import SuperChunk
 from repro.errors import RestoreIntegrityError
+from repro.fingerprint.fingerprinter import ChunkRecord
 from repro.node.dedupe_node import DedupeNode, SuperChunkBackupResult
+from repro.storage.container_store import ContainerStore
+from repro.storage.fingerprint_cache import ChunkFingerprintCache
+
+
+def store_chunk(store: ContainerStore, chunk: ChunkRecord, stream_id: int = 0) -> int:
+    """Store one unique chunk into the stream's open container; return the
+    container id it was written to."""
+    with store._lock:
+        if chunk.length > store.container_capacity:
+            return store._store_oversize(chunk, stream_id)
+        container = store._open_by_stream.get(stream_id)
+        if container is None or container.sealed or chunk.length > container.free:
+            if container is not None and not container.sealed:
+                store._seal(container)
+            container = store._allocate(stream_id)
+            store._open_by_stream[stream_id] = container
+        container.append(chunk)
+        store._stored_bytes.add(chunk.length)
+        store._stored_chunks.add(1)
+        return container.container_id
+
+
+def add_fingerprint(cache: ChunkFingerprintCache, container_id: int, fingerprint: bytes) -> None:
+    """Add one fingerprint of a currently-open container to the cache."""
+    existing = cache._containers.peek(container_id)
+    if existing is None:
+        existing = set()
+        cache._containers.put(container_id, existing)
+    existing.add(fingerprint)
+    cache._fingerprint_to_container[fingerprint] = container_id
 
 
 def backup_per_chunk(node: DedupeNode, superchunk: SuperChunk) -> SuperChunkBackupResult:
@@ -58,11 +92,11 @@ def backup_per_chunk(node: DedupeNode, superchunk: SuperChunk) -> SuperChunkBack
                 duplicate_chunks += 1
                 duplicate_bytes += chunk.length
             else:
-                container_id = node.container_store.store_chunk(
-                    chunk, stream_id=superchunk.stream_id
+                container_id = store_chunk(
+                    node.container_store, chunk, stream_id=superchunk.stream_id
                 )
                 node.disk_index.insert(fingerprint, container_id)
-                node.fingerprint_cache.add_fingerprint(container_id, fingerprint)
+                add_fingerprint(node.fingerprint_cache, container_id, fingerprint)
                 unique_chunks += 1
                 unique_bytes += chunk.length
             chunk_locations[fingerprint] = container_id

@@ -25,7 +25,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence
 
-from repro.errors import AnalysisError
+
+class AnalysisError(Exception):
+    """A checker cannot do its job: an unreadable or unparseable source file,
+    a malformed annotation, or a registry scope that matches nothing."""
 
 
 @dataclass(frozen=True)
@@ -101,13 +104,9 @@ def load_module(path: Path, root: Path) -> SourceModule:
         tree = ast.parse(source, filename=str(path))
     except SyntaxError as exc:
         raise AnalysisError(f"cannot parse {path}: {exc}") from exc
-    try:
-        relpath = path.relative_to(root).as_posix()
-    except ValueError:
-        relpath = path.as_posix()
     return SourceModule(
         path=path,
-        relpath=relpath,
+        relpath=path.relative_to(root).as_posix(),
         tree=tree,
         lines=source.splitlines(),
         comments=extract_comments(source),
@@ -116,9 +115,6 @@ def load_module(path: Path, root: Path) -> SourceModule:
 
 def iter_modules(root: Path) -> Iterator[SourceModule]:
     """Parse every ``*.py`` file under ``root`` (sorted, deterministic)."""
-    if root.is_file():
-        yield load_module(root, root.parent)
-        return
     if not root.is_dir():
         raise AnalysisError(f"source root {root} does not exist")
     for path in sorted(root.rglob("*.py")):

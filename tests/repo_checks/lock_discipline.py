@@ -4,8 +4,7 @@ Attributes annotated ``# guarded-by: <lock>`` on their defining line may only
 be read or written inside code that *statically* holds the named lock:
 
 * lexically inside ``with self.<lock>:`` (or, for striped locks, inside
-  ``with self.<lock>.lock_for(...)`` / ``.lock_at(...)`` / ``.locked(...)`` /
-  ``.locked_stripe(...)``);
+  ``with self.<lock>.lock_for(...)`` / ``.lock_at(...)``);
 * or inside a method annotated ``# holds-lock: <lock>``, whose contract is
   that callers already hold the lock -- and every internal call site of such
   a method is itself checked for holding it.
@@ -26,14 +25,14 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Set, Tuple, Union
 
-from repro.analysis.common import Checker, Finding, SourceModule, parse_annotation
+from .common import Checker, Finding, SourceModule, parse_annotation
 
 GUARDED_BY = "guarded-by"
 HOLDS_LOCK = "holds-lock"
 WAIVER = "unguarded-ok"
 
 _CONSTRUCTORS = frozenset({"__init__", "__post_init__", "__new__"})
-_STRIPED_ACQUIRERS = frozenset({"lock_for", "lock_at", "locked", "locked_stripe"})
+_STRIPED_ACQUIRERS = frozenset({"lock_for", "lock_at"})
 
 
 def _self_attribute(node: ast.AST) -> Optional[str]:
@@ -161,7 +160,7 @@ class _MethodVisitor(ast.NodeVisitor):
             return attr
         if isinstance(context_expr, ast.Name):
             return self.lock_aliases.get(context_expr.id)
-        # with self._locks.lock_for(key):  (and .lock_at / .locked / .locked_stripe)
+        # with self._locks.lock_for(key):  (and .lock_at)
         if isinstance(context_expr, ast.Call) and isinstance(context_expr.func, ast.Attribute):
             if context_expr.func.attr in _STRIPED_ACQUIRERS:
                 owner = context_expr.func.value

@@ -16,8 +16,8 @@ new guarded class only has to annotate its attributes to join the contract.
 Paths are POSIX-relative to the ``repro`` package root.  A scope of ``"*"``
 covers a whole module; otherwise scopes name ``Class.method`` qualnames.
 A path that matches no file, or a qualname that matches no definition, is a
-configuration error (``python -m repro.analysis`` exits 2): a renamed method
-must not silently leave the contract.
+configuration error (:func:`run_checks` raises ``AnalysisError``): a renamed
+method must not silently leave the contract.
 """
 
 from __future__ import annotations
@@ -44,14 +44,12 @@ STATS_MUTATING_CALLS: FrozenSet[str] = frozenset(
         "commit_lookups",
         "touch_many",
         "drop_stale",
-        "add_fingerprint",
         "add_fingerprints",
         "prefetch_container",
         "prefetch_metadata",
         "insert",
         "insert_batch",
         "index_handprint",
-        "store_chunk",
         "store_chunks",
     }
 )

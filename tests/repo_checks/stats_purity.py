@@ -7,8 +7,8 @@ contract: they resolve chunks through ``peek`` / ``peek_many`` and plain
 container reads, never through the counting ``lookup`` / ``match`` variants.
 
 This checker enforces that contract: inside the read-path scopes declared in
-:mod:`repro.analysis.registry`, any call to a statistics-advancing method
-name (``STATS_MUTATING_CALLS``) is flagged.  A deliberate exception carries a
+:mod:`.registry`, any call to a statistics-advancing method name
+(``STATS_MUTATING_CALLS``) is flagged.  A deliberate exception carries a
 ``# stats-ok: <reason>`` waiver on the call line.
 """
 
@@ -17,8 +17,8 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.common import Checker, Finding, SourceModule
-from repro.analysis.registry import READ_PATH_SCOPES, STATS_MUTATING_CALLS
+from .common import Checker, Finding, SourceModule
+from .registry import READ_PATH_SCOPES, STATS_MUTATING_CALLS
 
 WAIVER = "stats-ok"
 

@@ -3,8 +3,7 @@
 PR 2 made ingest streaming end-to-end (peak memory O(super-chunk) regardless
 of stream size) and a CI tracemalloc gate holds the bound at runtime.  This
 checker holds it *statically*: inside the streaming-path modules declared in
-:mod:`repro.analysis.registry`, the constructs that buffer a whole stream are
-flagged:
+:mod:`.registry`, the constructs that buffer a whole stream are flagged:
 
 * ``b"".join(...)`` -- the canonical whole-payload concatenation;
 * ``bytes(...)`` / ``bytearray(...)`` over a conventional payload name
@@ -25,8 +24,8 @@ from __future__ import annotations
 import ast
 from typing import FrozenSet, List, Optional, Sequence
 
-from repro.analysis.common import Checker, Finding, SourceModule
-from repro.analysis.registry import (
+from .common import Checker, Finding, SourceModule
+from .registry import (
     BLOCK_STREAM_PRODUCERS,
     STREAM_PAYLOAD_NAMES,
     STREAMING_MODULES,

@@ -26,8 +26,8 @@ import ast
 import builtins
 from typing import FrozenSet, List, Optional, Set
 
-from repro.analysis.common import Checker, Finding, SourceModule
-from repro.analysis.registry import TAXONOMY_ALLOWED_EXCEPTIONS
+from .common import Checker, Finding, SourceModule
+from .registry import TAXONOMY_ALLOWED_EXCEPTIONS
 
 WAIVER = "taxonomy-ok"
 

@@ -1,4 +1,4 @@
-"""Tests for the repo-specific invariant checkers (repro.analysis).
+"""Tests for the repo-specific invariant checkers (``tests/repo_checks``).
 
 Each checker is fed a known-bad fixture snippet and must flag it; the live
 ``src/repro`` tree must come back clean; and the waiver grammar must silence
@@ -8,19 +8,21 @@ exactly the annotated line.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import default_root, main, run_checks
-from repro.analysis.common import load_module, parse_annotation
-from repro.analysis.lock_discipline import LockDisciplineChecker
-from repro.analysis.registry import BLOCK_STREAM_PRODUCERS, STATS_MUTATING_CALLS
-from repro.analysis.stats_purity import StatsPurityChecker
-from repro.analysis.streaming import StreamingDisciplineChecker
-from repro.analysis.taxonomy import ErrorTaxonomyChecker
-from repro.errors import AnalysisError
+from tests.repo_checks import default_root, run_checks
+from tests.repo_checks.common import AnalysisError, parse_annotation
+from tests.repo_checks.lock_discipline import LockDisciplineChecker
+from tests.repo_checks.registry import BLOCK_STREAM_PRODUCERS, STATS_MUTATING_CALLS
+from tests.repo_checks.stats_purity import StatsPurityChecker
+from tests.repo_checks.streaming import StreamingDisciplineChecker
+from tests.repo_checks.taxonomy import ErrorTaxonomyChecker
 
 
 def write_fixture(tmp_path: Path, name: str, source: str) -> Path:
@@ -189,7 +191,7 @@ class TestStatsPurity:
 
 
 def _iter_live_modules():
-    from repro.analysis.common import iter_modules
+    from tests.repo_checks.common import iter_modules
 
     return iter_modules(default_root())
 
@@ -328,7 +330,7 @@ class TestAnnotationGrammar:
 
 class TestLiveTree:
     def test_all_checkers_clean_on_live_tree(self):
-        findings = run_checks(["all"])
+        findings = run_checks()
         rendered = "\n".join(finding.render() for finding in findings)
         assert findings == [], f"live tree violates its invariants:\n{rendered}"
 
@@ -337,7 +339,7 @@ class TestLiveTree:
         # of the live tree must actually register contracts.
         import ast
 
-        from repro.analysis.lock_discipline import _collect_contracts
+        from tests.repo_checks.lock_discipline import _collect_contracts
 
         contracts = {}
         for module in _iter_live_modules():
@@ -374,71 +376,43 @@ class TestLiveTree:
         assert registered <= defined, sorted(registered - defined)
 
 
-class TestCli:
-    def test_exit_zero_on_clean_tree(self, capsys):
-        assert main(["--check", "all"]) == 0
-        assert "clean" in capsys.readouterr().out
-
-    def test_exit_one_on_findings(self, tmp_path, capsys):
-        write_fixture(
-            tmp_path,
-            "mod.py",
-            """
-            def check(value):
-                raise ValueError("negative")
-            """,
-        )
-        assert main(["--check", "taxonomy", "--root", str(tmp_path)]) == 1
-        assert "error-taxonomy" in capsys.readouterr().out
-
-    def test_exit_two_on_unknown_checker(self, capsys):
-        assert main(["--check", "no-such-checker"]) == 2
-        assert "unknown checker" in capsys.readouterr().err
-
-    def test_exit_two_on_stale_read_path_scope(self, monkeypatch, capsys):
+class TestStaleScopes:
+    def test_stale_read_path_scope_raises(self, monkeypatch):
         # A method renamed out from under the registry must not silently
         # leave the stats-purity contract.
-        from repro.analysis.registry import READ_PATH_SCOPES
+        from tests.repo_checks.registry import READ_PATH_SCOPES
 
         monkeypatch.setitem(
             READ_PATH_SCOPES,
             "cluster/cluster.py",
             READ_PATH_SCOPES["cluster/cluster.py"] + ("DedupeCluster.renamed_away",),
         )
-        assert main(["--check", "stats"]) == 2
-        assert "cluster/cluster.py::DedupeCluster.renamed_away" in capsys.readouterr().err
+        with pytest.raises(AnalysisError, match="cluster/cluster.py::DedupeCluster.renamed_away"):
+            run_checks()
 
-    def test_exit_two_on_stale_streaming_module(self, monkeypatch, capsys):
-        import repro.analysis.streaming as streaming
+    def test_stale_streaming_module_raises(self, monkeypatch):
+        import tests.repo_checks.streaming as streaming
 
         monkeypatch.setattr(
             streaming,
             "STREAMING_MODULES",
             streaming.STREAMING_MODULES | {"parallel/deleted_module.py"},
         )
-        assert main(["--check", "streaming"]) == 2
-        assert "parallel/deleted_module.py" in capsys.readouterr().err
+        with pytest.raises(AnalysisError, match="parallel/deleted_module.py"):
+            run_checks()
 
-    def test_fixture_roots_are_not_held_to_the_registry(self, tmp_path, capsys):
-        # The registry describes the live package, not whatever --root names.
-        write_fixture(tmp_path, "mod.py", "value = 1\n")
-        assert main(["--check", "all", "--root", str(tmp_path)]) == 0
 
-    def test_json_output(self, tmp_path, capsys):
-        import json
-
-        write_fixture(
-            tmp_path,
-            "mod.py",
-            """
-            def check(value):
-                raise ValueError("negative")
-            """,
-        )
-        assert main(["--check", "taxonomy", "--root", str(tmp_path), "--json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload[0]["checker"] == "error-taxonomy"
-        assert payload[0]["path"] == "mod.py"
-
-    def test_checker_aliases_resolve(self):
-        assert main(["--check", "locks,errors"]) == 0
+def test_importing_the_library_loads_no_checker():
+    """The checkers stay out of the shipped library: an interpreter that
+    imports ``repro`` loads none of their modules (nor the retired
+    ``repro.analysis`` package)."""
+    code = "import sys, repro, repro.core.framework; print(*sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(default_root().parent)}
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "repro.core.framework" in loaded
+    checkers = [
+        name for name in loaded if name.startswith("repro.analysis") or "repo_checks" in name
+    ]
+    assert checkers == []

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.analysis.runtime import (
+from repro.utils.guarded_lock import (
     ENV_LOCK_ASSERTS,
     OwnershipLock,
     assert_owned,
@@ -23,9 +23,7 @@ class TestOwnershipLock:
         assert not lock.held_by_current_thread()
         with lock:
             assert lock.held_by_current_thread()
-            assert lock.locked()
         assert not lock.held_by_current_thread()
-        assert not lock.locked()
 
     def test_release_by_non_owner_raises(self):
         lock = OwnershipLock("test")
@@ -50,7 +48,7 @@ class TestOwnershipLock:
             with lock:
                 assert lock.held_by_current_thread()
             assert lock.held_by_current_thread()
-        assert not lock.locked()
+        assert not lock.held_by_current_thread()
 
     def test_mutual_exclusion(self):
         lock = OwnershipLock("test")

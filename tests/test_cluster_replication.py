@@ -101,8 +101,9 @@ class TestReplicaStore:
         store.adopt(0, container.container_id, section)
         assert store.container_count() == 1
         assert store.snapshot_bytes() == container.used
-        assert store.holds(0, container.container_id)
-        assert not store.holds(1, container.container_id)
+        fingerprint = container.fingerprints()[0]
+        assert store.read_chunks(0, [fingerprint], [container.container_id])[0] is not None
+        assert store.read_chunks(1, [fingerprint], [container.container_id]) == [None]
         node.close()
 
     def test_file_backed_store_spills_composite_ids(self, tmp_path):
@@ -170,7 +171,11 @@ class TestReplicationManager:
         for node in cluster.nodes:
             for container_id in node.container_store.container_ids():
                 successor = cluster.node((node.node_id + 1) % cluster.num_nodes)
-                assert successor.replica_store.holds(node.node_id, container_id)
+                fingerprint = node.container_store.get(container_id).fingerprints()[0]
+                read = successor.replica_store.read_chunks(
+                    node.node_id, [fingerprint], [container_id]
+                )
+                assert read[0] is not None
         summary = cluster.describe()
         total = sum(
             node.container_store.container_count for node in cluster.nodes

@@ -229,7 +229,7 @@ class TestDamagedBlobs:
         backend = FileContainerBackend(tmp_path, compression="zlib", decompressed_cache_bytes=0)
         store = ContainerStore(container_capacity=64, backend=backend)
         (record,) = chunk_records_from_seeds([7], length=40)
-        container_id = store.store_chunk(record)
+        [container_id] = store.store_chunks([record])
         store.flush()
         backend.spill_path(container_id).write_bytes(spill(record.data))
         with running_on(implementation), pytest.raises(ContainerNotFoundError, match=message):

@@ -20,7 +20,7 @@ READERS = {
     "REPRO_INGEST_WORKERS": {"repro.parallel.engine.resolve_workers"},
     "REPRO_CONTAINER_BACKEND": {"repro.node.dedupe_node.resolve_container_backend"},
     "REPRO_CONTAINER_COMPRESSION": {"repro.storage.compression.resolve_compression"},
-    "REPRO_LOCK_ASSERTS": {"repro.analysis.runtime.lock_asserts_enabled"},
+    "REPRO_LOCK_ASSERTS": {"repro.utils.guarded_lock.lock_asserts_enabled"},
     "REPRO_TEARDOWN_TOKEN": {"repro.parallel.shm.segment_tag"},
     "CC": {"repro.chunking.accel._compile"},
     "XDG_CACHE_HOME": {"repro.chunking.accel._load"},

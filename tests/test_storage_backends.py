@@ -94,7 +94,7 @@ class TestSpillOnSeal:
         backend = FileContainerBackend(tmp_path, compression="none")
         store = ContainerStore(container_capacity=64, backend=backend)
         chunk = record(deterministic_bytes(40, seed=1))
-        container_id = store.store_chunk(chunk)
+        [container_id] = store.store_chunks([chunk])
         store.flush()
         container = store.get(container_id)
         assert container.sealed
@@ -105,7 +105,7 @@ class TestSpillOnSeal:
 
     def test_open_containers_stay_resident(self, tmp_path):
         store = ContainerStore(container_capacity=1024, backend=FileContainerBackend(tmp_path))
-        container_id = store.store_chunk(record(b"abc"))
+        [container_id] = store.store_chunks([record(b"abc")])
         assert store.get(container_id).payload_resident
 
     def test_read_back_from_spill_file(self, tmp_path):
@@ -119,7 +119,7 @@ class TestSpillOnSeal:
     def test_reads_count_as_container_io(self, tmp_path):
         store = ContainerStore(container_capacity=64, backend=FileContainerBackend(tmp_path))
         chunk = record(deterministic_bytes(40, seed=2))
-        container_id = store.store_chunk(chunk)
+        [container_id] = store.store_chunks([chunk])
         store.flush()
         reads_before = store.container_reads
         store.read_chunks([container_id], [chunk.fingerprint])[0]
@@ -137,7 +137,7 @@ class TestSpillOnSeal:
 
     def test_stored_bytes_unchanged_by_eviction(self, tmp_path):
         store = ContainerStore(container_capacity=64, backend=FileContainerBackend(tmp_path))
-        store.store_chunk(record(deterministic_bytes(40, seed=3)))
+        store.store_chunks([record(deterministic_bytes(40, seed=3))])
         assert store.stored_bytes == 40
         store.flush()
         assert store.stored_bytes == 40
@@ -147,7 +147,7 @@ class TestSpillOnSeal:
         backend = FileContainerBackend(tmp_path)
         store = ContainerStore(container_capacity=64, backend=backend)
         big = record(deterministic_bytes(200, seed=4))
-        container_id = store.store_chunk(big)
+        [container_id] = store.store_chunks([big])
         assert not store.get(container_id).payload_resident
         assert store.read_chunks([container_id], [big.fingerprint])[0] == big.data
 
@@ -159,7 +159,7 @@ class TestSpillFileCrashes:
         backend = FileContainerBackend(tmp_path, compression="none")
         store = ContainerStore(container_capacity=64, backend=backend)
         chunk = record(deterministic_bytes(40, seed=5))
-        container_id = store.store_chunk(chunk)
+        [container_id] = store.store_chunks([chunk])
         store.flush()
         return backend, store, chunk, container_id
 
@@ -363,7 +363,7 @@ class TestCompressedSpill:
     def test_none_codec_counters_match(self, tmp_path):
         backend = FileContainerBackend(tmp_path, compression="none")
         store = ContainerStore(container_capacity=64, backend=backend)
-        store.store_chunk(record(deterministic_bytes(40, seed=9)))
+        store.store_chunks([record(deterministic_bytes(40, seed=9))])
         store.flush()
         assert backend.spilled_bytes_stored == backend.spilled_bytes == 40
 
@@ -566,7 +566,7 @@ class TestCompressedSpillCrashes:
         )
         store = ContainerStore(container_capacity=64, backend=backend)
         chunk = record(deterministic_bytes(40, seed=5))
-        container_id = store.store_chunk(chunk)
+        [container_id] = store.store_chunks([chunk])
         store.flush()
         return backend, store, chunk, container_id
 

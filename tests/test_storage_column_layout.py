@@ -3,9 +3,10 @@
 ``Container.append_many`` extends a container's columns from a run's columns
 and ``ContainerStore.store_chunks`` splits a batch into one run per container.
 Both must be indistinguishable from their one-chunk-at-a-time forms
-(``append`` / ``store_chunk``): same metadata rows, same contiguous layout,
-same container ids, seal timing and accounting -- on the memory and the file
-backend, and with lock assertions armed (CI's ``REPRO_LOCK_ASSERTS=1`` leg).
+(``append`` / :func:`tests.oracles.store_chunk`): same metadata rows, same
+contiguous layout, same container ids, seal timing and accounting -- on the
+memory and the file backend, and with lock assertions armed (CI's
+``REPRO_LOCK_ASSERTS=1`` leg).
 """
 
 import pytest
@@ -16,6 +17,7 @@ from repro.storage.backends import FileContainerBackend, InMemoryBackend
 from repro.storage.container import Container
 from repro.storage.container_store import ContainerStore
 from tests.helpers import deterministic_bytes, fingerprint_of
+from tests.oracles import store_chunk
 
 CAPACITY = 100
 
@@ -185,7 +187,7 @@ class TestStoreChunks:
         steps = [records([30], 700), records(BATCHES[name], 0, form), records([30, 80], 800)]
         for step in steps:
             batch_ids = batched.store_chunks(step)
-            assert batch_ids == [sequential.store_chunk(chunk) for chunk in step]
+            assert batch_ids == [store_chunk(sequential, chunk) for chunk in step]
             # Seal timing: the same containers are sealed after every step.
             assert store_view(batched) == store_view(sequential)
         batched.flush()
@@ -201,7 +203,7 @@ class TestStoreChunks:
             step = records(lengths, seed)
             seed += len(step)
             assert batched.store_chunks(step, stream_id=stream_id) == [
-                sequential.store_chunk(chunk, stream_id=stream_id) for chunk in step
+                store_chunk(sequential, chunk, stream_id=stream_id) for chunk in step
             ]
             assert store_view(batched) == store_view(sequential)
         assert {batched.get(cid).stream_id for cid in batched.container_ids()} == {0, 1}

@@ -43,12 +43,11 @@ class TestAppend:
         with pytest.raises(ContainerFullError):
             container.append(record(b"data"))
 
-    def test_has_room_for(self):
+    def test_chunk_of_exactly_free_bytes_fits(self):
         container = Container(container_id=0, capacity=10)
-        assert container.has_room_for(10)
-        assert not container.has_room_for(11)
-        container.seal()
-        assert not container.has_room_for(1)
+        container.append(record(b"x" * 4))
+        container.append(record(b"y" * container.free))
+        assert container.free == 0
 
     def test_fingerprint_only_chunk_accounts_space(self):
         container = Container(container_id=0, capacity=100)

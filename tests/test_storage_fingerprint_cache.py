@@ -2,6 +2,7 @@
 
 from repro.storage.fingerprint_cache import ChunkFingerprintCache
 from tests.helpers import synthetic_fingerprint
+from tests.oracles import add_fingerprint
 
 
 def fps(prefix, count):
@@ -70,14 +71,14 @@ class TestIncrementalAdd:
     def test_add_fingerprint_to_open_container(self):
         cache = ChunkFingerprintCache(capacity_containers=2)
         fp = synthetic_fingerprint("new-chunk")
-        cache.add_fingerprint(3, fp)
+        cache.add_fingerprints(3, [fp])
         assert cache.lookup(fp) == 3
 
     def test_add_to_existing_cached_container(self):
         cache = ChunkFingerprintCache(capacity_containers=2)
         cache.prefetch_container(0, fps("base", 2))
         extra = synthetic_fingerprint("extra")
-        cache.add_fingerprint(0, extra)
+        cache.add_fingerprints(0, [extra])
         assert cache.lookup(extra) == 0
         assert cache.cached_containers == 1
 
@@ -217,7 +218,7 @@ class TestBatchOperations:
         fingerprints = fps("open", 4)
         batched.add_fingerprints(7, fingerprints)
         for fp in fingerprints:
-            sequential.add_fingerprint(7, fp)
+            add_fingerprint(sequential, 7, fp)
         assert batched._fingerprint_to_container == sequential._fingerprint_to_container
         assert list(batched._containers) == list(sequential._containers)
         assert all(batched.peek(fp) == 7 for fp in fingerprints)

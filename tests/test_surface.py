@@ -37,7 +37,6 @@ EXEMPT = {
     "SigmaDedupe.backup_stream": "README's streaming entry point",
     "DedupeNode.rebuild_indexes": "the compaction step session deletion and GC build on",
     "probability_handprints_intersect": "the paper's Eq. (5), the bound handprint tests check",
-    "_MethodVisitor.visit_*": "ast.NodeVisitor dispatches on the node type name",
     "FileContainerBackend(fsync=)": "a durability flush no in-memory test can tell apart",
 }
 

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.utils.striped_lock import StripedLock
+from repro.utils.striped_lock import StripedLock, stripe_key
 
 
 class TestConstruction:
@@ -35,19 +35,16 @@ class TestStripeMapping:
 
 
 class TestLocking:
-    def test_locked_context_manager(self):
+    def test_lock_for_is_the_stripe_of_its_key(self):
         lock = StripedLock(num_stripes=4)
-        with lock.locked(b"key"):
-            pass
-        assert lock.acquisitions == 1
+        with lock.lock_for(b"key"):
+            assert lock.lock_at(stripe_key(b"key")).locked()
+        assert not lock.lock_at(stripe_key(b"key")).locked()
 
-    def test_locked_stripe_by_index(self):
+    def test_lock_at_wraps_modulo_num_stripes(self):
         lock = StripedLock(num_stripes=4)
-        with lock.locked_stripe(2):
-            pass
-        with lock.locked_stripe(6):  # wraps modulo num_stripes
-            pass
-        assert lock.acquisitions == 2
+        assert lock.lock_at(6) is lock.lock_at(2)
+        assert lock.lock_at(6) is not lock.lock_at(3)
 
     def test_concurrent_counter_updates_are_consistent(self):
         # A shared counter guarded by the striped lock must not lose updates.
@@ -57,7 +54,7 @@ class TestLocking:
 
         def work():
             for _ in range(2000):
-                with lock.locked(key):
+                with lock.lock_for(key):
                     counter["value"] += 1
 
         threads = [threading.Thread(target=work) for _ in range(4)]
@@ -72,8 +69,8 @@ class TestLocking:
         done = []
 
         def work():
-            with lock.locked_stripe(0):
-                with lock.locked_stripe(1):
+            with lock.lock_at(0):
+                with lock.lock_at(1):
                     done.append(True)
 
         thread = threading.Thread(target=work)
