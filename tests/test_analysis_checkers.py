@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ast
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -17,7 +18,8 @@ from pathlib import Path
 import pytest
 
 from tests.repo_checks import default_root, run_checks
-from tests.repo_checks.common import AnalysisError, parse_annotation
+import tests.repo_checks as repo_checks
+from tests.repo_checks.common import AnalysisError, Finding, parse_annotation
 from tests.repo_checks.lock_discipline import LockDisciplineChecker
 from tests.repo_checks.registry import BLOCK_STREAM_PRODUCERS, STATS_MUTATING_CALLS
 from tests.repo_checks.stats_purity import StatsPurityChecker
@@ -318,6 +320,10 @@ class TestAnnotationGrammar:
         assert parse_annotation("guarded-by: _lock", "guarded-by") == "_lock"
         assert parse_annotation("no marker here", "guarded-by") is None
 
+    def test_finding_renders_location_then_checker(self):
+        finding = Finding("error-taxonomy", "cluster/restore.py", 12, "bare raise")
+        assert finding.render() == "cluster/restore.py:12: [error-taxonomy] bare raise"
+
     def test_empty_annotation_value_rejected(self):
         with pytest.raises(AnalysisError):
             parse_annotation("guarded-by:", "guarded-by")
@@ -376,6 +382,38 @@ class TestLiveTree:
         assert registered <= defined, sorted(registered - defined)
 
 
+class TestRunChecks:
+    PLANTED = """
+    import threading
+
+    class Counter:
+        def __init__(self):
+            self.value = 0  # guarded-by: _lock
+            self._lock = threading.Lock()
+
+        def bump(self):
+            if self.value < 0:
+                raise ValueError("negative")
+            self.value += 1
+    """
+
+    def test_reports_planted_violations_sorted_by_location(self, tmp_path, monkeypatch):
+        # The live tree is clean, so without a planted violation nothing shows
+        # that run_checks can fail at all.  The copy keeps every registry
+        # scope matched; the planted module adds one finding per checker on
+        # interleaved lines, which only a sort by location returns in order.
+        root = tmp_path / "repro"
+        shutil.copytree(default_root(), root, ignore=shutil.ignore_patterns("__pycache__"))
+        write_fixture(root, "planted.py", self.PLANTED)
+        monkeypatch.setattr(repo_checks, "default_root", lambda: root)
+        findings = run_checks()
+        assert [(f.path, f.line, f.checker) for f in findings] == [
+            ("planted.py", 10, "lock-discipline"),
+            ("planted.py", 11, "error-taxonomy"),
+            ("planted.py", 12, "lock-discipline"),
+        ]
+
+
 class TestStaleScopes:
     def test_stale_read_path_scope_raises(self, monkeypatch):
         # A method renamed out from under the registry must not silently
@@ -400,6 +438,37 @@ class TestStaleScopes:
         )
         with pytest.raises(AnalysisError, match="parallel/deleted_module.py"):
             run_checks()
+
+    def test_stale_read_path_module_raises(self, monkeypatch):
+        # A whole read-path module deleted or moved is stale too, not only a
+        # method inside a module that still exists.
+        from tests.repo_checks.registry import READ_PATH_SCOPES
+
+        monkeypatch.setitem(READ_PATH_SCOPES, "cluster/deleted_reader.py", ("*",))
+        with pytest.raises(AnalysisError, match="stats-purity: cluster/deleted_reader.py"):
+            run_checks()
+
+    def test_every_stale_scope_is_named_in_one_error(self, monkeypatch):
+        import tests.repo_checks.streaming as streaming
+        from tests.repo_checks.registry import READ_PATH_SCOPES
+
+        monkeypatch.setitem(READ_PATH_SCOPES, "cluster/deleted_reader.py", ("*",))
+        monkeypatch.setattr(
+            streaming,
+            "STREAMING_MODULES",
+            streaming.STREAMING_MODULES | {"parallel/deleted_module.py"},
+        )
+        with pytest.raises(AnalysisError) as raised:
+            run_checks()
+        assert "stats-purity: cluster/deleted_reader.py" in str(raised.value)
+        assert "streaming-discipline: parallel/deleted_module.py" in str(raised.value)
+
+    def test_wildcard_scope_is_not_a_method_name(self):
+        modules = list(_iter_live_modules())
+        checker = StatsPurityChecker(scopes={"cluster/restore.py": ("*",)})
+        assert checker.stale_scopes(modules) == []
+        checker = StatsPurityChecker(scopes={"cluster/restore.py": ("RestoreManager.gone",)})
+        assert checker.stale_scopes(modules) == ["cluster/restore.py::RestoreManager.gone"]
 
 
 def test_importing_the_library_loads_no_checker():

@@ -91,6 +91,26 @@ class TestGuardedLockFactory:
         with lock:
             assert_owned(lock, "somewhere")
 
+    def test_truthy_spellings_enable_asserts(self, monkeypatch):
+        for value in ("1", "true", " YES ", "On"):
+            monkeypatch.setenv(ENV_LOCK_ASSERTS, value)
+            assert lock_asserts_enabled(), value
+        for value in ("", "0", "false", "off", "2"):
+            monkeypatch.setenv(ENV_LOCK_ASSERTS, value)
+            assert not lock_asserts_enabled(), value
+
+    @pytest.mark.parametrize("asserts", ["", "1"], ids=["plain", "ownership"])
+    def test_reentrant_flag_is_honoured(self, monkeypatch, asserts):
+        # Non-blocking acquires, so a wrong lock kind fails instead of hanging.
+        monkeypatch.setenv(ENV_LOCK_ASSERTS, asserts)
+        reentrant = guarded_lock("test", reentrant=True)
+        with reentrant:
+            assert reentrant.acquire(blocking=False)
+            reentrant.release()
+        plain = guarded_lock("test")
+        with plain:
+            assert not plain.acquire(blocking=False)
+
     def test_lock_ownership_error_is_repro_error(self):
         assert issubclass(LockOwnershipError, ReproError)
 
